@@ -13,7 +13,6 @@ from .model import (  # noqa: F401
     FactError,
     SourceModel,
     compute_overrides,
-    lifted_calls,
     load_facts,
     load_facts_path,
     load_records,
@@ -25,7 +24,6 @@ __all__ = [
     "SourceModel",
     "__version__",
     "compute_overrides",
-    "lifted_calls",
     "load_facts",
     "load_facts_path",
     "load_records",

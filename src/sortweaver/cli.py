@@ -25,25 +25,23 @@ from .concerns import (
     add_instance,
     iter_instances,
     load_model,
+    node_at,
     remove,
     rename,
     run_all,
     save_model,
 )
 from .minilang import extract_facts, parse
-from .mining import MiningConfig, fan_in_analysis, find_redirectors, grouped_calls_analysis
+from .mining import TECHNIQUES, MiningConfig, mine
 from .model import SCHEMA_VERSION, DispatchPolicy, FactError, SourceModel, load_facts_path
 from .queries import (
+    ADVICE_KINDS,
     QueryBinding,
+    QueryResult,
     SortKind,
     execute_binding,
     expand_seed,
-    query_cb,
-    query_ec,
-    query_ep,
-    query_rl,
-    query_rsi,
-    query_sc,
+    query_params,
 )
 from .refactoring import (
     AspectSyntaxError,
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_extract)
 
     p = sub.add_parser("mine", help="run a mining technique over a fact file")
-    p.add_argument("technique", choices=["fanin", "grouped", "redirect"])
+    p.add_argument("technique", choices=list(TECHNIQUES))
     p.add_argument("facts")
     p.add_argument("--threshold", type=int, default=None,
                    help="fan-in threshold / minimum callers / minimum redirecting methods")
@@ -119,9 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="name pattern to exclude (repeatable)")
     p.add_argument("--no-accessor-filter", action="store_true")
     p.add_argument("--policy", choices=[pol.value for pol in DispatchPolicy], default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true")
-    group.add_argument("--text", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_mine)
 
     p = sub.add_parser("query", help="execute one sort query")
@@ -183,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file")
     p.add_argument("instance_path")
     p.add_argument("facts")
-    p.add_argument("--advice", choices=["before", "after", "around"], default=None)
+    p.add_argument("--advice", choices=ADVICE_KINDS, default=None)
     p.add_argument("--enumerate", dest="enumerate_callers", action="store_true",
                    help="enumerate callers instead of a generic pointcut")
     p.add_argument("--name", default=None, help="aspect name override")
@@ -256,26 +252,13 @@ def cmd_mine(args, stdin, stdout):
     if args.coverage is not None:
         config_kwargs["redirect_coverage"] = args.coverage
     if args.threshold is not None:
-        key = {
-            "fanin": "fanin_threshold",
-            "grouped": "grouped_min_callers",
-            "redirect": "redirect_min_methods",
-        }[args.technique]
-        config_kwargs[key] = args.threshold
+        config_kwargs[TECHNIQUES[args.technique][1]] = args.threshold
     try:
         config = MiningConfig(**config_kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    technique = {
-        "fanin": fan_in_analysis,
-        "grouped": grouped_calls_analysis,
-        "redirect": find_redirectors,
-    }[args.technique]
-    if args.technique == "redirect":
-        seeds = technique(model, config)
-    else:
-        seeds = technique(model, config, model.policy)
+    seeds = mine(model, args.technique, config)
 
     if args.json:
         stdout.write(pretty_json([s.to_json() for s in seeds]) + "\n")
@@ -299,32 +282,23 @@ def _seed_subject(model: SourceModel, seed) -> str:
 # -- query -----------------------------------------------------------------------
 
 
-def _require(args, flag: str):
-    value = getattr(args, flag)
-    if value is None:
-        raise CliError(f"--{flag} is required for this sort")
-    return value
-
-
 def cmd_query(args, stdin, stdout):
     model = _load_model(args)
-    sort = args.sort.lower()
-    if sort == "cb":
-        result = query_cb(model, _require(args, "target"), args.scope)
-    elif sort == "rl":
-        result = query_rl(model, _require(args, "redirector"), _require(args, "receiver"))
-    elif sort == "ec":
-        result = query_ec(model, _require(args, "context"), args.scope)
-    elif sort == "rsi":
-        result = query_rsi(model, _require(args, "role"), args.scope)
-    elif sort == "sc":
-        result = query_sc(model, args.scope, args.role)
-    else:
-        result = query_ep(model, _require(args, "exception"), args.root)
-
+    sort = SortKind(args.sort.upper())
+    params = {}
+    for p in query_params(sort):
+        value = getattr(args, p.name)
+        if value is None and p.required:
+            raise CliError(f"--{p.name} is required for this sort")
+        params[p.name] = value
+    result = execute_binding(model, QueryBinding.make(sort, **params))
     if args.json:
         stdout.write(pretty_json(result.to_json(model)) + "\n")
         return
+    _write_hits(model, result, stdout)
+
+
+def _write_hits(model: SourceModel, result: QueryResult, stdout):
     stdout.write(f"{len(result.hits)} hits\n")
     for hit in result.hits:
         stdout.write(f"  {hit.key(model)}\n")
@@ -397,26 +371,15 @@ def cmd_model_run(args, stdin, stdout):
 # -- plan ------------------------------------------------------------------------
 
 
-def _find_node(root: Group, path: str):
-    node = root
-    for part in [p for p in path.split("/") if p]:
-        if not isinstance(node, Group):
-            raise CliError(f"no such concern path: {path!r}")
-        node = node.child(part)
-        if node is None:
-            raise CliError(f"no such concern path: {path!r}")
-    return node
-
-
-def _aspect_name_from(path: str) -> str:
-    tail = [p for p in path.split("/") if p][-1]
-    return "".join(ch for ch in tail.title() if ch.isalnum()) if " " in tail else \
-        "".join(ch for ch in tail if ch.isalnum())
+def _aspect_name_from(name: str) -> str:
+    return "".join(ch for ch in name.title() if ch.isalnum()) if " " in name else \
+        "".join(ch for ch in name if ch.isalnum())
 
 
 def cmd_plan(args, stdin, stdout):
     root = load_model(args.model_file)
-    node = _find_node(root, args.instance_path)
+    path = "/".join(part for part in args.instance_path.split("/") if part)
+    node = node_at(root, path)
     model = _load_model(args)
 
     if isinstance(node, Instance):
@@ -427,11 +390,11 @@ def cmd_plan(args, stdin, stdout):
             advice=args.advice or node.binding.param("advice"),
             enumerate_callers=args.enumerate_callers,
             aspect_name=args.name,
-            instance_path=args.instance_path,
+            instance_path=path,
         )
     else:
         plans = []
-        for sub_path, instance in iter_instances(node, args.instance_path):
+        for sub_path, instance in iter_instances(node, path):
             result = execute_binding(model, instance.binding)
             plans.append(
                 plan_for(
@@ -443,9 +406,9 @@ def cmd_plan(args, stdin, stdout):
                 )
             )
         if not plans:
-            raise CliError(f"group {args.instance_path!r} contains no instances")
-        name = args.name or _aspect_name_from(args.instance_path)
-        plan = combine_plans(name, plans, instance_path=args.instance_path)
+            raise CliError(f"group {path!r} contains no instances")
+        name = args.name or _aspect_name_from(node.name)
+        plan = combine_plans(name, plans, instance_path=path)
         interference = check_precedence(plans)
         if interference:
             plan = dataclasses.replace(
@@ -476,21 +439,6 @@ def cmd_plan(args, stdin, stdout):
 
 # -- repl ------------------------------------------------------------------------
 
-class SessionState:
-    """REPL session: loaded facts, mined seeds, last result, history.
-
-    Exploration commands never mutate facts; only ``model`` subcommands
-    write files.
-    """
-
-    def __init__(self, facts_path: str, model: SourceModel):
-        self.facts_path = facts_path
-        self.model = model
-        self.seeds: list = []
-        self.last_result = None
-        self.history: list[str] = []
-
-
 _REPL_HELP = """\
 commands:
   callers <method>            distinct callers of a method
@@ -509,9 +457,20 @@ commands:
 """
 
 
+def _repl_binding(sort: SortKind, words: list[str]) -> QueryBinding:
+    """Bind words to the sort's query parameters in order; the first word and
+    every required one must be given (``usage: cb <target> [scope]``)."""
+    params = query_params(sort)
+    least = max(1, sum(p.required for p in params))
+    if not least <= len(words) <= len(params):
+        usage = [f"<{p.name}>" if i < least else f"[{p.name}]" for i, p in enumerate(params)]
+        raise CliError(f"usage: {' '.join([sort.value.lower(), *usage])}")
+    return QueryBinding.make(sort, **dict(zip((p.name for p in params), words)))
+
+
 def cmd_repl(args, stdin, stdout):
-    session = SessionState(args.facts, _load_model(args))
-    model = session.model
+    model = _load_model(args)
+    seeds: list = []
     stdout.write(f"loaded {args.facts}: {len(model.types)} types, "
                  f"{len(model.methods)} methods, {len(model.calls)} calls\n")
     interactive = hasattr(stdin, "isatty") and stdin.isatty()
@@ -529,19 +488,18 @@ def cmd_repl(args, stdin, stdout):
             continue
         if not words:
             continue
-        session.history.append(line.strip())
         command, rest = words[0], words[1:]
         if command in ("quit", "exit"):
             break
         try:
-            _repl_dispatch(session, command, rest, stdout)
+            _repl_dispatch(model, seeds, command, rest, stdout)
         except (CliError, FactError, ValueError) as exc:
             stdout.write(f"error: {exc}\n")
     return
 
 
-def _repl_dispatch(session: SessionState, command: str, rest: list[str], stdout):
-    model = session.model
+def _repl_dispatch(model: SourceModel, seeds: list, command: str, rest: list[str], stdout):
+    """Run one REPL command; ``mine`` replaces ``seeds`` in place."""
     if command == "help":
         stdout.write(_REPL_HELP)
         return
@@ -577,63 +535,29 @@ def _repl_dispatch(session: SessionState, command: str, rest: list[str], stdout)
             stdout.write(f"  field {fld.declared_type} {fld.name}\n")
         return
     if command == "mine":
-        if len(rest) != 1 or rest[0] not in ("fanin", "grouped", "redirect"):
-            raise CliError("usage: mine fanin|grouped|redirect")
-        technique = {
-            "fanin": fan_in_analysis,
-            "grouped": grouped_calls_analysis,
-            "redirect": find_redirectors,
-        }[rest[0]]
-        session.seeds = technique(model, MiningConfig())
-        for index, seed in enumerate(session.seeds, start=1):
+        if len(rest) != 1 or rest[0] not in TECHNIQUES:
+            raise CliError(f"usage: mine {'|'.join(TECHNIQUES)}")
+        seeds[:] = mine(model, rest[0])
+        for index, seed in enumerate(seeds, start=1):
             stdout.write(f"  S{index}  {seed.score:g}  {_seed_subject(model, seed)}\n")
-        if not session.seeds:
+        if not seeds:
             stdout.write("no seeds\n")
         return
     if command == "seedexpand":
         if len(rest) != 1 or not rest[0].startswith("S") or not rest[0][1:].isdigit():
             raise CliError("usage: seedexpand S<n>")
         index = int(rest[0][1:]) - 1
-        if not 0 <= index < len(session.seeds):
+        if not 0 <= index < len(seeds):
             raise CliError(f"no such seed {rest[0]}; run mine first")
-        for suggestion in expand_seed(model, session.seeds[index]):
+        for suggestion in expand_seed(model, seeds[index]):
             binding = suggestion.binding
             stdout.write(
                 f"  {binding.sort.value} {dict(binding.params)} "
                 f"coverage {suggestion.covered}/{suggestion.total}\n"
             )
         return
-    if command in ("cb", "rl", "ec", "rsi", "sc", "ep"):
-        result = _repl_query(model, command, rest)
-        session.last_result = result
-        stdout.write(f"{len(result.hits)} hits\n")
-        for hit in result.hits:
-            stdout.write(f"  {hit.key(model)}\n")
+    if command.islower() and command.upper() in SortKind.__members__:
+        binding = _repl_binding(SortKind(command.upper()), rest)
+        _write_hits(model, execute_binding(model, binding), stdout)
         return
     raise CliError(f"unknown command {command!r}; try help")
-
-
-def _repl_query(model, command, rest):
-    if command == "cb":
-        if not 1 <= len(rest) <= 2:
-            raise CliError("usage: cb <target> [scope]")
-        return query_cb(model, rest[0], rest[1] if len(rest) > 1 else "*")
-    if command == "rl":
-        if len(rest) != 2:
-            raise CliError("usage: rl <redirector> <receiver>")
-        return query_rl(model, rest[0], rest[1])
-    if command == "ec":
-        if not 1 <= len(rest) <= 2:
-            raise CliError("usage: ec <context> [scope]")
-        return query_ec(model, rest[0], rest[1] if len(rest) > 1 else "*")
-    if command == "rsi":
-        if not 1 <= len(rest) <= 2:
-            raise CliError("usage: rsi <role> [scope]")
-        return query_rsi(model, rest[0], rest[1] if len(rest) > 1 else "*")
-    if command == "sc":
-        if not 1 <= len(rest) <= 2:
-            raise CliError("usage: sc <scope> [role]")
-        return query_sc(model, rest[0], rest[1] if len(rest) > 1 else None)
-    if len(rest) not in (1, 2):
-        raise CliError("usage: ep <exception> [root]")
-    return query_ep(model, rest[0], rest[1] if len(rest) > 1 else None)

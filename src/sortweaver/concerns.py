@@ -21,7 +21,7 @@ from pathlib import Path
 from ._util import digest as _digest
 from ._util import pretty_json
 from .model import FactError, SourceModel
-from .queries import QueryBinding, QueryResult, SortKind, execute_binding
+from .queries import QueryBinding, QueryResult, SortKind, check_params, execute_binding
 
 #: Version of the concern-model file schema.
 MODEL_SCHEMA_VERSION = "1"
@@ -78,28 +78,62 @@ class Group:
         return None
 
 
-def _node_from_json(obj: dict):
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConcernModelError(f"bad concern-model node: {obj!r}")
+def _shown(path: str) -> str:
+    return repr(path or "/")
+
+
+def _binding(path: str, sort, params) -> QueryBinding:
+    """A binding checked against the sort's parameter table."""
+    sorts = [s.value for s in SortKind]
+    try:
+        if sort not in sorts:
+            raise ValueError(f"unknown sort {sort!r}; expected one of {', '.join(sorts)}")
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, not {params!r}")
+        sort = SortKind(sort)
+        check_params(sort, params)
+    except ValueError as exc:
+        raise ConcernModelError(f"bad binding at {_shown(path)}: {exc}") from None
+    return QueryBinding.make(sort, **params)
+
+
+def _node_from_json(obj: dict, parent: str | None = None):
+    """Build a node; ``parent`` is the concern path of its group (None for
+    the root), so that errors name the node's own path."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+        raise ConcernModelError(f"bad concern-model node in {_shown(parent or '')}: {obj!r}")
+    path = "" if parent is None else _join(parent, obj["name"])
     if "children" in obj:
+        if not isinstance(obj["children"], list):
+            raise ConcernModelError(f"children of {_shown(path)} must be a list")
         group = Group(obj["name"])
-        group.children = [_node_from_json(c) for c in obj["children"]]
+        group.children = [_node_from_json(c, path) for c in obj["children"]]
         return group
     if "sort" not in obj or "params" not in obj:
-        raise ConcernModelError(f"instance node missing sort/params: {obj['name']!r}")
+        raise ConcernModelError(f"instance node missing sort/params: {_shown(path)}")
     snapshot = None
     snap = obj.get("snapshot")
     if snap is not None:
+        items = snap.get("items", []) if isinstance(snap, dict) else None
+        if not (isinstance(snap, dict) and isinstance(snap.get("digest"), str)
+                and type(snap.get("hits")) is int
+                and isinstance(items, list) and all(isinstance(i, str) for i in items)):
+            raise ConcernModelError(
+                f"snapshot of {_shown(path)} needs a digest, a hit count and a list of hit keys"
+            )
         snapshot = Snapshot(
-            digest=snap["digest"], hits=snap["hits"], items=tuple(snap.get("items", ()))
+            digest=snap["digest"], hits=snap["hits"], items=tuple(items)
         )
-    binding = QueryBinding.make(SortKind(obj["sort"]), **obj["params"])
+    binding = _binding(path, obj["sort"], obj["params"])
     return Instance(obj["name"], binding, snapshot, obj.get("note", ""))
 
 
 def load_model(path: str | Path) -> Group:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConcernModelError(f"{path}: invalid JSON: {exc}") from None
     root = _node_from_json(data)
     if not isinstance(root, Group):
         raise ConcernModelError("concern-model root must be a group")
@@ -124,9 +158,10 @@ def _split(path: str) -> list[str]:
     return parts
 
 
-def _find(root: Group, path: str):
+def node_at(root: Group, path: str):
+    """The node at a slash-separated concern path; "" or "/" is the root."""
     node = root
-    for part in _split(path):
+    for part in [p for p in path.split("/") if p]:
         if not isinstance(node, Group):
             raise ConcernModelError(f"no such concern path: {path!r}")
         child = node.child(part)
@@ -160,6 +195,7 @@ def add_instance(root: Group, path: str, binding: QueryBinding, note: str = "") 
     parent, name = _parent_of(root, path)
     if parent.child(name) is not None:
         raise ConcernModelError(f"duplicate name at {path!r}")
+    binding = _binding(path, binding.sort, dict(binding.params))
     instance = Instance(name, binding, None, note)
     parent.children.append(instance)
     return instance
@@ -183,9 +219,13 @@ def rename(root: Group, path: str, new_name: str):
     child.name = new_name
 
 
+def _join(prefix: str, name: str) -> str:
+    return f"{prefix}/{name}" if prefix else name
+
+
 def iter_instances(root: Group, prefix: str = ""):
     for child in root.children:
-        path = f"{prefix}/{child.name}" if prefix else child.name
+        path = _join(prefix, child.name)
         if isinstance(child, Group):
             yield from iter_instances(child, path)
         else:

@@ -268,3 +268,18 @@ def find_redirectors(model: SourceModel, config: MiningConfig = MiningConfig()) 
         )
     seeds.sort(key=lambda s: (-s.score, s.evidence["redirector_name"]))
     return seeds
+
+
+#: Technique name -> (its function in this module, the MiningConfig field
+#: the CLI's ``--threshold`` sets).
+TECHNIQUES: dict[str, tuple[str, str]] = {
+    "fanin": ("fan_in_analysis", "fanin_threshold"),
+    "grouped": ("grouped_calls_analysis", "grouped_min_callers"),
+    "redirect": ("find_redirectors", "redirect_min_methods"),
+}
+
+
+def mine(model: SourceModel, technique: str, config: MiningConfig = MiningConfig()) -> list[Seed]:
+    """Run a technique by name under the model's dispatch policy."""
+    # Looked up at call time, so a wrapper installed on this module applies.
+    return globals()[TECHNIQUES[technique][0]](model, config)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ._util import natural_key, simple_name
 
@@ -179,7 +179,9 @@ class SourceModel:
 
     Construction validates referential integrity and structural invariants
     and computes the subtype closure and override relation; the instance is
-    safe to share across concurrent readers afterwards.
+    safe to share across concurrent readers afterwards.  ``lines`` maps
+    entity ids to the record line numbers that errors should name; it is
+    read during construction only.
     """
 
     def __init__(
@@ -189,6 +191,7 @@ class SourceModel:
         fields: Iterable[FieldDecl],
         calls: Iterable[CallSite],
         policy: DispatchPolicy = DEFAULT_POLICY,
+        lines: Mapping[str, int | None] = MappingProxyType({}),
     ):
         self._types = {t.id: t for t in sorted(types, key=lambda t: natural_key(t.id))}
         self._methods = {m.id: m for m in sorted(methods, key=lambda m: natural_key(m.id))}
@@ -196,7 +199,7 @@ class SourceModel:
         self._calls = {c.id: c for c in sorted(calls, key=lambda c: natural_key(c.id))}
         self.policy = DispatchPolicy(policy)
 
-        self._validate_references()
+        self._validate_references(lines)
         self._methods_by_owner: dict[str, tuple[MethodDecl, ...]] = _group(
             self._methods.values(), lambda m: m.owner
         )
@@ -206,7 +209,7 @@ class SourceModel:
         self._calls_by_caller: dict[str, tuple[CallSite, ...]] = _group(
             self._calls.values(), lambda c: c.caller
         )
-        self._validate_structure()
+        self._validate_structure(lines)
 
         self._ancestors = self._compute_ancestors()
         self._descendants: dict[str, frozenset[str]] = _invert(self._ancestors)
@@ -430,48 +433,54 @@ class SourceModel:
 
     # -- validation and derivation ----------------------------------------
 
-    def _validate_references(self):
+    def _validate_references(self, lines: Mapping[str, int | None]):
         for t in self._types.values():
             if t.enclosing_type is not None and t.enclosing_type not in self._types:
-                raise FactError(f"type {t.id}: unknown enclosing type {t.enclosing_type!r}")
+                raise FactError(f"type {t.id}: unknown enclosing type id {t.enclosing_type!r}",
+                                lines.get(t.id))
             for sup in t.supertypes:
                 if sup not in self._types:
-                    raise FactError(f"type {t.id}: unknown supertype {sup!r}")
+                    raise FactError(f"type {t.id}: unknown supertype id {sup!r}", lines.get(t.id))
         for m in self._methods.values():
             if m.owner not in self._types:
-                raise FactError(f"method {m.id}: unknown owner {m.owner!r}")
+                raise FactError(f"method {m.id}: unknown owner id {m.owner!r}", lines.get(m.id))
         for f in self._fields.values():
             if f.owner not in self._types:
-                raise FactError(f"field {f.id}: unknown owner {f.owner!r}")
+                raise FactError(f"field {f.id}: unknown owner id {f.owner!r}", lines.get(f.id))
         for c in self._calls.values():
             if c.caller not in self._methods:
-                raise FactError(f"call {c.id}: unknown caller {c.caller!r}")
+                raise FactError(f"call {c.id}: unknown caller id {c.caller!r}", lines.get(c.id))
             if c.static_target not in self._methods:
-                raise FactError(f"call {c.id}: unknown target {c.static_target!r}")
+                raise FactError(f"call {c.id}: unknown target id {c.static_target!r}",
+                                lines.get(c.id))
             if c.receiver.kind is ReceiverKind.FIELD and c.receiver.field not in self._fields:
-                raise FactError(f"call {c.id}: unknown receiver field {c.receiver.field!r}")
+                raise FactError(f"call {c.id}: unknown receiver field id {c.receiver.field!r}",
+                                lines.get(c.id))
 
-    def _validate_structure(self):
+    def _validate_structure(self, lines: Mapping[str, int | None]):
         for t in self._types.values():
             if t.is_anonymous and t.enclosing_type is None:
-                raise FactError(f"type {t.id}: anonymous type without enclosing type")
+                raise FactError(f"type {t.id}: anonymous type without enclosing type",
+                                lines.get(t.id))
             seen = {t.id}
             cursor = t.enclosing_type
             while cursor is not None:
                 if cursor in seen:
-                    raise FactError(f"type {t.id}: cyclic enclosing-type chain")
+                    raise FactError(f"type {t.id}: cyclic enclosing-type chain", lines.get(t.id))
                 seen.add(cursor)
                 cursor = self._types[cursor].enclosing_type
         for owner, methods in self._methods_by_owner.items():
             seen_sigs: dict[tuple, str] = {}
             for m in methods:
                 if m.is_abstract and m.body_stmt_count != 0:
-                    raise FactError(f"method {m.id}: abstract method with a body")
+                    raise FactError(f"method {m.id}: abstract method with a body",
+                                    lines.get(m.id))
                 if m.signature in seen_sigs:
                     raise FactError(
                         f"method {m.id}: duplicate signature "
                         f"{m.name}({','.join(m.param_types)}) in type {owner} "
-                        f"(already declared by {seen_sigs[m.signature]})"
+                        f"(already declared by {seen_sigs[m.signature]})",
+                        lines.get(m.id),
                     )
                 seen_sigs[m.signature] = m.id
         for owner, fields in self._fields_by_owner.items():
@@ -479,7 +488,8 @@ class SourceModel:
             for f in fields:
                 if f.name in names:
                     raise FactError(
-                        f"field {f.id}: duplicate field name {f.name!r} in type {owner}"
+                        f"field {f.id}: duplicate field name {f.name!r} in type {owner}",
+                        lines.get(f.id),
                     )
                 names[f.name] = f.id
         for c in self._calls.values():
@@ -488,19 +498,20 @@ class SourceModel:
             if not 1 <= c.ordinal <= caller.body_stmt_count:
                 raise FactError(
                     f"call {c.id}: ordinal {c.ordinal} outside caller body "
-                    f"(1..{caller.body_stmt_count})"
+                    f"(1..{caller.body_stmt_count})",
+                    lines.get(c.id),
                 )
             for arg_index, param_index in c.arg_passthrough:
                 if not 0 <= arg_index < target.arity:
                     raise FactError(f"call {c.id}: pass-through argument index {arg_index} "
-                                    f"outside callee arity {target.arity}")
+                                    f"outside callee arity {target.arity}", lines.get(c.id))
                 if not 0 <= param_index < caller.arity:
                     raise FactError(f"call {c.id}: pass-through parameter index {param_index} "
-                                    f"outside caller arity {caller.arity}")
+                                    f"outside caller arity {caller.arity}", lines.get(c.id))
             if c.receiver.kind is ReceiverKind.PARAM and not (
                 c.receiver.index is not None and 0 <= c.receiver.index < caller.arity
             ):
-                raise FactError(f"call {c.id}: parameter receiver index out of range")
+                raise FactError(f"call {c.id}: parameter receiver index out of range", lines.get(c.id))
 
     def _compute_ancestors(self) -> dict[str, frozenset[str]]:
         resolved: dict[str, frozenset[str]] = {}
@@ -559,11 +570,6 @@ def compute_overrides(model: SourceModel) -> tuple[tuple[str, str], ...]:
                 continue
             direct.append((mid, target))
     return tuple(sorted(direct, key=lambda p: (natural_key(p[0]), natural_key(p[1]))))
-
-
-def lifted_calls(model: SourceModel, policy: DispatchPolicy) -> frozenset[tuple[str, str]]:
-    """(caller, callee) method pairs under the given dispatch policy."""
-    return model.lifted_edges(policy)
 
 
 # -- loading ----------------------------------------------------------------
@@ -660,32 +666,9 @@ def load_records(
                 )
                 known.add(sup)
 
-    for line, rec in numbered:
-        _check_references(rec, line, types, methods, fields)
-
-    return SourceModel(types.values(), methods.values(), fields.values(), calls.values(), policy)
-
-
-def _check_references(rec: dict, line: int | None, types, methods, fields):
-    kind = rec["k"]
-    if kind == "type":
-        encl = rec.get("encl")
-        if encl is not None and encl not in types:
-            raise FactError(f"type {rec['id']}: unknown enclosing type id {encl!r}", line)
-    elif kind in ("method", "field"):
-        owner = rec["owner"]
-        if owner not in types:
-            raise FactError(f"{kind} {rec['id']}: unknown owner id {owner!r}", line)
-    elif kind == "call":
-        if rec["caller"] not in methods:
-            raise FactError(f"call {rec['id']}: unknown caller id {rec['caller']!r}", line)
-        if rec["target"] not in methods:
-            raise FactError(f"call {rec['id']}: unknown target id {rec['target']!r}", line)
-        recv = rec["recv"]
-        if recv.get("kind") == "field" and recv.get("field") not in fields:
-            raise FactError(
-                f"call {rec['id']}: unknown receiver field id {recv.get('field')!r}", line
-            )
+    return SourceModel(
+        types.values(), methods.values(), fields.values(), calls.values(), policy, seen_ids
+    )
 
 
 def _need(rec: dict, key: str, types_: tuple, line: int | None, allow_none: bool = False):

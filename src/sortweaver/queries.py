@@ -472,22 +472,69 @@ def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> Q
 # -- binding execution ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Param:
+    """One named parameter of a sort's binding."""
+
+    name: str
+    required: bool = False
+    default: str | None = None
+    choices: tuple[str, ...] = ()
+    #: Read by the planner only; not an argument of the query.
+    plan_only: bool = False
+
+
+#: Advice kinds a CB binding (or ``plan --advice``) may ask for.
+ADVICE_KINDS = ("before", "after", "around")
+
+#: The parameters of each sort, in the positional order of its ``query_*``
+#: function; plan-only parameters come last.
+SORT_PARAMS: dict[SortKind, tuple[Param, ...]] = {
+    SortKind.CB: (
+        Param("target", required=True),
+        Param("scope", default="*"),
+        Param("advice", choices=ADVICE_KINDS, plan_only=True),
+    ),
+    SortKind.RL: (Param("redirector", required=True), Param("receiver", required=True)),
+    SortKind.EC: (Param("context", required=True), Param("scope", default="*")),
+    SortKind.RSI: (Param("role", required=True), Param("scope", default="*")),
+    SortKind.SC: (Param("scope", default="*"), Param("role")),
+    SortKind.EP: (Param("exception", required=True), Param("root")),
+}
+
+
+def query_params(sort: SortKind) -> tuple[Param, ...]:
+    """The parameters a sort's query function takes, in order."""
+    return tuple(p for p in SORT_PARAMS[sort] if not p.plan_only)
+
+
+def check_params(sort: SortKind, params: dict) -> None:
+    """Raise ValueError unless ``params`` suits the sort's parameter table:
+    known keys only, string values, every required key present and every
+    value among its choices."""
+    table = {p.name: p for p in SORT_PARAMS[sort]}
+    for key, value in params.items():
+        if key not in table:
+            raise ValueError(
+                f"unknown {sort.value} parameter {key!r}; expected one of {', '.join(table)}"
+            )
+        if not isinstance(value, str):
+            raise ValueError(f"{sort.value} parameter {key!r} must be a string, not {value!r}")
+        if table[key].choices and value not in table[key].choices:
+            raise ValueError(
+                f"{sort.value} parameter {key!r} must be one of "
+                f"{', '.join(table[key].choices)}, not {value!r}"
+            )
+    for p in table.values():
+        if p.required and p.name not in params:
+            raise ValueError(f"{sort.value} binding needs parameter {p.name!r}")
+
+
 def execute_binding(model: SourceModel, binding: QueryBinding) -> QueryResult:
     """Run the query a binding describes; raises FactError on bad parameters."""
-    sort = binding.sort
-    if sort is SortKind.CB:
-        return query_cb(model, binding.param("target"), binding.param("scope", "*"))
-    if sort is SortKind.RL:
-        return query_rl(model, binding.param("redirector"), binding.param("receiver"))
-    if sort is SortKind.EC:
-        return query_ec(model, binding.param("context"), binding.param("scope", "*"))
-    if sort is SortKind.RSI:
-        return query_rsi(model, binding.param("role"), binding.param("scope", "*"))
-    if sort is SortKind.SC:
-        return query_sc(model, binding.param("scope", "*"), binding.param("role"))
-    if sort is SortKind.EP:
-        return query_ep(model, binding.param("exception"), binding.param("root"))
-    raise FactError(f"unknown sort: {sort!r}")
+    # Looked up at call time, so a wrapper installed on this module applies.
+    query = globals()[f"query_{binding.sort.value.lower()}"]
+    return query(model, *(binding.param(p.name, p.default) for p in query_params(binding.sort)))
 
 
 # -- seed expansion -----------------------------------------------------------------

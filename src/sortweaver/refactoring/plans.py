@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .._util import lower_first, natural_key, upper_first
 from ..model import ReceiverKind, SourceModel, Visibility, load_records
-from ..queries import CbHit, ChainHit, QueryResult, RsiHit, ScHit, SortKind
+from ..queries import ADVICE_KINDS, CbHit, ChainHit, QueryResult, RsiHit, ScHit, SortKind
 from .aspect_text import (
     Advice,
     AndExpr,
@@ -179,22 +179,10 @@ class SourceEdit:
 
 
 @dataclass(frozen=True)
-class AspectTemplate:
-    """Per-sort template slots; rendering demands every slot be filled."""
-
-    sort: str
-    slots: tuple[tuple[str, str | None], ...]
-
-    def unfilled(self) -> list[str]:
-        return [name for name, value in self.slots if value is None]
-
-
-@dataclass(frozen=True)
 class RefactoringPlan:
     instance_path: str
     aspect_name: str
     sort: str
-    template: AspectTemplate | None
     doc: AspectDoc
     edits: tuple[SourceEdit, ...]
     warnings: tuple[RiskWarning, ...]
@@ -203,7 +191,7 @@ class RefactoringPlan:
 
     @property
     def aspect_text(self) -> str:
-        return render_aspect(self)
+        return render_doc(self.doc)
 
     def to_json(self) -> dict:
         return {
@@ -217,17 +205,8 @@ class RefactoringPlan:
         }
 
 
-def render_aspect(plan: RefactoringPlan) -> str:
-    """Deterministic aspect text; refuses to render with unfilled slots."""
-    if plan.template is not None:
-        missing = plan.template.unfilled()
-        if missing:
-            raise PlanError(f"unfilled template slots: {', '.join(missing)}")
-    return render_doc(plan.doc)
-
-
 def _sorted_warnings(warnings) -> tuple[RiskWarning, ...]:
-    return tuple(sorted(set(warnings), key=lambda w: w.code))
+    return tuple(sorted(set(warnings), key=lambda w: (w.code, w.evidence, w.message)))
 
 
 # -- consistent behavior ---------------------------------------------------------
@@ -268,7 +247,7 @@ def plan_cb(
         tangled = [h.call for h in hits if not _first_or_last(model, h)]
         warnings.append(warn("TANGLED", tangled or [h.call for h in hits]))
     kind = advice or (result.binding.param("advice") or proposed)
-    if kind not in ("before", "after", "around"):
+    if kind not in ADVICE_KINDS:
         raise PlanError(f"unknown advice kind {kind!r}")
 
     if any(model.calls[h.call].receiver.kind is ReceiverKind.SUPER for h in hits):
@@ -359,19 +338,10 @@ def plan_cb(
         )
         for h in hits
     )
-    template = AspectTemplate(
-        "CB",
-        (
-            ("advice_kind", kind),
-            ("crosscut_action", target_sig),
-            ("callers_pointcut", pointcut_name),
-        ),
-    )
     return RefactoringPlan(
         instance_path=instance_path,
         aspect_name=aspect_name or f"{upper_first(target.name)}Aspect",
         sort="CB",
-        template=template,
         doc=AspectDoc(aspect_name or f"{upper_first(target.name)}Aspect", stanzas),
         edits=edits,
         warnings=_sorted_warnings(warnings),
@@ -505,20 +475,11 @@ def plan_rl(
             "moves into around advice",
         ),
     )
-    template = AspectTemplate(
-        "RL",
-        (
-            ("receiver_methods", ",".join(sorted(model.method_sig(r) for r in receiver_methods))),
-            ("add_behavior1", "before redirection"),
-            ("add_behavior2", "after redirection"),
-        ),
-    )
     name = aspect_name or f"{redirector.simple_name}Layer"
     return RefactoringPlan(
         instance_path=instance_path,
         aspect_name=name,
         sort="RL",
-        template=template,
         doc=AspectDoc(name, tuple(stanzas)),
         edits=edits,
         warnings=_sorted_warnings(warnings),
@@ -619,21 +580,11 @@ def plan_ec(
             )
         )
 
-    template = AspectTemplate(
-        "EC",
-        (
-            ("caller_space", "callerSpace"),
-            ("callee_space", "calleeSpace"),
-            ("caller_context", context),
-            ("callee_context", context),
-        ),
-    )
     name = aspect_name or f"{context.rsplit('.', 1)[-1]}Wormhole"
     return RefactoringPlan(
         instance_path=instance_path,
         aspect_name=name,
         sort="EC",
-        template=template,
         doc=AspectDoc(name, (caller_space, callee_space, advice)),
         edits=tuple(edits),
         warnings=(),
@@ -704,22 +655,11 @@ def plan_rsi(
     if conflicts:
         warnings.append(warn("INTRO_CONFLICT", conflicts))
 
-    template = AspectTemplate(
-        "RSI",
-        (
-            ("role", role.qualified_name),
-            ("declare_parents", ",".join(
-                s.type_name for s in stanzas if isinstance(s, DeclareParents)
-            ) or None),
-            ("intro_members", str(len(edits))),
-        ),
-    )
     name = aspect_name or f"{role.simple_name}Role"
     return RefactoringPlan(
         instance_path=instance_path,
         aspect_name=name,
         sort="RSI",
-        template=template,
         doc=AspectDoc(name, tuple(stanzas)),
         edits=tuple(edits),
         warnings=_sorted_warnings(warnings),
@@ -782,13 +722,11 @@ def plan_sc(
         warnings.append(warn("SC_BROKEN_DEPS", broken))
 
     enclosing_name = model.types[hits[0].enclosing].simple_name
-    template = AspectTemplate("SC", (("support_classes", str(len(moved))),))
     name = aspect_name or f"{enclosing_name}Support"
     return RefactoringPlan(
         instance_path=instance_path,
         aspect_name=name,
         sort="SC",
-        template=template,
         doc=AspectDoc(name, tuple(stanzas)),
         edits=tuple(edits),
         warnings=_sorted_warnings(warnings),
@@ -875,20 +813,11 @@ def plan_ep(
     if related:
         warnings.append(warn("EP_OVERRIDES", related))
 
-    template = AspectTemplate(
-        "EP",
-        (
-            ("exception", exception),
-            ("root_pattern", ",".join(model.method_sig(r) for r in roots)),
-            ("catch_sites", str(len(catch_notes))),
-        ),
-    )
     name = aspect_name or f"{exception.rsplit('.', 1)[-1]}Softening"
     return RefactoringPlan(
         instance_path=instance_path,
         aspect_name=name,
         sort="EP",
-        template=template,
         doc=AspectDoc(name, tuple(stanzas)),
         edits=edits,
         warnings=_sorted_warnings(warnings),
@@ -955,7 +884,6 @@ def combine_plans(
         instance_path=instance_path,
         aspect_name=aspect_name,
         sort="+".join(dict.fromkeys(p.sort for p in plans)),
-        template=None,
         doc=AspectDoc(aspect_name, tuple(stanzas)),
         edits=tuple(edits),
         warnings=warnings,

@@ -6,6 +6,8 @@ import pytest
 from conftest import CORPUS
 
 from sortweaver.cli import main
+from sortweaver.model import load_facts_path
+from sortweaver.queries import QueryBinding, execute_binding
 
 
 def run_cli(*argv, stdin_text=""):
@@ -252,3 +254,67 @@ def test_outputs_are_byte_identical_across_runs(facts_file):
     first = run_cli("mine", "grouped", str(facts_file), "--json")
     second = run_cli("mine", "grouped", str(facts_file), "--json")
     assert first == second
+
+
+def test_plan_root_group_is_named_after_the_root(undo_facts):
+    for path in ("/", ""):
+        code, out = run_cli("plan", str(CORPUS / "undo-model.json"), path, str(undo_facts))
+        assert code == 0
+        assert out.startswith("public aspect concerns {")
+    named = run_cli("plan", str(CORPUS / "undo-model.json"), "/", str(undo_facts), "--name", "X")
+    assert named[0] == 0 and named[1].startswith("public aspect X {")
+
+
+@pytest.fixture(scope="module")
+def corpus_facts(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    for source in CORPUS.glob("*.mini"):
+        path = directory / f"{source.stem}.jsonl"
+        assert run_cli("extract", str(source), "-o", str(path))[0] == 0
+    return directory
+
+
+#: (corpus file, sort, params in query order) for one query of each sort.
+QUERY_CASES = [
+    ("command", "CB", {"target": "DrawingView.checkDamage", "scope": "Command"}),
+    ("decorator", "RL", {"redirector": "BorderDecorator", "receiver": "Figure"}),
+    ("monitor", "EC", {"context": "ProgressMonitor"}),
+    ("undo", "RSI", {"role": "Undoable", "scope": "PasteCommand"}),
+    ("undo", "SC", {"scope": "PasteCommand"}),
+    ("exceptions", "EP", {"exception": "IOErr"}),
+]
+
+
+@pytest.mark.parametrize("corpus, sort, params", QUERY_CASES, ids=[c[1] for c in QUERY_CASES])
+def test_query_cli_repl_and_binding_agree(corpus_facts, corpus, sort, params):
+    facts = str(corpus_facts / f"{corpus}.jsonl")
+    model = load_facts_path(facts)
+    result = execute_binding(model, QueryBinding.make(sort, **params))
+    assert result.hits
+
+    flags = [word for key, value in params.items() for word in (f"--{key}", value)]
+    code, out = run_cli("query", sort.lower(), facts, *flags, "--json")
+    assert code == 0
+    assert json.loads(out)["hits"] == result.to_json(model)["hits"]
+
+    line = " ".join([sort.lower(), *params.values()])
+    code, out = run_cli("repl", facts, stdin_text=line + "\n")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{len(result.hits)} hits"] + [
+        f"  {key}" for key in result.keys(model)
+    ]
+
+
+@pytest.mark.parametrize("line, usage", [
+    ("cb", "cb <target> [scope]"),
+    ("rl BorderDecorator", "rl <redirector> <receiver>"),
+    ("ec a b c", "ec <context> [scope]"),
+    ("rsi", "rsi <role> [scope]"),
+    ("sc", "sc <scope> [role]"),
+    ("ep a b c", "ep <exception> [root]"),
+])
+def test_repl_query_usage_errors(facts_file, line, usage):
+    code, out = run_cli("repl", str(facts_file), stdin_text=f"{line}\nhelp\n")
+    assert code == 0
+    assert f"\nerror: usage: {usage}\n" in out
+    assert f"\n  {usage} " in out  # the help text lists the same usage

@@ -167,3 +167,47 @@ def test_malformed_model_file_rejected(tmp_path):
     bad.write_text(json.dumps({"name": "x", "sort": "CB"}))
     with pytest.raises(ConcernModelError):
         load_model(bad)
+
+
+MALFORMED_INSTANCES = {
+    "unknown param key": {"sort": "CB", "params": {"tgt": "DrawingView.checkDamage"}},
+    "missing required key": {"sort": "RL", "params": {"redirector": "BorderDecorator"}},
+    "non-string value": {"sort": "CB", "params": {"target": 3}},
+    "unknown sort": {"sort": "XX", "params": {}},
+    "params not an object": {"sort": "CB", "params": ["target"]},
+    "snapshot without digest": {"sort": "SC", "params": {},
+                                "snapshot": {"hits": 0, "items": []}},
+    "snapshot without hits": {"sort": "SC", "params": {},
+                              "snapshot": {"digest": "0", "items": []}},
+    "advice outside the advice kinds": {
+        "sort": "CB", "params": {"target": "DrawingView.checkDamage", "advice": "sideways"}},
+}
+
+
+@pytest.mark.parametrize("instance", MALFORMED_INSTANCES.values(), ids=list(MALFORMED_INSTANCES))
+def test_malformed_instance_is_rejected_with_its_path(tmp_path, capsys, instance):
+    from sortweaver.cli import main
+
+    node = {"name": "notify", "note": "", "snapshot": None, **instance}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "concerns", "children": [
+        {"name": "Command support", "children": [node]}]}))
+    with pytest.raises(ConcernModelError, match="Command support/notify"):
+        load_model(path)
+    facts = tmp_path / "facts.jsonl"
+    facts.write_text("")
+    assert main(["model", "run", str(path), str(facts)]) == 1
+    assert "Command support/notify" in capsys.readouterr().err
+
+
+def test_add_instance_rejects_unknown_param_key(tmp_path, capsys):
+    from sortweaver.cli import main
+
+    path = tmp_path / "model.json"
+    assert main(["model", "init", str(path)]) == 0
+    before = path.read_text()
+    code = main(["model", "add-instance", str(path), "notify", "--sort", "CB",
+                 "--param", "tgt=DrawingView.checkDamage"])
+    assert code == 1
+    assert "'tgt'" in capsys.readouterr().err
+    assert path.read_text() == before

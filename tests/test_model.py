@@ -9,7 +9,6 @@ from sortweaver.model import (
     DispatchPolicy,
     FactError,
     compute_overrides,
-    lifted_calls,
     load_facts,
     load_records,
 )
@@ -85,14 +84,14 @@ def test_abstract_method_with_body_rejected():
 
 
 def test_duplicate_signature_rejected():
-    with pytest.raises(FactError, match="duplicate signature"):
+    with pytest.raises(FactError, match="line 3: method M2: duplicate signature"):
         load_facts(lines(TYPE, METHOD, dict(METHOD, id="M2")))
 
 
 def test_call_ordinal_must_fit_caller_body():
     call = {"k": "call", "id": "C1", "caller": "M1", "target": "M1",
             "recv": {"kind": "this"}, "ord": 3, "pass": []}
-    with pytest.raises(FactError, match="ordinal"):
+    with pytest.raises(FactError, match="line 3: call C1: ordinal"):
         load_facts(lines(TYPE, METHOD, call))
 
 
@@ -186,7 +185,7 @@ def test_super_call_maps_to_static_target_only(command_model):
     paste = command_model.resolve_method("PasteCommand.execute")
     base = command_model.resolve_method("AbstractCommand.execute")
     iface = command_model.resolve_method("Command.execute")
-    static = lifted_calls(command_model, DispatchPolicy.STATIC_ONLY)
+    static = command_model.lifted_edges(DispatchPolicy.STATIC_ONLY)
     assert (paste.id, base.id) in static
     assert (paste.id, iface.id) not in static
 
@@ -194,7 +193,7 @@ def test_super_call_maps_to_static_target_only(command_model):
 def test_lift_to_ancestors_adds_interface_declaration(command_model):
     paste = command_model.resolve_method("PasteCommand.execute")
     iface = command_model.resolve_method("Command.execute")
-    lifted = lifted_calls(command_model, DispatchPolicy.LIFT_TO_ANCESTORS)
+    lifted = command_model.lifted_edges(DispatchPolicy.LIFT_TO_ANCESTORS)
     assert (paste.id, iface.id) in lifted
 
 
@@ -202,12 +201,12 @@ def test_policy_monotonicity_on_random_models():
     rng = random.Random(999)
     for _ in range(40):
         model = random_model(rng)
-        static = lifted_calls(model, DispatchPolicy.STATIC_ONLY)
-        up = lifted_calls(model, DispatchPolicy.LIFT_TO_ANCESTORS)
-        both = lifted_calls(model, DispatchPolicy.LIFT_BOTH)
+        static = model.lifted_edges(DispatchPolicy.STATIC_ONLY)
+        up = model.lifted_edges(DispatchPolicy.LIFT_TO_ANCESTORS)
+        both = model.lifted_edges(DispatchPolicy.LIFT_BOTH)
         assert static <= up <= both
         for policy in DispatchPolicy:
-            assert lifted_calls(model, policy) == oracles.lifted(model, policy.value)
+            assert model.lifted_edges(policy) == oracles.lifted(model, policy.value)
 
 
 def test_record_order_does_not_change_the_model(command_model):

@@ -356,20 +356,6 @@ def test_composite_undo_aspect(undo_model):
     assert fixed_point(composite)
 
 
-def test_unfilled_template_slot_refuses_to_render(command_model):
-    import dataclasses
-
-    from sortweaver.refactoring import AspectTemplate, render_aspect
-
-    result = query_cb(command_model, "DrawingView.checkDamage", "Command")
-    plan = plan_cb(command_model, result)
-    broken = dataclasses.replace(
-        plan, template=AspectTemplate("CB", (("advice_kind", None),))
-    )
-    with pytest.raises(PlanError, match="advice_kind"):
-        render_aspect(broken)
-
-
 def test_parse_aspect_rejects_malformed_text():
     from sortweaver.refactoring import AspectSyntaxError
 
@@ -418,3 +404,18 @@ def test_no_precedence_for_disjoint_plans(undo_model):
         advice="after",
     )
     assert check_precedence([sc, cb]) == []
+
+
+def test_combined_same_code_warnings_are_ordered_by_evidence():
+    from sortweaver.refactoring import AspectDoc, RefactoringPlan
+    from sortweaver.refactoring.plans import warn
+
+    methods = [f"M{i}" for i in range(1, 9)]
+    plans = [
+        RefactoringPlan(f"chain{m}", "Softening", "EP", AspectDoc("Softening", ()), (),
+                        (warn("EP_TYPE_LOST", [m]),))
+        for m in reversed(methods)
+    ]
+    combined = combine_plans("Softening", plans)
+    assert [w.code for w in combined.warnings] == ["EP_TYPE_LOST"] * 8
+    assert [w.evidence for w in combined.warnings] == [(m,) for m in methods]
