@@ -9,7 +9,8 @@ Three techniques over a :class:`~sortweaver.model.SourceModel`:
   same-named methods of one wrapped field.
 
 Each result is a scored :class:`Seed` carrying technique-specific evidence;
-all output orders are deterministic for a given (model, config, policy).
+all output orders are deterministic for a given (model, config); every
+technique follows the model's dispatch policy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from ._util import natural_key
-from .model import DispatchPolicy, MethodDecl, ReceiverKind, SourceModel
+from .model import CallSite, DispatchPolicy, MethodDecl, ReceiverKind, SourceModel
 
 _ACCESSOR_NAME = re.compile(r"^(get|set|is)([A-Z_].*)?$")
 
@@ -82,27 +83,22 @@ def _kept(model: SourceModel, method: MethodDecl, config: MiningConfig) -> bool:
     return not matches_utility(model, method, config.utility_names)
 
 
-def fan_in(model: SourceModel, method_id: str, policy: DispatchPolicy | None = None) -> int:
+def fan_in(model: SourceModel, method_id: str) -> int:
     """Distinct callers contributing a lifted call to the method."""
-    return len(model.callers_of(method_id, policy))
+    return len(model.callers_of(method_id))
 
 
-def fan_in_analysis(
-    model: SourceModel,
-    config: MiningConfig = MiningConfig(),
-    policy: DispatchPolicy | None = None,
-) -> list[Seed]:
+def fan_in_analysis(model: SourceModel, config: MiningConfig = MiningConfig()) -> list[Seed]:
     """One CB-hinted seed per method whose filtered fan-in meets the threshold.
 
     Sorted by fan-in descending, ties by qualified method name ascending.
     """
-    policy = model.policy if policy is None else DispatchPolicy(policy)
     seeds = []
     for mid in model.methods:
         method = model.methods[mid]
         if not _kept(model, method, config):
             continue
-        callers = model.callers_of(mid, policy)
+        callers = model.callers_of(mid)
         if len(callers) < config.fanin_threshold:
             continue
         seeds.append(
@@ -117,18 +113,14 @@ def fan_in_analysis(
                     "callers": sorted(callers, key=natural_key),
                 },
                 technique="fanin",
-                policy=policy,
+                policy=model.policy,
             )
         )
     seeds.sort(key=lambda s: (-s.score, s.evidence["method_sig"]))
     return seeds
 
 
-def grouped_calls_analysis(
-    model: SourceModel,
-    config: MiningConfig = MiningConfig(),
-    policy: DispatchPolicy | None = None,
-) -> list[Seed]:
+def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConfig()) -> list[Seed]:
     """Maximal shared-callee groups whose supporting callers share an ancestor.
 
     Each caller is a transaction of its distinct lifted callees (accessor and
@@ -136,9 +128,8 @@ def grouped_calls_analysis(
     its supporter set S has |S| >= min_callers, S sits under one common
     ancestor type, and no superset of G has the same supporters.
     """
-    policy = model.policy if policy is None else DispatchPolicy(policy)
     transactions: dict[str, frozenset[str]] = {}
-    for caller, callee in sorted(model.lifted_edges(policy)):
+    for caller, callee in sorted(model.lifted_edges()):
         if caller == callee:
             continue
         if not _kept(model, model.methods[callee], config):
@@ -188,7 +179,7 @@ def grouped_calls_analysis(
                     "definition": "closed-itemset grouped calls",
                 },
                 technique="grouped",
-                policy=policy,
+                policy=model.policy,
             )
         )
     seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"]))
@@ -208,6 +199,18 @@ def common_ancestor(model: SourceModel, method_ids: frozenset[str]) -> str | Non
                                         model.types[tid].qualified_name))
 
 
+def forwarding_calls(model: SourceModel, method: MethodDecl) -> list[CallSite]:
+    """Calls in the method's body through a field receiver to a same-named,
+    same-arity target: the calls by which a wrapper forwards."""
+    return [
+        call
+        for call in model.calls_of(method.id)
+        if call.receiver.kind is ReceiverKind.FIELD
+        and model.methods[call.static_target].name == method.name
+        and model.methods[call.static_target].arity == method.arity
+    ]
+
+
 def find_redirectors(model: SourceModel, config: MiningConfig = MiningConfig()) -> list[Seed]:
     """Types that forward enough of their methods to one wrapped field.
 
@@ -222,12 +225,7 @@ def find_redirectors(model: SourceModel, config: MiningConfig = MiningConfig()) 
             continue
         by_field: dict[str, list[tuple[str, str, str]]] = {}
         for method in candidates:
-            for call in model.calls_of(method.id):
-                if call.receiver.kind is not ReceiverKind.FIELD:
-                    continue
-                target = model.methods[call.static_target]
-                if target.name != method.name or target.arity != method.arity:
-                    continue
+            for call in forwarding_calls(model, method):
                 by_field.setdefault(call.receiver.field, []).append(
                     (method.id, call.static_target, call.id)
                 )

@@ -10,8 +10,10 @@ Derived relations, computed once at construction:
 
 * the reflexive-transitive subtype closure over declared supertypes,
 * the override relation between methods (direct pairs plus full closure),
-* the call relation, liftable along the override chain under a
-  configurable :class:`DispatchPolicy`.
+
+and, indexed by callee on first use, the call relation lifted along the
+override chain under a :class:`DispatchPolicy`.  The policy is fixed per
+model; ``calls_to``, ``callers_of`` and ``lifted_edges`` alone accept another.
 
 Record schema (``facts.jsonl``, field ``k`` discriminates)::
 
@@ -214,7 +216,7 @@ class SourceModel:
         self._ancestors = self._compute_ancestors()
         self._descendants: dict[str, frozenset[str]] = _invert(self._ancestors)
         self._overrides_all, self._overridden_by = self._compute_overrides()
-        self._lifted_cache: dict[DispatchPolicy, frozenset[tuple[str, str]]] = {}
+        self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
 
     # -- basic access ------------------------------------------------------
 
@@ -324,9 +326,8 @@ class SourceModel:
     def overridden_by(self, method_id: str) -> frozenset[str]:
         return self._overridden_by.get(method_id, frozenset())
 
-    def lifted_callees(self, call: CallSite, policy: DispatchPolicy | None = None) -> tuple[str, ...]:
+    def lifted_callees(self, call: CallSite, policy: DispatchPolicy) -> tuple[str, ...]:
         """Methods a single call site contributes to under a policy."""
-        policy = self.policy if policy is None else DispatchPolicy(policy)
         target = call.static_target
         out = [target]
         if policy in (DispatchPolicy.LIFT_TO_ANCESTORS, DispatchPolicy.LIFT_BOTH):
@@ -335,27 +336,37 @@ class SourceModel:
             out.extend(sorted(self.overridden_by(target), key=natural_key))
         return tuple(out)
 
-    def lifted_edges(self, policy: DispatchPolicy | None = None) -> frozenset[tuple[str, str]]:
-        """All (caller method, callee method) pairs under a policy."""
+    def calls_to(self, method_id: str, policy: DispatchPolicy | None = None) -> tuple[CallSite, ...]:
+        """Call sites whose lifted callees under a policy (default: the
+        model's own) include ``method_id``, in id order."""
+        if method_id not in self._methods:
+            raise FactError(f"unknown method id: {method_id!r}")
+        return self._calls_index(policy).get(method_id, ())
+
+    def _calls_index(self, policy: DispatchPolicy | None) -> dict[str, tuple[CallSite, ...]]:
+        """Callee -> call sites under a policy, built by one pass on first use."""
         policy = self.policy if policy is None else DispatchPolicy(policy)
-        cached = self._lifted_cache.get(policy)
-        if cached is None:
-            edges = set()
+        index = self._calls_to.get(policy)
+        if index is None:
+            grouped: dict[str, list[CallSite]] = {}
             for call in self._calls.values():
                 for callee in self.lifted_callees(call, policy):
-                    edges.add((call.caller, callee))
-            cached = frozenset(edges)
-            self._lifted_cache[policy] = cached
-        return cached
+                    grouped.setdefault(callee, []).append(call)
+            index = self._calls_to[policy] = {m: tuple(cs) for m, cs in grouped.items()}
+        return index
+
+    def lifted_edges(self, policy: DispatchPolicy | None = None) -> frozenset[tuple[str, str]]:
+        """All (caller method, callee method) pairs under a policy."""
+        return frozenset(
+            (call.caller, callee)
+            for callee, calls in self._calls_index(policy).items()
+            for call in calls
+        )
 
     def callers_of(self, method_id: str, policy: DispatchPolicy | None = None) -> frozenset[str]:
         """Distinct methods with a lifted call to ``method_id``; self-calls excluded."""
-        if method_id not in self._methods:
-            raise FactError(f"unknown method id: {method_id!r}")
         return frozenset(
-            caller
-            for caller, callee in self.lifted_edges(policy)
-            if callee == method_id and caller != method_id
+            call.caller for call in self.calls_to(method_id, policy) if call.caller != method_id
         )
 
     # -- serialization -----------------------------------------------------
@@ -515,25 +526,24 @@ class SourceModel:
 
     def _compute_ancestors(self) -> dict[str, frozenset[str]]:
         resolved: dict[str, frozenset[str]] = {}
-        in_progress: list[str] = []
-
-        def visit(tid: str) -> frozenset[str]:
-            if tid in resolved:
-                return resolved[tid]
-            if tid in in_progress:
-                cycle = in_progress[in_progress.index(tid):] + [tid]
-                names = " -> ".join(self._types[x].qualified_name for x in cycle)
-                raise FactError(f"cycle in supertype hierarchy: {names}")
-            in_progress.append(tid)
-            acc = {tid}
-            for sup in self._types[tid].supertypes:
-                acc.update(visit(sup))
-            in_progress.pop()
-            resolved[tid] = frozenset(acc)
-            return resolved[tid]
-
-        for tid in self._types:
-            visit(tid)
+        for start in self._types:
+            # Depth-first with an explicit path (type -> iterator over its
+            # supertypes), so hierarchy depth is not bounded by recursion.
+            path = {} if start in resolved else {start: iter(self._types[start].supertypes)}
+            while path:
+                tid, pending = next(reversed(path.items()))
+                sup = next((s for s in pending if s not in resolved), None)
+                if sup is None:
+                    path.popitem()
+                    ups = (resolved[s] for s in self._types[tid].supertypes)
+                    resolved[tid] = frozenset({tid}.union(*ups))
+                elif sup in path:
+                    keys = list(path)
+                    names = " -> ".join(self._types[x].qualified_name
+                                        for x in keys[keys.index(sup):] + [sup])
+                    raise FactError(f"cycle in supertype hierarchy: {names}")
+                else:
+                    path[sup] = iter(self._types[sup].supertypes)
         return resolved
 
     def _compute_overrides(self):

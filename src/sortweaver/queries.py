@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._util import natural_key
-from .mining import Seed
-from .model import DispatchPolicy, FactError, ReceiverKind, SourceModel
+from .mining import Seed, forwarding_calls
+from .model import DispatchPolicy, FactError, SourceModel
 
 
 class SortKind(str, Enum):
@@ -220,9 +220,9 @@ class QueryResult:
         }
 
 
-def _result(model, sort, binding, hits, policy) -> QueryResult:
+def _result(model, sort, binding, hits) -> QueryResult:
     unique = sorted(set(hits), key=lambda h: h.order_key(model))
-    return QueryResult(sort, binding, policy, tuple(unique))
+    return QueryResult(sort, binding, model.policy, tuple(unique))
 
 
 # -- scopes --------------------------------------------------------------------
@@ -254,28 +254,18 @@ def _in_scope(model: SourceModel, owner: str, scope_ids: frozenset[str] | None) 
 # -- the six queries -------------------------------------------------------------
 
 
-def query_cb(
-    model: SourceModel,
-    target: str,
-    scope: str = "*",
-    policy: DispatchPolicy | None = None,
-) -> QueryResult:
+def query_cb(model: SourceModel, target: str, scope: str = "*") -> QueryResult:
     """Call sites whose lifted callee is ``target`` with callers in scope."""
-    policy = model.policy if policy is None else DispatchPolicy(policy)
     target_decl = model.resolve_method(target)
     scope_ids = scope_type_ids(model, scope)
     binding = QueryBinding.make(SortKind.CB, target=model.method_sig(target_decl.id), scope=scope)
-    hits = []
-    for call in model.calls.values():
-        if call.caller == target_decl.id:
-            continue  # self-call
-        if target_decl.id not in model.lifted_callees(call, policy):
-            continue
-        caller = model.methods[call.caller]
-        if not _in_scope(model, caller.owner, scope_ids):
-            continue
-        hits.append(CbHit(call.id, call.caller, target_decl.id, call.ordinal))
-    return _result(model, SortKind.CB, binding, hits, policy)
+    hits = [
+        CbHit(call.id, call.caller, target_decl.id, call.ordinal)
+        for call in model.calls_to(target_decl.id)
+        if call.caller != target_decl.id  # self-call
+        and _in_scope(model, model.methods[call.caller].owner, scope_ids)
+    ]
+    return _result(model, SortKind.CB, binding, hits)
 
 
 def query_rl(model: SourceModel, redirector: str, receiver: str) -> QueryResult:
@@ -289,18 +279,13 @@ def query_rl(model: SourceModel, redirector: str, receiver: str) -> QueryResult:
     for method in model.methods_of(red.id):
         if method.is_constructor:
             continue
-        for call in model.calls_of(method.id):
-            if call.receiver.kind is not ReceiverKind.FIELD:
-                continue
-            target = model.methods[call.static_target]
-            if target.name != method.name or target.arity != method.arity:
-                continue
+        for call in forwarding_calls(model, method):
             wrapped = model.fields[call.receiver.field]
             field_type = model.type_by_name(wrapped.declared_type)
             if field_type is None or not model.is_subtype(rec.id, field_type.id):
                 continue
             hits.append(RlHit(method.id, call.static_target, call.id))
-    return _result(model, SortKind.RL, binding, hits, model.policy)
+    return _result(model, SortKind.RL, binding, hits)
 
 
 def _canonical_edges(raw: dict[str, list]) -> dict[str, list]:
@@ -393,7 +378,7 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
                 param_indices=tuple(indices),
             )
         )
-    return _result(model, SortKind.EC, binding, hits, model.policy)
+    return _result(model, SortKind.EC, binding, hits)
 
 
 def query_ep(model: SourceModel, exception: str, root: str | None = None) -> QueryResult:
@@ -428,7 +413,7 @@ def query_ep(model: SourceModel, exception: str, root: str | None = None) -> Que
     if root is not None:
         root_decl = model.resolve_method(root)
         hits = [h for h in hits if root_decl.id in h.methods]
-    return _result(model, SortKind.EP, binding, hits, model.policy)
+    return _result(model, SortKind.EP, binding, hits)
 
 
 def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
@@ -447,7 +432,7 @@ def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
             overridden = model.overrides_all(method.id)
             if any(model.methods[m].owner == role_decl.id for m in overridden):
                 hits.append(RsiHit(tid, method.id, "role_member"))
-    return _result(model, SortKind.RSI, binding, hits, model.policy)
+    return _result(model, SortKind.RSI, binding, hits)
 
 
 def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> QueryResult:
@@ -466,7 +451,7 @@ def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> Q
         if role_decl is not None and role_decl.id not in model.ancestors(tid):
             continue
         hits.append(ScHit(t.enclosing_type, tid))
-    return _result(model, SortKind.SC, binding, hits, model.policy)
+    return _result(model, SortKind.SC, binding, hits)
 
 
 # -- binding execution ------------------------------------------------------------

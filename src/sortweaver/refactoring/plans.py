@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .._util import lower_first, natural_key, upper_first
-from ..model import ReceiverKind, SourceModel, Visibility, load_records
+from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility, load_records
 from ..queries import ADVICE_KINDS, CbHit, ChainHit, QueryResult, RsiHit, ScHit, SortKind
 from .aspect_text import (
     Advice,
@@ -451,9 +451,9 @@ def plan_rl(
         warnings.append(warn("REDIR_EXTRA_ROLES", extra))
     direct = [
         call.id
-        for call in model.calls.values()
-        if call.static_target in receiver_methods
-        and model.methods[call.caller].owner != redirector.id
+        for mid in receiver_methods
+        for call in model.calls_to(mid, DispatchPolicy.STATIC_ONLY)
+        if model.methods[call.caller].owner != redirector.id
     ]
     if direct:
         warnings.append(warn("REDIR_CLIENTS", direct))
@@ -557,7 +557,7 @@ def plan_ec(
             intermediates.setdefault(chain.methods[position], chain.param_indices[position])
         for position, call_id in enumerate(chain.calls):
             caller, callee = chain.methods[position], chain.methods[position + 1]
-            if callee in dict(intermediates) or caller in intermediates:
+            if callee in intermediates or caller in intermediates:
                 key = ("call", call_id)
                 if key not in seen:
                     seen.add(key)
@@ -771,9 +771,8 @@ def plan_ep(
         catchers = sorted(
             {
                 call.caller
-                for call in model.calls.values()
-                if call.static_target == head
-                and exception not in model.methods[call.caller].declared_throws
+                for call in model.calls_to(head, DispatchPolicy.STATIC_ONLY)
+                if exception not in model.methods[call.caller].declared_throws
             },
             key=natural_key,
         )

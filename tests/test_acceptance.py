@@ -8,6 +8,7 @@ sweep).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -279,12 +280,20 @@ def _pipeline_outputs(tmp: Path) -> bytes:
     return b"\n".join(chunks)
 
 
+#: sha256 and length of the criterion-7 pipeline output.  A change that
+#: alters the output on purpose updates both and says so in CHANGES.md.
+PIPELINE_SHA256 = "6c681e1111eab340b759a6af7ceeb114e1c7662cd8e1ad8edcd5b544d6549f08"
+PIPELINE_BYTES = 68296
+
+
 def test_criterion_7_pipeline_determinism(tmp_path):
     first = _pipeline_outputs(tmp_path / "run1")
     second = _pipeline_outputs(tmp_path / "run2")
-    ok = first == second
-    report(7, ok, f"two pipeline runs produced {'identical' if ok else 'DIFFERENT'} "
-                  f"bytes ({len(first)} bytes of output)")
+    digest = hashlib.sha256(first).hexdigest()
+    ok = first == second and digest == PIPELINE_SHA256 and len(first) == PIPELINE_BYTES
+    report(7, ok, f"two pipeline runs produced {'identical' if first == second else 'DIFFERENT'} "
+                  f"bytes ({len(first)} bytes of output, sha256 {digest}, "
+                  f"pinned {PIPELINE_SHA256} / {PIPELINE_BYTES} bytes)")
 
 
 def test_criterion_8_frontend_round_trip():

@@ -19,7 +19,7 @@ from sortweaver.model import DispatchPolicy, FactError
 
 def test_fan_in_of_check_damage_is_28(command_model):
     target = command_model.resolve_method("DrawingView.checkDamage")
-    assert fan_in(command_model, target.id, DispatchPolicy.STATIC_ONLY) == 28
+    assert len(command_model.callers_of(target.id, DispatchPolicy.STATIC_ONLY)) == 28
 
 
 def test_fan_in_of_uncalled_method_is_zero(command_model):
@@ -37,8 +37,8 @@ def test_fan_in_unknown_method_raises(command_model):
 
 def test_interface_declaration_gains_fan_in_under_lifting(command_model):
     target = command_model.resolve_method("Command.execute")
-    static = fan_in(command_model, target.id, DispatchPolicy.STATIC_ONLY)
-    lifted = fan_in(command_model, target.id, DispatchPolicy.LIFT_TO_ANCESTORS)
+    static = len(command_model.callers_of(target.id, DispatchPolicy.STATIC_ONLY))
+    lifted = len(command_model.callers_of(target.id, DispatchPolicy.LIFT_TO_ANCESTORS))
     assert lifted > static
 
 
@@ -96,7 +96,7 @@ def test_fan_in_policy_monotone_on_random_models():
         model = random_model(rng)
         for mid in model.methods:
             counts = [
-                fan_in(model, mid, policy)
+                len(model.callers_of(mid, policy))
                 for policy in (
                     DispatchPolicy.STATIC_ONLY,
                     DispatchPolicy.LIFT_TO_ANCESTORS,

@@ -74,8 +74,22 @@ def test_unresolved_supertype_becomes_external_opaque_type():
 def test_supertype_cycle_reported_with_cycle():
     t1 = dict(TYPE, super=["T2"])
     t2 = dict(TYPE, id="T2", name="B", super=["T1"])
-    with pytest.raises(FactError, match="cycle in supertype hierarchy"):
+    with pytest.raises(FactError, match=r"^cycle in supertype hierarchy: A -> B -> A$"):
         load_facts(lines(t1, t2))
+    with pytest.raises(FactError, match=r"^cycle in supertype hierarchy: C -> C$"):
+        load_facts(lines(dict(TYPE, id="T3", name="C", super=["T3"])))
+
+
+def test_deep_hierarchy_declared_child_first_closes_without_recursion():
+    # T0 extends T1 extends ... T1199: deeper than the interpreter's default
+    # recursion limit, and ids put the deepest subtype first.
+    depth = 1200
+    types = [dict(TYPE, id=f"T{i}", name=f"L{i}", super=[f"T{i + 1}"] if i + 1 < depth else [])
+             for i in range(depth)]
+    model = load_records(types)
+    assert len(model.ancestors("T0")) == depth
+    assert model.subtree(f"T{depth - 1}") == frozenset(model.types)
+    assert model.ancestors("T600") == {f"T{i}" for i in range(600, depth)}
 
 
 def test_abstract_method_with_body_rejected():
@@ -206,7 +220,11 @@ def test_policy_monotonicity_on_random_models():
         both = model.lifted_edges(DispatchPolicy.LIFT_BOTH)
         assert static <= up <= both
         for policy in DispatchPolicy:
-            assert model.lifted_edges(policy) == oracles.lifted(model, policy.value)
+            want = oracles.lifted(model, policy.value)
+            assert model.lifted_edges(policy) == want
+            assert {
+                (c.caller, m) for m in model.methods for c in model.calls_to(m, policy)
+            } == want
 
 
 def test_record_order_does_not_change_the_model(command_model):
