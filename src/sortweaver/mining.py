@@ -4,7 +4,7 @@ Three techniques over a :class:`~sortweaver.model.SourceModel`:
 
 * fan-in analysis: methods invoked by many distinct callers,
 * grouped-calls analysis: maximal callee sets shared by enough callers that
-  sit in one hierarchy,
+  sit in one hierarchy, enumerated as closed itemsets in the manner of LCM,
 * redirection-layer detection: types whose methods consistently forward to
   same-named methods of one wrapped field.
 
@@ -127,39 +127,46 @@ def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConf
     utility filters applied).  A group G is reported when |G| >= min_group,
     its supporter set S has |S| >= min_callers, S sits under one common
     ancestor type, and no superset of G has the same supporters.
-    """
-    transactions: dict[str, frozenset[str]] = {}
-    for caller, callee in sorted(model.lifted_edges()):
-        if caller == callee:
-            continue
-        if not _kept(model, model.methods[callee], config):
-            continue
-        transactions.setdefault(caller, frozenset())
-        transactions[caller] |= {callee}
 
-    # Closed callee sets are exactly the intersections of transaction subsets.
-    closed: set[frozenset[str]] = set(transactions.values())
-    worklist = list(closed)
-    while worklist:
-        current = worklist.pop()
-        for other in list(closed):
-            meet = current & other
-            if len(meet) >= config.grouped_min_group and meet not in closed:
-                closed.add(meet)
-                worklist.append(meet)
+    The closed groups are enumerated as in LCM (Uno, Kiyomi & Arimura, FIMI
+    2004): depth first, a group is extended by one callee ranked above its
+    core, closed by intersecting the extension's supporters' transactions,
+    and kept only if the closure adds no callee ranked below that one.  Each
+    closed group is reached once, from its one prefix-preserving parent.
+    """
+    # Callees are ranked by position in the model, which keeps id order.
+    method_ids = list(model.methods)
+    rank = {mid: i for i, (mid, m) in enumerate(model.methods.items())
+            if _kept(model, m, config)}
+    callee_sets: dict[str, set[int]] = {}
+    for caller, callee in model.lifted_edges():
+        if caller != callee and callee in rank:
+            callee_sets.setdefault(caller, set()).add(rank[callee])
+    callers = list(callee_sets)
+    rows = [frozenset(callees) for callees in callee_sets.values()]
 
     seeds = []
-    for group in closed:
-        if len(group) < config.grouped_min_group:
+    # (closed group, core rank, supporter rows); the root is the closure of {}.
+    stack = []
+    if len(rows) >= config.grouped_min_callers:
+        stack.append((frozenset.intersection(*rows), -1, range(len(rows))))
+    while stack:
+        closed, core, occurrences = stack.pop()
+        extensions: dict[int, list[int]] = {}
+        for t in occurrences:
+            for item in rows[t]:
+                if item > core and item not in closed:
+                    extensions.setdefault(item, []).append(t)
+        for item, occ in extensions.items():
+            if len(occ) >= config.grouped_min_callers:
+                closure = frozenset.intersection(*(rows[t] for t in occ))
+                if min(closure - closed) == item:
+                    stack.append((closure, item, occ))
+
+        if len(closed) < config.grouped_min_group:
             continue
-        supporters = frozenset(
-            caller for caller, callees in transactions.items() if group <= callees
-        )
-        if len(supporters) < config.grouped_min_callers:
-            continue
-        meet = frozenset.intersection(*(transactions[c] for c in supporters))
-        if meet != group:
-            continue  # a superset has the same supporters
+        group = frozenset(method_ids[i] for i in closed)
+        supporters = frozenset(callers[t] for t in occurrences)
         ancestor = common_ancestor(model, supporters)
         if ancestor is None:
             continue
@@ -182,7 +189,9 @@ def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConf
                 policy=model.policy,
             )
         )
-    seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"]))
+    # Two groups can share signatures when types share a qualified name.
+    seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"],
+                              [natural_key(m) for m in s.evidence["group"]]))
     return seeds
 
 

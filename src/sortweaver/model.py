@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -247,12 +248,27 @@ class SourceModel:
 
     # -- name resolution ---------------------------------------------------
 
+    # Name indexes, built on first use.
+
+    @cached_property
+    def _types_by_name(self) -> dict[str, TypeDecl]:
+        """Qualified name -> the first type in id order that has it."""
+        return {t.qualified_name: t for t in reversed(self._types.values())}
+
+    @cached_property
+    def _types_by_simple_name(self) -> dict[str, tuple[TypeDecl, ...]]:
+        return _group(self._types.values(), lambda t: t.simple_name)
+
+    @cached_property
+    def _methods_by_name(self) -> dict[str, tuple[MethodDecl, ...]]:
+        return _group(self._methods.values(), lambda m: m.name)
+
     def type_by_name(self, name: str) -> TypeDecl | None:
-        """Resolve a type by qualified name, unique simple name, or id."""
-        for t in self._types.values():
-            if t.qualified_name == name:
-                return t
-        hits = [t for t in self._types.values() if t.simple_name == name]
+        """Resolve a type by qualified name (the first in id order), unique
+        simple name, or id."""
+        if name in self._types_by_name:
+            return self._types_by_name[name]
+        hits = self._types_by_simple_name.get(name, ())
         if len(hits) == 1:
             return hits[0]
         return self._types.get(name)
@@ -284,7 +300,7 @@ class SourceModel:
             pool = [m for m in self.methods_of(owner.id) if m.name == method_name]
         else:
             method_name = ref
-            pool = [m for m in self._methods.values() if m.name == method_name]
+            pool = self._methods_by_name.get(method_name, ())
         if arity is not None:
             pool = [m for m in pool if m.arity == arity]
         if not pool:

@@ -335,3 +335,71 @@ def grouped(model: SourceModel, config, policy) -> set[tuple[frozenset, frozense
                 continue
             out.add((group, supporters))
     return out
+
+
+def grouped_pairwise(model: SourceModel, config) -> list[dict]:
+    """Seed JSON of grouped-calls mining by the pairwise closure it replaced.
+
+    Closes the transactions under intersection by meeting every new set with
+    every set found so far (quadratic in the closed sets), then scans every
+    transaction for each group's supporters.  Unlike the rest of this module
+    it reads the library's lifted edges, filters and ``common_ancestor``, so
+    it checks the closed-set search alone, at sizes ``grouped`` cannot reach.
+    """
+    from sortweaver._util import natural_key
+    from sortweaver.mining import Seed, _kept, common_ancestor
+
+    transactions: dict[str, frozenset[str]] = {}
+    for caller, callee in sorted(model.lifted_edges()):
+        if caller == callee:
+            continue
+        if not _kept(model, model.methods[callee], config):
+            continue
+        transactions.setdefault(caller, frozenset())
+        transactions[caller] |= {callee}
+
+    closed: set[frozenset[str]] = set(transactions.values())
+    worklist = list(closed)
+    while worklist:
+        current = worklist.pop()
+        for other in list(closed):
+            meet = current & other
+            if len(meet) >= config.grouped_min_group and meet not in closed:
+                closed.add(meet)
+                worklist.append(meet)
+
+    seeds = []
+    for group in closed:
+        if len(group) < config.grouped_min_group:
+            continue
+        supporters = frozenset(
+            caller for caller, callees in transactions.items() if group <= callees
+        )
+        if len(supporters) < config.grouped_min_callers:
+            continue
+        meet = frozenset.intersection(*(transactions[c] for c in supporters))
+        if meet != group:
+            continue  # a superset has the same supporters
+        ancestor = common_ancestor(model, supporters)
+        if ancestor is None:
+            continue
+        seeds.append(
+            Seed(
+                sort_hint="CB",
+                elements=group | supporters,
+                score=len(supporters),
+                evidence={
+                    "group": sorted(group, key=natural_key),
+                    "group_sigs": sorted(model.method_sig(m) for m in group),
+                    "callers": sorted(supporters, key=natural_key),
+                    "ancestor": ancestor,
+                    "ancestor_name": model.types[ancestor].qualified_name,
+                    "definition": "closed-itemset grouped calls",
+                },
+                technique="grouped",
+                policy=model.policy,
+            )
+        )
+    seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"],
+                              [natural_key(m) for m in s.evidence["group"]]))
+    return [s.to_json() for s in seeds]

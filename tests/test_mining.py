@@ -1,9 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
-from conftest import model_from_source
+from conftest import REPO, model_from_source
 from randmodels import random_model
 
 from sortweaver.mining import (
@@ -143,14 +147,66 @@ def test_no_shared_callees_means_no_groups():
 def test_grouped_matches_exponential_oracle_on_small_models():
     rng = random.Random(404)
     config = MiningConfig(grouped_min_callers=2, grouped_min_group=2)
-    for _ in range(40):
-        model = random_model(rng, max_types=4, max_methods_per_type=3,
-                             max_calls=20, callee_pool=6)
-        got = {
-            (frozenset(s.evidence["group"]), frozenset(s.evidence["callers"]))
-            for s in grouped_calls_analysis(model, config)
-        }
-        assert got == oracles.grouped(model, config, "lift_to_ancestors")
+    for policy in DispatchPolicy:
+        for _ in range(40):
+            model = random_model(rng, max_types=4, max_methods_per_type=3,
+                                 max_calls=20, callee_pool=6, policy=policy)
+            got = {
+                (frozenset(s.evidence["group"]), frozenset(s.evidence["callers"]))
+                for s in grouped_calls_analysis(model, config)
+            }
+            assert got == oracles.grouped(model, config, policy.value)
+
+
+def test_grouped_matches_pairwise_closure_on_random_models():
+    rng = random.Random(4004)
+    nonempty = 0
+    for i in range(300):
+        policy = list(DispatchPolicy)[i % 3]
+        config = MiningConfig(
+            grouped_min_callers=rng.randint(1, 3),
+            grouped_min_group=rng.randint(1, 3),
+            accessor_filter=rng.random() < 0.5,
+        )
+        model = random_model(rng, policy=policy)
+        got = [s.to_json() for s in grouped_calls_analysis(model, config)]
+        assert got == oracles.grouped_pairwise(model, config), (i, config)
+        nonempty += bool(got)
+    assert nonempty >= 100
+
+
+def test_grouped_seed_order_ignores_hash_seed(tmp_path):
+    # T1 and T2 share a qualified name, so the groups {M1, M2} and
+    # {M3, M4} have equal scores and equal signatures.
+    records = [{"k": "type", "id": f"T{i}", "name": name, "kind": "class",
+                "abstract": False, "anon": False, "encl": None, "super": []}
+               for i, name in enumerate(["p.S", "p.S", "p.U"], 1)]
+    owners = ["T1", "T1", "T2", "T2"] + ["T3"] * 6
+    names = ["a", "b", "a", "b"] + [f"u{i}" for i in range(6)]
+    records += [{"k": "method", "id": f"M{i}", "owner": owner, "name": name,
+                 "params": [], "ret": "void", "vis": "public", "static": False,
+                 "abstract": False, "ctor": False, "throws": [], "stmts": 2}
+                for i, (owner, name) in enumerate(zip(owners, names), 1)]
+    calls = [(caller, target) for caller in ("M5", "M6", "M7") for target in ("M1", "M2")]
+    calls += [(caller, target) for caller in ("M8", "M9", "M10") for target in ("M3", "M4")]
+    records += [{"k": "call", "id": f"C{i}", "caller": caller, "target": target,
+                 "recv": {"kind": "local"}, "ord": 1, "pass": []}
+                for i, (caller, target) in enumerate(calls, 1)]
+    facts = tmp_path / "facts.jsonl"
+    facts.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    outputs = set()
+    for hash_seed in range(1, 9):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(REPO / "src"))
+        env.pop("SORTWEAVER_POLICY", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sortweaver", "mine", "grouped", str(facts), "--json"],
+            capture_output=True, env=env, check=True, text=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    seeds = json.loads(outputs.pop())
+    assert [s["evidence"]["group"] for s in seeds] == [["M1", "M2"], ["M3", "M4"]]
+    assert seeds[0]["evidence"]["group_sigs"] == seeds[1]["evidence"]["group_sigs"]
 
 
 def test_grouped_maximality_no_subset_with_same_callers(undo_model):

@@ -249,3 +249,65 @@ def test_resolve_method_forms(command_model):
         command_model.resolve_method("execute")
     with pytest.raises(FactError, match="unknown method"):
         command_model.resolve_method("DrawingView.nope")
+
+
+def _scan_type(model, name):
+    for t in model.types.values():
+        if t.qualified_name == name:
+            return t
+    hits = [t for t in model.types.values() if t.qualified_name.rsplit(".", 1)[-1] == name]
+    return hits[0] if len(hits) == 1 else model.types.get(name)
+
+
+def _scan_method(model, ref):
+    """resolve_method restated as a linear scan; returns an id or the error text."""
+    if ref in model.methods:
+        return ref
+    arity = None
+    if "/" in ref:
+        ref, suffix = ref.rsplit("/", 1)
+        if not suffix.isdigit():
+            return f"bad arity suffix in method reference: {ref}/{suffix}"
+        arity = int(suffix)
+    if "." in ref:
+        type_name, name = ref.rsplit(".", 1)
+        owner = _scan_type(model, type_name)
+        if owner is None:
+            return f"unknown type: {type_name!r}"
+        pool = [m for m in model.methods.values() if m.owner == owner.id and m.name == name]
+    else:
+        pool = [m for m in model.methods.values() if m.name == ref]
+    pool = [m for m in pool if arity is None or len(m.param_types) == arity]
+    if not pool:
+        return f"unknown method: {ref!r}"
+    if len(pool) > 1:
+        options = ", ".join(sorted(model.method_sig(m.id) for m in pool))
+        return f"ambiguous method reference {ref!r}: {options}"
+    return pool[0].id
+
+
+def test_name_indexes_match_linear_scans_on_random_models():
+    rng = random.Random(77)
+    for _ in range(60):
+        records = random_model(rng).to_records()
+        types = [r for r in records if r["k"] == "type"]
+        for rec in types:  # shared qualified and simple names
+            if rng.random() < 0.3:
+                other = rng.choice(types)["name"]
+                rec["name"] = rng.choice([other, "z." + other.rsplit(".", 1)[-1]])
+        model = load_records(records)
+        names = {t.qualified_name for t in model.types.values()} | set(model.types)
+        names |= {n.rsplit(".", 1)[-1] for n in names} | {"nope", "p1"}
+        for name in sorted(names):
+            assert model.type_by_name(name) == _scan_type(model, name)
+        refs = set(model.methods) | {"nope", "run/x"}
+        for m in model.methods.values():
+            for type_name in (model.types[m.owner].qualified_name, m.owner, "nope"):
+                refs |= {m.name, f"{m.name}/{m.arity}", f"{type_name}.{m.name}",
+                         f"{type_name}.{m.name}/{m.arity}", f"{type_name}.{m.name}/9"}
+        for ref in sorted(refs):
+            try:
+                got = model.resolve_method(ref).id
+            except FactError as exc:
+                got = str(exc)
+            assert got == _scan_method(model, ref), ref
