@@ -6,14 +6,22 @@ links those records into an immutable :class:`SourceModel` that every
 downstream analysis consumes; nothing past this module ever looks at source
 text again.
 
-Derived relations, computed once at construction:
+Derived relations.  Built at construction:
 
-* the reflexive-transitive subtype closure over declared supertypes,
-* the override relation between methods (direct pairs plus full closure),
+* the reflexive-transitive subtype closure over declared supertypes (which
+  detects supertype cycles),
+* a (owner type, signature) -> method index.
 
-and, indexed by callee on first use, the call relation lifted along the
-override chain under a :class:`DispatchPolicy`.  The policy is fixed per
-model; ``calls_to``, ``callers_of`` and ``lifted_edges`` alone accept another.
+Built on first use, so a command pays only for what it reads:
+
+* the override relation, per method and in each direction
+  (``overrides_all``, ``overridden_by``),
+* the reflexive-transitive subtypes of every type (``subtree``),
+* the name indexes behind ``type_by_name`` and ``resolve_method``,
+* the call relation lifted along the override chain under a
+  :class:`DispatchPolicy`, indexed by callee.  The policy is fixed per
+  model; ``calls_to``, ``callers_of`` and ``lifted_edges`` alone accept
+  another.
 
 Record schema (``facts.jsonl``, field ``k`` discriminates)::
 
@@ -181,10 +189,10 @@ class SourceModel:
     """Immutable fact database plus derived relations.
 
     Construction validates referential integrity and structural invariants
-    and computes the subtype closure and override relation; the instance is
-    safe to share across concurrent readers afterwards.  ``lines`` maps
-    entity ids to the record line numbers that errors should name; it is
-    read during construction only.
+    and computes the subtype closure; the other relations are derived and
+    memoised on first read, and the instance is safe to share across
+    concurrent readers.  ``lines`` maps entity ids to the record line
+    numbers that errors should name; it is read during construction only.
     """
 
     def __init__(
@@ -215,8 +223,11 @@ class SourceModel:
         self._validate_structure(lines)
 
         self._ancestors = self._compute_ancestors()
-        self._descendants: dict[str, frozenset[str]] = _invert(self._ancestors)
-        self._overrides_all, self._overridden_by = self._compute_overrides()
+        self._method_by_owner_sig: dict[tuple[str, tuple], str] = {
+            (m.owner, m.signature): m.id for m in self._methods.values()
+        }
+        self._overrides_all: dict[str, frozenset[str]] = {}
+        self._overridden_by: dict[str, frozenset[str]] = {}
         self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
 
     # -- basic access ------------------------------------------------------
@@ -328,6 +339,14 @@ class SourceModel:
         """Reflexive-transitive supertypes of a type (subtype_of*)."""
         return self._ancestors[type_id]
 
+    @cached_property
+    def _descendants(self) -> dict[str, frozenset[str]]:
+        down: dict[str, set[str]] = {}
+        for tid, ups in self._ancestors.items():
+            for up in ups:
+                down.setdefault(up, set()).add(tid)
+        return {k: frozenset(v) for k, v in down.items()}
+
     def subtree(self, type_id: str) -> frozenset[str]:
         """Reflexive-transitive subtypes of a type."""
         return self._descendants.get(type_id, frozenset((type_id,)))
@@ -335,19 +354,38 @@ class SourceModel:
     def is_subtype(self, type_id: str, ancestor_id: str) -> bool:
         return ancestor_id in self._ancestors[type_id]
 
+    # The override relation in both directions, memoised per method: the
+    # methods with the same signature in the owner's proper supertypes
+    # (or subtypes).
+
     def overrides_all(self, method_id: str) -> frozenset[str]:
         """Every method the given one overrides, directly or transitively."""
-        return self._overrides_all[method_id]
+        found = self._overrides_all.get(method_id)
+        if found is None:
+            m = self._methods[method_id]
+            found = self._overrides_all[method_id] = self._same_signature(
+                m, self._ancestors[m.owner])
+        return found
 
     def overridden_by(self, method_id: str) -> frozenset[str]:
-        return self._overridden_by.get(method_id, frozenset())
+        """Every method that overrides the given one, directly or transitively."""
+        found = self._overridden_by.get(method_id)
+        if found is None:
+            m = self._methods[method_id]
+            found = self._overridden_by[method_id] = self._same_signature(
+                m, self.subtree(m.owner))
+        return found
+
+    def _same_signature(self, m: MethodDecl, owners: Iterable[str]) -> frozenset[str]:
+        found = (self._method_by_owner_sig.get((t, m.signature)) for t in owners if t != m.owner)
+        return frozenset(mid for mid in found if mid is not None)
 
     def lifted_callees(self, call: CallSite, policy: DispatchPolicy) -> tuple[str, ...]:
         """Methods a single call site contributes to under a policy."""
         target = call.static_target
         out = [target]
         if policy in (DispatchPolicy.LIFT_TO_ANCESTORS, DispatchPolicy.LIFT_BOTH):
-            out.extend(sorted(self._overrides_all[target], key=natural_key))
+            out.extend(sorted(self.overrides_all(target), key=natural_key))
         if policy is DispatchPolicy.LIFT_BOTH:
             out.extend(sorted(self.overridden_by(target), key=natural_key))
         return tuple(out)
@@ -561,26 +599,6 @@ class SourceModel:
                 else:
                     path[sup] = iter(self._types[sup].supertypes)
         return resolved
-
-    def _compute_overrides(self):
-        by_owner_sig: dict[tuple[str, tuple], str] = {
-            (m.owner, m.signature): m.id for m in self._methods.values()
-        }
-        overrides_all: dict[str, frozenset[str]] = {}
-        for m in self._methods.values():
-            above = set()
-            for anc in self._ancestors[m.owner]:
-                if anc == m.owner:
-                    continue
-                found = by_owner_sig.get((anc, m.signature))
-                if found is not None:
-                    above.add(found)
-            overrides_all[m.id] = frozenset(above)
-        overridden_by: dict[str, set[str]] = {}
-        for mid, above in overrides_all.items():
-            for target in above:
-                overridden_by.setdefault(target, set()).add(mid)
-        return overrides_all, {k: frozenset(v) for k, v in overridden_by.items()}
 
 
 def compute_overrides(model: SourceModel) -> tuple[tuple[str, str], ...]:
@@ -815,11 +833,3 @@ def _group(items, key) -> dict:
     for item in items:
         grouped.setdefault(key(item), []).append(item)
     return {k: tuple(v) for k, v in grouped.items()}
-
-
-def _invert(ancestors: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-    down: dict[str, set[str]] = {}
-    for tid, ups in ancestors.items():
-        for up in ups:
-            down.setdefault(up, set()).add(tid)
-    return {k: frozenset(v) for k, v in down.items()}

@@ -306,41 +306,104 @@ def _canonical_edges(raw: dict[str, list]) -> dict[str, list]:
     return out
 
 
-def _maximal_chains(succ, pred, stop_at=None, min_len=2):
-    """Maximal simple paths over an edge relation.
+def _components(nodes, succ) -> dict:
+    """Node -> a representative of its strongly connected component.
 
-    ``succ``/``pred`` map node -> list of (neighbor, edge payload).  Stop
-    nodes terminate chains (a stop tail is a valid end of any length, and a
-    stop node never extends a chain leftward); otherwise a path is reported
-    when it has at least ``min_len`` nodes, cannot grow right (no unvisited
-    successor) and cannot grow left (no unvisited non-stop predecessor).
+    Tarjan (1972) with an explicit stack of successor iterators, so graph
+    depth is not bounded by recursion.  ``succ`` maps node -> neighbors.
     """
-    stop_at = stop_at or frozenset()
+    index: dict = {}
+    low: dict = {}
+    component: dict = {}
+    open_nodes: list = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        open_nodes.append(root)
+        work = [(root, iter(succ.get(root, ())))]
+        while work:
+            node, pending = work[-1]
+            for child in pending:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    open_nodes.append(child)
+                    work.append((child, iter(succ.get(child, ()))))
+                    break
+                if child not in component:  # still open: same component
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = open_nodes.pop()
+                        component[member] = node
+                        if member == node:
+                            break
+    return component
+
+
+def _maximal_chains(succ, stop_at=frozenset(), min_len=2):
+    """Maximal simple paths over an edge relation, in natural id order.
+
+    ``succ`` maps node -> list of (neighbor, edge payload); the nodes are its
+    keys and every neighbor.  Stop nodes terminate chains (a stop tail is a
+    valid end of any length, and a stop node never extends a chain
+    leftward); otherwise a path is reported when it has at least ``min_len``
+    nodes, cannot grow right (no unvisited successor) and cannot grow left
+    (no unvisited non-stop predecessor).
+
+    A chain's non-stop predecessors of its head must all lie on it, so they
+    share the head's strongly connected component over the edges leaving
+    non-stop nodes; the search starts only at nodes where they do.  Each
+    search walks one shared path with a stack of successor iterators, so on
+    acyclic inputs the cost is about V + E plus the length of the output.
+    """
     succ = _canonical_edges(succ)
-    pred = _canonical_edges(pred)
+    preds: dict = {node: [] for node in succ}
+    for node, pairs in succ.items():
+        for neighbor, _ in pairs:
+            preds.setdefault(neighbor, []).append(node)
+    nodes = sorted(preds, key=natural_key)
+    component = _components(nodes, {
+        node: [neighbor for neighbor, _ in pairs]
+        for node, pairs in succ.items() if node not in stop_at
+    })
+
+    def successors(node):
+        return iter(()) if node in stop_at else iter(succ.get(node, ()))
+
     chains = []
-
-    def extend(path, edges, seen):
-        tail = path[-1]
-        nxt = [] if tail in stop_at else [
-            (n, e) for n, e in succ.get(tail, ()) if n not in seen
-        ]
-        if nxt:
-            for n, e in nxt:
-                extend(path + [n], edges + [e], seen | {n})
-            return
-        if len(path) < min_len and tail not in stop_at:
-            return
-        head = path[0]
-        grows_left = any(
-            n not in seen and n not in stop_at for n, _ in pred.get(head, ())
-        )
-        if not grows_left:
-            chains.append((tuple(path), tuple(edges)))
-
-    for node in sorted(succ.keys() | pred.keys(), key=natural_key):
-        extend([node], [], {node})
-    return sorted(set(chains), key=lambda c: tuple(natural_key(m) for m in c[0]))
+    for start in nodes:
+        blockers = [p for p in preds[start] if p not in stop_at]
+        if any(component[p] != component[start] for p in blockers):
+            continue
+        path, edges, seen = [start], [], {start}
+        # One frame per path node: its successor iterator, and whether the
+        # path has grown past it.
+        frames = [[successors(start), False]]
+        while frames:
+            frame = frames[-1]
+            for neighbor, edge in frame[0]:
+                if neighbor not in seen:
+                    frame[1] = True
+                    path.append(neighbor)
+                    edges.append(edge)
+                    seen.add(neighbor)
+                    frames.append([successors(neighbor), False])
+                    break
+            else:
+                frames.pop()
+                if not frame[1] and (len(path) >= min_len or path[-1] in stop_at) \
+                        and all(p in seen for p in blockers):
+                    chains.append((tuple(path), tuple(edges)))
+                seen.discard(path.pop())
+                if edges:
+                    edges.pop()
+    return chains
 
 
 def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryResult:
@@ -348,28 +411,27 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
     scope_ids = scope_type_ids(model, scope)
     binding = QueryBinding.make(SortKind.EC, context=context_type, scope=scope)
 
-    def context_params(mid: str) -> list[int]:
-        m = model.methods[mid]
-        if not _in_scope(model, m.owner, scope_ids):
-            return []
-        return [i for i, p in enumerate(m.param_types) if p == context_type]
+    # Context-parameter indices of each in-scope method that has one.
+    context_params = {
+        mid: frozenset(i for i, p in enumerate(m.param_types) if p == context_type)
+        for mid, m in model.methods.items()
+        if context_type in m.param_types and _in_scope(model, m.owner, scope_ids)
+    }
 
     succ: dict[str, list] = {}
-    pred: dict[str, list] = {}
     for call in model.calls.values():
-        src_params = context_params(call.caller)
-        dst_params = context_params(call.static_target)
-        if not src_params or not dst_params:
+        src_params = context_params.get(call.caller)
+        dst_params = context_params.get(call.static_target)
+        if src_params is None or dst_params is None:
             continue
         for arg_index, param_index in call.arg_passthrough:
             if param_index in src_params and arg_index in dst_params:
                 edge = (call.id, param_index, arg_index)
                 succ.setdefault(call.caller, []).append((call.static_target, edge))
-                pred.setdefault(call.static_target, []).append((call.caller, edge))
                 break
 
     hits = []
-    for path, edges in _maximal_chains(succ, pred, min_len=2):
+    for path, edges in _maximal_chains(succ, min_len=2):
         indices = [edges[0][1]] + [e[2] for e in edges]
         hits.append(
             ChainHit(
@@ -398,17 +460,15 @@ def query_ep(model: SourceModel, exception: str, root: str | None = None) -> Que
         mid for mid in declarers if exception in model.methods[mid].direct_throws
     )
     succ: dict[str, list] = {}
-    pred: dict[str, list] = {}
     for call in model.calls.values():
         if call.caller in declarers and call.static_target in declarers \
                 and call.caller != call.static_target:
             succ.setdefault(call.caller, []).append((call.static_target, call.id))
-            pred.setdefault(call.static_target, []).append((call.caller, call.id))
     for mid in raisers:
         succ.setdefault(mid, [])
 
     hits = []
-    for path, edges in _maximal_chains(succ, pred, stop_at=raisers, min_len=2):
+    for path, edges in _maximal_chains(succ, stop_at=raisers, min_len=2):
         hits.append(ChainHit(methods=path, calls=edges, root_raises=path[-1] in raisers))
     if root is not None:
         root_decl = model.resolve_method(root)

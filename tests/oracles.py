@@ -215,6 +215,45 @@ def _all_chains(nodes, edges, stop_at=frozenset(), min_len=2):
     return found
 
 
+def maximal_chains_recursive(succ, pred, stop_at=None, min_len=2):
+    """Maximal simple paths by the recursive search the chain queries used.
+
+    It starts a walk at every node and copies the path and the visited set
+    at every step; kept to check ``queries._maximal_chains`` on graphs with
+    edge payloads.  ``succ``/``pred`` map node -> list of (neighbor, edge
+    payload); returns sorted, distinct (path, edges) pairs.
+    """
+    from sortweaver._util import natural_key
+    from sortweaver.queries import _canonical_edges
+
+    stop_at = stop_at or frozenset()
+    succ = _canonical_edges(succ)
+    pred = _canonical_edges(pred)
+    chains = []
+
+    def extend(path, edges, seen):
+        tail = path[-1]
+        nxt = [] if tail in stop_at else [
+            (n, e) for n, e in succ.get(tail, ()) if n not in seen
+        ]
+        if nxt:
+            for n, e in nxt:
+                extend(path + [n], edges + [e], seen | {n})
+            return
+        if len(path) < min_len and tail not in stop_at:
+            return
+        head = path[0]
+        grows_left = any(
+            n not in seen and n not in stop_at for n, _ in pred.get(head, ())
+        )
+        if not grows_left:
+            chains.append((tuple(path), tuple(edges)))
+
+    for node in sorted(succ.keys() | pred.keys(), key=natural_key):
+        extend([node], [], {node})
+    return sorted(set(chains), key=lambda c: tuple(natural_key(m) for m in c[0]))
+
+
 def ec_chains(model: SourceModel, context: str, scope: str) -> set[tuple[str, ...]]:
     ids = scope_ids(model, scope)
 

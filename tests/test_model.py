@@ -183,6 +183,47 @@ def test_overrides_matches_oracle_on_random_models():
             }
 
 
+def _dense_hierarchy(rng):
+    """Types with several supertypes each (ids shuffled against hierarchy
+    order), most of them declaring the same few signatures."""
+    n = rng.randint(2, 10)
+    ids = [f"T{i}" for i in rng.sample(range(1, n + 1), n)]
+    records = []
+    counter = 0
+    for i, tid in enumerate(ids):
+        supers = [t for t in ids[:i] if rng.random() < 0.4][:3]
+        records.append(dict(TYPE, id=tid, name=f"p.{tid}", super=supers))
+        for name, params in (("run", []), ("run", ["int"]), ("draw", [])):
+            if rng.random() < 0.6:
+                counter += 1
+                records.append(dict(METHOD, id=f"M{counter}", owner=tid, name=name,
+                                    params=params))
+    return records
+
+
+@pytest.mark.parametrize("first", ["overrides_all", "overridden_by"])
+def test_lazy_relations_match_oracles_in_either_read_order(first):
+    rng = random.Random(5150)
+    transitive = 0
+    for i in range(120):
+        records = _dense_hierarchy(rng) if i % 2 else random_model(rng).to_records()
+        model = load_records(records)
+        full = oracles.overrides_full(model)
+        order = ["overrides_all", "overridden_by"]
+        if first == "overridden_by":
+            order.reverse()
+        got = {name: {mid: getattr(model, name)(mid) for mid in model.methods}
+               for name in order}
+        for mid in model.methods:
+            assert got["overrides_all"][mid] == {b for a, b in full if a == mid}
+            assert got["overridden_by"][mid] == {a for a, b in full if b == mid}
+        pairs = oracles.subtype_pairs(model)
+        for tid in model.types:
+            assert model.subtree(tid) == {a for a, b in pairs if b == tid}
+        transitive += any(len(above) > 1 for above in got["overrides_all"].values())
+    assert transitive > 30
+
+
 def test_overrides_irreflexive_and_acyclic():
     rng = random.Random(77)
     for _ in range(30):

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 
 import pytest
@@ -8,7 +10,8 @@ from randmodels import random_model
 
 from sortweaver.mining import MiningConfig, fan_in, fan_in_analysis, find_redirectors, \
     grouped_calls_analysis
-from sortweaver.model import FactError
+from sortweaver.cli import main
+from sortweaver.model import FactError, load_records
 from sortweaver.queries import (
     QueryBinding,
     SortKind,
@@ -21,6 +24,7 @@ from sortweaver.queries import (
     query_rsi,
     query_sc,
 )
+from sortweaver.queries import _maximal_chains
 
 
 # -- consistent behavior -----------------------------------------------------------
@@ -219,6 +223,75 @@ def test_ep_lone_raiser_is_a_single_method_chain():
     model = model_from_source(text)
     hits = query_ep(model, "IOErr").hits
     assert len(hits) == 1 and len(hits[0].methods) == 1 and hits[0].root_raises
+
+
+def _ep_chain_records(length):
+    """One type whose methods m0 .. m<length-1> each declare Err and call
+    the next; the last raises Err."""
+    records = [{"k": "type", "id": "T1", "name": "p.Holder", "kind": "class",
+                "abstract": False, "anon": False, "encl": None, "super": []}]
+    for i in range(length):
+        records.append({"k": "method", "id": f"M{i}", "owner": "T1", "name": f"m{i}",
+                        "params": [], "ret": "void", "vis": "public", "static": False,
+                        "abstract": False, "ctor": False, "throws": ["Err"], "stmts": 1,
+                        "raises": ["Err"] if i == length - 1 else []})
+    for i in range(length - 1):
+        records.append({"k": "call", "id": f"C{i}", "caller": f"M{i}", "target": f"M{i + 1}",
+                        "recv": {"kind": "this"}, "ord": 1, "pass": []})
+    return records
+
+
+def test_ep_chain_longer_than_the_recursion_limit(tmp_path):
+    length = 3000
+    records = _ep_chain_records(length)
+    hits = query_ep(load_records(records), "Err").hits
+    assert len(hits) == 1
+    assert hits[0].methods == tuple(f"M{i}" for i in range(length)) and hits[0].root_raises
+
+    facts = tmp_path / "facts.jsonl"
+    facts.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = io.StringIO()
+    code = main(["query", "ep", str(facts), "--exception", "Err", "--json"],
+                stdin=io.StringIO(""), stdout=out)
+    assert code == 0
+    (hit,) = json.loads(out.getvalue())["hits"]
+    assert len(hit["methods"]) == length and hit["calls"][-1] == f"C{length - 2}"
+
+
+def _random_chain_graph(rng):
+    """succ and pred relations with cycles, self-loops, several edges per
+    node pair (EP call ids or EC (call, param, arg) payloads) and isolated
+    nodes, plus a random set of stop nodes."""
+    nodes = [f"N{i}" for i in range(rng.randint(1, 8))]
+    succ: dict = {}
+    pred: dict = {}
+    tupled = rng.random() < 0.5
+    for k in range(rng.randint(0, 3 * len(nodes))):
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        if a == b and rng.random() < 0.7:
+            continue
+        edge = f"C{k}" if not tupled else (f"C{k}", rng.randint(0, 2), rng.randint(0, 2))
+        succ.setdefault(a, []).append((b, edge))
+        pred.setdefault(b, []).append((a, edge))
+    stop = frozenset(n for n in nodes if rng.random() < 0.25)
+    for n in stop:  # a stop node is a node even without edges, as in query_ep
+        succ.setdefault(n, [])
+    return succ, pred, stop
+
+
+def test_chain_search_matches_recursive_search_on_random_graphs():
+    rng = random.Random(4242)
+    seen_cyclic = seen_nonempty = 0
+    for _ in range(2500):
+        succ, pred, stop = _random_chain_graph(rng)
+        min_len = rng.choice((1, 2, 3))
+        expected = oracles.maximal_chains_recursive(succ, pred, stop, min_len)
+        assert _maximal_chains(succ, stop, min_len) == expected
+        seen_nonempty += bool(expected)
+        # a self-loop or a two-node cycle
+        seen_cyclic += any(a == b or a in dict(succ.get(b, ()))
+                           for a, pairs in succ.items() for b, _ in pairs)
+    assert seen_nonempty > 1000 and seen_cyclic > 500
 
 
 # -- role superimposition ----------------------------------------------------------------
