@@ -12,7 +12,6 @@ from .model import (  # noqa: F401
     DispatchPolicy,
     FactError,
     SourceModel,
-    compute_overrides,
     load_facts,
     load_facts_path,
     load_records,
@@ -23,7 +22,6 @@ __all__ = [
     "FactError",
     "SourceModel",
     "__version__",
-    "compute_overrides",
     "load_facts",
     "load_facts_path",
     "load_records",

@@ -47,6 +47,7 @@ from .ast import (
     TryStmt,
     TypeNode,
 )
+from ..model import dumps_facts
 
 
 @dataclass
@@ -114,9 +115,7 @@ class ExtractResult:
     warnings: list[Diagnostic]
 
     def to_jsonl(self) -> str:
-        import json
-
-        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records)
+        return dumps_facts(self.records)
 
 
 def extract_facts(units: CompilationUnit | list[CompilationUnit]) -> ExtractResult:

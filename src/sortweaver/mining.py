@@ -83,11 +83,6 @@ def _kept(model: SourceModel, method: MethodDecl, config: MiningConfig) -> bool:
     return not matches_utility(model, method, config.utility_names)
 
 
-def fan_in(model: SourceModel, method_id: str) -> int:
-    """Distinct callers contributing a lifted call to the method."""
-    return len(model.callers_of(method_id))
-
-
 def fan_in_analysis(model: SourceModel, config: MiningConfig = MiningConfig()) -> list[Seed]:
     """One CB-hinted seed per method whose filtered fan-in meets the threshold.
 

@@ -35,10 +35,14 @@ Record schema (``facts.jsonl``, field ``k`` discriminates)::
     {"k":"call","id":"C9","caller":"M9","target":"M7",
      "recv":{"kind":"super"},"ord":1,"pass":[[0,0]]}
 
-Unknown keys are ignored so extractors may attach extra information; this
-loader itself understands three optional keys: ``src`` (source file of the
-entity), ``ext`` (entity synthesized for an unresolved reference) and, on
-methods, ``raises`` (exception type names thrown directly in the body).
+The keys of each kind, their types and their checks are one table,
+``_RECORDS``, which drives both loading and ``SourceModel.to_records``.
+Unknown keys are ignored so extractors may attach extra information.  Three
+keys are optional: ``src`` (string: source file of the entity), ``ext``
+(bool: entity synthesized for an unresolved reference) and, on methods,
+``raises`` (list of strings: exception type names thrown directly in the
+body).  A key of the wrong type is an error, optional or not; ``null`` is
+accepted only for ``encl``, and a bool is never an integer.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ._util import natural_key, simple_name
 
@@ -377,8 +382,12 @@ class SourceModel:
         return found
 
     def _same_signature(self, m: MethodDecl, owners: Iterable[str]) -> frozenset[str]:
-        found = (self._method_by_owner_sig.get((t, m.signature)) for t in owners if t != m.owner)
+        found = (self.declared_method(t, m.signature) for t in owners if t != m.owner)
         return frozenset(mid for mid in found if mid is not None)
+
+    def declared_method(self, type_id: str, signature: tuple[str, tuple[str, ...]]) -> str | None:
+        """The id of the method with this signature that the type declares."""
+        return self._method_by_owner_sig.get((type_id, signature))
 
     def lifted_callees(self, call: CallSite, policy: DispatchPolicy) -> tuple[str, ...]:
         """Methods a single call site contributes to under a policy."""
@@ -428,73 +437,21 @@ class SourceModel:
     def to_records(self) -> list[dict]:
         """Canonical record list; loading it again reproduces this model."""
         records: list[dict] = []
-        for t in self._types.values():
-            rec = {
-                "k": "type",
-                "id": t.id,
-                "name": t.qualified_name,
-                "kind": t.kind.value,
-                "abstract": t.is_abstract,
-                "anon": t.is_anonymous,
-                "encl": t.enclosing_type,
-                "super": list(t.supertypes),
-            }
-            if t.is_external:
-                rec["ext"] = True
-            if t.src:
-                rec["src"] = t.src
-            records.append(rec)
-        for m in self._methods.values():
-            rec = {
-                "k": "method",
-                "id": m.id,
-                "owner": m.owner,
-                "name": m.name,
-                "params": list(m.param_types),
-                "ret": m.return_type,
-                "vis": m.visibility.value,
-                "static": m.is_static,
-                "abstract": m.is_abstract,
-                "ctor": m.is_constructor,
-                "throws": list(m.declared_throws),
-                "stmts": m.body_stmt_count,
-            }
-            if m.direct_throws:
-                rec["raises"] = list(m.direct_throws)
-            if m.is_external:
-                rec["ext"] = True
-            if m.src:
-                rec["src"] = m.src
-            records.append(rec)
-        for f in self._fields.values():
-            rec = {
-                "k": "field",
-                "id": f.id,
-                "owner": f.owner,
-                "name": f.name,
-                "type": f.declared_type,
-                "vis": f.visibility.value,
-            }
-            if f.src:
-                rec["src"] = f.src
-            records.append(rec)
-        for c in self._calls.values():
-            rec = {
-                "k": "call",
-                "id": c.id,
-                "caller": c.caller,
-                "target": c.static_target,
-                "recv": c.receiver.to_json(),
-                "ord": c.ordinal,
-                "pass": [list(p) for p in c.arg_passthrough],
-            }
-            if c.src:
-                rec["src"] = c.src
-            records.append(rec)
+        for kind, decls in (("type", self._types), ("method", self._methods),
+                            ("field", self._fields), ("call", self._calls)):
+            keys = _RECORDS[kind][1]
+            for decl in decls.values():
+                rec = {"k": kind}
+                for key in keys:
+                    value = getattr(decl, key.attr)
+                    if value or not key.optional:
+                        encode = _TO_JSON.get(type(value))
+                        rec[key.name] = value if encode is None else encode(value)
+                records.append(rec)
         return records
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.to_records())
+        return dumps_facts(self.to_records())
 
     # -- validation and derivation ----------------------------------------
 
@@ -601,38 +558,26 @@ class SourceModel:
         return resolved
 
 
-def compute_overrides(model: SourceModel) -> tuple[tuple[str, str], ...]:
-    """Direct override pairs (m, m'): m overrides m' with no method between.
-
-    The full relation is the transitive closure of these pairs.
-    """
-    direct: list[tuple[str, str]] = []
-    for mid in model.methods:
-        above = model.overrides_all(mid)
-        for target in above:
-            if any(target in model.overrides_all(mid2) for mid2 in above):
-                continue
-            direct.append((mid, target))
-    return tuple(sorted(direct, key=lambda p: (natural_key(p[0]), natural_key(p[1]))))
-
-
 # -- loading ----------------------------------------------------------------
 
-_VIS_VALUES = {v.value for v in Visibility}
-_KIND_VALUES = {k.value for k in TypeKind}
-_RECV_VALUES = {r.value for r in ReceiverKind}
 
-
-def load_facts(lines: Iterable[str], *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
+def load_facts(lines: Iterable[str | bytes], *,
+               policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
     """Parse a facts.jsonl stream and build a fully linked model.
 
-    Raises :class:`FactError` with the offending line number for malformed
-    records, duplicate ids and dangling references.  Supertype references
-    to undeclared ids are retained as external opaque types rather than
+    Lines may be text or UTF-8 bytes.  Raises :class:`FactError` with the
+    offending line number for undecodable lines, malformed records,
+    duplicate ids and dangling references.  Supertype references to
+    undeclared ids are retained as external opaque types rather than
     rejected, since real fact extracts are routinely partial.
     """
     records: list[tuple[int, dict]] = []
     for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FactError(f"not valid UTF-8 ({exc.reason})", lineno) from None
         text = raw.strip()
         if not text:
             continue
@@ -640,6 +585,10 @@ def load_facts(lines: Iterable[str], *, policy: DispatchPolicy = DEFAULT_POLICY)
             rec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FactError(f"invalid JSON: {exc.msg}", lineno) from None
+        except ValueError:  # an integer longer than the interpreter converts
+            raise FactError("invalid JSON: integer has too many digits", lineno) from None
+        except RecursionError:
+            raise FactError("input nests too deeply", lineno) from None
         if not isinstance(rec, dict):
             raise FactError("record is not a JSON object", lineno)
         records.append((lineno, rec))
@@ -647,7 +596,9 @@ def load_facts(lines: Iterable[str], *, policy: DispatchPolicy = DEFAULT_POLICY)
 
 
 def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Load a facts.jsonl file.  Lines end at ``\\n``, as in JSON Lines, and
+    are decoded one by one, so an encoding error names its line."""
+    with open(path, "rb") as handle:
         return load_facts(handle, policy=policy)
 
 
@@ -661,171 +612,192 @@ def load_records(
     Accepts plain dicts or (line number, dict) pairs; line numbers feed the
     error messages when present.
     """
-    numbered: list[tuple[int | None, dict]] = []
-    for item in records:
-        if isinstance(item, tuple):
-            numbered.append(item)
-        else:
-            numbered.append((None, item))
-
-    types: dict[str, TypeDecl] = {}
-    methods: dict[str, MethodDecl] = {}
-    fields: dict[str, FieldDecl] = {}
-    calls: dict[str, CallSite] = {}
+    decls: dict[str, list] = {kind: [] for kind in _RECORDS}
     seen_ids: dict[str, int | None] = {}
-
-    def check_id(entity_id: str, line: int | None):
-        if entity_id in seen_ids:
-            raise FactError(f"duplicate id {entity_id!r}", line)
-        seen_ids[entity_id] = line
-
-    for line, rec in numbered:
-        kind = rec.get("k")
-        if kind == "type":
-            decl = _type_from_record(rec, line)
-            check_id(decl.id, line)
-            types[decl.id] = decl
-        elif kind == "method":
-            m = _method_from_record(rec, line)
-            check_id(m.id, line)
-            methods[m.id] = m
-        elif kind == "field":
-            f = _field_from_record(rec, line)
-            check_id(f.id, line)
-            fields[f.id] = f
-        elif kind == "call":
-            c = _call_from_record(rec, line)
-            check_id(c.id, line)
-            calls[c.id] = c
-        else:
-            raise FactError(f"unknown record kind {kind!r}", line)
+    for item in records:
+        line, rec = item if isinstance(item, tuple) else (None, item)
+        decl = _decode(rec, line)
+        if decl.id in seen_ids:
+            raise FactError(f"duplicate id {decl.id!r}", line)
+        seen_ids[decl.id] = line
+        decls[rec["k"]].append(decl)
 
     # Supertype references that do not resolve become external opaque types.
-    known = set(types)
-    for decl in list(types.values()):
+    types = decls["type"]
+    known = {t.id for t in types}
+    for decl in tuple(types):
         for sup in decl.supertypes:
             if sup not in known:
-                types[sup] = TypeDecl(
+                types.append(TypeDecl(
                     id=sup, qualified_name=sup, kind=TypeKind.CLASS, is_external=True
-                )
+                ))
                 known.add(sup)
 
     return SourceModel(
-        types.values(), methods.values(), fields.values(), calls.values(), policy, seen_ids
+        types, decls["method"], decls["field"], decls["call"], policy, seen_ids
     )
 
 
-def _need(rec: dict, key: str, types_: tuple, line: int | None, allow_none: bool = False):
-    if key not in rec:
-        raise FactError(f"missing key {key!r} in {rec.get('k', '?')} record", line)
-    value = rec[key]
-    if value is None and allow_none:
-        return None
-    if not isinstance(value, types_) or (isinstance(value, bool) and bool not in types_):
-        raise FactError(f"bad value for {key!r}: {value!r}", line)
+# -- the record schema ------------------------------------------------------
+#
+# One table per record kind drives both directions: ``_decode`` checks each
+# key in table order, so a record with several faults reports the first
+# one in that order, and ``SourceModel.to_records`` writes the keys back.
+
+
+def _is(value, type_: type) -> bool:
+    """The JSON type rule: ``value`` has ``type_``, and a bool is no int."""
+    return isinstance(value, type_) and (type_ is bool or not isinstance(value, bool))
+
+
+def _enum(enum: type[Enum], what: str):
+    members = {member.value: member for member in enum}
+
+    def check(value, line: int | None):
+        if not isinstance(value, str) or value not in members:
+            raise FactError(f"bad {what} {value!r}", line)
+        return members[value]
+    return check
+
+
+def _count(value: int, line: int | None) -> int:
+    if value < 0:
+        raise FactError(f"negative statement count {value}", line)
     return value
 
 
-def _str_list(rec: dict, key: str, line: int | None) -> tuple[str, ...]:
-    value = _need(rec, key, (list,), line)
-    if not all(isinstance(v, str) for v in value):
-        raise FactError(f"bad value for {key!r}: {value!r}", line)
-    return tuple(value)
+_RECEIVER_KIND = _enum(ReceiverKind, "receiver kind")
+#: One shared receiver per kind; ``field`` and ``param`` receivers are
+#: built per call site.
+_RECEIVERS = {kind: Receiver(kind) for kind in ReceiverKind}
 
 
-def _type_from_record(rec: dict, line: int | None) -> TypeDecl:
-    kind = _need(rec, "kind", (str,), line)
-    if kind not in _KIND_VALUES:
-        raise FactError(f"bad type kind {kind!r}", line)
-    return TypeDecl(
-        id=_need(rec, "id", (str,), line),
-        qualified_name=_need(rec, "name", (str,), line),
-        kind=TypeKind(kind),
-        is_abstract=_need(rec, "abstract", (bool,), line),
-        is_anonymous=_need(rec, "anon", (bool,), line),
-        enclosing_type=_need(rec, "encl", (str,), line, allow_none=True),
-        supertypes=_str_list(rec, "super", line),
-        is_external=bool(rec.get("ext", False)),
-        src=str(rec.get("src", "")),
-    )
+def _receiver(value: dict, line: int | None) -> Receiver:
+    """The ``recv`` object: a kind plus, for ``field`` and ``param``, the
+    sub-key that kind needs; other sub-keys are ignored."""
+    kind = _RECEIVER_KIND(value.get("kind"), line)
+    if kind is ReceiverKind.FIELD:
+        if not _is(value.get("field"), str):
+            raise FactError("field receiver without a field id", line)
+        return Receiver(kind, field=value["field"])
+    if kind is ReceiverKind.PARAM:
+        if not _is(value.get("index"), int):
+            raise FactError("param receiver without a parameter index", line)
+        return Receiver(kind, index=value["index"])
+    return _RECEIVERS[kind]
 
 
-def _method_from_record(rec: dict, line: int | None) -> MethodDecl:
-    vis = _need(rec, "vis", (str,), line)
-    if vis not in _VIS_VALUES:
-        raise FactError(f"bad visibility {vis!r}", line)
-    stmts = _need(rec, "stmts", (int,), line)
-    if stmts < 0:
-        raise FactError(f"negative statement count {stmts}", line)
-    raises = rec.get("raises", [])
-    if not isinstance(raises, list) or not all(isinstance(v, str) for v in raises):
-        raise FactError(f"bad value for 'raises': {raises!r}", line)
-    return MethodDecl(
-        id=_need(rec, "id", (str,), line),
-        owner=_need(rec, "owner", (str,), line),
-        name=_need(rec, "name", (str,), line),
-        param_types=_str_list(rec, "params", line),
-        return_type=_need(rec, "ret", (str,), line),
-        visibility=Visibility(vis),
-        is_static=_need(rec, "static", (bool,), line),
-        is_abstract=_need(rec, "abstract", (bool,), line),
-        is_constructor=_need(rec, "ctor", (bool,), line),
-        declared_throws=_str_list(rec, "throws", line),
-        body_stmt_count=stmts,
-        direct_throws=tuple(raises),
-        is_external=bool(rec.get("ext", False)),
-        src=str(rec.get("src", "")),
-    )
-
-
-def _field_from_record(rec: dict, line: int | None) -> FieldDecl:
-    vis = _need(rec, "vis", (str,), line)
-    if vis not in _VIS_VALUES:
-        raise FactError(f"bad visibility {vis!r}", line)
-    return FieldDecl(
-        id=_need(rec, "id", (str,), line),
-        owner=_need(rec, "owner", (str,), line),
-        name=_need(rec, "name", (str,), line),
-        declared_type=_need(rec, "type", (str,), line),
-        visibility=Visibility(vis),
-        src=str(rec.get("src", "")),
-    )
-
-
-def _call_from_record(rec: dict, line: int | None) -> CallSite:
-    recv = _need(rec, "recv", (dict,), line)
-    recv_kind = recv.get("kind")
-    if recv_kind not in _RECV_VALUES:
-        raise FactError(f"bad receiver kind {recv_kind!r}", line)
-    receiver = Receiver(
-        kind=ReceiverKind(recv_kind),
-        field=recv.get("field"),
-        index=recv.get("index"),
-    )
-    if receiver.kind is ReceiverKind.FIELD and not isinstance(receiver.field, str):
-        raise FactError("field receiver without a field id", line)
-    if receiver.kind is ReceiverKind.PARAM and not isinstance(receiver.index, int):
-        raise FactError("param receiver without a parameter index", line)
-    ord_ = _need(rec, "ord", (int,), line)
-    passes = _need(rec, "pass", (list,), line)
-    pairs: list[tuple[int, int]] = []
-    for pair in passes:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
+def _pairs(value: list, line: int | None) -> tuple[tuple[int, int], ...]:
+    for pair in value:
+        if not (_is(pair, list) and len(pair) == 2 and all(_is(x, int) for x in pair)):
             raise FactError(f"bad pass-through pair {pair!r}", line)
-        pairs.append((pair[0], pair[1]))
-    return CallSite(
-        id=_need(rec, "id", (str,), line),
-        caller=_need(rec, "caller", (str,), line),
-        static_target=_need(rec, "target", (str,), line),
-        receiver=receiver,
-        ordinal=ord_,
-        arg_passthrough=tuple(pairs),
-        src=str(rec.get("src", "")),
-    )
+    return tuple((arg, param) for arg, param in value)
+
+
+class _Key(NamedTuple):
+    """One key of a fact record and the declaration attribute it fills."""
+
+    name: str
+    attr: str
+    accepts: type
+    #: The element type of a list; the attribute holds a tuple.
+    items: type | None = None
+    #: Checks the typed value and returns the attribute value.
+    check: Callable | None = None
+    #: ``null`` is accepted and leaves the attribute ``None``.
+    nullable: bool = False
+    #: Absent means the declaration's default; written only when truthy.
+    optional: bool = False
+
+
+_VISIBILITY = _enum(Visibility, "visibility")
+
+#: Record kind -> (declaration class, keys in check order).
+_RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
+    "type": (TypeDecl, (
+        _Key("kind", "kind", str, check=_enum(TypeKind, "type kind")),
+        _Key("id", "id", str),
+        _Key("name", "qualified_name", str),
+        _Key("abstract", "is_abstract", bool),
+        _Key("anon", "is_anonymous", bool),
+        _Key("encl", "enclosing_type", str, nullable=True),
+        _Key("super", "supertypes", list, items=str),
+        _Key("ext", "is_external", bool, optional=True),
+        _Key("src", "src", str, optional=True),
+    )),
+    "method": (MethodDecl, (
+        _Key("vis", "visibility", str, check=_VISIBILITY),
+        _Key("stmts", "body_stmt_count", int, check=_count),
+        _Key("raises", "direct_throws", list, items=str, optional=True),
+        _Key("id", "id", str),
+        _Key("owner", "owner", str),
+        _Key("name", "name", str),
+        _Key("params", "param_types", list, items=str),
+        _Key("ret", "return_type", str),
+        _Key("static", "is_static", bool),
+        _Key("abstract", "is_abstract", bool),
+        _Key("ctor", "is_constructor", bool),
+        _Key("throws", "declared_throws", list, items=str),
+        _Key("ext", "is_external", bool, optional=True),
+        _Key("src", "src", str, optional=True),
+    )),
+    "field": (FieldDecl, (
+        _Key("vis", "visibility", str, check=_VISIBILITY),
+        _Key("id", "id", str),
+        _Key("owner", "owner", str),
+        _Key("name", "name", str),
+        _Key("type", "declared_type", str),
+        _Key("src", "src", str, optional=True),
+    )),
+    "call": (CallSite, (
+        _Key("recv", "receiver", dict, check=_receiver),
+        _Key("ord", "ordinal", int),
+        _Key("pass", "arg_passthrough", list, check=_pairs),
+        _Key("id", "id", str),
+        _Key("caller", "caller", str),
+        _Key("target", "static_target", str),
+        _Key("src", "src", str, optional=True),
+    )),
+}
+
+
+def _decode(rec: dict, line: int | None):
+    """The declaration a record describes, checked against its kind's keys."""
+    kind = rec.get("k")
+    if not isinstance(kind, str) or kind not in _RECORDS:
+        raise FactError(f"unknown record kind {kind!r}", line)
+    decl_class, keys = _RECORDS[kind]
+    values = {}
+    for name, attr, accepts, items, check, nullable, optional in keys:
+        if name not in rec:
+            if optional:
+                continue
+            raise FactError(f"missing key {name!r} in {kind} record", line)
+        value = rec[name]
+        if value is None and nullable:
+            continue
+        if not _is(value, accepts) or (
+                items is not None and not all(isinstance(v, items) for v in value)):
+            raise FactError(f"bad value for {name!r}: {value!r}", line)
+        if items is not None:
+            value = tuple(value)
+        values[attr] = value if check is None else check(value, line)
+    return decl_class(**values)
+
+
+#: How attribute values of these types are written back; others as they are.
+_TO_JSON: dict[type, Callable] = {
+    TypeKind: attrgetter("value"),
+    Visibility: attrgetter("value"),
+    Receiver: Receiver.to_json,
+    # strings, or the (argument, parameter) pairs of ``pass``
+    tuple: lambda values: [list(v) if isinstance(v, tuple) else v for v in values],
+}
+
+
+def dumps_facts(records: Iterable[dict]) -> str:
+    """The facts.jsonl text: one key-sorted JSON object per line."""
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
 def _group(items, key) -> dict:

@@ -489,8 +489,9 @@ def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
             continue
         hits.append(RsiHit(tid, role_decl.id, "declares_role"))
         for method in model.methods_of(tid):
-            overridden = model.overrides_all(method.id)
-            if any(model.methods[m].owner == role_decl.id for m in overridden):
+            # The role is a proper supertype, so declaring the signature
+            # there is overriding it.
+            if model.declared_method(role_decl.id, method.signature) is not None:
                 hits.append(RsiHit(tid, method.id, "role_member"))
     return _result(model, SortKind.RSI, binding, hits)
 

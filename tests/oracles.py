@@ -12,7 +12,18 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from sortweaver.model import ReceiverKind, SourceModel
+from sortweaver.model import (
+    CallSite,
+    FactError,
+    FieldDecl,
+    MethodDecl,
+    Receiver,
+    ReceiverKind,
+    SourceModel,
+    TypeDecl,
+    TypeKind,
+    Visibility,
+)
 
 _KEYWORDS = {"if", "catch", "while", "for", "return", "throw", "new", "else", "try"}
 
@@ -83,15 +94,6 @@ def overrides_full(model: SourceModel) -> set[tuple[str, str]]:
             if d1.name == d2.name and d1.param_types == d2.param_types:
                 out.add((m1, m2))
     return out
-
-
-def overrides_direct(model: SourceModel) -> set[tuple[str, str]]:
-    full = overrides_full(model)
-    return {
-        (a, b)
-        for a, b in full
-        if not any((a, mid) in full and (mid, b) in full for mid in model.methods)
-    }
 
 
 def lifted(model: SourceModel, policy) -> set[tuple[str, str]]:
@@ -442,3 +444,142 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
     seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"],
                               [natural_key(m) for m in s.evidence["group"]]))
     return [s.to_json() for s in seeds]
+
+
+# -- the record decoder before the schema tables -----------------------------------
+#
+# One hand-written function per record kind, as the loader had them.  They
+# differ from ``sortweaver.model`` in three places, on purpose: ``src`` is
+# passed through ``str`` and ``ext`` through ``bool`` whatever their type,
+# and a ``param`` receiver accepts a bool as its index.  A list or an object
+# as the receiver kind raises TypeError here.
+
+_VIS_VALUES = {v.value for v in Visibility}
+_KIND_VALUES = {k.value for k in TypeKind}
+_RECV_VALUES = {r.value for r in ReceiverKind}
+
+
+def decode_record(rec: dict, line: int | None):
+    kind = rec.get("k")
+    if kind == "type":
+        return _type_from_record(rec, line)
+    if kind == "method":
+        return _method_from_record(rec, line)
+    if kind == "field":
+        return _field_from_record(rec, line)
+    if kind == "call":
+        return _call_from_record(rec, line)
+    raise FactError(f"unknown record kind {kind!r}", line)
+
+
+def _need(rec: dict, key: str, types_: tuple, line: int | None, allow_none: bool = False):
+    if key not in rec:
+        raise FactError(f"missing key {key!r} in {rec.get('k', '?')} record", line)
+    value = rec[key]
+    if value is None and allow_none:
+        return None
+    if not isinstance(value, types_) or (isinstance(value, bool) and bool not in types_):
+        raise FactError(f"bad value for {key!r}: {value!r}", line)
+    return value
+
+
+def _str_list(rec: dict, key: str, line: int | None) -> tuple[str, ...]:
+    value = _need(rec, key, (list,), line)
+    if not all(isinstance(v, str) for v in value):
+        raise FactError(f"bad value for {key!r}: {value!r}", line)
+    return tuple(value)
+
+
+def _type_from_record(rec: dict, line: int | None) -> TypeDecl:
+    kind = _need(rec, "kind", (str,), line)
+    if kind not in _KIND_VALUES:
+        raise FactError(f"bad type kind {kind!r}", line)
+    return TypeDecl(
+        id=_need(rec, "id", (str,), line),
+        qualified_name=_need(rec, "name", (str,), line),
+        kind=TypeKind(kind),
+        is_abstract=_need(rec, "abstract", (bool,), line),
+        is_anonymous=_need(rec, "anon", (bool,), line),
+        enclosing_type=_need(rec, "encl", (str,), line, allow_none=True),
+        supertypes=_str_list(rec, "super", line),
+        is_external=bool(rec.get("ext", False)),
+        src=str(rec.get("src", "")),
+    )
+
+
+def _method_from_record(rec: dict, line: int | None) -> MethodDecl:
+    vis = _need(rec, "vis", (str,), line)
+    if vis not in _VIS_VALUES:
+        raise FactError(f"bad visibility {vis!r}", line)
+    stmts = _need(rec, "stmts", (int,), line)
+    if stmts < 0:
+        raise FactError(f"negative statement count {stmts}", line)
+    raises = rec.get("raises", [])
+    if not isinstance(raises, list) or not all(isinstance(v, str) for v in raises):
+        raise FactError(f"bad value for 'raises': {raises!r}", line)
+    return MethodDecl(
+        id=_need(rec, "id", (str,), line),
+        owner=_need(rec, "owner", (str,), line),
+        name=_need(rec, "name", (str,), line),
+        param_types=_str_list(rec, "params", line),
+        return_type=_need(rec, "ret", (str,), line),
+        visibility=Visibility(vis),
+        is_static=_need(rec, "static", (bool,), line),
+        is_abstract=_need(rec, "abstract", (bool,), line),
+        is_constructor=_need(rec, "ctor", (bool,), line),
+        declared_throws=_str_list(rec, "throws", line),
+        body_stmt_count=stmts,
+        direct_throws=tuple(raises),
+        is_external=bool(rec.get("ext", False)),
+        src=str(rec.get("src", "")),
+    )
+
+
+def _field_from_record(rec: dict, line: int | None) -> FieldDecl:
+    vis = _need(rec, "vis", (str,), line)
+    if vis not in _VIS_VALUES:
+        raise FactError(f"bad visibility {vis!r}", line)
+    return FieldDecl(
+        id=_need(rec, "id", (str,), line),
+        owner=_need(rec, "owner", (str,), line),
+        name=_need(rec, "name", (str,), line),
+        declared_type=_need(rec, "type", (str,), line),
+        visibility=Visibility(vis),
+        src=str(rec.get("src", "")),
+    )
+
+
+def _call_from_record(rec: dict, line: int | None) -> CallSite:
+    recv = _need(rec, "recv", (dict,), line)
+    recv_kind = recv.get("kind")
+    if recv_kind not in _RECV_VALUES:
+        raise FactError(f"bad receiver kind {recv_kind!r}", line)
+    receiver = Receiver(
+        kind=ReceiverKind(recv_kind),
+        field=recv.get("field"),
+        index=recv.get("index"),
+    )
+    if receiver.kind is ReceiverKind.FIELD and not isinstance(receiver.field, str):
+        raise FactError("field receiver without a field id", line)
+    if receiver.kind is ReceiverKind.PARAM and not isinstance(receiver.index, int):
+        raise FactError("param receiver without a parameter index", line)
+    ord_ = _need(rec, "ord", (int,), line)
+    passes = _need(rec, "pass", (list,), line)
+    pairs: list[tuple[int, int]] = []
+    for pair in passes:
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+        ):
+            raise FactError(f"bad pass-through pair {pair!r}", line)
+        pairs.append((pair[0], pair[1]))
+    return CallSite(
+        id=_need(rec, "id", (str,), line),
+        caller=_need(rec, "caller", (str,), line),
+        static_target=_need(rec, "target", (str,), line),
+        receiver=receiver,
+        ordinal=ord_,
+        arg_passthrough=tuple(pairs),
+        src=str(rec.get("src", "")),
+    )

@@ -156,3 +156,25 @@ def random_model(
             )
 
     return load_records(records, policy=policy)
+
+
+def dense_hierarchy(rng: random.Random) -> list[dict]:
+    """Records of types with several supertypes each (ids shuffled against
+    hierarchy order), most of them declaring the same few signatures, so
+    overrides are often transitive."""
+    n = rng.randint(2, 10)
+    ids = [f"T{i}" for i in rng.sample(range(1, n + 1), n)]
+    records: list[dict] = []
+    counter = 0
+    for i, tid in enumerate(ids):
+        supers = [t for t in ids[:i] if rng.random() < 0.4][:3]
+        records.append({"k": "type", "id": tid, "name": f"p.{tid}", "kind": "class",
+                        "abstract": False, "anon": False, "encl": None, "super": supers})
+        for name, params in (("run", []), ("run", ["int"]), ("draw", [])):
+            if rng.random() < 0.6:
+                counter += 1
+                records.append({"k": "method", "id": f"M{counter}", "owner": tid,
+                                "name": name, "params": params, "ret": "void",
+                                "vis": "public", "static": False, "abstract": False,
+                                "ctor": False, "throws": [], "stmts": 2})
+    return records

@@ -21,7 +21,7 @@ from conftest import CORPUS, CORPUS_FILES, REPO, corpus_model
 from randmodels import random_model
 from warning_scenarios import SCENARIOS
 
-from sortweaver.mining import MiningConfig, fan_in, grouped_calls_analysis
+from sortweaver.mining import MiningConfig, grouped_calls_analysis
 from sortweaver.minilang import extract_facts, parse
 from sortweaver.model import load_records
 from sortweaver.queries import (
@@ -51,7 +51,7 @@ def test_criterion_1_f1_replicates_the_mining_numbers():
     started = time.perf_counter()
     model = corpus_model("command")
     target = model.resolve_method("DrawingView.checkDamage")
-    fanin = fan_in(model, target.id)
+    fanin = len(model.callers_of(target.id))
     scoped = len(query_cb(model, "DrawingView.checkDamage", "Command").hits)
     elapsed = time.perf_counter() - started
     ok = fanin == 28 and scoped == 19 and elapsed < 1.0

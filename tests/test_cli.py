@@ -318,3 +318,51 @@ def test_repl_query_usage_errors(facts_file, line, usage):
     assert code == 0
     assert f"\nerror: usage: {usage}\n" in out
     assert f"\n  {usage} " in out  # the help text lists the same usage
+
+
+# -- malformed and hostile fact files ----------------------------------------------
+
+_TYPE = {"k": "type", "id": "T1", "name": "A", "kind": "class", "abstract": False,
+         "anon": False, "encl": None, "super": []}
+_METHOD = {"k": "method", "id": "M1", "owner": "T1", "name": "f", "params": ["int"],
+           "ret": "void", "vis": "public", "static": False, "abstract": False,
+           "ctor": False, "throws": [], "stmts": 1}
+_CALL = {"k": "call", "id": "C1", "caller": "M1", "target": "M1",
+         "recv": {"kind": "param", "index": 0}, "ord": 1, "pass": []}
+
+
+def _fails_naming_line(tmp_path, capsys, lines: list[bytes], message: str):
+    path = tmp_path / "facts.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    code, out = run_cli("mine", "fanin", str(path))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _json(*records) -> list[bytes]:
+    return [json.dumps(rec).encode() for rec in records]
+
+
+@pytest.mark.parametrize("records, message", [
+    (_json(dict(_TYPE, src=None)), "line 1: bad value for 'src': None"),
+    (_json(dict(_TYPE, ext="no")), "line 1: bad value for 'ext': 'no'"),
+    (_json(_TYPE, _METHOD, dict(_CALL, recv={"kind": "param", "index": False})),
+     "line 3: param receiver without a parameter index"),
+], ids=["src-null", "ext-string", "index-bool"])
+def test_mistyped_key_is_an_error(tmp_path, capsys, records, message):
+    _fails_naming_line(tmp_path, capsys, records, message)
+
+
+@pytest.mark.parametrize("line2, message", [
+    (b"[" * 100_000 + b"]" * 100_000, "line 2: input nests too deeply"),
+    (b'{"k": "type", "name": "\xff"}', "line 2: not valid UTF-8 (invalid start byte)"),
+    (b'{"k": "method", "stmts": ' + b"1" * 5000 + b"}",
+     "line 2: invalid JSON: integer has too many digits"),
+], ids=["deep-nesting", "invalid-utf8", "huge-int"])
+def test_hostile_facts_line_is_an_error(tmp_path, capsys, line2, message):
+    _fails_naming_line(tmp_path, capsys, _json(_TYPE) + [line2], message)
+
+
+def test_list_as_receiver_kind_is_an_error(tmp_path, capsys):
+    records = _json(_TYPE, _METHOD, dict(_CALL, recv={"kind": ["x"]}))
+    _fails_naming_line(tmp_path, capsys, records, "line 3: bad receiver kind ['x']")

@@ -12,7 +12,6 @@ from randmodels import random_model
 
 from sortweaver.mining import (
     MiningConfig,
-    fan_in,
     fan_in_analysis,
     find_redirectors,
     grouped_calls_analysis,
@@ -29,14 +28,14 @@ def test_fan_in_of_check_damage_is_28(command_model):
 def test_fan_in_of_uncalled_method_is_zero(command_model):
     target = command_model.resolve_method("DrawApplication.shutdown")
     # called once, by the anonymous exit command
-    assert fan_in(command_model, target.id) == 1
+    assert len(command_model.callers_of(target.id)) == 1
     lonely = model_from_source("class A { public void f() { } }")
-    assert fan_in(lonely, lonely.resolve_method("A.f").id) == 0
+    assert len(lonely.callers_of(lonely.resolve_method("A.f").id)) == 0
 
 
 def test_fan_in_unknown_method_raises(command_model):
     with pytest.raises(FactError):
-        fan_in(command_model, "M999")
+        command_model.callers_of("M999")
 
 
 def test_interface_declaration_gains_fan_in_under_lifting(command_model):

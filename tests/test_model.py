@@ -1,14 +1,18 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 import oracles
-from randmodels import random_model
+from conftest import CORPUS, CORPUS_FILES
+from randmodels import dense_hierarchy, random_model
+from sortweaver.minilang import extract_facts, parse
 from sortweaver.model import (
     DispatchPolicy,
     FactError,
-    compute_overrides,
+    ReceiverKind,
+    _decode,
     load_facts,
     load_records,
 )
@@ -144,61 +148,33 @@ def test_dangling_receiver_field_rejected():
 def test_paste_execute_overrides_abstract_command_execute(command_model):
     paste = command_model.resolve_method("PasteCommand.execute")
     base = command_model.resolve_method("AbstractCommand.execute")
-    assert (paste.id, base.id) in set(compute_overrides(command_model))
+    assert base.id in command_model.overrides_all(paste.id)
+    assert paste.id in command_model.overridden_by(base.id)
 
 
 def test_same_signature_without_subtype_edge_is_not_override():
     t2 = dict(TYPE, id="T2", name="B")
     m2 = dict(METHOD, id="M2", owner="T2")
     model = load_facts(lines(TYPE, t2, METHOD, m2))
-    assert compute_overrides(model) == ()
+    for mid in ("M1", "M2"):
+        assert model.overrides_all(mid) == frozenset() == model.overridden_by(mid)
 
 
 def test_interface_implementation_is_an_override(command_model):
     impl = command_model.resolve_method("AbstractCommand.execute")
     iface = command_model.resolve_method("Command.execute")
-    assert (impl.id, iface.id) in set(compute_overrides(command_model))
-
-
-def test_direct_pairs_skip_the_middle_of_a_three_level_chain():
-    t2 = dict(TYPE, id="T2", name="B", super=["T1"])
-    t3 = dict(TYPE, id="T3", name="C", super=["T2"])
-    m2 = dict(METHOD, id="M2", owner="T2")
-    m3 = dict(METHOD, id="M3", owner="T3")
-    model = load_facts(lines(TYPE, t2, t3, METHOD, m2, m3))
-    direct = set(compute_overrides(model))
-    assert ("M3", "M2") in direct and ("M2", "M1") in direct
-    assert ("M3", "M1") not in direct
-    assert model.overrides_all("M3") == {"M2", "M1"}
+    assert iface.id in command_model.overrides_all(impl.id)
+    assert impl.id in command_model.overridden_by(iface.id)
 
 
 def test_overrides_matches_oracle_on_random_models():
     rng = random.Random(1234)
     for _ in range(40):
         model = random_model(rng)
-        assert set(compute_overrides(model)) == oracles.overrides_direct(model)
+        full = oracles.overrides_full(model)
         for mid in model.methods:
-            assert model.overrides_all(mid) == {
-                b for a, b in oracles.overrides_full(model) if a == mid
-            }
-
-
-def _dense_hierarchy(rng):
-    """Types with several supertypes each (ids shuffled against hierarchy
-    order), most of them declaring the same few signatures."""
-    n = rng.randint(2, 10)
-    ids = [f"T{i}" for i in rng.sample(range(1, n + 1), n)]
-    records = []
-    counter = 0
-    for i, tid in enumerate(ids):
-        supers = [t for t in ids[:i] if rng.random() < 0.4][:3]
-        records.append(dict(TYPE, id=tid, name=f"p.{tid}", super=supers))
-        for name, params in (("run", []), ("run", ["int"]), ("draw", [])):
-            if rng.random() < 0.6:
-                counter += 1
-                records.append(dict(METHOD, id=f"M{counter}", owner=tid, name=name,
-                                    params=params))
-    return records
+            assert model.overrides_all(mid) == {b for a, b in full if a == mid}
+            assert model.overridden_by(mid) == {a for a, b in full if b == mid}
 
 
 @pytest.mark.parametrize("first", ["overrides_all", "overridden_by"])
@@ -206,7 +182,7 @@ def test_lazy_relations_match_oracles_in_either_read_order(first):
     rng = random.Random(5150)
     transitive = 0
     for i in range(120):
-        records = _dense_hierarchy(rng) if i % 2 else random_model(rng).to_records()
+        records = dense_hierarchy(rng) if i % 2 else random_model(rng).to_records()
         model = load_records(records)
         full = oracles.overrides_full(model)
         order = ["overrides_all", "overridden_by"]
@@ -277,9 +253,18 @@ def test_record_order_does_not_change_the_model(command_model):
     assert reloaded.lifted_edges() == command_model.lifted_edges()
 
 
+def _corpus_records() -> list[dict]:
+    units = [parse((CORPUS / name).read_text(), name).unit for name in CORPUS_FILES]
+    return extract_facts(units).records
+
+
 def test_to_records_round_trip(undo_model):
     again = load_records(undo_model.to_records())
     assert again.to_records() == undo_model.to_records()
+    # Every key the frontend writes, the optional ones included, comes back.
+    extracted = _corpus_records()
+    assert {json.dumps(r, sort_keys=True) for r in load_records(extracted).to_records()} \
+        == {json.dumps(r, sort_keys=True) for r in extracted}
 
 
 def test_resolve_method_forms(command_model):
@@ -352,3 +337,85 @@ def test_name_indexes_match_linear_scans_on_random_models():
             except FactError as exc:
                 got = str(exc)
             assert got == _scan_method(model, ref), ref
+
+
+# -- the record decoder against the hand-written one it replaced --------------------
+
+_MUTANT_VALUES = (None, "x", 1, -1, True, 1.5, [], {}, ["x"], [1])
+_BROKEN_PAIRS = ([[0]], [[0, 0, 0]], [[0, "x"]], [[True, 0]], [[0, None]], [[1.5, 0]],
+                 [0], [None], [{}], [[0, 0], [1]])
+
+
+def _mutants(rec):
+    """Each key (and each receiver sub-key) dropped, nulled and retyped,
+    every two keys dropped or retyped together (the first fault in check
+    order is reported), and the pass-through pairs broken."""
+    def each(parent, key):
+        yield {k: v for k, v in parent.items() if k != key}
+        for value in _MUTANT_VALUES:
+            yield dict(parent, **{key: value})
+
+    keys = sorted(set(rec) | {"src", "ext", "raises"})
+    for key in keys:
+        yield from each(rec, key)
+    for first, second in combinations(keys, 2):
+        yield {k: v for k, v in rec.items() if k not in (first, second)}
+        yield dict(rec, **{first: 1.5, second: 1.5})
+    if rec["k"] == "call":
+        recv = rec["recv"]
+        own = {"field": ["field"], "param": ["index"]}.get(recv["kind"], [])
+        for sub_key in ["kind", *own]:
+            for mutant in each(recv, sub_key):
+                yield dict(rec, recv=mutant)
+        for pairs in _BROKEN_PAIRS:
+            yield dict(rec, **{"pass": pairs})
+
+
+def _rejected_only_by_the_tables(rec):
+    """(case, error) where the table decoder rejects a record that the
+    reference decoder accepted or crashed on: the reference stored any
+    ``src`` as a string and any ``ext`` as a bool, accepted a bool as a
+    parameter index and crashed on a list or object receiver kind."""
+    recv = rec.get("recv")
+    if rec.get("k") in ("type", "method") and "ext" in rec and not isinstance(rec["ext"], bool):
+        return "ext", f"bad value for 'ext': {rec['ext']!r}"
+    if "src" in rec and not isinstance(rec["src"], str):
+        return "src", f"bad value for 'src': {rec['src']!r}"
+    if isinstance(recv, dict) and isinstance(recv.get("kind"), (list, dict)):
+        return "receiver kind", f"bad receiver kind {recv['kind']!r}"
+    if isinstance(recv, dict) and recv.get("kind") == "param" \
+            and isinstance(recv.get("index"), bool):
+        return "index", "param receiver without a parameter index"
+    return None, None
+
+
+def test_decoder_matches_the_reference_decoder_under_mutation():
+    records = _corpus_records()
+    rng = random.Random(31)
+    for _ in range(6):
+        records += random_model(rng).to_records()
+    kinds, divergent, errors = set(), set(), set()
+    for rec in records:
+        kinds.add(rec["k"] if rec["k"] != "call" else f"call/{rec['recv']['kind']}")
+        for mutant in _mutants(rec):
+            try:
+                got = _decode(mutant, 7)
+            except FactError as exc:
+                got = str(exc)
+            try:
+                want = oracles.decode_record(mutant, 7)
+            except FactError as exc:
+                want = str(exc)
+            except TypeError:
+                want = None
+            case, added = _rejected_only_by_the_tables(mutant)
+            if case is not None and not isinstance(want, str):
+                assert got == f"line 7: {added}", mutant
+                divergent.add(case)
+                continue
+            assert got == want, mutant
+            if isinstance(got, str):
+                errors.add(got)
+    assert kinds == {"type", "method", "field", *(f"call/{kind.value}" for kind in ReceiverKind)}
+    assert divergent == {"src", "ext", "receiver kind", "index"}
+    assert len(errors) > 150

@@ -6,9 +6,9 @@ import pytest
 
 import oracles
 from conftest import model_from_source
-from randmodels import random_model
+from randmodels import dense_hierarchy, random_model
 
-from sortweaver.mining import MiningConfig, fan_in, fan_in_analysis, find_redirectors, \
+from sortweaver.mining import MiningConfig, fan_in_analysis, find_redirectors, \
     grouped_calls_analysis
 from sortweaver.cli import main
 from sortweaver.model import FactError, load_records
@@ -60,7 +60,7 @@ def test_cb_excludes_self_calls():
 def test_cb_count_equals_fan_in_when_each_caller_calls_once(command_model):
     target = command_model.resolve_method("DrawingView.checkDamage")
     result = query_cb(command_model, "DrawingView.checkDamage", "*")
-    assert len(result.hits) == fan_in(command_model, target.id)
+    assert len(result.hits) == len(command_model.callers_of(target.id))
 
 
 def test_cb_unknown_ids_raise(command_model):
@@ -469,3 +469,20 @@ def test_queries_match_relational_oracles_on_random_models():
         got = {(h.enclosing, h.nested) for h in query_sc(model, "*").hits}
         assert got == oracles.sc_hits(model, "*", None)
     assert mismatches == 0
+
+
+def test_rsi_matches_oracle_on_dense_hierarchies():
+    # Multiple inheritance with shared signatures: role members often reach
+    # the role only through other supertypes.
+    rng = random.Random(4711)
+    indirect = 0
+    for _ in range(60):
+        model = load_records(dense_hierarchy(rng))
+        for role, decl in model.types.items():
+            got = {(h.type_id, h.member, h.kind)
+                   for h in query_rsi(model, decl.qualified_name, "*").hits}
+            want = oracles.rsi_hits(model, role, "*")
+            assert got == want
+            indirect += sum(kind == "role_member" and role not in model.types[t].supertypes
+                            for t, _, kind in want)
+    assert indirect > 100
