@@ -227,7 +227,10 @@ def cmd_extract(args, stdin, stdout):
                 print(f"{path}: {diag}", file=sys.stderr)
             raise CliError(f"{path}: parse failed")
         units.append(result.unit)
-    extraction = extract_facts(units)
+    try:
+        extraction = extract_facts(units)
+    except RecursionError:
+        raise CliError(f"{', '.join(args.files)}: input nests too deeply") from None
     for warning in extraction.warnings:
         print(f"warning: {warning.pos}: {warning.message}", file=sys.stderr)
     payload = extraction.to_jsonl()

@@ -124,24 +124,33 @@ def _node_from_json(obj: dict, parent: str | None = None):
         snapshot = Snapshot(
             digest=snap["digest"], hits=snap["hits"], items=tuple(items)
         )
+    note = obj.get("note", "")
+    if not isinstance(note, str):
+        raise ConcernModelError(f"note of {_shown(path)} must be a string, not {note!r}")
     binding = _binding(path, obj["sort"], obj["params"])
-    return Instance(obj["name"], binding, snapshot, obj.get("note", ""))
+    return Instance(obj["name"], binding, snapshot, note)
 
 
 def load_model(path: str | Path) -> Group:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConcernModelError(f"{path}: invalid JSON: {exc}") from None
-    root = _node_from_json(data)
+    try:
+        root = _node_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        raise ConcernModelError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ConcernModelError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConcernModelError(f"{path}: model nests too deeply") from None
     if not isinstance(root, Group):
         raise ConcernModelError("concern-model root must be a group")
     return root
 
 
 def save_model(root: Group, path: str | Path):
-    Path(path).write_text(dumps_model(root), encoding="utf-8")
+    try:
+        text = dumps_model(root)
+    except RecursionError:
+        raise ConcernModelError(f"{path}: model nests too deeply") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def dumps_model(root: Group) -> str:

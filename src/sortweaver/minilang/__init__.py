@@ -1,7 +1,7 @@
 """MiniLang frontend: parse Java-like sources and emit fact records."""
 
 from .ast import CompilationUnit, Diagnostic, ParseResult, Position
-from .extract import ExtractResult, count_statements, extract_facts
+from .extract import ExtractResult, extract_facts
 from .parser import parse
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "ExtractResult",
     "ParseResult",
     "Position",
-    "count_statements",
     "extract_facts",
     "parse",
 ]

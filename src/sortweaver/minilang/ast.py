@@ -10,10 +10,10 @@ propagation.  Every node carries its source position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     line: int
     col: int
 
@@ -55,23 +55,8 @@ class Super(Expr):
 
 
 @dataclass
-class NullLit(Expr):
-    pass
-
-
-@dataclass
-class BoolLit(Expr):
-    value: bool
-
-
-@dataclass
-class IntLit(Expr):
-    value: int
-
-
-@dataclass
-class StrLit(Expr):
-    value: str
+class Literal(Expr):
+    text: str  # as written: null, true, false, digits, or a string's contents
 
 
 @dataclass

@@ -100,7 +100,7 @@ class _MethodInfo:
     is_constructor: bool
     throws: list[str]
     body: list[Stmt] | None
-    body_stmt_count: int = 0
+    body_stmt_count: int = 0  # the walker's last statement ordinal
     raises: list[str] = field(default_factory=list)
     is_external: bool = False
 
@@ -123,22 +123,6 @@ def extract_facts(units: CompilationUnit | list[CompilationUnit]) -> ExtractResu
     if isinstance(units, CompilationUnit):
         units = [units]
     return _Extractor(units).run()
-
-
-def count_statements(body: list[Stmt] | None) -> int:
-    """Pre-order statement count, nested blocks included."""
-    if not body:
-        return 0
-    total = 0
-    for stmt in body:
-        total += 1
-        if isinstance(stmt, IfStmt):
-            total += count_statements(stmt.then_body)
-            total += count_statements(stmt.else_body or [])
-        elif isinstance(stmt, TryStmt):
-            total += count_statements(stmt.body)
-            total += count_statements(stmt.handler)
-    return total
 
 
 class _Extractor:
@@ -238,7 +222,6 @@ class _Extractor:
             is_constructor=node.is_constructor,
             throws=list(node.throws),
             body=node.body,
-            body_stmt_count=count_statements(node.body),
         )
         info.methods.append(method)
         # Anonymous classes nested in this body register now, in lexical order.
@@ -460,6 +443,7 @@ class _BodyWalker:
 
     def walk(self):
         self.walk_block(self.method.body)
+        self.method.body_stmt_count = self.ordinal
 
     def walk_block(self, stmts: list[Stmt]):
         for stmt in stmts:

@@ -1,8 +1,15 @@
-"""Tokenizer for MiniLang source text."""
+"""Tokenizer for MiniLang source text.
+
+One master pattern has an alternative per token kind and is matched at the
+cursor (the tokenizer recipe in the :mod:`re` documentation).  Only skipped
+text (whitespace and comments) can span lines, so positions are kept as the
+current line and the index where it starts.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast import Diagnostic, Position
 
@@ -13,11 +20,18 @@ KEYWORDS = {
     "new", "this", "super", "null", "true", "false",
 }
 
-PUNCT = {"{", "}", "(", ")", ",", ";", "."}
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
+  | "(?P<string>[^"\n]*)"
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<op>[=!]=|=)
+  | (?P<punct>[{}(),;.])
+  | (?P<error>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "int" | "string" | "punct" | "op" | "eof"
     value: str
     pos: Position
@@ -30,80 +44,35 @@ class LexError(Exception):
 
 
 def tokenize(text: str) -> list[Token]:
-    """Produce the token stream; raises LexError on the first bad character."""
+    """Produce the token stream; raises LexError on the first bad character.
+
+    ``int`` is a run of decimal digits, exactly what :func:`int` accepts; an
+    identifier starts with a letter (``str.isalpha``) or ``_``.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def pos() -> Position:
-        return Position(line, col)
-
-    def advance(count: int):
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, value, start = match.lastgroup, match[match.lastgroup], match.start()
+        if kind == "skip":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + value.rindex("\n") + 1
+            continue
+        pos = Position(line, start - line_start + 1)
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                kind, value = "error", value[0]
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            advance((end - i) if end != -1 else (n - i))
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise LexError(Diagnostic("error", pos(), "unterminated block comment"))
-            advance(end + 2 - i)
-            continue
-        if ch == '"':
-            start = pos()
-            j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or text[j] != '"':
-                raise LexError(Diagnostic("error", start, "unterminated string literal"))
-            tokens.append(Token("string", text[i + 1:j], start))
-            advance(j + 1 - i)
-            continue
-        if ch.isdigit():
-            start = pos()
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("keyword" if word in KEYWORDS else "ident", word, start))
-            advance(j - i)
-            continue
-        if text.startswith("==", i) or text.startswith("!=", i):
-            tokens.append(Token("op", text[i:i + 2], pos()))
-            advance(2)
-            continue
-        if ch == "=":
-            tokens.append(Token("op", "=", pos()))
-            advance(1)
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("punct", ch, pos()))
-            advance(1)
-            continue
-        raise LexError(Diagnostic("error", pos(), f"unexpected character {ch!r}"))
-
-    tokens.append(Token("eof", "", Position(line, col)))
+                kind = "keyword" if value in KEYWORDS else "ident"
+        if kind == "error":
+            if text.startswith("/*", start):
+                message = "unterminated block comment"
+            elif value == '"':
+                message = "unterminated string literal"
+            else:
+                message = f"unexpected character {value!r}"
+            raise LexError(Diagnostic("error", pos, message))
+        tokens.append(Token(kind, value, pos))
+    tokens.append(Token("eof", "", Position(line, len(text) - line_start + 1)))
     return tokens

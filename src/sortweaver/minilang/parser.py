@@ -11,24 +11,21 @@ from __future__ import annotations
 from .ast import (
     Assign,
     BinaryExpr,
-    BoolLit,
     CallExpr,
     CompilationUnit,
     Diagnostic,
     ExprStmt,
     FieldNode,
     IfStmt,
-    IntLit,
+    Literal,
     LocalDecl,
     MethodNode,
     Name,
     NewExpr,
-    NullLit,
     Param,
     ParseResult,
     Position,
     ReturnStmt,
-    StrLit,
     Stmt,
     Super,
     This,
@@ -39,6 +36,7 @@ from .ast import (
 from .lexer import LexError, Token, tokenize
 
 _VISIBILITIES = ("public", "protected", "private")
+_LITERALS = ("null", "true", "false")
 
 
 class ParseError(Exception):
@@ -408,18 +406,9 @@ class _Parser:
         if self.at("super"):
             self.next()
             return Super(tok.pos)
-        if self.at("null"):
+        if tok.kind in ("int", "string") or (tok.kind == "keyword" and tok.value in _LITERALS):
             self.next()
-            return NullLit(tok.pos)
-        if self.at("true") or self.at("false"):
-            word = self.next()
-            return BoolLit(tok.pos, word.value == "true")
-        if tok.kind == "int":
-            self.next()
-            return IntLit(tok.pos, int(tok.value))
-        if tok.kind == "string":
-            self.next()
-            return StrLit(tok.pos, tok.value)
+            return Literal(tok.pos, tok.value)
         if self.at("("):
             self.next()
             inner = self.parse_expr()

@@ -10,10 +10,10 @@ deletion edits on the fact model so closure properties can be checked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .._util import lower_first, natural_key, upper_first
-from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility, load_records
+from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility
 from ..queries import ADVICE_KINDS, CbHit, ChainHit, QueryResult, RsiHit, ScHit, SortKind
 from .aspect_text import (
     Advice,
@@ -904,15 +904,13 @@ def apply_edits(model: SourceModel, edits) -> SourceModel:
     for e in edits:
         if e.kind == "delete_throws_clause":
             unthrow.setdefault(e.target, set()).add(e.detail_value("exception"))
-    records = []
-    for rec in model.to_records():
-        if rec["k"] == "call" and rec["id"] in drop_calls:
-            continue
-        if rec["k"] == "method" and rec["id"] in unthrow:
-            rec = dict(rec)
-            rec["throws"] = [t for t in rec["throws"] if t not in unthrow[rec["id"]]]
-        records.append(rec)
-    return load_records(records, policy=model.policy)
+    methods = [
+        replace(m, declared_throws=tuple(t for t in m.declared_throws if t not in unthrow[m.id]))
+        if m.id in unthrow else m
+        for m in model.methods.values()
+    ]
+    calls = [c for c in model.calls.values() if c.id not in drop_calls]
+    return SourceModel(model.types.values(), methods, model.fields.values(), calls, model.policy)
 
 
 def check_precedence(plans: list[RefactoringPlan]) -> list[RiskWarning]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
+from sortweaver.minilang.ast import Diagnostic, Position
+from sortweaver.minilang.lexer import KEYWORDS, LexError, Token
 from sortweaver.model import (
     CallSite,
     FactError,
@@ -583,3 +585,93 @@ def _call_from_record(rec: dict, line: int | None) -> CallSite:
         arg_passthrough=tuple(pairs),
         src=str(rec.get("src", "")),
     )
+
+
+# -- the MiniLang tokenizer before the master pattern -------------------------------
+#
+# A per-character scanner, as the lexer had it.  It differs from
+# ``sortweaver.minilang.lexer`` in one place, on purpose: an int literal is a
+# run of ``str.isdigit`` characters, so ``²`` or ``①`` starts or continues one
+# although ``int()`` rejects it.
+
+_PUNCT = {"{", "}", "(", ")", ",", ";", "."}
+
+
+def tokenize_per_character(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def pos() -> Position:
+        return Position(line, col)
+
+    def advance(count: int):
+        nonlocal i, line, col
+        for _ in range(count):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if text.startswith("//", i):
+            end = text.find("\n", i)
+            advance((end - i) if end != -1 else (n - i))
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end == -1:
+                raise LexError(Diagnostic("error", pos(), "unterminated block comment"))
+            advance(end + 2 - i)
+            continue
+        if ch == '"':
+            start = pos()
+            j = i + 1
+            while j < n and text[j] not in ('"', "\n"):
+                j += 1
+            if j >= n or text[j] != '"':
+                raise LexError(Diagnostic("error", start, "unterminated string literal"))
+            tokens.append(Token("string", text[i + 1:j], start))
+            advance(j + 1 - i)
+            continue
+        if ch.isdigit():
+            start = pos()
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("int", text[i:j], start))
+            advance(j - i)
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos()
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(Token("keyword" if word in KEYWORDS else "ident", word, start))
+            advance(j - i)
+            continue
+        if text.startswith("==", i) or text.startswith("!=", i):
+            tokens.append(Token("op", text[i:i + 2], pos()))
+            advance(2)
+            continue
+        if ch == "=":
+            tokens.append(Token("op", "=", pos()))
+            advance(1)
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token("punct", ch, pos()))
+            advance(1)
+            continue
+        raise LexError(Diagnostic("error", pos(), f"unexpected character {ch!r}"))
+
+    tokens.append(Token("eof", "", Position(line, col)))
+    return tokens
+

@@ -1,9 +1,10 @@
 import io
 import json
+import random
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_FILES
 
 from sortweaver.cli import main
 from sortweaver.model import load_facts_path
@@ -366,3 +367,60 @@ def test_hostile_facts_line_is_an_error(tmp_path, capsys, line2, message):
 def test_list_as_receiver_kind_is_an_error(tmp_path, capsys):
     records = _json(_TYPE, _METHOD, dict(_CALL, recv={"kind": ["x"]}))
     _fails_naming_line(tmp_path, capsys, records, "line 3: bad receiver kind ['x']")
+
+
+# -- hostile MiniLang sources ---------------------------------------------------------
+
+
+def _chain_class(links: int) -> str:
+    """A class whose one statement is a call chain ``y().y()...`` of that length."""
+    return "class Z { Z y() { return this; } void m() { y()" + ".y()" * (links - 1) + "; } }"
+
+
+@pytest.mark.parametrize("source, code, message", [
+    ("class A { void m() { x = ²; } }", 1,
+     "{path}: error: 1:26: unexpected character '²'\nerror: {path}: parse failed\n"),
+    ("class A { void m() { x = " + "9" * 5000 + "; } }", 0, ""),
+    (_chain_class(3000), 1, "error: {path}: input nests too deeply\n"),
+], ids=["superscript-digit", "5000-digit-int", "3000-link-chain"])
+def test_hostile_minilang_source(tmp_path, capsys, source, code, message):
+    path = tmp_path / "hostile.mini"
+    path.write_text(source, encoding="utf-8")
+    assert run_cli("extract", str(path))[0] == code
+    assert capsys.readouterr().err == message.format(path=path)
+
+
+_MUTATION_ALPHABET = [s.encode() for s in (
+    "²", "½", "Ⅻ", "①", "\x00", '"', "/*", "*/", "//", "(", ")", "{", "}", ";", ".", ",",
+    "=", "==", "x", "_", "1", "9" * 5000, " ", "\n", "\r", "class", "new", "null", "y()",
+)] + [b"\xff", b"\xc3", b"\xed\xa0\x80"]  # the last three are not valid UTF-8
+
+
+def _mutate(rng: random.Random, text: bytes) -> bytes:
+    at = rng.randrange(len(text) + 1)
+    op = rng.randrange(5)
+    if op == 0:
+        return text[:at]
+    if op in (1, 2):  # insert, or replace one byte
+        return text[:at] + rng.choice(_MUTATION_ALPHABET) + text[at + op - 1:]
+    if op == 3:
+        return text[:at] + rng.choice((b"(", b"{")) * rng.choice((50, 1500)) + text[at:]
+    return text + _chain_class(rng.choice((2, 300, 1500))).encode()
+
+
+def test_extract_mutation_sweep_exits_zero_or_one_naming_the_file(tmp_path, capsys):
+    rng = random.Random(3)
+    sources = [(CORPUS / name).read_bytes() for name in CORPUS_FILES]
+    path = tmp_path / "mutant.mini"
+    codes = []
+    for case in range(160):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        path.write_bytes(text)
+        code, _ = run_cli("extract", str(path))
+        err = capsys.readouterr().err
+        assert code in (0, 1), (case, err[-300:])
+        assert code == 0 or f"error: {path}: " in err, (case, err[-300:])
+        codes.append(code)
+    assert 0 in codes and 1 in codes

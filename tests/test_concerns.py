@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -181,6 +182,7 @@ MALFORMED_INSTANCES = {
                               "snapshot": {"digest": "0", "items": []}},
     "advice outside the advice kinds": {
         "sort": "CB", "params": {"target": "DrawingView.checkDamage", "advice": "sideways"}},
+    "note not a string": {"sort": "SC", "params": {}, "note": 5},
 }
 
 
@@ -211,3 +213,36 @@ def test_add_instance_rejects_unknown_param_key(tmp_path, capsys):
     assert code == 1
     assert "'tgt'" in capsys.readouterr().err
     assert path.read_text() == before
+
+
+# -- hostile model files, through the CLI ------------------------------------------
+
+_LEAF = {"name": "leaf", "sort": "SC", "params": {}, "snapshot": None, "note": ""}
+
+
+def _nested_model(depth: int) -> str:
+    """A model whose one instance sits under ``depth`` groups."""
+    return '{"name": "g", "children": [' * depth + json.dumps(_LEAF) + "]}" * depth
+
+
+@pytest.mark.parametrize("content, may_pass, message", [
+    # How deep a model can be decoded, walked and written depends on the
+    # Python version: 600 groups can on 3.12 and later, and not on 3.11.
+    (_nested_model(600).encode(), True, "{path}: model nests too deeply"),
+    (_nested_model(5000).encode(), False, "{path}: model nests too deeply"),
+    (b'{"name": "\xff", "children": []}', False, "{path}: not valid UTF-8 (invalid start byte)"),
+], ids=["600-groups", "5000-groups", "invalid-utf8"])
+def test_hostile_model_file_exits_one_naming_the_file(tmp_path, capsys, content, may_pass,
+                                                     message):
+    from sortweaver.cli import main
+
+    path, facts = tmp_path / "model.json", tmp_path / "facts.jsonl"
+    facts.write_text("")
+    for argv in (["model", "run", str(path), str(facts)], ["model", "add-group", str(path), "x"]):
+        path.write_bytes(content)
+        code = main(argv, stdout=io.StringIO())
+        err = capsys.readouterr().err
+        if code == 0 and may_pass:
+            continue
+        assert (code, err) == (1, f"error: {message.format(path=path)}\n"), argv
+        assert path.read_bytes() == content

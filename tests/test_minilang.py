@@ -1,7 +1,10 @@
-from conftest import CORPUS, CORPUS_FILES, model_from_source
-from oracles import invocation_count
+import random
 
-from sortweaver.minilang import count_statements, extract_facts, parse
+from conftest import CORPUS, CORPUS_FILES, model_from_source
+from oracles import invocation_count, tokenize_per_character
+
+from sortweaver.minilang import extract_facts, parse
+from sortweaver.minilang.lexer import LexError, tokenize
 from sortweaver.model import ReceiverKind, load_records
 
 
@@ -31,10 +34,13 @@ def test_unbalanced_brace_is_a_single_error_diagnostic():
 
 def test_arbitrary_bytes_never_crash():
     for garbage in ["\x00\x01\x02", "class {{{{", "interface", "/*", '"open',
-                    "class A extends extends B {}", "}}}}", "1 + 1"]:
+                    "class A extends extends B {}", "}}}}", "1 + 1",
+                    "class A { void m() { x = ²; } }"]:
         result = parse(garbage)
         assert not result.ok
         assert result.diagnostics
+    # int literals are kept as written, so their length is no limit
+    assert parse("class A { void m() { x = " + "9" * 5000 + "; } }").ok
 
 
 def test_consistency_check_transcription_super_call_at_ordinal_one():
@@ -253,6 +259,62 @@ def test_statement_counter_matches_parser_bodies():
         "public void c() {} public void d() {} public void g() {} }"
     )
     assert result.ok
-    method = result.unit.types[0].methods[0]
+    method = extract_facts(result.unit).records[1]
+    assert (method["k"], method["name"]) == ("method", "f")
     # a(); if; c(); try; d(); g();  (try/catch is one statement)
-    assert count_statements(method.body) == 6
+    assert method["stmts"] == 6
+
+
+# -- the tokenizer against the per-character scanner it replaced ------------------
+
+_LEX_ALPHABET = ["²", "½", "Ⅻ", "١", "\x00", "\xa0", "\r", "\n", " ", "\t", '"', "//",
+                 "/*", "*/", "a", "_", "é", "x1", "1", "07", "=", "!", "==", ".", "(",
+                 ")", "{", "}", ";", ",", "class", "null", "*", "/"]
+
+
+def _lexed(scan, text):
+    try:
+        return [(t.kind, t.value, t.pos.line, t.pos.col) for t in scan(text)]
+    except LexError as exc:
+        return ("error", exc.diagnostic.message, exc.diagnostic.pos.line, exc.diagnostic.pos.col)
+
+
+def _digit_not_decimal(ch: str) -> bool:
+    return ch.isdigit() and not ch.isdecimal()
+
+
+def _lexer_inputs():
+    rng = random.Random(8)
+    sources = [(CORPUS / name).read_text() for name in CORPUS_FILES]
+    yield from sources
+    corpus = "".join(sources)
+    points = [*range(0x800), *rng.sample(range(0x800, 0x110000), 3000)]
+    for ch in map(chr, points):
+        yield from (ch, "a" + ch, "1" + ch)
+    for _ in range(3000):
+        yield "".join(rng.choices(_LEX_ALPHABET, k=rng.randint(1, 30)))
+    for _ in range(400):
+        start = rng.randrange(len(corpus) - 300)
+        text = corpus[start:start + 300]
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(text))
+            cut = rng.choice((0, 1))  # insert, or replace one character
+            text = text[:at] + rng.choice(_LEX_ALPHABET) + text[at + cut:]
+        yield text
+
+
+def test_tokenizer_matches_the_per_character_scanner():
+    """Equal streams and errors, except where a digit that int() rejects
+    (``²``, ``①``) made the old scanner emit an int token: there the new
+    tokenizer stops with "unexpected character" at such a digit."""
+    changed = 0
+    for text in _lexer_inputs():
+        old, new = _lexed(tokenize_per_character, text), _lexed(tokenize, text)
+        if old == new:
+            continue
+        changed += 1
+        assert any(map(_digit_not_decimal, text)), (text, old, new)
+        kind, message, line, col = new
+        assert kind == "error" and message.startswith("unexpected character"), (text, new)
+        assert _digit_not_decimal(text.split("\n")[line - 1][col - 1]), (text, new)
+    assert changed  # the one intended difference was exercised
