@@ -11,11 +11,11 @@ _CHUNKS = re.compile(r"(\d+)")
 
 def natural_key(text: str) -> tuple:
     """Sort key that orders embedded numbers numerically (C2 before C10)."""
-    return tuple(
+    return tuple([
         (0, int(chunk)) if chunk.isdigit() else (1, chunk)
         for chunk in _CHUNKS.split(text)
         if chunk != ""
-    )
+    ])
 
 
 def canonical_json(obj) -> str:

@@ -122,7 +122,11 @@ def extract_facts(units: CompilationUnit | list[CompilationUnit]) -> ExtractResu
     """Emit fact records for one or more diagnostics-free compilation units."""
     if isinstance(units, CompilationUnit):
         units = [units]
-    return _Extractor(units).run()
+    extractor = _Extractor(units)
+    try:
+        return extractor.run()
+    finally:
+        extractor.unlink()
 
 
 class _Extractor:
@@ -160,6 +164,17 @@ class _Extractor:
                 if method.body is not None:
                     _BodyWalker(self, info, method).walk()
         return ExtractResult(self.emit(), self.warnings)
+
+    def unlink(self):
+        """Break the links that point back to a type (members to their
+        owner, nested types to their encloser, supertype cycles), so the
+        type table and the syntax trees it holds are freed by reference
+        counting alone when extraction ends, not by a cycle collection."""
+        for info in self.types + self.external_order:
+            info.methods.clear()
+            info.fields.clear()
+            info.children.clear()
+            info.supertypes.clear()
 
     def register_type(self, node: TypeNode, encl: _TypeInfo | None, src: str,
                       anon_supertype: str | None = None) -> _TypeInfo:

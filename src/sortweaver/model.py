@@ -15,7 +15,8 @@ Derived relations.  Built at construction:
 Built on first use, so a command pays only for what it reads:
 
 * the override relation, per method and in each direction
-  (``overrides_all``, ``overridden_by``),
+  (``overrides_all``, ``overridden_by``; the latter reads a signature
+  index, so it does not invert the subtype closure),
 * the reflexive-transitive subtypes of every type (``subtree``),
 * the name indexes behind ``type_by_name`` and ``resolve_method``,
 * the call relation lifted along the override chain under a
@@ -47,8 +48,8 @@ accepted only for ``encl``, and a bool is never an integer.
 
 from __future__ import annotations
 
+import gc
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -108,9 +109,17 @@ class DispatchPolicy(str, Enum):
 
 DEFAULT_POLICY = DispatchPolicy.LIFT_TO_ANCESTORS
 
+#: The most digits an ``/arity`` suffix may have.  No method has a billion
+#: parameters, and a longer suffix is rejected before ``int()``, which
+#: refuses (or slowly converts) thousands of digits.
+_MAX_ARITY_DIGITS = 9
 
-@dataclass(frozen=True)
-class TypeDecl:
+
+# Declarations are named tuples: immutable, hashable and cheap to build by
+# the ten thousand, as a load does.
+
+
+class TypeDecl(NamedTuple):
     id: str
     qualified_name: str
     kind: TypeKind
@@ -126,8 +135,7 @@ class TypeDecl:
         return simple_name(self.qualified_name)
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     id: str
     owner: str
     name: str
@@ -152,8 +160,7 @@ class MethodDecl:
         return (self.name, self.param_types)
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(NamedTuple):
     id: str
     owner: str
     name: str
@@ -162,8 +169,7 @@ class FieldDecl:
     src: str = ""
 
 
-@dataclass(frozen=True)
-class Receiver:
+class Receiver(NamedTuple):
     kind: ReceiverKind
     field: str | None = None  # FieldDecl id, for kind == FIELD
     index: int | None = None  # parameter index, for kind == PARAM
@@ -177,8 +183,7 @@ class Receiver:
         return rec
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     id: str
     caller: str
     static_target: str
@@ -307,7 +312,9 @@ class SourceModel:
         arity = None
         if "/" in ref:
             ref, suffix = ref.rsplit("/", 1)
-            if not suffix.isdigit():
+            # ASCII digits only: ``str.isdigit`` alone also passes "²".
+            digits = suffix.isascii() and suffix.isdigit()
+            if not digits or len(suffix) > _MAX_ARITY_DIGITS:
                 raise FactError(f"bad arity suffix in method reference: {ref}/{suffix}")
             arity = int(suffix)
         if "." in ref:
@@ -368,22 +375,30 @@ class SourceModel:
         found = self._overrides_all.get(method_id)
         if found is None:
             m = self._methods[method_id]
-            found = self._overrides_all[method_id] = self._same_signature(
-                m, self._ancestors[m.owner])
+            above = (self.declared_method(t, m.signature)
+                     for t in self._ancestors[m.owner] if t != m.owner)
+            found = self._overrides_all[method_id] = frozenset(
+                mid for mid in above if mid is not None)
         return found
 
     def overridden_by(self, method_id: str) -> frozenset[str]:
-        """Every method that overrides the given one, directly or transitively."""
+        """Every method that overrides the given one, directly or transitively.
+
+        Read from the methods that share its signature, keeping those whose
+        owner has the given one's owner as a proper ancestor, so the
+        subtype closure is never inverted.
+        """
         found = self._overridden_by.get(method_id)
         if found is None:
             m = self._methods[method_id]
-            found = self._overridden_by[method_id] = self._same_signature(
-                m, self.subtree(m.owner))
+            found = self._overridden_by[method_id] = frozenset(
+                o.id for o in self._methods_by_signature[m.signature]
+                if o.owner != m.owner and m.owner in self._ancestors[o.owner])
         return found
 
-    def _same_signature(self, m: MethodDecl, owners: Iterable[str]) -> frozenset[str]:
-        found = (self.declared_method(t, m.signature) for t in owners if t != m.owner)
-        return frozenset(mid for mid in found if mid is not None)
+    @cached_property
+    def _methods_by_signature(self) -> dict[tuple, tuple[MethodDecl, ...]]:
+        return _group(self._methods.values(), attrgetter("signature"))
 
     def declared_method(self, type_id: str, signature: tuple[str, tuple[str, ...]]) -> str | None:
         """The id of the method with this signature that the type declares."""
@@ -570,7 +585,22 @@ def load_facts(lines: Iterable[str | bytes], *,
     duplicate ids and dangling references.  Supertype references to
     undeclared ids are retained as external opaque types rather than
     rejected, since real fact extracts are routinely partial.
+
+    The cycle collector is paused meanwhile: decoding and linking make no
+    reference cycles, so its passes over the young records would free
+    nothing.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return load_records(_json_records(lines), policy=policy)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _json_records(lines: Iterable[str | bytes]) -> list[tuple[int, dict]]:
+    """(line number, object) for each non-blank line."""
     records: list[tuple[int, dict]] = []
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
@@ -592,7 +622,7 @@ def load_facts(lines: Iterable[str | bytes], *,
         if not isinstance(rec, dict):
             raise FactError("record is not a JSON object", lineno)
         records.append((lineno, rec))
-    return load_records(records, policy=policy)
+    return records
 
 
 def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
@@ -776,7 +806,8 @@ def _decode(rec: dict, line: int | None):
         value = rec[name]
         if value is None and nullable:
             continue
-        if not _is(value, accepts) or (
+        # The JSON decoder makes exact types; ``_is`` decides the rest.
+        if (type(value) is not accepts and not _is(value, accepts)) or (
                 items is not None and not all(isinstance(v, items) for v in value)):
             raise FactError(f"bad value for {name!r}: {value!r}", line)
         if items is not None:

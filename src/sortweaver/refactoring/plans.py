@@ -10,7 +10,7 @@ deletion edits on the fact model so closure properties can be checked
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .._util import lower_first, natural_key, upper_first
 from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility
@@ -905,7 +905,7 @@ def apply_edits(model: SourceModel, edits) -> SourceModel:
         if e.kind == "delete_throws_clause":
             unthrow.setdefault(e.target, set()).add(e.detail_value("exception"))
     methods = [
-        replace(m, declared_throws=tuple(t for t in m.declared_throws if t not in unthrow[m.id]))
+        m._replace(declared_throws=tuple(t for t in m.declared_throws if t not in unthrow[m.id]))
         if m.id in unthrow else m
         for m in model.methods.values()
     ]

@@ -369,6 +369,44 @@ def test_list_as_receiver_kind_is_an_error(tmp_path, capsys):
     _fails_naming_line(tmp_path, capsys, records, "line 3: bad receiver kind ['x']")
 
 
+# -- hostile method references --------------------------------------------------------
+
+_BAD_ARITY = pytest.mark.parametrize("suffix", ["²", "١", "1" * 5000, "+1", " 1"],
+                                     ids=["superscript", "arabic-indic", "5000-digits",
+                                          "plus-sign", "space"])
+
+
+def _bad_arity_error(ref: str) -> str:
+    return f"bad arity suffix in method reference: {ref}"
+
+
+@_BAD_ARITY
+def test_bad_arity_suffix_in_a_query_is_an_error(facts_file, capsys, suffix):
+    ref = f"AbstractCommand.execute/{suffix}"
+    assert run_cli("query", "cb", str(facts_file), "--target", ref) == (1, "")
+    assert capsys.readouterr().err == f"error: {_bad_arity_error(ref)}\n"
+
+
+@_BAD_ARITY
+def test_bad_arity_suffix_in_a_concern_model_is_an_error(tmp_path, facts_file, capsys, suffix):
+    ref = f"AbstractCommand.execute/{suffix}"
+    model_file = str(tmp_path / "concerns.json")
+    run_cli("model", "init", model_file)
+    run_cli("model", "add-group", model_file, "g")
+    for name, target in (("bad", ref), ("good", "DrawingView.checkDamage/0")):
+        code, _ = run_cli("model", "add-instance", model_file, f"g/{name}", "--sort", "CB",
+                          "--param", f"target={target}", "--param", "scope=Command")
+        assert code == 0
+    capsys.readouterr()
+    # ``model run`` reports a binding that fails as that instance's error
+    # and still runs the others.
+    code, out = run_cli("model", "run", model_file, str(facts_file))
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert out == f"g/bad: error: {_bad_arity_error(ref)}\ng/good: 19 hits (+19 -0 =0)\n"
+    assert run_cli("plan", model_file, "g/bad", str(facts_file)) == (1, "")
+    assert capsys.readouterr().err == f"error: {_bad_arity_error(ref)}\n"
+
+
 # -- hostile MiniLang sources ---------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 from conftest import CORPUS, CORPUS_FILES, model_from_source
 from oracles import invocation_count, tokenize_per_character
@@ -318,3 +320,23 @@ def test_tokenizer_matches_the_per_character_scanner():
         assert kind == "error" and message.startswith("unexpected character"), (text, new)
         assert _digit_not_decimal(text.split("\n")[line - 1][col - 1]), (text, new)
     assert changed  # the one intended difference was exercised
+
+
+def test_extract_leaves_no_reference_cycles():
+    # Nested and anonymous types (the corpus) and a supertype cycle: once
+    # the units and the result are dropped, reference counting alone must
+    # free every syntax tree.
+    sources = [((CORPUS / name).read_text(), name) for name in CORPUS_FILES]
+    sources.append(("class A extends B { class In { void f() { } } } class B extends A { }",
+                    "cycle.mini"))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        units = [parse(text, name).unit for text, name in sources]
+        nodes = [weakref.ref(node) for unit in units for node in unit.types]
+        result = extract_facts(units)
+        assert result.records
+        del units, result
+        assert [ref for ref in nodes if ref() is not None] == []
+    finally:
+        gc.enable() if was_enabled else gc.disable()

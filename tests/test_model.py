@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from itertools import combinations
@@ -94,6 +95,27 @@ def test_deep_hierarchy_declared_child_first_closes_without_recursion():
     assert len(model.ancestors("T0")) == depth
     assert model.subtree(f"T{depth - 1}") == frozenset(model.types)
     assert model.ancestors("T600") == {f"T{i}" for i in range(600, depth)}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("stream, error", [
+    (lines(TYPE, METHOD), None),
+    (lines(TYPE, dict(METHOD, owner="T9")), "line 2: method M1: unknown owner id 'T9'"),
+    (lines(TYPE) + ["[" * 100_000 + "]" * 100_000], "line 2: input nests too deeply"),
+], ids=["loads", "fact-error", "nests-too-deeply"])
+def test_load_facts_restores_the_collector_state(enabled, stream, error):
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        if error is None:
+            assert list(load_facts(stream).methods) == ["M1"]
+        else:
+            with pytest.raises(FactError) as err:
+                load_facts(stream)
+            assert str(err.value) == error
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_abstract_method_with_body_rejected():
@@ -198,6 +220,35 @@ def test_lazy_relations_match_oracles_in_either_read_order(first):
             assert model.subtree(tid) == {a for a, b in pairs if b == tid}
         transitive += any(len(above) > 1 for above in got["overrides_all"].values())
     assert transitive > 30
+
+
+def test_overridden_by_matches_oracle_without_inverting_the_closure():
+    rng = random.Random(4321)
+    for _ in range(40):
+        records = random_model(rng).to_records()
+        for policy in DispatchPolicy:
+            model = load_records(records, policy=policy)
+            full = oracles.overrides_full(model)
+            for mid in model.methods:
+                assert model.overridden_by(mid) == {a for a, b in full if b == mid}
+            model.lifted_edges()
+            assert "_descendants" not in model.__dict__
+    # T0 extends T1 extends ... T1199, with f() declared on every third
+    # level and an overload f(int) on every fifth.  The fixpoint oracle is
+    # too slow at this depth; on a chain its pairs are (f at i, f at j) for
+    # every declaring i < j.
+    depth = 1200
+    types = [dict(TYPE, id=f"T{i}", name=f"L{i}", super=[f"T{i + 1}"] if i + 1 < depth else [])
+             for i in range(depth)]
+    methods = [dict(METHOD, id=f"M{i}", owner=f"T{i}") for i in range(0, depth, 3)]
+    overloads = [dict(METHOD, id=f"N{i}", owner=f"T{i}", params=["int"])
+                 for i in range(0, depth, 5)]
+    model = load_records(types + methods + overloads)
+    for i in (0, 3, 300, 597, 1197):
+        assert model.overridden_by(f"M{i}") == {f"M{j}" for j in range(0, i, 3)}
+    for i in (0, 5, 1195):
+        assert model.overridden_by(f"N{i}") == {f"N{j}" for j in range(0, i, 5)}
+    assert "_descendants" not in model.__dict__
 
 
 def test_overrides_irreflexive_and_acyclic():
