@@ -2,20 +2,62 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
+import unicodedata
 
 _CHUNKS = re.compile(r"(\d+)")
 
 
 def natural_key(text: str) -> tuple:
-    """Sort key that orders embedded numbers numerically (C2 before C10)."""
-    return tuple([
-        (0, int(chunk)) if chunk.isdigit() else (1, chunk)
-        for chunk in _CHUNKS.split(text)
-        if chunk != ""
-    ])
+    """Sort key that orders embedded numbers numerically (C2 before C10).
+
+    The key alternates the text around the digit runs (as strings, maybe
+    empty at either end) with the runs' values, so each position holds
+    one kind of value in every key.
+    """
+    parts = _CHUNKS.split(text)
+    try:
+        if len(parts) == 3:  # one digit run, as most ids have
+            return (parts[0], int(parts[1]), parts[2])
+        parts[1::2] = map(int, parts[1::2])
+    except ValueError:  # a run longer than ``int()`` converts
+        parts[1::2] = map(_LongRun.value, parts[1::2])
+    return tuple(parts)
+
+
+@functools.total_ordering
+class _LongRun:
+    """The value of a digit run too long for ``int()``: its digits without
+    leading zeros, which order longer runs above shorter ones and runs of
+    one length by their digits.  Each is above every ``int`` that ``int()``
+    makes, having more significant digits."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: str):
+        self.digits = digits
+
+    @classmethod
+    def value(cls, run: str):
+        digits = "".join(str(unicodedata.decimal(ch)) for ch in run).lstrip("0")
+        try:
+            return int(digits or "0")
+        except ValueError:
+            return cls(digits)
+
+    def __eq__(self, other):
+        return isinstance(other, _LongRun) and self.digits == other.digits
+
+    def __lt__(self, other):
+        if isinstance(other, _LongRun):
+            return (len(self.digits), self.digits) < (len(other.digits), other.digits)
+        return False
+
+    def __hash__(self):
+        return hash(self.digits)
 
 
 def canonical_json(obj) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import shlex
 import sys
@@ -86,7 +87,11 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and its actions and subparsers point at each other, so a new tree
+    per call would leave cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="sortweaver",
         description="Mine, document and plan the migration of crosscutting concerns.",
@@ -369,6 +374,9 @@ def cmd_model_run(args, stdin, stdout):
             )
     if args.commit:
         save_model(root, args.model_file)
+    failed = [run.path for run in runs if run.error is not None]
+    if failed:
+        raise CliError(f"{len(failed)} of {len(runs)} instances failed: {', '.join(failed)}")
 
 
 # -- plan ------------------------------------------------------------------------

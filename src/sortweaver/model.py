@@ -51,8 +51,10 @@ from __future__ import annotations
 import gc
 import json
 from enum import Enum
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, partial
+from itertools import chain, repeat
+from json.scanner import make_scanner
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -600,7 +602,12 @@ def load_facts(lines: Iterable[str | bytes], *,
 
 
 def _json_records(lines: Iterable[str | bytes]) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line."""
+    """(line number, object) for each non-blank line.
+
+    The JSON scanner decodes each stripped line; a line it does not consume
+    whole goes to ``json.loads``, which words the error.
+    """
+    scan = _scan_once
     records: list[tuple[int, dict]] = []
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
@@ -612,17 +619,31 @@ def _json_records(lines: Iterable[str | bytes]) -> list[tuple[int, dict]]:
         if not text:
             continue
         try:
-            rec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FactError(f"invalid JSON: {exc.msg}", lineno) from None
-        except ValueError:  # an integer longer than the interpreter converts
-            raise FactError("invalid JSON: integer has too many digits", lineno) from None
-        except RecursionError:
-            raise FactError("input nests too deeply", lineno) from None
+            rec, end = scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # no value, or bad JSON
+            end = None
+        if end != len(text):
+            rec = _loads(text, lineno)
         if not isinstance(rec, dict):
             raise FactError("record is not a JSON object", lineno)
         records.append((lineno, rec))
     return records
+
+
+def _loads(text: str, lineno: int):
+    """``json.loads`` of a line, its failure as a :class:`FactError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FactError(f"invalid JSON: {exc.msg}", lineno) from None
+    except ValueError:  # an integer longer than the interpreter converts
+        raise FactError("invalid JSON: integer has too many digits", lineno) from None
+    except RecursionError:
+        raise FactError("input nests too deeply", lineno) from None
+
+
+#: The scanner behind ``json.loads`` (the C one where the interpreter has it).
+_scan_once = make_scanner(json.JSONDecoder())
 
 
 def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
@@ -640,17 +661,12 @@ def load_records(
     """Build a model from already-parsed records.
 
     Accepts plain dicts or (line number, dict) pairs; line numbers feed the
-    error messages when present.
+    error messages when present.  The records are checked a column at a
+    time; if any check fails, they are decoded one by one instead, which
+    reports the first fault in record order.
     """
-    decls: dict[str, list] = {kind: [] for kind in _RECORDS}
-    seen_ids: dict[str, int | None] = {}
-    for item in records:
-        line, rec = item if isinstance(item, tuple) else (None, item)
-        decl = _decode(rec, line)
-        if decl.id in seen_ids:
-            raise FactError(f"duplicate id {decl.id!r}", line)
-        seen_ids[decl.id] = line
-        decls[rec["k"]].append(decl)
+    pairs = [item if isinstance(item, tuple) else (None, item) for item in records]
+    decls, seen_ids = _decode_columns(pairs) or _decode_each(pairs)
 
     # Supertype references that do not resolve become external opaque types.
     types = decls["type"]
@@ -673,6 +689,9 @@ def load_records(
 # One table per record kind drives both directions: ``_decode`` checks each
 # key in table order, so a record with several faults reports the first
 # one in that order, and ``SourceModel.to_records`` writes the keys back.
+# ``_decode_columns`` runs the same checks over whole columns, as C-level
+# builtins, and words no error: a column that fails sends the load to
+# ``_decode``.
 
 
 def _is(value, type_: type) -> bool:
@@ -680,14 +699,28 @@ def _is(value, type_: type) -> bool:
     return isinstance(value, type_) and (type_ is bool or not isinstance(value, bool))
 
 
-def _enum(enum: type[Enum], what: str):
+class _Check(NamedTuple):
+    """A key's check beyond its type, on one value and on a column."""
+
+    #: (value, line) -> the attribute value, or raises :class:`FactError`.
+    one: Callable
+    #: list of values -> list of attribute values, or ``None`` if any fails.
+    column: Callable
+
+
+def _enum(enum: type[Enum], what: str) -> _Check:
     members = {member.value: member for member in enum}
 
-    def check(value, line: int | None):
+    def one(value, line: int | None):
         if not isinstance(value, str) or value not in members:
             raise FactError(f"bad {what} {value!r}", line)
         return members[value]
-    return check
+
+    def column(values: list[str]) -> list | None:
+        if set(values) - members.keys():
+            return None
+        return list(map(members.__getitem__, values))
+    return _Check(one, column)
 
 
 def _count(value: int, line: int | None) -> int:
@@ -696,16 +729,21 @@ def _count(value: int, line: int | None) -> int:
     return value
 
 
+def _counts(values: list[int]) -> list[int] | None:
+    return values if min(values, default=0) >= 0 else None
+
+
 _RECEIVER_KIND = _enum(ReceiverKind, "receiver kind")
-#: One shared receiver per kind; ``field`` and ``param`` receivers are
-#: built per call site.
-_RECEIVERS = {kind: Receiver(kind) for kind in ReceiverKind}
+#: One shared receiver per kind without a sub-key, by kind value; ``field``
+#: and ``param`` receivers are built per call site.
+_RECEIVERS = {kind.value: Receiver(kind) for kind in ReceiverKind
+              if kind not in (ReceiverKind.FIELD, ReceiverKind.PARAM)}
 
 
 def _receiver(value: dict, line: int | None) -> Receiver:
     """The ``recv`` object: a kind plus, for ``field`` and ``param``, the
     sub-key that kind needs; other sub-keys are ignored."""
-    kind = _RECEIVER_KIND(value.get("kind"), line)
+    kind = _RECEIVER_KIND.one(value.get("kind"), line)
     if kind is ReceiverKind.FIELD:
         if not _is(value.get("field"), str):
             raise FactError("field receiver without a field id", line)
@@ -714,7 +752,25 @@ def _receiver(value: dict, line: int | None) -> Receiver:
         if not _is(value.get("index"), int):
             raise FactError("param receiver without a parameter index", line)
         return Receiver(kind, index=value["index"])
-    return _RECEIVERS[kind]
+    return _RECEIVERS[kind.value]
+
+
+def _receivers(values: list[dict]) -> list[Receiver] | None:
+    """The ``recv`` column: shared receivers where the kind has no sub-key."""
+    kinds = list(map(dict.get, values, repeat("kind")))
+    if set(map(type, kinds)) - {str}:
+        return None
+    receivers = list(map(_RECEIVERS.get, kinds))
+    for i, receiver in enumerate(receivers):
+        if receiver is None:
+            value, kind = values[i], kinds[i]
+            if kind == "field" and type(value.get("field")) is str:
+                receivers[i] = Receiver(ReceiverKind.FIELD, field=value["field"])
+            elif kind == "param" and type(value.get("index")) is int:
+                receivers[i] = Receiver(ReceiverKind.PARAM, index=value["index"])
+            else:
+                return None
+    return receivers
 
 
 def _pairs(value: list, line: int | None) -> tuple[tuple[int, int], ...]:
@@ -722,6 +778,14 @@ def _pairs(value: list, line: int | None) -> tuple[tuple[int, int], ...]:
         if not (_is(pair, list) and len(pair) == 2 and all(_is(x, int) for x in pair)):
             raise FactError(f"bad pass-through pair {pair!r}", line)
     return tuple((arg, param) for arg, param in value)
+
+
+def _pair_lists(values: list[list]) -> list[tuple[tuple[int, int], ...]] | None:
+    pairs = list(chain.from_iterable(values))
+    if pairs and (set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}
+                  or set(map(type, chain.from_iterable(pairs))) - {int}):
+        return None
+    return [tuple(map(tuple, value)) if value else () for value in values]
 
 
 class _Key(NamedTuple):
@@ -732,8 +796,8 @@ class _Key(NamedTuple):
     accepts: type
     #: The element type of a list; the attribute holds a tuple.
     items: type | None = None
-    #: Checks the typed value and returns the attribute value.
-    check: Callable | None = None
+    #: Checks the typed value and gives the attribute value.
+    check: _Check | None = None
     #: ``null`` is accepted and leaves the attribute ``None``.
     nullable: bool = False
     #: Absent means the declaration's default; written only when truthy.
@@ -757,7 +821,7 @@ _RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
     )),
     "method": (MethodDecl, (
         _Key("vis", "visibility", str, check=_VISIBILITY),
-        _Key("stmts", "body_stmt_count", int, check=_count),
+        _Key("stmts", "body_stmt_count", int, check=_Check(_count, _counts)),
         _Key("raises", "direct_throws", list, items=str, optional=True),
         _Key("id", "id", str),
         _Key("owner", "owner", str),
@@ -780,9 +844,9 @@ _RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
         _Key("src", "src", str, optional=True),
     )),
     "call": (CallSite, (
-        _Key("recv", "receiver", dict, check=_receiver),
+        _Key("recv", "receiver", dict, check=_Check(_receiver, _receivers)),
         _Key("ord", "ordinal", int),
-        _Key("pass", "arg_passthrough", list, check=_pairs),
+        _Key("pass", "arg_passthrough", list, check=_Check(_pairs, _pair_lists)),
         _Key("id", "id", str),
         _Key("caller", "caller", str),
         _Key("target", "static_target", str),
@@ -812,8 +876,80 @@ def _decode(rec: dict, line: int | None):
             raise FactError(f"bad value for {name!r}: {value!r}", line)
         if items is not None:
             value = tuple(value)
-        values[attr] = value if check is None else check(value, line)
+        values[attr] = value if check is None else check.one(value, line)
     return decl_class(**values)
+
+
+def _decode_each(pairs: list[tuple[int | None, dict]]):
+    """Declarations by kind and id -> line, decoded record by record."""
+    decls: dict[str, list] = {kind: [] for kind in _RECORDS}
+    seen_ids: dict[str, int | None] = {}
+    for line, rec in pairs:
+        decl = _decode(rec, line)
+        if decl.id in seen_ids:
+            raise FactError(f"duplicate id {decl.id!r}", line)
+        seen_ids[decl.id] = line
+        decls[rec["k"]].append(decl)
+    return decls, seen_ids
+
+
+def _decode_columns(pairs: list[tuple[int | None, dict]]):
+    """What ``_decode_each`` returns, checked a column at a time; ``None``
+    unless every record passes every check and no id repeats."""
+    if set(map(len, pairs)) - {2}:
+        return None
+    recs = list(map(itemgetter(1), pairs))
+    if set(map(type, recs)) - {dict}:
+        return None
+    kinds = list(map(dict.get, recs, repeat("k")))
+    if set(map(type, kinds)) - {str} or set(kinds) - _RECORDS.keys():
+        return None
+    groups: dict[str, list[dict]] = {kind: [] for kind in _RECORDS}
+    for kind, rec in zip(kinds, recs):
+        groups[kind].append(rec)
+    decls = {}
+    for kind, group in groups.items():
+        decls[kind] = _decode_kind(kind, group)
+        if decls[kind] is None:
+            return None
+    seen_ids = dict(zip(map(itemgetter("id"), recs), map(itemgetter(0), pairs)))
+    if len(seen_ids) != len(recs):
+        return None
+    return decls, seen_ids
+
+
+def _decode_kind(kind: str, recs: list[dict]) -> list | None:
+    """The declarations of records of one kind, one key column at a time."""
+    decl_class, keys = _RECORDS[kind]
+    if not recs:
+        return []
+    required = [key for key in keys if not key.optional]
+    try:  # one pass over the records reads every required key
+        rows = list(map(itemgetter(*[key.name for key in required]), recs))
+    except KeyError:
+        return None
+    columns = dict(zip([key.attr for key in required], zip(*rows)))
+    for name, attr, accepts, items, check, nullable, optional in keys:
+        if optional:
+            # An absent key reads as its type's empty value, which decodes
+            # to the declaration's default.
+            column = list(map(dict.get, recs, repeat(name), repeat(accepts())))
+        else:
+            column = columns[attr]
+        allowed = {accepts, type(None)} if nullable else {accepts}
+        if set(map(type, column)) - allowed:
+            return None
+        if items is not None:
+            if set(map(type, chain.from_iterable(column))) - {items}:
+                return None
+            column = list(map(tuple, column))
+        if check is not None:
+            column = check.column(column)
+            if column is None:
+                return None
+        columns[attr] = column
+    return list(map(partial(tuple.__new__, decl_class),
+                    zip(*map(columns.__getitem__, decl_class._fields))))
 
 
 #: How attribute values of these types are written back; others as they are.

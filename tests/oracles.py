@@ -9,12 +9,14 @@ the simplest possible form.
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import combinations
 
 from sortweaver.minilang.ast import Diagnostic, Position
 from sortweaver.minilang.lexer import KEYWORDS, LexError, Token
 from sortweaver.model import (
+    DEFAULT_POLICY,
     CallSite,
     FactError,
     FieldDecl,
@@ -25,6 +27,7 @@ from sortweaver.model import (
     TypeDecl,
     TypeKind,
     Visibility,
+    _decode,
 )
 
 _KEYWORDS = {"if", "catch", "while", "for", "return", "throw", "new", "else", "try"}
@@ -585,6 +588,73 @@ def _call_from_record(rec: dict, line: int | None) -> CallSite:
         arg_passthrough=tuple(pairs),
         src=str(rec.get("src", "")),
     )
+
+
+# -- the natural sort key before odd-index runs -------------------------------------
+#
+# Each chunk of the split that ``str.isdigit`` passes became a number, so an
+# id holding "²" (a digit to ``isdigit``, not to ``int``) or a digit run
+# longer than ``int()`` converts raised ``ValueError``.
+
+_CHUNKS = re.compile(r"(\d+)")
+
+
+def natural_key_chunks(text: str) -> tuple:
+    return tuple([(0, int(chunk)) if chunk.isdigit() else (1, chunk)
+                  for chunk in _CHUNKS.split(text) if chunk != ""])
+
+
+# -- the fact loader before the column checks ---------------------------------------
+#
+# ``json.loads`` per line and ``sortweaver.model._decode`` per record, as the
+# loader had them.  ``sortweaver.model.load_facts`` and ``load_records`` must
+# give the same model, or the same error text and line, for every input.
+
+
+def load_facts_per_record(lines, policy=DEFAULT_POLICY) -> SourceModel:
+    records = []
+    for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FactError(f"not valid UTF-8 ({exc.reason})", lineno) from None
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            rec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FactError(f"invalid JSON: {exc.msg}", lineno) from None
+        except ValueError:
+            raise FactError("invalid JSON: integer has too many digits", lineno) from None
+        except RecursionError:
+            raise FactError("input nests too deeply", lineno) from None
+        if not isinstance(rec, dict):
+            raise FactError("record is not a JSON object", lineno)
+        records.append((lineno, rec))
+    return load_records_per_record(records, policy)
+
+
+def load_records_per_record(records, policy=DEFAULT_POLICY) -> SourceModel:
+    decls: dict[str, list] = {"type": [], "method": [], "field": [], "call": []}
+    seen_ids: dict[str, int | None] = {}
+    for item in records:
+        line, rec = item if isinstance(item, tuple) else (None, item)
+        decl = _decode(rec, line)
+        if decl.id in seen_ids:
+            raise FactError(f"duplicate id {decl.id!r}", line)
+        seen_ids[decl.id] = line
+        decls[rec["k"]].append(decl)
+    types = decls["type"]
+    known = {t.id for t in types}
+    for decl in tuple(types):
+        for sup in decl.supertypes:
+            if sup not in known:
+                types.append(TypeDecl(id=sup, qualified_name=sup, kind=TypeKind.CLASS,
+                                      is_external=True))
+                known.add(sup)
+    return SourceModel(types, decls["method"], decls["field"], decls["call"], policy, seen_ids)
 
 
 # -- the MiniLang tokenizer before the master pattern -------------------------------

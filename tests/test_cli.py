@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import io
 import json
 import random
@@ -6,7 +8,7 @@ import pytest
 
 from conftest import CORPUS, CORPUS_FILES
 
-from sortweaver.cli import main
+from sortweaver.cli import build_parser, main
 from sortweaver.model import load_facts_path
 from sortweaver.queries import QueryBinding, execute_binding
 
@@ -398,13 +400,57 @@ def test_bad_arity_suffix_in_a_concern_model_is_an_error(tmp_path, facts_file, c
                           "--param", f"target={target}", "--param", "scope=Command")
         assert code == 0
     capsys.readouterr()
-    # ``model run`` reports a binding that fails as that instance's error
-    # and still runs the others.
+    # ``model run`` reports a binding that fails as that instance's error,
+    # still runs the others, and then exits 1.
     code, out = run_cli("model", "run", model_file, str(facts_file))
-    assert (code, capsys.readouterr().err) == (0, "")
+    assert (code, capsys.readouterr().err) == (1, "error: 1 of 2 instances failed: g/bad\n")
     assert out == f"g/bad: error: {_bad_arity_error(ref)}\ng/good: 19 hits (+19 -0 =0)\n"
     assert run_cli("plan", model_file, "g/bad", str(facts_file)) == (1, "")
     assert capsys.readouterr().err == f"error: {_bad_arity_error(ref)}\n"
+
+
+@pytest.mark.parametrize("odd", ["\u00b2", "7" * 5000], ids=["superscript", "5000-digits"])
+def test_any_id_sorts(tmp_path, capsys, odd):
+    records = [_TYPE, dict(_TYPE, id=odd, name="B"), dict(_TYPE, id=f"{odd}1", name="C"),
+               _METHOD, dict(_METHOD, id=f"M{odd}", owner=odd)]
+    path = tmp_path / "facts.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in _json(*records)))
+    assert run_cli("query", "sc", str(path))[0] == 0
+    assert run_cli("mine", "fanin", str(path), "--json") == (0, "[]\n")
+    assert capsys.readouterr().err == ""
+
+
+# -- the argument parser ---------------------------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    assert main(["--version"]) == 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(["--version"]) == 0
+        assert gc.collect() < 100
+    finally:
+        if enabled:
+            gc.enable()
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["query", "--help"], ["model", "run", "-h"],
+                                  ["frobnicate"]], ids=["usage", "help", "query-help",
+                                                        "model-run-help", "bad-command"])
+def test_help_and_usage_match_a_new_parser(capsys, argv):
+    outputs = []
+    for _ in range(2):
+        main(argv)
+        outputs.append(capsys.readouterr())
+    fresh = build_parser.__wrapped__()
+    with contextlib.suppress(SystemExit):
+        fresh.parse_args(argv) if argv else fresh.print_usage()
+    new = capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out + outputs[0].err == new.out + new.err
 
 
 # -- hostile MiniLang sources ---------------------------------------------------------

@@ -2,19 +2,24 @@ import gc
 import json
 import random
 from itertools import combinations
+from json.scanner import c_make_scanner, py_make_scanner
 
 import pytest
 
 import oracles
 from conftest import CORPUS, CORPUS_FILES
 from randmodels import dense_hierarchy, random_model
+from sortweaver import model as model_module
+from sortweaver._util import natural_key
 from sortweaver.minilang import extract_facts, parse
 from sortweaver.model import (
     DispatchPolicy,
     FactError,
     ReceiverKind,
     _decode,
+    _decode_columns,
     load_facts,
+    load_facts_path,
     load_records,
 )
 
@@ -470,3 +475,116 @@ def test_decoder_matches_the_reference_decoder_under_mutation():
     assert kinds == {"type", "method", "field", *(f"call/{kind.value}" for kind in ReceiverKind)}
     assert divergent == {"src", "ext", "receiver kind", "index"}
     assert len(errors) > 150
+
+
+# -- the column-checked loader against the per-record one ------------------------------
+
+
+def _outcome(load, records):
+    try:
+        return load(records).to_records()
+    except FactError as exc:
+        return str(exc)
+
+
+def _shape(rec) -> str:
+    return rec["k"] if rec["k"] != "call" else f"call/{rec['recv']['kind']}"
+
+
+def _unit_records(name: str) -> list[dict]:
+    return extract_facts([parse((CORPUS / name).read_text(), name).unit]).records
+
+
+def test_load_records_matches_the_per_record_loader_under_mutation():
+    """Each ``_mutants`` case of one record per shape takes that record's
+    place at a random position; the model, or the error and its line, is
+    the reference loader's.  Half the cases carry line numbers."""
+    rng = random.Random(47)
+    bases = [_unit_records(name) for name in CORPUS_FILES]
+    bases += [random_model(rng).to_records() for _ in range(6)]
+    shapes, cases, errors = set(), 0, set()
+    for base in bases:
+        assert _decode_columns([(None, rec) for rec in base]) is not None
+        for index, rec in enumerate(base):
+            if _shape(rec) in shapes:
+                continue
+            shapes.add(_shape(rec))
+            rest = base[:index] + base[index + 1:]
+            for mutant in _mutants(rec):
+                records = list(rest)
+                records.insert(rng.randrange(len(records) + 1), mutant)
+                if cases % 2:
+                    records = list(enumerate(records, start=1))
+                got = _outcome(load_records, records)
+                assert got == _outcome(oracles.load_records_per_record, records), mutant
+                if isinstance(got, str):
+                    errors.add(got.split(": ", 1)[1] if cases % 2 else got)
+                cases += 1
+    assert shapes == {"type", "method", "field", *(f"call/{kind.value}" for kind in ReceiverKind)}
+    assert cases > 2000 and len(errors) > 250
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+#: Ways to break or pad one line of a facts file.
+_LINE_MUTANTS = {
+    "trailing-data": lambda line: line + b" x",
+    "two-objects": lambda line: line + b" " + line,
+    "utf8-bom": lambda line: b"\xef\xbb\xbf" + line,
+    "nbsp-padding": lambda line: "\xa0".encode() + line + "\xa0".encode(),
+    "form-feed-padding": lambda line: b"\x0c" + line + b"\x0c",
+    "crlf": lambda line: line + b"\r",
+    "nan-in-unknown-key": lambda line: line[:-1] + b', "x": NaN}',
+    "nan-as-src": lambda line: line[:-1] + b', "src": NaN}',
+    "huge-int": lambda line: line[:-1] + b', "x": ' + b"1" * 5000 + b"}",
+    "deep-nesting": lambda line: line[:-1] + b', "x": ' + _DEEP + b"}",
+    "deep-array": lambda line: _DEEP,
+    "invalid-utf8": lambda line: line[:-1] + b', "x": "\xff"}',
+    "truncated": lambda line: line[:len(line) // 2],
+    "array": lambda line: b"[" + line + b"]",
+    "blank": lambda line: b" \t ",
+    "repeated": lambda line: line + b"\n" + line,
+}
+
+
+@pytest.mark.parametrize("make_scanner", [c_make_scanner, py_make_scanner],
+                         ids=["c-scanner", "py-scanner"])
+@pytest.mark.parametrize("mutate", list(_LINE_MUTANTS.values()), ids=list(_LINE_MUTANTS))
+def test_load_facts_path_matches_the_per_line_loader(tmp_path, monkeypatch, make_scanner,
+                                                      mutate):
+    if make_scanner is None:
+        pytest.skip("the interpreter has no C JSON scanner")
+    monkeypatch.setattr(model_module, "_scan_once", make_scanner(json.JSONDecoder()))
+    lines = [json.dumps(rec, sort_keys=True).encode() for rec in _unit_records("command.mini")]
+    path = tmp_path / "facts.jsonl"
+    for index in (0, len(lines) // 2, len(lines) - 1):
+        mutated = lines[:index] + [mutate(lines[index])] + lines[index + 1:]
+        path.write_bytes(b"".join(line + b"\n" for line in mutated))
+        with open(path, "rb") as handle:
+            want = _outcome(oracles.load_facts_per_record, handle)
+        assert _outcome(load_facts_path, path) == want
+
+
+# -- the natural sort key --------------------------------------------------------------
+
+
+def test_natural_key_keeps_the_order_of_every_id_the_chunk_key_sorted():
+    rng = random.Random(5)
+    alphabet = ["a", "Z", "_", ".", "0", "1", "2", "09", "10", "\u0661", "\u0660", "x9"]
+    ids = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(6))) for _ in range(600)]
+    for first, second in zip(ids, reversed(ids)):
+        old_first, old_second = oracles.natural_key_chunks(first), oracles.natural_key_chunks(second)
+        new_first, new_second = natural_key(first), natural_key(second)
+        assert (new_first < new_second, new_first == new_second) \
+            == (old_first < old_second, old_first == old_second), (first, second)
+    assert sorted(ids, key=natural_key) == sorted(ids, key=oracles.natural_key_chunks)
+
+
+def test_natural_key_orders_ids_the_chunk_key_rejected():
+    long_runs = ["C" + "9" * 5000, "C1" + "0" * 5000, "C" + "0" * 5000 + "3", "C" + "8" * 5001]
+    ids = ["x\u00b2", "\u00b2", "C5", "C2", *long_runs, "C9" * 3000]
+    with pytest.raises(ValueError):  # so does a long run where ``int()`` has a limit
+        oracles.natural_key_chunks("\u00b2")
+    assert sorted(ids, key=natural_key) == [
+        "C2", long_runs[2], "C5", "C9" * 3000, long_runs[0], long_runs[1], long_runs[3],
+        "x\u00b2", "\u00b2"]
