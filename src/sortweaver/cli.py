@@ -45,7 +45,6 @@ from .queries import (
     query_params,
 )
 from .refactoring import (
-    AspectSyntaxError,
     PlanError,
     check_precedence,
     combine_plans,
@@ -76,10 +75,7 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
     try:
         args.run(args, stdin, stdout)
         return 0
-    except (CliError, FactError, ConcernModelError, PlanError, AspectSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, FactError, ConcernModelError, PlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -235,9 +235,6 @@ class SourceModel:
         self._validate_structure(lines)
 
         self._ancestors = self._compute_ancestors()
-        self._method_by_owner_sig: dict[tuple[str, tuple], str] = {
-            (m.owner, m.signature): m.id for m in self._methods.values()
-        }
         self._overrides_all: dict[str, frozenset[str]] = {}
         self._overridden_by: dict[str, frozenset[str]] = {}
         self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
@@ -497,6 +494,8 @@ class SourceModel:
                                 lines.get(c.id))
 
     def _validate_structure(self, lines: Mapping[str, int | None]):
+        """Check the structural invariants, and index each method by
+        (owner, signature) in the same pass over the owners."""
         for t in self._types.values():
             if t.is_anonymous and t.enclosing_type is None:
                 raise FactError(f"type {t.id}: anonymous type without enclosing type",
@@ -508,20 +507,22 @@ class SourceModel:
                     raise FactError(f"type {t.id}: cyclic enclosing-type chain", lines.get(t.id))
                 seen.add(cursor)
                 cursor = self._types[cursor].enclosing_type
+        by_sig: dict[tuple[str, tuple], str] = {}
+        self._method_by_owner_sig = by_sig
         for owner, methods in self._methods_by_owner.items():
-            seen_sigs: dict[tuple, str] = {}
             for m in methods:
                 if m.is_abstract and m.body_stmt_count != 0:
                     raise FactError(f"method {m.id}: abstract method with a body",
                                     lines.get(m.id))
-                if m.signature in seen_sigs:
+                key = (owner, m.signature)
+                if key in by_sig:
                     raise FactError(
                         f"method {m.id}: duplicate signature "
                         f"{m.name}({','.join(m.param_types)}) in type {owner} "
-                        f"(already declared by {seen_sigs[m.signature]})",
+                        f"(already declared by {by_sig[key]})",
                         lines.get(m.id),
                     )
-                seen_sigs[m.signature] = m.id
+                by_sig[key] = m.id
         for owner, fields in self._fields_by_owner.items():
             names: dict[str, str] = {}
             for f in fields:

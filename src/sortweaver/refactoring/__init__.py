@@ -1,12 +1,6 @@
 """Sort-based aspect refactoring: plans, aspect text, edits, risk warnings."""
 
-from .aspect_text import (
-    AspectDoc,
-    AspectSyntaxError,
-    parse_aspect,
-    parse_expr,
-    render_doc,
-)
+from .aspect_text import AspectDoc, render_doc
 from .plans import (
     EDIT_KINDS,
     WARNING_CATALOG,
@@ -28,7 +22,6 @@ from .plans import (
 
 __all__ = [
     "AspectDoc",
-    "AspectSyntaxError",
     "EDIT_KINDS",
     "PlanError",
     "RefactoringPlan",
@@ -38,8 +31,6 @@ __all__ = [
     "apply_edits",
     "check_precedence",
     "combine_plans",
-    "parse_aspect",
-    "parse_expr",
     "plan_cb",
     "plan_ec",
     "plan_ep",

@@ -10,7 +10,7 @@ deletion edits on the fact model so closure properties can be checked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .._util import lower_first, natural_key, upper_first
 from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility
@@ -180,14 +180,17 @@ class SourceEdit:
 
 @dataclass(frozen=True)
 class RefactoringPlan:
-    instance_path: str
-    aspect_name: str
     sort: str
     doc: AspectDoc
     edits: tuple[SourceEdit, ...]
     warnings: tuple[RiskWarning, ...]
+    instance_path: str = ""
     notes: tuple[str, ...] = ()
     advised_methods: frozenset[str] = frozenset()
+
+    @property
+    def aspect_name(self) -> str:
+        return self.doc.name
 
     @property
     def aspect_text(self) -> str:
@@ -218,8 +221,6 @@ def plan_cb(
     *,
     advice: str | None = None,
     enumerate_callers: bool = False,
-    aspect_name: str | None = None,
-    instance_path: str = "",
 ) -> RefactoringPlan:
     """Pointcut-and-advice plan for a consistent-behavior result.
 
@@ -246,7 +247,7 @@ def plan_cb(
     if proposed == "around":
         tangled = [h.call for h in hits if not _first_or_last(model, h)]
         warnings.append(warn("TANGLED", tangled or [h.call for h in hits]))
-    kind = advice or (result.binding.param("advice") or proposed)
+    kind = advice or proposed
     if kind not in ADVICE_KINDS:
         raise PlanError(f"unknown advice kind {kind!r}")
 
@@ -339,10 +340,8 @@ def plan_cb(
         for h in hits
     )
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=aspect_name or f"{upper_first(target.name)}Aspect",
         sort="CB",
-        doc=AspectDoc(aspect_name or f"{upper_first(target.name)}Aspect", stanzas),
+        doc=AspectDoc(f"{upper_first(target.name)}Aspect", stanzas),
         edits=edits,
         warnings=_sorted_warnings(warnings),
         notes=tuple(notes),
@@ -394,13 +393,7 @@ def _omissions(model: SourceModel, scope_type, shared, callers, target_id) -> li
 # -- redirection layer --------------------------------------------------------------
 
 
-def plan_rl(
-    model: SourceModel,
-    result: QueryResult,
-    *,
-    aspect_name: str | None = None,
-    instance_path: str = "",
-) -> RefactoringPlan:
+def plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Around-advice per delegation pair; the redirector type is retired."""
     hits = list(result.hits)
     if not hits:
@@ -475,12 +468,9 @@ def plan_rl(
             "moves into around advice",
         ),
     )
-    name = aspect_name or f"{redirector.simple_name}Layer"
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=name,
         sort="RL",
-        doc=AspectDoc(name, tuple(stanzas)),
+        doc=AspectDoc(f"{redirector.simple_name}Layer", tuple(stanzas)),
         edits=edits,
         warnings=_sorted_warnings(warnings),
         advised_methods=frozenset(receiver_methods),
@@ -490,13 +480,7 @@ def plan_rl(
 # -- expose context -------------------------------------------------------------------
 
 
-def plan_ec(
-    model: SourceModel,
-    result: QueryResult,
-    *,
-    aspect_name: str | None = None,
-    instance_path: str = "",
-) -> RefactoringPlan:
+def plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Wormhole plan: caller-space and callee-space pointcuts replace the
     threaded parameter; intermediate signatures lose the parameter."""
     chains = [h for h in result.hits if isinstance(h, ChainHit)]
@@ -580,12 +564,11 @@ def plan_ec(
             )
         )
 
-    name = aspect_name or f"{context.rsplit('.', 1)[-1]}Wormhole"
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=name,
         sort="EC",
-        doc=AspectDoc(name, (caller_space, callee_space, advice)),
+        doc=AspectDoc(
+            f"{context.rsplit('.', 1)[-1]}Wormhole", (caller_space, callee_space, advice)
+        ),
         edits=tuple(edits),
         warnings=(),
         notes=tuple(notes),
@@ -596,13 +579,7 @@ def plan_ec(
 # -- role superimposition -----------------------------------------------------------
 
 
-def plan_rsi(
-    model: SourceModel,
-    result: QueryResult,
-    *,
-    aspect_name: str | None = None,
-    instance_path: str = "",
-) -> RefactoringPlan:
+def plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Declare-parents plus inter-type members for a secondary role."""
     hits = [h for h in result.hits if isinstance(h, RsiHit)]
     if not hits:
@@ -655,12 +632,9 @@ def plan_rsi(
     if conflicts:
         warnings.append(warn("INTRO_CONFLICT", conflicts))
 
-    name = aspect_name or f"{role.simple_name}Role"
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=name,
         sort="RSI",
-        doc=AspectDoc(name, tuple(stanzas)),
+        doc=AspectDoc(f"{role.simple_name}Role", tuple(stanzas)),
         edits=tuple(edits),
         warnings=_sorted_warnings(warnings),
     )
@@ -669,13 +643,7 @@ def plan_rsi(
 # -- support classes -------------------------------------------------------------------
 
 
-def plan_sc(
-    model: SourceModel,
-    result: QueryResult,
-    *,
-    aspect_name: str | None = None,
-    instance_path: str = "",
-) -> RefactoringPlan:
+def plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Move nested support classes into the aspect (no introduction exists)."""
     hits = [h for h in result.hits if isinstance(h, ScHit)]
     if not hits:
@@ -722,12 +690,9 @@ def plan_sc(
         warnings.append(warn("SC_BROKEN_DEPS", broken))
 
     enclosing_name = model.types[hits[0].enclosing].simple_name
-    name = aspect_name or f"{enclosing_name}Support"
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=name,
         sort="SC",
-        doc=AspectDoc(name, tuple(stanzas)),
+        doc=AspectDoc(f"{enclosing_name}Support", tuple(stanzas)),
         edits=tuple(edits),
         warnings=_sorted_warnings(warnings),
     )
@@ -736,13 +701,7 @@ def plan_sc(
 # -- exception propagation ----------------------------------------------------------------
 
 
-def plan_ep(
-    model: SourceModel,
-    result: QueryResult,
-    *,
-    aspect_name: str | None = None,
-    instance_path: str = "",
-) -> RefactoringPlan:
+def plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Declare-soft keyed on the chain roots; non-root throws clauses go."""
     chains = [h for h in result.hits if isinstance(h, ChainHit)]
     if not chains:
@@ -812,12 +771,9 @@ def plan_ep(
     if related:
         warnings.append(warn("EP_OVERRIDES", related))
 
-    name = aspect_name or f"{exception.rsplit('.', 1)[-1]}Softening"
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=name,
         sort="EP",
-        doc=AspectDoc(name, tuple(stanzas)),
+        doc=AspectDoc(f"{exception.rsplit('.', 1)[-1]}Softening", tuple(stanzas)),
         edits=edits,
         warnings=_sorted_warnings(warnings),
         notes=tuple(notes),
@@ -836,27 +792,22 @@ def plan_for(
     aspect_name: str | None = None,
     instance_path: str = "",
 ) -> RefactoringPlan:
-    """Dispatch to the sort-specific planner for a query result."""
+    """Dispatch to the sort-specific planner for a query result, then name
+    the aspect (``aspect_name`` over the planner's default) and place it."""
     sort = result.sort
     if sort is SortKind.CB:
-        return plan_cb(
-            model,
-            result,
-            advice=advice,
-            enumerate_callers=enumerate_callers,
-            aspect_name=aspect_name,
-            instance_path=instance_path,
-        )
-    builders = {
-        SortKind.RL: plan_rl,
-        SortKind.EC: plan_ec,
-        SortKind.RSI: plan_rsi,
-        SortKind.SC: plan_sc,
-        SortKind.EP: plan_ep,
-    }
-    return builders[sort](
-        model, result, aspect_name=aspect_name, instance_path=instance_path
-    )
+        plan = plan_cb(model, result, advice=advice, enumerate_callers=enumerate_callers)
+    else:
+        builders = {
+            SortKind.RL: plan_rl,
+            SortKind.EC: plan_ec,
+            SortKind.RSI: plan_rsi,
+            SortKind.SC: plan_sc,
+            SortKind.EP: plan_ep,
+        }
+        plan = builders[sort](model, result)
+    doc = AspectDoc(aspect_name, plan.doc.stanzas) if aspect_name else plan.doc
+    return replace(plan, doc=doc, instance_path=instance_path)
 
 
 def combine_plans(
@@ -880,12 +831,11 @@ def combine_plans(
     notes = tuple(dict.fromkeys(note for plan in plans for note in plan.notes))
     advised = frozenset().union(*(plan.advised_methods for plan in plans))
     return RefactoringPlan(
-        instance_path=instance_path,
-        aspect_name=aspect_name,
         sort="+".join(dict.fromkeys(p.sort for p in plans)),
         doc=AspectDoc(aspect_name, tuple(stanzas)),
         edits=tuple(edits),
         warnings=warnings,
+        instance_path=instance_path,
         notes=notes,
         advised_methods=advised,
     )

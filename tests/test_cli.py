@@ -219,6 +219,21 @@ def test_plan_json_output(undo_facts):
     assert payload["aspect_text"].startswith("public aspect PasteCommandUndo")
 
 
+def test_plan_names_and_places_a_single_instance(undo_facts):
+    path = "PasteCommandUndo/undo setup calls"
+    code, out = run_cli(
+        "plan", str(CORPUS / "undo-model.json"), path, str(undo_facts), "--name", "X", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["aspect_name"] == "X"
+    assert payload["aspect_text"].startswith("public aspect X {\n")
+    assert payload["instance_path"] == path
+    assert payload["sort"] == "CB"
+    # The instance's binding asks for after advice; the planner alone would propose another.
+    assert "after(PasteCommand pasteCommand)" in payload["aspect_text"]
+
+
 def test_plan_unknown_path_is_user_error(undo_facts):
     code, _ = run_cli(
         "plan", str(CORPUS / "undo-model.json"), "missing", str(undo_facts)

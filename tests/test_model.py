@@ -133,6 +133,27 @@ def test_duplicate_signature_rejected():
         load_facts(lines(TYPE, METHOD, dict(METHOD, id="M2")))
 
 
+def test_first_duplicate_signature_in_owner_order_is_reported():
+    # T1 and T2 each declare f() twice.  Owners are visited in the natural
+    # order of their first method id (T2 before T1, though T1 is declared
+    # first), and methods in natural id order (M9 before M10).
+    other = dict(TYPE, id="T2", name="B")
+    records = [TYPE, other,
+               dict(METHOD, id="M9", owner="T1"), dict(METHOD, id="M10", owner="T1"),
+               dict(METHOD, id="M3", owner="T2"), dict(METHOD, id="M4", owner="T2")]
+    with pytest.raises(FactError) as info:
+        load_facts(lines(*records))
+    assert str(info.value) == (
+        "line 6: method M4: duplicate signature f() in type T2 (already declared by M3)"
+    )
+    del records[5]
+    with pytest.raises(FactError) as info:
+        load_facts(lines(*records))
+    assert str(info.value) == (
+        "line 4: method M10: duplicate signature f() in type T1 (already declared by M9)"
+    )
+
+
 def test_call_ordinal_must_fit_caller_body():
     call = {"k": "call", "id": "C1", "caller": "M1", "target": "M1",
             "recv": {"kind": "this"}, "ord": 3, "pass": []}

@@ -1,5 +1,6 @@
 import pytest
 
+from aspect_parser import AspectSyntaxError, parse_aspect
 from conftest import CORPUS, model_from_source
 
 from sortweaver.queries import (
@@ -15,7 +16,6 @@ from sortweaver.refactoring import (
     apply_edits,
     check_precedence,
     combine_plans,
-    parse_aspect,
     plan_cb,
     plan_ec,
     plan_ep,
@@ -357,8 +357,6 @@ def test_composite_undo_aspect(undo_model):
 
 
 def test_parse_aspect_rejects_malformed_text():
-    from sortweaver.refactoring import AspectSyntaxError
-
     for bad in ("", "aspect X {", "public aspect X {\n    what is this\n}"):
         with pytest.raises(AspectSyntaxError):
             parse_aspect(bad)
@@ -412,8 +410,8 @@ def test_combined_same_code_warnings_are_ordered_by_evidence():
 
     methods = [f"M{i}" for i in range(1, 9)]
     plans = [
-        RefactoringPlan(f"chain{m}", "Softening", "EP", AspectDoc("Softening", ()), (),
-                        (warn("EP_TYPE_LOST", [m]),))
+        RefactoringPlan("EP", AspectDoc("Softening", ()), (), (warn("EP_TYPE_LOST", [m]),),
+                        f"chain{m}")
         for m in reversed(methods)
     ]
     combined = combine_plans("Softening", plans)
