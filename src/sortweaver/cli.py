@@ -228,10 +228,7 @@ def cmd_extract(args, stdin, stdout):
                 print(f"{path}: {diag}", file=sys.stderr)
             raise CliError(f"{path}: parse failed")
         units.append(result.unit)
-    try:
-        extraction = extract_facts(units)
-    except RecursionError:
-        raise CliError(f"{', '.join(args.files)}: input nests too deeply") from None
+    extraction = extract_facts(units)
     for warning in extraction.warnings:
         print(f"warning: {warning.pos}: {warning.message}", file=sys.stderr)
     payload = extraction.to_jsonl()
@@ -389,31 +386,30 @@ def cmd_plan(args, stdin, stdout):
     node = node_at(root, path)
     model = _load_model(args)
 
-    if isinstance(node, Instance):
-        result = execute_binding(model, node.binding)
-        plan = plan_for(
-            model,
-            result,
-            advice=args.advice or node.binding.param("advice"),
-            enumerate_callers=args.enumerate_callers,
-            aspect_name=args.name,
-            instance_path=path,
-        )
-    else:
-        plans = []
-        for sub_path, instance in iter_instances(node, path):
-            result = execute_binding(model, instance.binding)
-            plans.append(
-                plan_for(
-                    model,
-                    result,
-                    advice=args.advice or instance.binding.param("advice"),
-                    enumerate_callers=args.enumerate_callers,
-                    instance_path=sub_path,
-                )
+    # A single instance is planned as a group of one, under its own name.
+    single = isinstance(node, Instance)
+    instances = [(path, node)] if single else list(iter_instances(node, path))
+    if not instances:
+        raise CliError(f"group {path!r} contains no instances")
+    flag = "--advice" if args.advice else "--enumerate" if args.enumerate_callers else None
+    if flag and all(inst.binding.sort is not SortKind.CB for _, inst in instances):
+        raise CliError(f"{flag} applies only to CB instances, and {path!r} plans none")
+    plans = []
+    for sub_path, instance in instances:
+        result = execute_binding(model, instance.binding)
+        plans.append(
+            plan_for(
+                model,
+                result,
+                advice=args.advice or instance.binding.param("advice"),
+                enumerate_callers=args.enumerate_callers,
+                aspect_name=args.name if single else None,
+                instance_path=sub_path,
             )
-        if not plans:
-            raise CliError(f"group {path!r} contains no instances")
+        )
+    if single:
+        plan = plans[0]
+    else:
         name = args.name or _aspect_name_from(node.name)
         plan = combine_plans(name, plans, instance_path=path)
         interference = check_precedence(plans)

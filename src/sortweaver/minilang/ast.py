@@ -70,7 +70,7 @@ class CallExpr(Expr):
 class NewExpr(Expr):
     type_name: str
     args: list[Expr] = field(default_factory=list)
-    body: list | None = None  # anonymous class members, when present
+    body: "TypeNode | None" = None  # the anonymous class, when present
 
 
 @dataclass
@@ -161,6 +161,8 @@ class MethodNode:
     is_static: bool = False
     is_abstract: bool = False
     is_constructor: bool = False
+    # Anonymous classes in the body, in the order their bodies close.
+    anonymous: tuple["TypeNode", ...] = ()
 
 
 @dataclass

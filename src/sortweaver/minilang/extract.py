@@ -11,7 +11,9 @@ Conventions:
   blocks included; a call inside an ``if`` condition carries the ``if``
   statement's ordinal.
 * Anonymous classes get synthesized names ``<Encl>$anon<N>`` (N counts per
-  enclosing type, in lexical order).
+  enclosing type).  They are registered from the parser's list for each
+  method, in the order their bodies close, so that list is the only source
+  of their order and ids.
 * Declared type names (params, returns, fields, throws) are stored fully
   qualified whenever they resolve; unresolved names are kept as written.
 * ``new T(...)`` emits a call to T's constructor when one is declared;
@@ -59,11 +61,11 @@ class _TypeInfo:
     encl: "_TypeInfo | None"
     supertype_names: list[str]
     src: str
-    node: TypeNode | None = None
     supertypes: list["_TypeInfo"] = field(default_factory=list)
     children: dict[str, "_TypeInfo"] = field(default_factory=dict)
     fields: list["_FieldInfo"] = field(default_factory=list)
     methods: list["_MethodInfo"] = field(default_factory=list)
+    stubs: list["_MethodInfo"] = field(default_factory=list)  # of an external type
     is_external: bool = False
     anon_counter: int = 0
 
@@ -135,10 +137,9 @@ class _Extractor:
         self.types: list[_TypeInfo] = []
         self.by_qname: dict[str, _TypeInfo] = {}
         self.by_simple: dict[str, list[_TypeInfo]] = {}
-        self.anon_of_new: dict[int, _TypeInfo] = {}
+        self.anon_info: dict[int, _TypeInfo] = {}  # by id() of the anonymous TypeNode
         self.externals: dict[str, _TypeInfo] = {}
         self.external_order: list[_TypeInfo] = []
-        self.external_methods: list[_MethodInfo] = []
         self.calls: list[dict] = []
         self.warnings: list[Diagnostic] = []
         self.counters = {"T": 0, "M": 0, "F": 0, "C": 0, "XT": 0, "XM": 0}
@@ -172,32 +173,26 @@ class _Extractor:
         counting alone when extraction ends, not by a cycle collection."""
         for info in self.types + self.external_order:
             info.methods.clear()
+            info.stubs.clear()
             info.fields.clear()
             info.children.clear()
             info.supertypes.clear()
 
-    def register_type(self, node: TypeNode, encl: _TypeInfo | None, src: str,
-                      anon_supertype: str | None = None) -> _TypeInfo:
-        if anon_supertype is not None:
+    def register_type(self, node: TypeNode, encl: _TypeInfo | None, src: str) -> _TypeInfo:
+        anonymous = not node.name
+        if anonymous:
             encl.anon_counter += 1
             qname = f"{encl.qualified_name}$anon{encl.anon_counter}"
-            supers = [anon_supertype]
-            kind = "class"
-            anonymous = True
         else:
             qname = f"{encl.qualified_name}.{node.name}" if encl else node.name
-            supers = node.supertype_names
-            kind = node.kind
-            anonymous = False
         info = _TypeInfo(
             id=self.fresh("T"),
             qualified_name=qname,
-            kind=kind,
+            kind=node.kind,
             is_anonymous=anonymous,
             encl=encl,
-            supertype_names=list(supers),
+            supertype_names=node.supertype_names,
             src=src,
-            node=node,
         )
         if qname in self.by_qname:
             self.warn(node.pos, f"duplicate type name {qname!r}; later declaration shadows")
@@ -239,42 +234,9 @@ class _Extractor:
             body=node.body,
         )
         info.methods.append(method)
-        # Anonymous classes nested in this body register now, in lexical order.
-        if node.body is not None:
-            self.register_anons_in(node.body, info, src)
+        for anon in node.anonymous:
+            self.anon_info[id(anon)] = self.register_type(anon, encl=info, src=src)
         return method
-
-    def register_anons_in(self, stmts: list[Stmt], encl: _TypeInfo, src: str):
-        for stmt in stmts:
-            for expr in _stmt_exprs(stmt):
-                self.register_anons_in_expr(expr, encl, src)
-            if isinstance(stmt, IfStmt):
-                self.register_anons_in(stmt.then_body, encl, src)
-                if stmt.else_body:
-                    self.register_anons_in(stmt.else_body, encl, src)
-            elif isinstance(stmt, TryStmt):
-                self.register_anons_in(stmt.body, encl, src)
-                self.register_anons_in(stmt.handler, encl, src)
-
-    def register_anons_in_expr(self, expr, encl: _TypeInfo, src: str):
-        if expr is None:
-            return
-        if isinstance(expr, NewExpr):
-            for arg in expr.args:
-                self.register_anons_in_expr(arg, encl, src)
-            if expr.body is not None:
-                holder: TypeNode = expr.body[0]
-                info = self.register_type(
-                    holder, encl=encl, src=src, anon_supertype=expr.type_name
-                )
-                self.anon_of_new[id(expr)] = info
-        elif isinstance(expr, CallExpr):
-            self.register_anons_in_expr(expr.receiver, encl, src)
-            for arg in expr.args:
-                self.register_anons_in_expr(arg, encl, src)
-        elif isinstance(expr, BinaryExpr):
-            self.register_anons_in_expr(expr.left, encl, src)
-            self.register_anons_in_expr(expr.right, encl, src)
 
     def link_supertypes(self):
         for info in self.types:
@@ -322,8 +284,8 @@ class _Extractor:
         return self.externals[name]
 
     def external_stub(self, owner: _TypeInfo, name: str, arity: int) -> _MethodInfo:
-        for stub in self.external_methods:
-            if stub.owner is owner and stub.name == name and stub.arity == arity:
+        for stub in owner.stubs:
+            if stub.name == name and stub.arity == arity:
                 return stub
         stub = _MethodInfo(
             id=self.fresh("XM"),
@@ -339,7 +301,7 @@ class _Extractor:
             body=None,
             is_external=True,
         )
-        self.external_methods.append(stub)
+        owner.stubs.append(stub)
         return stub
 
     def hierarchy(self, start: _TypeInfo) -> list[_TypeInfo]:
@@ -402,9 +364,7 @@ class _Extractor:
                         **({"src": info.src} if info.src else {}),
                     }
                 )
-            for method in info.methods + [
-                m for m in self.external_methods if m.owner is info
-            ]:
+            for method in info.methods + info.stubs:
                 rec = {
                     "k": "method",
                     "id": method.id,
@@ -428,22 +388,6 @@ class _Extractor:
                 records.append(rec)
         records.extend(self.calls)
         return records
-
-
-def _stmt_exprs(stmt: Stmt):
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, LocalDecl):
-        return [stmt.init]
-    if isinstance(stmt, Assign):
-        return [stmt.value]
-    if isinstance(stmt, ReturnStmt):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, ThrowStmt):
-        return [stmt.value]
-    if isinstance(stmt, IfStmt):
-        return [stmt.cond]
-    return []
 
 
 class _BodyWalker:
@@ -482,9 +426,10 @@ class _BodyWalker:
                     self.method.raises.append(
                         self.ex.resolve_type_text(stmt.value.type_name, self.owner)
                     )
-            else:
-                for expr in _stmt_exprs(stmt):
-                    self.walk_expr(expr, at)
+            elif isinstance(stmt, ExprStmt):
+                self.walk_expr(stmt.expr, at)
+            elif isinstance(stmt, (Assign, ReturnStmt)):
+                self.walk_expr(stmt.value, at)
 
     # -- expressions, post-order --------------------------------------------
 
@@ -500,15 +445,22 @@ class _BodyWalker:
             for arg in expr.args:
                 self.walk_expr(arg, ordinal)
             self.emit_ctor_call(expr, ordinal)
-            anon = self.ex.anon_of_new.get(id(expr))
-            if anon is not None:
+            if expr.body is not None:
+                anon = self.ex.anon_info[id(expr.body)]
                 for method in anon.methods:
                     if method.body is not None:
                         _BodyWalker(self.ex, anon, method).walk()
                 return anon.qualified_name
             return expr.type_name
         if isinstance(expr, CallExpr):
-            return self.emit_call(expr, ordinal)
+            # A chain ``a.f().g()...`` is walked innermost call first, in a loop.
+            chain = [expr]
+            while isinstance(chain[-1].receiver, CallExpr):
+                chain.append(chain[-1].receiver)
+            type_name = None
+            for call in reversed(chain):
+                type_name = self.emit_call(call, ordinal, type_name)
+            return type_name
         if isinstance(expr, Name):
             kind, _, type_name = self.classify_name(expr.value)
             return type_name if kind != "unknown" else None
@@ -558,7 +510,8 @@ class _BodyWalker:
             return
         self.append_call(expr, ctor, {"kind": "other"}, ordinal)
 
-    def emit_call(self, expr: CallExpr, ordinal: int) -> str | None:
+    def emit_call(self, expr: CallExpr, ordinal: int, recv_type: str | None) -> str | None:
+        """Emit one call; ``recv_type`` is the type of a call receiver already walked."""
         recv = expr.receiver
         receiver_json: dict
         lookup_start: _TypeInfo | None
@@ -593,10 +546,11 @@ class _BodyWalker:
                 lookup_start = None
                 self.ex.warn(expr.pos, f"unknown receiver {recv.value!r}")
         else:
-            # Chained or constructed receiver: resolve it first for its type.
-            type_name = self.walk_expr(recv, ordinal)
+            # The chain loop walked a call receiver; any other is walked here.
+            if not isinstance(recv, CallExpr):
+                recv_type = self.walk_expr(recv, ordinal)
             receiver_json = {"kind": "other"}
-            lookup_start = self.type_or_external(type_name)
+            lookup_start = self.type_or_external(recv_type)
 
         for arg in expr.args:
             self.walk_expr(arg, ordinal)
@@ -645,13 +599,12 @@ class _BodyWalker:
 
     def append_call(self, expr, target: _MethodInfo, receiver_json: dict, ordinal: int):
         passes = []
-        if isinstance(expr, (CallExpr, NewExpr)):
-            for arg_index, arg in enumerate(expr.args):
-                if isinstance(arg, Name):
-                    for param_index, (_, pname) in enumerate(self.method.params):
-                        if pname == arg.value:
-                            passes.append([arg_index, param_index])
-                            break
+        for arg_index, arg in enumerate(expr.args):
+            if isinstance(arg, Name):
+                for param_index, (_, pname) in enumerate(self.method.params):
+                    if pname == arg.value:
+                        passes.append([arg_index, param_index])
+                        break
         rec = {
             "k": "call",
             "id": self.ex.fresh("C"),

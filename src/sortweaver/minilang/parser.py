@@ -67,6 +67,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.anonymous: list[TypeNode] = []  # of the method body being parsed
 
     # -- token helpers ----------------------------------------------------
 
@@ -276,6 +277,7 @@ class _Parser:
             while self.at(","):
                 self.next()
                 throws.append(self.expect_ident("exception name").value)
+        anonymous: list[TypeNode] = []
         if self.at(";"):
             self.next()
             body = None
@@ -283,7 +285,9 @@ class _Parser:
         else:
             if in_interface:
                 raise self.fail("interface methods cannot have bodies")
+            outer, self.anonymous = self.anonymous, anonymous
             body = self.parse_block()
+            self.anonymous = outer
         return MethodNode(
             pos=pos,
             visibility=visibility,
@@ -295,6 +299,7 @@ class _Parser:
             is_static=is_static,
             is_abstract=is_abstract,
             is_constructor=is_constructor,
+            anonymous=tuple(anonymous),
         )
 
     # -- statements --------------------------------------------------------
@@ -424,13 +429,14 @@ class _Parser:
             return Name(tok.pos, tok.value)
         raise self.fail(f"expected expression, found {tok.value!r}")
 
-    def parse_anon_body(self, supertype: str) -> list:
-        """Members of an anonymous ``new T() { ... }`` class."""
-        holder = TypeNode(pos=self.peek().pos, name="", kind="class")
+    def parse_anon_body(self, supertype: str) -> TypeNode:
+        """The anonymous class of ``new T() { ... }``, also listed on its method."""
+        holder = TypeNode(pos=self.peek().pos, name="", kind="class", extends=[supertype])
         self.expect("{")
         while not self.at("}"):
             self.parse_member(holder)
         self.expect("}")
         if holder.nested:
             raise self.fail("anonymous classes cannot declare nested types")
-        return [holder]
+        self.anonymous.append(holder)
+        return holder

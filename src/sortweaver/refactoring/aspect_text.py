@@ -3,8 +3,8 @@
 The tool writes aspect text and never reads it back.  The text is small and
 canonical: the round-trip tests parse it (``tests/aspect_parser.py``) and
 check that rendering the result again reproduces the exact bytes.  Pointcut
-expressions are a composable algebra (execution, call, this, target, within,
-args, cflow, named references, and/or/not), and every advice or member body
+expressions are a composable algebra (execution, call, this, within, args,
+cflow, named references, and/or/not), and every advice or member body
 is an opaque list of comment lines.
 """
 
@@ -50,14 +50,6 @@ class ThisBinding:
 
     def render(self) -> str:
         return f"this({self.var})"
-
-
-@dataclass(frozen=True)
-class TargetBinding:
-    var: str
-
-    def render(self) -> str:
-        return f"target({self.var})"
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ class OrExpr:
 
 
 PointcutExpr = (
-    Execution | CallPattern | ThisBinding | TargetBinding | Within | Args
+    Execution | CallPattern | ThisBinding | Within | Args
     | Cflow | PointcutRef | NotExpr | AndExpr | OrExpr
 )
 
@@ -156,17 +148,6 @@ class DeclareParents:
 
     def render(self) -> list[str]:
         return [f"declare parents : {self.type_name} implements {self.role};"]
-
-
-@dataclass(frozen=True)
-class IntroField:
-    visibility: str
-    type_name: str
-    owner: str
-    name: str
-
-    def render(self) -> list[str]:
-        return [f"{self.visibility} {self.type_name} {self.owner}.{self.name};"]
 
 
 @dataclass(frozen=True)
@@ -243,7 +224,7 @@ class CommentStanza:
 
 
 Stanza = (
-    MovedClass | DeclareParents | IntroField | IntroMethod | DeclareSoft
+    MovedClass | DeclareParents | IntroMethod | DeclareSoft
     | PointcutDef | Advice | CommentStanza
 )
 

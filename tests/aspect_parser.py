@@ -18,7 +18,6 @@ from sortweaver.refactoring.aspect_text import (
     DeclareParents,
     DeclareSoft,
     Execution,
-    IntroField,
     IntroMethod,
     MovedClass,
     NotExpr,
@@ -27,7 +26,6 @@ from sortweaver.refactoring.aspect_text import (
     PointcutExpr,
     PointcutRef,
     Stanza,
-    TargetBinding,
     ThisBinding,
     Within,
 )
@@ -106,8 +104,6 @@ class _ExprParser:
             return _parse_member_pattern(content, execution=False)
         if name == "this":
             return ThisBinding(content.strip())
-        if name == "target":
-            return TargetBinding(content.strip())
         if name == "within":
             return Within(content.strip())
         if name == "args":
@@ -298,13 +294,6 @@ def _parse_stanza(body: list[str], index: int) -> tuple[Stanza, int]:
         expr = parse_expr(after[1:].strip())
         block, index = _capture_block(body, index + 1)
         return Advice(kind, prefix or None, params, expr, block), index
-
-    if line.endswith(";"):
-        # Introduced field: "vis Type Owner.name;"
-        parts = line[:-1].split(" ")
-        if len(parts) == 3 and "." in parts[2] and "(" not in parts[2]:
-            owner, fname = parts[2].rsplit(".", 1)
-            return IntroField(parts[0], parts[1], owner, fname), index + 1
 
     if line.endswith(" {") and "(" in line:
         head = line[:-len(" {")]

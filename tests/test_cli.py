@@ -234,6 +234,25 @@ def test_plan_names_and_places_a_single_instance(undo_facts):
     assert "after(PasteCommand pasteCommand)" in payload["aspect_text"]
 
 
+@pytest.mark.parametrize("flag", [["--advice", "around"], ["--enumerate"]],
+                         ids=["advice", "enumerate"])
+def test_plan_flag_for_cb_only_on_another_sort_is_user_error(undo_facts, capsys, flag):
+    path = "PasteCommandUndo/undo activity class"  # an SC instance
+    code, out = run_cli("plan", str(CORPUS / "undo-model.json"), path, str(undo_facts), *flag)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: {flag[0]} applies only to CB instances, and {path!r} plans none\n"
+    )
+
+
+def test_plan_advice_flag_reaches_the_cb_instance_of_a_group(undo_facts):
+    args = ("plan", str(CORPUS / "undo-model.json"), "PasteCommandUndo", str(undo_facts))
+    code, out = run_cli(*args, "--advice", "around")
+    assert code == 0
+    assert out != run_cli(*args)[1]
+    assert "void around(PasteCommand pasteCommand)" in out
+
+
 def test_plan_unknown_path_is_user_error(undo_facts):
     code, _ = run_cli(
         "plan", str(CORPUS / "undo-model.json"), "missing", str(undo_facts)
@@ -480,13 +499,72 @@ def _chain_class(links: int) -> str:
     ("class A { void m() { x = ²; } }", 1,
      "{path}: error: 1:26: unexpected character '²'\nerror: {path}: parse failed\n"),
     ("class A { void m() { x = " + "9" * 5000 + "; } }", 0, ""),
-    (_chain_class(3000), 1, "error: {path}: input nests too deeply\n"),
+    (_chain_class(3000), 0, ""),
 ], ids=["superscript-digit", "5000-digit-int", "3000-link-chain"])
 def test_hostile_minilang_source(tmp_path, capsys, source, code, message):
     path = tmp_path / "hostile.mini"
     path.write_text(source, encoding="utf-8")
     assert run_cli("extract", str(path))[0] == code
     assert capsys.readouterr().err == message.format(path=path)
+
+
+# One level of each shape; ``{}`` marks where the next level goes.  A
+# statement shape nests down to the statement ``w(x);``, an expression
+# shape down to ``x``, and then ends as an expression statement.
+_NESTING_SHAPES = {
+    "if": ("if (x == null) { {} }", "w(x);"),
+    "try": ("try { {} } catch (E e) { }", "w(x);"),
+    "anonymous-body": ("new Z() { void f() { {} } };", "w(x);"),
+    "mix": ("if (x == null) { try { w(new Z() { void f() { {} } }); } catch (E e) { } }", "w(x);"),
+    "call-argument": ("w({})", "x"),
+    "new-argument": ("new Z({})", "x"),
+    "parenthesised-equals": ("(x == {})", "x"),
+}
+
+
+def _nested_class(shape: str, depth: int) -> str:
+    template, leaf = _NESTING_SHAPES[shape]
+    before, after = template.split("{}")
+    body = before * depth + leaf + after * depth + (";" if leaf == "x" else "")
+    return "class Z { Z(Z a) { } Z w(Z a) { return a; } void m(Z x) { " + body + " } }"
+
+
+def test_extract_depth_sweep_exits_zero_or_names_the_nesting(tmp_path, capsys):
+    # The parser spends more stack per level than the extractor on every
+    # shape, so it refuses first and the extractor never overflows.  After
+    # the first refusal, bisect to the deepest source the parser accepts:
+    # that is where the extractor's own stack runs deepest.
+    path = tmp_path / "deep.mini"
+    refused = f"{path}: error: 1:1: input nests too deeply\nerror: {path}: parse failed\n"
+
+    def extracts(shape: str, depth: int) -> bool:
+        text = "class C { " * depth + "}" * depth if shape == "nested-classes" \
+            else _nested_class(shape, depth)
+        path.write_text(text, encoding="utf-8")
+        code, _ = run_cli("extract", str(path))
+        err = capsys.readouterr().err
+        assert (code, err) in ((0, ""), (1, refused)), (shape, depth, code, err[-300:])
+        return code == 0
+
+    for shape in [*_NESTING_SHAPES, "nested-classes"]:
+        accepted, refused_at = 0, None
+        for depth in (10, 100, 300, 1000, 3000):
+            if not extracts(shape, depth):
+                refused_at = depth
+                break
+            accepted = depth
+        assert accepted >= 10, shape
+        while refused_at is not None and refused_at - accepted > 1:
+            middle = (accepted + refused_at) // 2
+            if extracts(shape, middle):
+                accepted = middle
+            else:
+                refused_at = middle
+    for links in (1000, 3000):
+        path.write_text(_chain_class(links), encoding="utf-8")
+        code, out = run_cli("extract", str(path))
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out.count('"k": "call"') == links
 
 
 _MUTATION_ALPHABET = [s.encode() for s in (

@@ -107,6 +107,69 @@ def test_anonymous_class_gets_synthesized_name_and_enclosing():
     assert model.method_sig(target) == "DrawApplication.print()"
 
 
+def test_anonymous_classes_are_numbered_in_the_order_their_bodies_close():
+    # Arguments before the enclosing ``new ... {}``, a receiver before its
+    # arguments, ``if`` before ``else``, ``try`` before ``catch``, and an
+    # anonymous class's own anonymous classes under it.
+    text = """
+    interface Listener { void fire(); }
+    class Base {
+        Base() { }
+        Base(Object o) { }
+        Base make(Object o) { return this; }
+        void take(Object a, Object b) { }
+    }
+    class Outer extends Base {
+        Listener field;
+        void m() {
+            take(new Listener() { public void fire() {
+                     new Base() { void g() { take(new Listener() { public void fire() { } }, null); } };
+                 } },
+                 new Base(new Listener() { public void fire() { } }) { });
+            if (new Base() { }.make(new Listener() { public void fire() { } }) == null) {
+                new Base(new Listener() { public void fire() { } });
+            } else {
+                field = new Listener() { public void fire() { } };
+            }
+            try {
+                return new Base() { Base make(Object o) { return new Base() { }; } }
+                    .make(new Listener() { public void fire() { } });
+            } catch (Exception e) {
+                throw new Problem(new Listener() { public void fire() { } });
+            }
+        }
+        class Inner {
+            void n() { Listener l = (new Listener() { public void fire() { } }); }
+        }
+    }
+    """
+    extraction = extract(text)
+    types = [(r["id"], r["name"], r["encl"], r["super"])
+             for r in extraction.records if r["k"] == "type"]
+    assert types == [
+        ("T1", "Listener", None, []),
+        ("T2", "Base", None, []),
+        ("T3", "Outer", None, ["T2"]),
+        ("T4", "Outer$anon1", "T3", ["T1"]),
+        ("T5", "Outer$anon1$anon1", "T4", ["T2"]),
+        ("T6", "Outer$anon1$anon1$anon1", "T5", ["T1"]),
+        ("T7", "Outer$anon2", "T3", ["T1"]),
+        ("T8", "Outer$anon3", "T3", ["T2"]),
+        ("T9", "Outer$anon4", "T3", ["T2"]),
+        ("T10", "Outer$anon5", "T3", ["T1"]),
+        ("T11", "Outer$anon6", "T3", ["T1"]),
+        ("T12", "Outer$anon7", "T3", ["T1"]),
+        ("T13", "Outer$anon8", "T3", ["T2"]),
+        ("T14", "Outer$anon8$anon1", "T13", ["T2"]),
+        ("T15", "Outer$anon9", "T3", ["T1"]),
+        ("T16", "Outer$anon10", "T3", ["T1"]),
+        ("T17", "Outer.Inner", "T3", []),
+        ("T18", "Outer.Inner$anon1", "T17", ["T1"]),
+        ("XT1", "Problem", None, []),
+    ]
+    assert extraction.warnings == []
+
+
 def test_throws_clause_recorded():
     text = """
     class IOErr { }
