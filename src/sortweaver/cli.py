@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sort", choices=[s.value.lower() for s in SortKind])
     p.add_argument("facts")
     p.add_argument("--target", help="CB: qualified target method")
-    p.add_argument("--scope", default="*", help="type, qualified-name prefix ending in '.', or *")
+    p.add_argument("--scope", help="type, qualified-name prefix ending in '.', or * (default *)")
     p.add_argument("--redirector", help="RL: redirector type")
     p.add_argument("--receiver", help="RL: receiver type")
     p.add_argument("--context", help="EC: context type name")
@@ -292,6 +292,10 @@ def cmd_query(args, stdin, stdout):
         if value is None and p.required:
             raise CliError(f"--{p.name} is required for this sort")
         params[p.name] = value
+    for name in dict.fromkeys(p.name for other in SortKind for p in query_params(other)):
+        if name not in params and getattr(args, name) is not None:
+            raise CliError(f"--{name} does not apply to {sort.value} queries, which take "
+                           + ", ".join(f"--{key}" for key in params))
     result = execute_binding(model, QueryBinding.make(sort, **params))
     if args.json:
         stdout.write(pretty_json(result.to_json(model)) + "\n")

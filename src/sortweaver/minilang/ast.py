@@ -146,7 +146,6 @@ class FieldNode:
     visibility: str
     declared_type: str
     name: str
-    is_static: bool = False
 
 
 @dataclass
@@ -170,15 +169,10 @@ class TypeNode:
     pos: Position
     name: str
     kind: str  # "class" | "interface"
-    extends: list[str] = field(default_factory=list)
-    implements: list[str] = field(default_factory=list)
+    supertypes: list[str] = field(default_factory=list)  # as written, extends first
     fields: list[FieldNode] = field(default_factory=list)
     methods: list[MethodNode] = field(default_factory=list)
     nested: list["TypeNode"] = field(default_factory=list)
-
-    @property
-    def supertype_names(self) -> list[str]:
-        return list(self.extends) + list(self.implements)
 
 
 @dataclass

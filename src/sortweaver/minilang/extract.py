@@ -13,7 +13,8 @@ Conventions:
 * Anonymous classes get synthesized names ``<Encl>$anon<N>`` (N counts per
   enclosing type).  They are registered from the parser's list for each
   method, in the order their bodies close, so that list is the only source
-  of their order and ids.
+  of their order and ids.  Their bodies see the enclosing method's
+  parameters and locals, as ``local`` receivers.
 * Declared type names (params, returns, fields, throws) are stored fully
   qualified whenever they resolve; unresolved names are kept as written.
 * ``new T(...)`` emits a call to T's constructor when one is declared;
@@ -191,7 +192,7 @@ class _Extractor:
             kind=node.kind,
             is_anonymous=anonymous,
             encl=encl,
-            supertype_names=node.supertype_names,
+            supertype_names=node.supertypes,
             src=src,
         )
         if qname in self.by_qname:
@@ -393,10 +394,12 @@ class _Extractor:
 class _BodyWalker:
     """Resolves one method body: ordinals, receivers, call targets."""
 
-    def __init__(self, extractor: _Extractor, owner: _TypeInfo, method: _MethodInfo):
+    def __init__(self, extractor: _Extractor, owner: _TypeInfo, method: _MethodInfo,
+                 outer: "_BodyWalker | None" = None):
         self.ex = extractor
         self.owner = owner
         self.method = method
+        self.outer = outer  # in an anonymous class: the enclosing method's walker
         self.locals: dict[str, str] = {}
         self.ordinal = 0
 
@@ -449,7 +452,7 @@ class _BodyWalker:
                 anon = self.ex.anon_info[id(expr.body)]
                 for method in anon.methods:
                     if method.body is not None:
-                        _BodyWalker(self.ex, anon, method).walk()
+                        _BodyWalker(self.ex, anon, method, self).walk()
                 return anon.qualified_name
             return expr.type_name
         if isinstance(expr, CallExpr):
@@ -479,12 +482,24 @@ class _BodyWalker:
         return info if info is not None else self.ex.external_type(type_name)
 
     def classify_name(self, name: str):
-        """Classify an identifier: parameter, local, field, type, or unknown."""
+        """Classify an identifier: parameter, local, field, type, or unknown.
+
+        An anonymous class's body looks in its own fields and those of its
+        supertypes, then sees what the enclosing method sees.  A parameter of
+        that method is a ``local`` here: a ``param`` index would point into
+        this method's parameters.
+        """
         for index, (ptype, pname) in enumerate(self.method.params):
             if pname == name:
                 return "param", index, ptype
         if name in self.locals:
             return "local", None, self.locals[name]
+        if self.outer is not None:
+            fld = self.ex.find_field(self.owner, name)
+            if fld is not None:
+                return "field", fld, fld.declared_type
+            kind, payload, type_name = self.outer.classify_name(name)
+            return ("local", None, type_name) if kind == "param" else (kind, payload, type_name)
         cursor: _TypeInfo | None = self.owner
         while cursor is not None:
             fld = self.ex.find_field(cursor, name)

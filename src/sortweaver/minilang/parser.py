@@ -103,6 +103,22 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         return ParseError(Diagnostic("error", self.peek().pos, message))
 
+    def visibility(self, default: str = "package") -> str:
+        """Consume an optional visibility keyword; ``default`` when absent."""
+        tok = self.peek()
+        if tok.kind == "keyword" and tok.value in _VISIBILITIES:
+            self.next()
+            return tok.value
+        return default
+
+    def names(self, what: str) -> list[str]:
+        """One identifier, then one more after each comma."""
+        names = [self.expect_ident(what).value]
+        while self.at(","):
+            self.next()
+            names.append(self.expect_ident(what).value)
+        return names
+
     # -- declarations ------------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
@@ -112,9 +128,7 @@ class _Parser:
         return unit
 
     def parse_type_decl(self) -> TypeNode:
-        # Top-level visibility on a type is accepted and ignored.
-        if self.peek().value in _VISIBILITIES and self.peek().kind == "keyword":
-            self.next()
+        self.visibility()  # accepted on a top-level type and ignored
         if self.at("class"):
             return self.parse_class()
         if self.at("interface"):
@@ -127,13 +141,10 @@ class _Parser:
         node = TypeNode(pos=start.pos, name=name.value, kind="class")
         if self.at("extends"):
             self.next()
-            node.extends.append(self.expect_ident("superclass name").value)
+            node.supertypes.append(self.expect_ident("superclass name").value)
         if self.at("implements"):
             self.next()
-            node.implements.append(self.expect_ident("interface name").value)
-            while self.at(","):
-                self.next()
-                node.implements.append(self.expect_ident("interface name").value)
+            node.supertypes += self.names("interface name")
         self.expect("{")
         while not self.at("}"):
             self.parse_member(node)
@@ -146,31 +157,27 @@ class _Parser:
         node = TypeNode(pos=start.pos, name=name.value, kind="interface")
         if self.at("extends"):
             self.next()
-            node.extends.append(self.expect_ident("interface name").value)
-            while self.at(","):
-                self.next()
-                node.extends.append(self.expect_ident("interface name").value)
+            node.supertypes = self.names("interface name")
         self.expect("{")
         while not self.at("}"):
-            member = self.parse_method_like(node.name, in_interface=True)
-            node.methods.append(member)
+            # A member is a bodiless signature, public unless it says otherwise.
+            vis = self.visibility("public")
+            ret = self.expect_ident("return type")
+            member = self.expect_ident("method name")
+            method = MethodNode(pos=member.pos, visibility=vis, return_type=ret.value,
+                                name=member.value)
+            node.methods.append(self.finish_method(method, body=False))
         self.expect("}")
         return node
 
     def parse_member(self, node: TypeNode):
-        if self.peek().value in _VISIBILITIES and self.peek().kind == "keyword":
-            vis_tok = self.peek()
-            if self.at("class", 1) or self.at("interface", 1):
-                self.next()
-                node.nested.append(self.parse_class() if self.at("class") else self.parse_interface())
-                return
-            vis = vis_tok.value
-            self.next()
-        elif self.at("class") or self.at("interface"):
-            node.nested.append(self.parse_class() if self.at("class") else self.parse_interface())
+        vis = self.visibility()
+        if self.at("class"):
+            node.nested.append(self.parse_class())
             return
-        else:
-            vis = "package"
+        if self.at("interface"):
+            node.nested.append(self.parse_interface())
+            return
 
         is_static = False
         is_abstract = False
@@ -191,116 +198,47 @@ class _Parser:
                         f"constructor name {first.value!r} does not match class {node.name!r}",
                     )
                 )
-            method = self.finish_method(
-                pos=first.pos,
-                visibility=vis,
-                return_type="void",
-                name=first.value,
-                is_static=is_static,
-                is_abstract=is_abstract,
-                is_constructor=True,
-                in_interface=False,
-            )
-            node.methods.append(method)
-            return
-
-        second = self.expect_ident("member name")
-        if self.at("("):
-            method = self.finish_method(
-                pos=first.pos,
-                visibility=vis,
-                return_type=first.value,
-                name=second.value,
-                is_static=is_static,
-                is_abstract=is_abstract,
-                is_constructor=False,
-                in_interface=False,
-            )
-            node.methods.append(method)
-            return
-        self.expect(";")
-        node.fields.append(
-            FieldNode(
-                pos=first.pos,
-                visibility=vis,
-                declared_type=first.value,
-                name=second.value,
-                is_static=is_static,
-            )
-        )
-
-    def parse_method_like(self, owner_name: str, in_interface: bool) -> MethodNode:
-        # Interface member: optional visibility then a plain signature.
-        if self.peek().value in _VISIBILITIES and self.peek().kind == "keyword":
-            vis = self.next().value
+            method = MethodNode(pos=first.pos, visibility=vis, return_type="void",
+                                name=first.value, is_static=is_static,
+                                is_abstract=is_abstract, is_constructor=True)
         else:
-            vis = "public"
-        ret = self.expect_ident("return type")
-        name = self.expect_ident("method name")
-        return self.finish_method(
-            pos=name.pos,
-            visibility=vis,
-            return_type=ret.value,
-            name=name.value,
-            is_static=False,
-            is_abstract=True,
-            is_constructor=False,
-            in_interface=True,
-        )
+            second = self.expect_ident("member name")
+            if not self.at("("):
+                # ``static`` on a field is accepted and not recorded.
+                self.expect(";")
+                node.fields.append(FieldNode(first.pos, vis, first.value, second.value))
+                return
+            method = MethodNode(pos=first.pos, visibility=vis, return_type=first.value,
+                                name=second.value, is_static=is_static,
+                                is_abstract=is_abstract)
+        node.methods.append(self.finish_method(method))
 
-    def finish_method(
-        self,
-        pos: Position,
-        visibility: str,
-        return_type: str,
-        name: str,
-        is_static: bool,
-        is_abstract: bool,
-        is_constructor: bool,
-        in_interface: bool,
-    ) -> MethodNode:
+    def finish_method(self, method: MethodNode, body: bool = True) -> MethodNode:
+        """Parse ``method``'s parameters, throws clause and body, or the ``;``
+        that makes it abstract; ``body=False`` refuses a body."""
         self.expect("(")
-        params: list[Param] = []
         if not self.at(")"):
             while True:
                 ptype = self.expect_ident("parameter type")
                 pname = self.expect_ident("parameter name")
-                params.append(Param(ptype.value, pname.value))
+                method.params.append(Param(ptype.value, pname.value))
                 if not self.at(","):
                     break
                 self.next()
         self.expect(")")
-        throws: list[str] = []
         if self.at("throws"):
             self.next()
-            throws.append(self.expect_ident("exception name").value)
-            while self.at(","):
-                self.next()
-                throws.append(self.expect_ident("exception name").value)
-        anonymous: list[TypeNode] = []
+            method.throws = self.names("exception name")
         if self.at(";"):
             self.next()
-            body = None
-            is_abstract = True
+            method.is_abstract = True
+        elif not body:
+            raise self.fail("interface methods cannot have bodies")
         else:
-            if in_interface:
-                raise self.fail("interface methods cannot have bodies")
-            outer, self.anonymous = self.anonymous, anonymous
-            body = self.parse_block()
-            self.anonymous = outer
-        return MethodNode(
-            pos=pos,
-            visibility=visibility,
-            return_type=return_type,
-            name=name,
-            params=params,
-            throws=throws,
-            body=body,
-            is_static=is_static,
-            is_abstract=is_abstract,
-            is_constructor=is_constructor,
-            anonymous=tuple(anonymous),
-        )
+            outer, self.anonymous = self.anonymous, []
+            method.body = self.parse_block()
+            method.anonymous, self.anonymous = tuple(self.anonymous), outer
+        return method
 
     # -- statements --------------------------------------------------------
 
@@ -431,7 +369,7 @@ class _Parser:
 
     def parse_anon_body(self, supertype: str) -> TypeNode:
         """The anonymous class of ``new T() { ... }``, also listed on its method."""
-        holder = TypeNode(pos=self.peek().pos, name="", kind="class", extends=[supertype])
+        holder = TypeNode(pos=self.peek().pos, name="", kind="class", supertypes=[supertype])
         self.expect("{")
         while not self.at("}"):
             self.parse_member(holder)

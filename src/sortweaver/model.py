@@ -464,9 +464,6 @@ class SourceModel:
                 records.append(rec)
         return records
 
-    def to_jsonl(self) -> str:
-        return dumps_facts(self.to_records())
-
     # -- validation and derivation ----------------------------------------
 
     def _validate_references(self, lines: Mapping[str, int | None]):

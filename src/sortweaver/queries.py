@@ -593,14 +593,6 @@ class BindingSuggestion:
     covered: int
     total: int
 
-    def to_json(self) -> dict:
-        return {
-            "binding": self.binding.to_json(),
-            "coverage": round(self.coverage, 6),
-            "covered": self.covered,
-            "total": self.total,
-        }
-
 
 def expand_seed(
     model: SourceModel, seed: Seed, min_coverage: float = 0.5

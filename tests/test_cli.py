@@ -342,6 +342,28 @@ def test_query_cli_repl_and_binding_agree(corpus_facts, corpus, sort, params):
     ]
 
 
+#: A flag of another sort, for each sort.
+FOREIGN_FLAG = {"CB": "--role", "RL": "--scope", "EC": "--target", "RSI": "--exception",
+                "SC": "--context", "EP": "--scope"}
+
+
+@pytest.mark.parametrize("corpus, sort, params", QUERY_CASES, ids=[c[1] for c in QUERY_CASES])
+def test_query_flag_of_another_sort_is_user_error(corpus_facts, capsys, corpus, sort, params):
+    foreign = FOREIGN_FLAG[sort]
+    flags = [word for key, value in params.items() for word in (f"--{key}", value)]
+    facts = str(corpus_facts / f"{corpus}.jsonl")
+    assert run_cli("query", sort.lower(), facts, *flags, foreign, "x") == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {foreign} does not apply to {sort} queries, which take --")
+
+
+def test_query_scope_defaults_to_everything(facts_file):
+    args = ("query", "cb", str(facts_file), "--target", "DrawingView.checkDamage", "--json")
+    code, out = run_cli(*args)
+    assert code == 0
+    assert run_cli(*args, "--scope", "*") == (0, out)
+
+
 @pytest.mark.parametrize("line, usage", [
     ("cb", "cb <target> [scope]"),
     ("rl BorderDecorator", "rl <redirector> <receiver>"),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 
@@ -168,6 +169,63 @@ def test_anonymous_classes_are_numbered_in_the_order_their_bodies_close():
         ("XT1", "Problem", None, []),
     ]
     assert extraction.warnings == []
+
+
+def _anonymous_calls(text):
+    """(target signature, receiver kind) of each call in an anonymous class."""
+    extraction = extract(text)
+    model = load_records(extraction.records)
+    calls = [c for c in model.calls.values()
+             if model.types[model.methods[c.caller].owner].is_anonymous]
+    return [(model.method_sig(c.static_target), c.receiver.kind.value) for c in calls], \
+        [str(w) for w in extraction.warnings]
+
+
+def test_anonymous_class_sees_the_enclosing_parameters_and_locals():
+    text = """
+    interface Listener { void fire(); }
+    class Problem { public void report() { } }
+    class A {
+        void m(Listener p) {
+            Listener q = p;
+            new Listener() { public void fire() {
+                p.fire(); q.fire(); new Listener() { public void fire() { p.fire(); } };
+            } };
+            try { q.fire(); } catch (Problem e) {
+                new Listener() { public void fire() { e.report(); } };
+            }
+        }
+    }
+    """
+    assert _anonymous_calls(text) == ([
+        ("Listener.fire()", "local"),
+        ("Listener.fire()", "local"),
+        ("Listener.fire()", "local"),  # from an anonymous class in an anonymous class
+        ("Problem.report()", "local"),
+    ], [])
+
+
+def test_anonymous_class_scope_shadowing_each_way():
+    text = """
+    interface Listener { void fire(); }
+    class Helper { public void go() { } }
+    class Other { public void go() { } }
+    class Base { Helper p; }
+    class A {
+        private Helper h;
+        void m(Listener p, Other o) {
+            Other h = o;
+            new Listener() { public void fire() { h.go(); } };
+            new Base() { void f() { p.go(); } };
+        }
+    }
+    """
+    # the enclosing local hides the enclosing class's field; the anonymous
+    # class's inherited field hides the enclosing parameter
+    assert _anonymous_calls(text) == ([
+        ("Other.go()", "local"),
+        ("Helper.go()", "field"),
+    ], [])
 
 
 def test_throws_clause_recorded():
@@ -403,3 +461,177 @@ def test_extract_leaves_no_reference_cycles():
         assert [ref for ref in nodes if ref() is not None] == []
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+# -- declarations: each path of the grammar, and a sweep over token mutants ------------
+
+
+def _types(records):
+    return [(r["id"], r["name"], r["kind"], r["abstract"], r["super"])
+            for r in records if r["k"] == "type"]
+
+
+def _methods(records):
+    return [(r["owner"], r["name"], r["vis"], r["static"], r["abstract"], r["throws"])
+            for r in records if r["k"] == "method"]
+
+
+def test_interface_extends_a_list_and_its_members_take_a_visibility():
+    records = extract(
+        "interface A { void a(); } interface B { } interface C extends A, B {"
+        " public void f(); protected int g(Object o); private void h(); void k(); }"
+    ).records
+    assert _types(records) == [
+        ("T1", "A", "interface", True, []),
+        ("T2", "B", "interface", True, []),
+        ("T3", "C", "interface", True, ["T1", "T2"]),
+    ]
+    assert _methods(records) == [
+        ("T1", "a", "public", False, True, []),
+        ("T3", "f", "public", False, True, []),
+        ("T3", "g", "protected", False, True, []),
+        ("T3", "h", "private", False, True, []),
+        ("T3", "k", "public", False, True, []),
+    ]
+    assert [r["params"] for r in records if r["k"] == "method"] == [[], [], ["Object"], [], []]
+
+
+def test_abstract_and_static_members_and_throws_lists():
+    records = extract(
+        "class X { } class Y { } class A { abstract void f(); public abstract int g();"
+        " static abstract void h(); protected abstract void k() { }"
+        " void t() throws X, Y { } void u() throws X, Y, Z; static int n; }"
+    ).records
+    assert _types(records) == [
+        ("T1", "X", "class", False, []),
+        ("T2", "Y", "class", False, []),
+        ("T3", "A", "class", True, []),
+    ]
+    assert _methods(records) == [
+        ("T3", "f", "package", False, True, []),
+        ("T3", "g", "public", False, True, []),
+        ("T3", "h", "package", True, True, []),
+        ("T3", "k", "protected", False, True, []),
+        ("T3", "t", "package", False, False, ["X", "Y"]),
+        ("T3", "u", "package", False, True, ["X", "Y", "Z"]),
+    ]
+    # ``static`` on a field is accepted and not recorded
+    assert [r for r in records if r["k"] == "field"] == [
+        {"k": "field", "id": "F1", "owner": "T3", "name": "n", "type": "int",
+         "vis": "package", "src": "inline.mini"},
+    ]
+
+
+def test_a_top_level_type_may_carry_a_visibility():
+    records = extract(
+        "public class A { } private interface I { } protected class B extends A implements I { }"
+    ).records
+    assert _types(records) == [
+        ("T1", "A", "class", False, []),
+        ("T2", "I", "interface", True, []),
+        ("T3", "B", "class", False, ["T1", "T2"]),
+    ]
+
+
+def test_declaration_errors_stop_at_the_offending_token():
+    cases = {
+        "interface I {\n  void f() { }\n}": "error: 2:12: interface methods cannot have bodies",
+        "class A { void m() { new A() { class In { } }; } }":
+            "error: 1:46: anonymous classes cannot declare nested types",
+        "class A { void m() { new A() { public interface In { } void g() { } }; } }":
+            "error: 1:70: anonymous classes cannot declare nested types",
+        "class A { public }": "error: 1:18: expected type or constructor name, found '}'",
+        "class A { B() { } }": "error: 1:11: constructor name 'B' does not match class 'A'",
+        "interface I extends A, { }": "error: 1:24: expected interface name, found '{'",
+        "class A { void f() throws { } }": "error: 1:27: expected exception name, found '{'",
+    }
+    for text, diagnostic in cases.items():
+        result = parse(text)
+        assert [str(d) for d in result.diagnostics] == [diagnostic], text
+
+
+_DECLARATION_SOURCE = """\
+public interface Listener { void fire(); public void stop(Object why) throws Halt; }
+interface Source extends Listener, Sink { protected Listener listener(); }
+private interface Sink { void drain(int n, Object to); }
+class Halt { }
+class Fault extends Halt { }
+protected class Base implements Listener, Sink {
+    static int count;
+    private Listener fOwner;
+    public Base() { }
+    Base(Listener owner) throws Halt, Fault { fOwner = owner; }
+    public void fire() { fOwner.fire(); }
+    public void stop(Object why) throws Halt { throw new Halt(); }
+    public void drain(int n, Object to) { }
+    abstract void reset();
+    static abstract Base copy(Base from);
+    public static Base make() { return new Base(); }
+    public class Inner extends Base { void go() { fire(); } }
+    interface Local extends Listener { }
+    private class Holder { Listener held; }
+}
+class Use extends Base implements Source {
+    public Listener listener() {
+        Listener l = new Listener() {
+            private Base fBase;
+            public void fire() { fBase.fire(); }
+            public void stop(Object why) { }
+        };
+        try { make().stop(l); } catch (Halt h) { fire(); }
+        return new Base(l) { void reset() { } };
+    }
+}
+"""
+
+_MUTATION_WORDS = ("class", "interface", "extends", "implements", "public", "private",
+                   "static", "abstract", "throws", "new", "A", "I", ",", ";", "{", "}",
+                   "(", ")", "=", ".")
+
+
+def _token_mutant(rng, tokens):
+    """Delete, insert, replace or swap one to two tokens; each keeps its line."""
+    words = [(tok.pos.line, f'"{tok.value}"' if tok.kind == "string" else tok.value)
+             for tok in tokens[:-1]]
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(words) - 1)
+        line, word = words[at]
+        op = rng.randrange(4)
+        if op == 0:
+            del words[at]
+        elif op == 1:
+            words.insert(at, (line, rng.choice(_MUTATION_WORDS)))
+        elif op == 2:
+            words[at] = (line, rng.choice(_MUTATION_WORDS))
+        else:
+            words[at], words[at + 1] = words[at + 1], words[at]
+    lines: dict[int, list[str]] = {}
+    for line, word in words:
+        lines.setdefault(line, []).append(word)
+    return "\n".join(" ".join(ws) for ws in lines.values())
+
+
+#: sha256 over the outcomes of the declaration sweep: each mutant's first
+#: diagnostic, or the sha256 of its facts and warnings.  A change that alters
+#: a diagnostic or a fact on purpose updates it and says so in CHANGES.md.
+DECLARATION_SWEEP_SHA256 = "abfbeb95c57dee1caa3ccbe3fcdb53d6cde6f053e277ef12c7fd6d2f3363d0f5"
+
+
+def test_declaration_sweep_over_token_mutants_is_pinned():
+    rng = random.Random(14)
+    sources = [tokenize((CORPUS / name).read_text()) for name in CORPUS_FILES]
+    sources.append(tokenize(_DECLARATION_SOURCE))
+    outcomes, parsed = [], 0
+    for _ in range(500):
+        text = _token_mutant(rng, rng.choice(sources))
+        result = parse(text, "mutant.mini")
+        if not result.ok:
+            outcomes.append(str(result.diagnostics[0]))
+            continue
+        parsed += 1
+        extraction = extract_facts(result.unit)
+        facts = extraction.to_jsonl() + "".join(f"{w}\n" for w in extraction.warnings)
+        outcomes.append(hashlib.sha256(facts.encode()).hexdigest())
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert 0 < parsed < len(outcomes)
+    assert digest == DECLARATION_SWEEP_SHA256, (digest, parsed)
