@@ -110,13 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="run a mining technique over a fact file")
     p.add_argument("technique", choices=list(TECHNIQUES))
     p.add_argument("facts")
-    p.add_argument("--threshold", type=int, default=None,
-                   help="fan-in threshold / minimum callers / minimum redirecting methods")
-    p.add_argument("--min-group", type=int, default=None, help="minimum callee group size")
-    p.add_argument("--coverage", type=float, default=None, help="redirecting coverage ratio")
-    p.add_argument("--utility", action="append", default=[],
-                   help="name pattern to exclude (repeatable)")
-    p.add_argument("--no-accessor-filter", action="store_true")
+    for flag, options in _MINE_FLAGS.items():
+        p.add_argument(flag, **options)
     p.add_argument("--policy", choices=[pol.value for pol in DispatchPolicy], default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_mine)
@@ -124,14 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="execute one sort query")
     p.add_argument("sort", choices=[s.value.lower() for s in SortKind])
     p.add_argument("facts")
-    p.add_argument("--target", help="CB: qualified target method")
-    p.add_argument("--scope", help="type, qualified-name prefix ending in '.', or * (default *)")
-    p.add_argument("--redirector", help="RL: redirector type")
-    p.add_argument("--receiver", help="RL: receiver type")
-    p.add_argument("--context", help="EC: context type name")
-    p.add_argument("--role", help="RSI/SC: role type")
-    p.add_argument("--exception", help="EP: exception type name")
-    p.add_argument("--root", help="EP: restrict to chains containing this method")
+    for name, sorts in _query_flags().items():
+        p.add_argument(f"--{name}", help=f"{'/'.join(sorts)} parameter")
     p.add_argument("--policy", choices=[pol.value for pol in DispatchPolicy], default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_query)
@@ -241,24 +230,42 @@ def cmd_extract(args, stdin, stdout):
 # -- mine ------------------------------------------------------------------------
 
 
+#: The ``mine`` flags that configure a technique.  Each dest is the
+#: MiningConfig field the flag sets, except ``threshold``, which sets the first
+#: field of the technique's ``TECHNIQUES`` entry.
+_MINE_FLAGS = {
+    "--threshold": dict(dest="threshold", type=int,
+                        help="fan-in threshold / minimum callers / minimum redirecting methods"),
+    "--min-group": dict(dest="grouped_min_group", metavar="MIN_GROUP", type=int,
+                        help="minimum callee group size"),
+    "--coverage": dict(dest="redirect_coverage", metavar="COVERAGE", type=float,
+                       help="redirecting coverage ratio"),
+    "--utility": dict(dest="utility_names", metavar="UTILITY", action="append",
+                      help="name pattern to exclude (repeatable)"),
+    "--no-accessor-filter": dict(dest="accessor_filter", action="store_false", default=None),
+}
+
+
 def cmd_mine(args, stdin, stdout):
-    model = _load_model(args)
+    _, fields = TECHNIQUES[args.technique]
+    takes = [flag for flag, options in _MINE_FLAGS.items()
+             if options["dest"] == "threshold" or options["dest"] in fields]
     config_kwargs = {}
-    if args.no_accessor_filter:
-        config_kwargs["accessor_filter"] = False
-    if args.utility:
-        config_kwargs["utility_names"] = tuple(args.utility)
-    if args.min_group is not None:
-        config_kwargs["grouped_min_group"] = args.min_group
-    if args.coverage is not None:
-        config_kwargs["redirect_coverage"] = args.coverage
-    if args.threshold is not None:
-        config_kwargs[TECHNIQUES[args.technique][1]] = args.threshold
+    for flag, options in _MINE_FLAGS.items():
+        value = getattr(args, options["dest"])
+        if value is None:
+            continue
+        if flag not in takes:
+            raise CliError(f"{flag} does not apply to {args.technique} mining, which takes "
+                           + ", ".join(takes))
+        field = fields[0] if flag == "--threshold" else options["dest"]
+        config_kwargs[field] = tuple(value) if isinstance(value, list) else value
     try:
         config = MiningConfig(**config_kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
+    model = _load_model(args)
     seeds = mine(model, args.technique, config)
 
     if args.json:
@@ -283,8 +290,16 @@ def _seed_subject(model: SourceModel, seed) -> str:
 # -- query -----------------------------------------------------------------------
 
 
+def _query_flags() -> dict[str, list[str]]:
+    """Each query parameter (a ``query`` flag) -> the sorts that take it."""
+    flags: dict[str, list[str]] = {}
+    for sort in SortKind:
+        for p in query_params(sort):
+            flags.setdefault(p.name, []).append(sort.value)
+    return flags
+
+
 def cmd_query(args, stdin, stdout):
-    model = _load_model(args)
     sort = SortKind(args.sort.upper())
     params = {}
     for p in query_params(sort):
@@ -292,10 +307,11 @@ def cmd_query(args, stdin, stdout):
         if value is None and p.required:
             raise CliError(f"--{p.name} is required for this sort")
         params[p.name] = value
-    for name in dict.fromkeys(p.name for other in SortKind for p in query_params(other)):
+    for name in _query_flags():
         if name not in params and getattr(args, name) is not None:
             raise CliError(f"--{name} does not apply to {sort.value} queries, which take "
                            + ", ".join(f"--{key}" for key in params))
+    model = _load_model(args)
     result = execute_binding(model, QueryBinding.make(sort, **params))
     if args.json:
         stdout.write(pretty_json(result.to_json(model)) + "\n")
@@ -388,7 +404,6 @@ def cmd_plan(args, stdin, stdout):
     root = load_model(args.model_file)
     path = "/".join(part for part in args.instance_path.split("/") if part)
     node = node_at(root, path)
-    model = _load_model(args)
 
     # A single instance is planned as a group of one, under its own name.
     single = isinstance(node, Instance)
@@ -398,6 +413,7 @@ def cmd_plan(args, stdin, stdout):
     flag = "--advice" if args.advice else "--enumerate" if args.enumerate_callers else None
     if flag and all(inst.binding.sort is not SortKind.CB for _, inst in instances):
         raise CliError(f"{flag} applies only to CB instances, and {path!r} plans none")
+    model = _load_model(args)
     plans = []
     for sub_path, instance in instances:
         result = execute_binding(model, instance.binding)

@@ -4,7 +4,8 @@ MiniLang is a compact Java-like language: classes and interfaces with
 single-name types, fields, methods with throws clauses, nested and
 anonymous classes, and a statement set just rich enough to express
 delegation, pass-through parameters, guarded bodies and exception
-propagation.  Every node carries its source position.
+propagation.  A node keeps only what the extractor reads: a type and a call
+carry their source position, for the warnings that name them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ class Diagnostic:
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass
 class Expr:
-    pos: Position
+    """Base of the expression nodes."""
 
 
 @dataclass
@@ -56,11 +56,12 @@ class Super(Expr):
 
 @dataclass
 class Literal(Expr):
-    text: str  # as written: null, true, false, digits, or a string's contents
+    pass
 
 
 @dataclass
 class CallExpr(Expr):
+    pos: Position
     receiver: Expr | None  # None for a bare call
     name: str
     args: list[Expr] = field(default_factory=list)
@@ -74,18 +75,16 @@ class NewExpr(Expr):
 
 
 @dataclass
-class BinaryExpr(Expr):
-    op: str  # "==" | "!="
-    left: Expr = None
-    right: Expr = None
+class BinaryExpr(Expr):  # == or !=
+    left: Expr
+    right: Expr
 
 
 # -- statements ---------------------------------------------------------------
 
 
-@dataclass
 class Stmt:
-    pos: Position
+    """Base of the statement nodes."""
 
 
 @dataclass
@@ -102,7 +101,6 @@ class LocalDecl(Stmt):
 
 @dataclass
 class Assign(Stmt):
-    name: str
     value: Expr
 
 
@@ -142,7 +140,6 @@ class Param:
 
 @dataclass
 class FieldNode:
-    pos: Position
     visibility: str
     declared_type: str
     name: str
@@ -150,7 +147,6 @@ class FieldNode:
 
 @dataclass
 class MethodNode:
-    pos: Position
     visibility: str
     return_type: str
     name: str

@@ -164,8 +164,7 @@ class _Parser:
             vis = self.visibility("public")
             ret = self.expect_ident("return type")
             member = self.expect_ident("method name")
-            method = MethodNode(pos=member.pos, visibility=vis, return_type=ret.value,
-                                name=member.value)
+            method = MethodNode(visibility=vis, return_type=ret.value, name=member.value)
             node.methods.append(self.finish_method(method, body=False))
         self.expect("}")
         return node
@@ -198,19 +197,17 @@ class _Parser:
                         f"constructor name {first.value!r} does not match class {node.name!r}",
                     )
                 )
-            method = MethodNode(pos=first.pos, visibility=vis, return_type="void",
-                                name=first.value, is_static=is_static,
-                                is_abstract=is_abstract, is_constructor=True)
+            method = MethodNode(visibility=vis, return_type="void", name=first.value,
+                                is_static=is_static, is_abstract=is_abstract, is_constructor=True)
         else:
             second = self.expect_ident("member name")
             if not self.at("("):
                 # ``static`` on a field is accepted and not recorded.
                 self.expect(";")
-                node.fields.append(FieldNode(first.pos, vis, first.value, second.value))
+                node.fields.append(FieldNode(vis, first.value, second.value))
                 return
-            method = MethodNode(pos=first.pos, visibility=vis, return_type=first.value,
-                                name=second.value, is_static=is_static,
-                                is_abstract=is_abstract)
+            method = MethodNode(visibility=vis, return_type=first.value, name=second.value,
+                                is_static=is_static, is_abstract=is_abstract)
         node.methods.append(self.finish_method(method))
 
     def finish_method(self, method: MethodNode, body: bool = True) -> MethodNode:
@@ -256,12 +253,12 @@ class _Parser:
             self.next()
             value = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            return ReturnStmt(tok.pos, value)
+            return ReturnStmt(value)
         if self.at("throw"):
             self.next()
             value = self.parse_expr()
             self.expect(";")
-            return ThrowStmt(tok.pos, value)
+            return ThrowStmt(value)
         if self.at("if"):
             self.next()
             self.expect("(")
@@ -272,7 +269,7 @@ class _Parser:
             if self.at("else"):
                 self.next()
                 else_body = self.parse_block()
-            return IfStmt(tok.pos, cond, then_body, else_body)
+            return IfStmt(cond, then_body, else_body)
         if self.at("try"):
             self.next()
             body = self.parse_block()
@@ -282,32 +279,31 @@ class _Parser:
             exc_name = self.expect_ident("exception variable").value
             self.expect(")")
             handler = self.parse_block()
-            return TryStmt(tok.pos, body, exc_type, exc_name, handler)
+            return TryStmt(body, exc_type, exc_name, handler)
         if tok.kind == "ident" and self.peek(1).kind == "ident" and self.at("=", 2):
             declared_type = self.next().value
             name = self.next().value
             self.expect("=")
             init = self.parse_expr()
             self.expect(";")
-            return LocalDecl(tok.pos, declared_type, name, init)
+            return LocalDecl(declared_type, name, init)
         if tok.kind == "ident" and self.at("=", 1):
-            name = self.next().value
+            self.next()
             self.expect("=")
             value = self.parse_expr()
             self.expect(";")
-            return Assign(tok.pos, name, value)
+            return Assign(value)
         expr = self.parse_expr()
         self.expect(";")
-        return ExprStmt(tok.pos, expr)
+        return ExprStmt(expr)
 
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self):
         left = self.parse_postfix()
         if self.at("==") or self.at("!="):
-            op = self.next().value
-            right = self.parse_postfix()
-            return BinaryExpr(left.pos, op, left, right)
+            self.next()
+            return BinaryExpr(left, self.parse_postfix())
         return left
 
     def parse_postfix(self):
@@ -342,16 +338,16 @@ class _Parser:
             body = None
             if self.at("{"):
                 body = self.parse_anon_body(type_name.value)
-            return NewExpr(tok.pos, type_name.value, args, body)
+            return NewExpr(type_name.value, args, body)
         if self.at("this"):
             self.next()
-            return This(tok.pos)
+            return This()
         if self.at("super"):
             self.next()
-            return Super(tok.pos)
+            return Super()
         if tok.kind in ("int", "string") or (tok.kind == "keyword" and tok.value in _LITERALS):
             self.next()
-            return Literal(tok.pos, tok.value)
+            return Literal()
         if self.at("("):
             self.next()
             inner = self.parse_expr()
@@ -364,7 +360,7 @@ class _Parser:
                 args = self.parse_args()
                 self.expect(")")
                 return CallExpr(tok.pos, None, tok.value, args)
-            return Name(tok.pos, tok.value)
+            return Name(tok.value)
         raise self.fail(f"expected expression, found {tok.value!r}")
 
     def parse_anon_body(self, supertype: str) -> TypeNode:

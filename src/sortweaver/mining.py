@@ -16,7 +16,7 @@ technique follows the model's dispatch policy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 from ._util import natural_key
@@ -272,16 +272,18 @@ def find_redirectors(model: SourceModel, config: MiningConfig = MiningConfig()) 
     return seeds
 
 
-#: Technique name -> (its function in this module, the MiningConfig field
-#: the CLI's ``--threshold`` sets).
-TECHNIQUES: dict[str, tuple[str, str]] = {
-    "fanin": ("fan_in_analysis", "fanin_threshold"),
-    "grouped": ("grouped_calls_analysis", "grouped_min_callers"),
-    "redirect": ("find_redirectors", "redirect_min_methods"),
+#: Technique name -> (its function in this module, every MiningConfig field
+#: it reads).  The first field is the one the CLI's ``--threshold`` sets.
+TECHNIQUES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "fanin": ("fan_in_analysis", ("fanin_threshold", "accessor_filter", "utility_names")),
+    "grouped": ("grouped_calls_analysis", ("grouped_min_callers", "grouped_min_group",
+                                           "accessor_filter", "utility_names")),
+    "redirect": ("find_redirectors", ("redirect_min_methods", "redirect_coverage")),
 }
 
 
 def mine(model: SourceModel, technique: str, config: MiningConfig = MiningConfig()) -> list[Seed]:
     """Run a technique by name under the model's dispatch policy."""
+    function, _ = TECHNIQUES[technique]
     # Looked up at call time, so a wrapper installed on this module applies.
-    return globals()[TECHNIQUES[technique][0]](model, config)
+    return globals()[function](model, config)

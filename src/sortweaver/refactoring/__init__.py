@@ -11,13 +11,7 @@ from .plans import (
     apply_edits,
     check_precedence,
     combine_plans,
-    plan_cb,
-    plan_ec,
-    plan_ep,
     plan_for,
-    plan_rl,
-    plan_rsi,
-    plan_sc,
 )
 
 __all__ = [
@@ -31,12 +25,6 @@ __all__ = [
     "apply_edits",
     "check_precedence",
     "combine_plans",
-    "plan_cb",
-    "plan_ec",
-    "plan_ep",
     "plan_for",
-    "plan_rl",
-    "plan_rsi",
-    "plan_sc",
     "render_doc",
 ]

@@ -1,11 +1,12 @@
 """Sort-specific refactoring plans: aspect text, source edits, risk warnings.
 
-Each ``plan_*`` function turns one query result into a
-:class:`RefactoringPlan`: a renderable aspect document, a machine-readable
-edit list against the fact model, and every triggered warning from the risk
-catalog.  Edits are not applied to source text; ``apply_edits`` replays the
-deletion edits on the fact model so closure properties can be checked
-(a consistent-behavior plan drives its originating query to empty).
+``plan_for``, the one planning entry, turns one query result into a
+:class:`RefactoringPlan` through its sort's planner: a renderable aspect
+document, a machine-readable edit list against the fact model, and every
+triggered warning from the risk catalog.  Edits are not applied to source
+text; ``apply_edits`` replays the deletion edits on the fact model so closure
+properties can be checked (a consistent-behavior plan drives its originating
+query to empty).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .._util import lower_first, natural_key, upper_first
 from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility
-from ..queries import ADVICE_KINDS, CbHit, ChainHit, QueryResult, RsiHit, ScHit, SortKind
+from ..queries import ADVICE_KINDS, CbHit, QueryResult, SortKind
 from .aspect_text import (
     Advice,
     AndExpr,
@@ -215,7 +216,7 @@ def _sorted_warnings(warnings) -> tuple[RiskWarning, ...]:
 # -- consistent behavior ---------------------------------------------------------
 
 
-def plan_cb(
+def _plan_cb(
     model: SourceModel,
     result: QueryResult,
     *,
@@ -230,9 +231,7 @@ def plan_cb(
     ``!within`` exclusions for anonymous callers; ``enumerate_callers``
     switches to one execution term per caller.
     """
-    hits = [h for h in result.hits if isinstance(h, CbHit)]
-    if not hits:
-        raise PlanError("cannot plan an empty consistent-behavior result")
+    hits = result.hits
     target = model.methods[hits[0].target]
     target_sig = model.method_sig(target.id)
     scope_name = result.binding.param("scope", "*")
@@ -393,11 +392,9 @@ def _omissions(model: SourceModel, scope_type, shared, callers, target_id) -> li
 # -- redirection layer --------------------------------------------------------------
 
 
-def plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
+def _plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Around-advice per delegation pair; the redirector type is retired."""
-    hits = list(result.hits)
-    if not hits:
-        raise PlanError("cannot plan an empty redirection-layer result")
+    hits = result.hits
     redirector = model.require_type(result.binding.param("redirector"))
     receiver = model.require_type(result.binding.param("receiver"))
 
@@ -480,12 +477,10 @@ def plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 # -- expose context -------------------------------------------------------------------
 
 
-def plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
+def _plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Wormhole plan: caller-space and callee-space pointcuts replace the
     threaded parameter; intermediate signatures lose the parameter."""
-    chains = [h for h in result.hits if isinstance(h, ChainHit)]
-    if not chains:
-        raise PlanError("cannot plan an empty expose-context result")
+    chains = result.hits
     context = result.binding.param("context")
 
     heads: dict[str, int] = {}
@@ -579,11 +574,9 @@ def plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 # -- role superimposition -----------------------------------------------------------
 
 
-def plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
+def _plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Declare-parents plus inter-type members for a secondary role."""
-    hits = [h for h in result.hits if isinstance(h, RsiHit)]
-    if not hits:
-        raise PlanError("cannot plan an empty role-superimposition result")
+    hits = result.hits
     role = model.require_type(result.binding.param("role"))
 
     stanzas: list = []
@@ -643,11 +636,9 @@ def plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 # -- support classes -------------------------------------------------------------------
 
 
-def plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
+def _plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Move nested support classes into the aspect (no introduction exists)."""
-    hits = [h for h in result.hits if isinstance(h, ScHit)]
-    if not hits:
-        raise PlanError("cannot plan an empty support-class result")
+    hits = result.hits
 
     stanzas: list = []
     edits: list[SourceEdit] = []
@@ -701,11 +692,9 @@ def plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 # -- exception propagation ----------------------------------------------------------------
 
 
-def plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
+def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     """Declare-soft keyed on the chain roots; non-root throws clauses go."""
-    chains = [h for h in result.hits if isinstance(h, ChainHit)]
-    if not chains:
-        raise PlanError("cannot plan an empty exception-propagation result")
+    chains = result.hits
     exception = result.binding.param("exception")
 
     roots = sorted({c.methods[-1] for c in chains}, key=natural_key)
@@ -792,18 +781,22 @@ def plan_for(
     aspect_name: str | None = None,
     instance_path: str = "",
 ) -> RefactoringPlan:
-    """Dispatch to the sort-specific planner for a query result, then name
-    the aspect (``aspect_name`` over the planner's default) and place it."""
+    """The one planning entry: refuse an empty result, run the sort's
+    planner, then name the aspect (``aspect_name`` over the planner's
+    default) and place it.  ``advice`` and ``enumerate_callers`` apply to
+    CB results only."""
     sort = result.sort
+    if not result.hits:
+        raise PlanError(f"cannot plan an empty {sort.value} result")
     if sort is SortKind.CB:
-        plan = plan_cb(model, result, advice=advice, enumerate_callers=enumerate_callers)
+        plan = _plan_cb(model, result, advice=advice, enumerate_callers=enumerate_callers)
     else:
         builders = {
-            SortKind.RL: plan_rl,
-            SortKind.EC: plan_ec,
-            SortKind.RSI: plan_rsi,
-            SortKind.SC: plan_sc,
-            SortKind.EP: plan_ep,
+            SortKind.RL: _plan_rl,
+            SortKind.EC: _plan_ec,
+            SortKind.RSI: _plan_rsi,
+            SortKind.SC: _plan_sc,
+            SortKind.EP: _plan_ep,
         }
         plan = builders[sort](model, result)
     doc = AspectDoc(aspect_name, plan.doc.stanzas) if aspect_name else plan.doc

@@ -35,10 +35,7 @@ from sortweaver.queries import (
 from sortweaver.refactoring import (
     apply_edits,
     combine_plans,
-    plan_cb,
-    plan_ep,
-    plan_rsi,
-    plan_sc,
+    plan_for,
 )
 
 
@@ -62,7 +59,7 @@ def test_criterion_1_f1_replicates_the_mining_numbers():
 def test_criterion_2_consistency_check_advice_replication():
     model = corpus_model("command")
     result = query_cb(model, "AbstractCommand.execute", "AbstractCommand")
-    plan = plan_cb(model, result)
+    plan = plan_for(model, result)
     text = plan.aspect_text
     checks = {
         "before advice": "before(AbstractCommand abstractCommand)" in text,
@@ -81,9 +78,9 @@ def test_criterion_3_composite_undo_aspect_replication():
     composite = combine_plans(
         "PasteCommandUndo",
         [
-            plan_sc(model, query_sc(model, "PasteCommand")),
-            plan_rsi(model, query_rsi(model, "Undoable", "PasteCommand")),
-            plan_cb(
+            plan_for(model, query_sc(model, "PasteCommand")),
+            plan_for(model, query_rsi(model, "Undoable", "PasteCommand")),
+            plan_for(
                 model,
                 query_cb(model, "AbstractCommand.setUndoActivity", "PasteCommand"),
                 advice="after",
@@ -194,13 +191,13 @@ def test_criterion_5_closure_properties():
         ("DrawingView.checkDamage", "Command"),
         ("AbstractCommand.execute", "AbstractCommand"),
     ]:
-        plan = plan_cb(command, query_cb(command, target, scope))
+        plan = plan_for(command, query_cb(command, target, scope))
         after = query_cb(apply_edits(command, plan.edits), target, scope)
         if after.hits != ():
             failures.append(f"CB {target}@{scope}: {len(after.hits)} hits remain")
 
     undo = corpus_model("undo")
-    plan = plan_cb(
+    plan = plan_for(
         undo, query_cb(undo, "AbstractCommand.setUndoActivity", "PasteCommand")
     )
     after = query_cb(
@@ -210,7 +207,7 @@ def test_criterion_5_closure_properties():
         failures.append("CB undo setup: hits remain")
 
     exceptions = corpus_model("exceptions")
-    ep_plan = plan_ep(exceptions, query_ep(exceptions, "IOErr"))
+    ep_plan = plan_for(exceptions, query_ep(exceptions, "IOErr"))
     edited = apply_edits(exceptions, ep_plan.edits)
     edited_ids = {e.target for e in ep_plan.edits}
     for chain in query_ep(edited, "IOErr").hits:

@@ -342,19 +342,71 @@ def test_query_cli_repl_and_binding_agree(corpus_facts, corpus, sort, params):
     ]
 
 
-#: A flag of another sort, for each sort.
-FOREIGN_FLAG = {"CB": "--role", "RL": "--scope", "EC": "--target", "RSI": "--exception",
-                "SC": "--context", "EP": "--scope"}
+#: The flags each sort takes.
+SORT_FLAGS = {"CB": ["--target", "--scope"], "RL": ["--redirector", "--receiver"],
+              "EC": ["--context", "--scope"], "RSI": ["--role", "--scope"],
+              "SC": ["--scope", "--role"], "EP": ["--exception", "--root"]}
 
 
 @pytest.mark.parametrize("corpus, sort, params", QUERY_CASES, ids=[c[1] for c in QUERY_CASES])
 def test_query_flag_of_another_sort_is_user_error(corpus_facts, capsys, corpus, sort, params):
-    foreign = FOREIGN_FLAG[sort]
     flags = [word for key, value in params.items() for word in (f"--{key}", value)]
     facts = str(corpus_facts / f"{corpus}.jsonl")
-    assert run_cli("query", sort.lower(), facts, *flags, foreign, "x") == (1, "")
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {foreign} does not apply to {sort} queries, which take --")
+    every = dict.fromkeys(flag for takes in SORT_FLAGS.values() for flag in takes)
+    foreign = [flag for flag in every if flag not in SORT_FLAGS[sort]]
+    for flag in foreign:
+        assert run_cli("query", sort.lower(), facts, *flags, flag, "x") == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: {flag} does not apply to {sort} queries, which take "
+            + ", ".join(SORT_FLAGS[sort]) + "\n"
+        )
+
+
+MINE_TAKES = {"fanin": ["--threshold", "--utility", "--no-accessor-filter"],
+              "grouped": ["--threshold", "--min-group", "--utility", "--no-accessor-filter"],
+              "redirect": ["--threshold", "--coverage"]}
+MINE_FLAG_VALUES = {"--threshold": ["1"], "--min-group": ["7"], "--coverage": ["0.5"],
+                    "--utility": ["*"], "--no-accessor-filter": []}
+FOREIGN_MINE_FLAGS = [(technique, flag) for technique, takes in MINE_TAKES.items()
+                      for flag in MINE_FLAG_VALUES if flag not in takes]
+
+
+@pytest.mark.parametrize("technique, foreign", FOREIGN_MINE_FLAGS,
+                         ids=[f"{t}{f}" for t, f in FOREIGN_MINE_FLAGS])
+def test_mine_flag_of_another_technique_is_user_error(facts_file, capsys, technique, foreign):
+    args = ("mine", technique, str(facts_file), *MINE_FLAG_VALUES[foreign])
+    assert run_cli(*args[:3], foreign, *args[3:]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: {foreign} does not apply to {technique} mining, which takes "
+        + ", ".join(MINE_TAKES[technique]) + "\n"
+    )
+
+
+@pytest.mark.parametrize("technique", list(MINE_TAKES))
+def test_mine_accepts_every_flag_its_technique_takes(facts_file, technique):
+    flags = [word for flag in MINE_TAKES[technique] for word in (flag, *MINE_FLAG_VALUES[flag])]
+    code, out = run_cli("mine", technique, str(facts_file), *flags)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["query", "ep", "MISSING", "--exception", "X", "--role", "Bogus"],
+     "--role does not apply to EP queries, which take --exception, --root"),
+    (["query", "rl", "MISSING", "--redirector", "X"], "--receiver is required for this sort"),
+    (["plan", str(CORPUS / "undo-model.json"), "PasteCommandUndo/undo activity class",
+      "MISSING", "--advice", "around"],
+     "--advice applies only to CB instances, and 'PasteCommandUndo/undo activity class' "
+     "plans none"),
+    (["mine", "redirect", "MISSING", "--threshold", "1", "--min-group", "7"],
+     "--min-group does not apply to redirect mining, which takes --threshold, --coverage"),
+    (["mine", "fanin", "MISSING", "--threshold", "0"], "mining thresholds must be >= 1"),
+], ids=["query-foreign", "query-required", "plan-advice", "mine-foreign", "mine-threshold"])
+def test_flag_error_is_reported_before_the_facts_load(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing.jsonl"
+    argv = [str(missing) if word == "MISSING" else word for word in argv]
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not missing.exists()
 
 
 def test_query_scope_defaults_to_everything(facts_file):

@@ -1,0 +1,77 @@
+"""Every name that a module of the package imports is used in it."""
+
+from __future__ import annotations
+
+import ast
+
+import pytest
+
+from conftest import REPO
+
+PACKAGE = REPO / "src" / "sortweaver"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _imported(tree: ast.Module, is_init: bool) -> dict[str, int]:
+    """Bound name -> line of each import, but for ``__future__`` imports and
+    an ``__init__.py``'s relative imports, which re-export."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or (is_init and node.level):
+                continue
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere, inside string annotations too, and those listed
+    in ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        for annotation in annotations:
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= _used(ast.parse(part.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(PACKAGE)) for p in MODULES])
+def test_module_has_no_unused_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = _imported(tree, path.name == "__init__.py")
+    used = _used(tree)
+    unused = [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "from typing import Any, TYPE_CHECKING\n"
+        "from .x import y\n"
+        "def f(a: 'Any') -> None:\n"
+        "    return os.sep\n"
+    )
+    tree = ast.parse(source)
+    unused = sorted(set(_imported(tree, is_init=False)) - _used(tree))
+    assert unused == ["TYPE_CHECKING", "y"]
+    assert sorted(set(_imported(tree, is_init=True)) - _used(tree)) == ["TYPE_CHECKING"]

@@ -11,11 +11,13 @@ from conftest import REPO, model_from_source
 from randmodels import random_model
 
 from sortweaver.mining import (
+    TECHNIQUES,
     MiningConfig,
     fan_in_analysis,
     find_redirectors,
     grouped_calls_analysis,
     is_accessor,
+    mine,
 )
 from sortweaver.model import DispatchPolicy, FactError
 
@@ -277,6 +279,29 @@ def test_config_validation():
         MiningConfig(redirect_coverage=0.0)
     with pytest.raises(ValueError):
         MiningConfig(redirect_coverage=1.5)
+
+
+class _RecordingConfig:
+    """A MiningConfig stand-in that notes every field a technique reads."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(MiningConfig(), name)
+
+
+@pytest.mark.parametrize("technique", list(TECHNIQUES))
+def test_techniques_table_lists_the_fields_each_technique_reads(
+        command_model, decorator_model, undo_model, technique):
+    config = _RecordingConfig()
+    seeds = 0
+    for model in (command_model, decorator_model, undo_model):
+        seeds += len(mine(model, technique, config))
+    assert seeds > 0
+    _, fields = TECHNIQUES[technique]
+    assert config.read == set(fields)
 
 
 def test_mining_is_deterministic(command_model, undo_model):

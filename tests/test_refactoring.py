@@ -16,12 +16,7 @@ from sortweaver.refactoring import (
     apply_edits,
     check_precedence,
     combine_plans,
-    plan_cb,
-    plan_ec,
-    plan_ep,
-    plan_rl,
-    plan_rsi,
-    plan_sc,
+    plan_for,
     render_doc,
 )
 
@@ -36,7 +31,7 @@ def fixed_point(plan):
 
 def test_notify_views_plan_is_after_advice_with_19_deletes(command_model):
     result = query_cb(command_model, "DrawingView.checkDamage", "Command")
-    plan = plan_cb(command_model, result)
+    plan = plan_for(command_model, result)
     text = plan.aspect_text
     assert "execution(void Command+.execute())" in text
     assert "after(Command command)" in text
@@ -47,7 +42,7 @@ def test_notify_views_plan_is_after_advice_with_19_deletes(command_model):
 
 def test_consistency_plan_matches_advice_figure(command_model):
     result = query_cb(command_model, "AbstractCommand.execute", "AbstractCommand")
-    plan = plan_cb(command_model, result)
+    plan = plan_for(command_model, result)
     text = plan.aspect_text
     assert "before(AbstractCommand abstractCommand)" in text
     assert "execution(void AbstractCommand+.execute())" in text
@@ -60,7 +55,7 @@ def test_consistency_plan_matches_advice_figure(command_model):
 
 def test_mixed_ordinals_propose_around_with_tangled(undo_model):
     result = query_cb(undo_model, "AbstractCommand.setUndoActivity", "PasteCommand")
-    plan = plan_cb(undo_model, result)
+    plan = plan_for(undo_model, result)
     assert "void around(PasteCommand pasteCommand)" in plan.aspect_text
     assert "proceed();" in plan.aspect_text
     assert any(w.code == "TANGLED" for w in plan.warnings)
@@ -68,14 +63,14 @@ def test_mixed_ordinals_propose_around_with_tangled(undo_model):
 
 def test_advice_override_keeps_tangled_warning(undo_model):
     result = query_cb(undo_model, "AbstractCommand.setUndoActivity", "PasteCommand")
-    plan = plan_cb(undo_model, result, advice="after")
+    plan = plan_for(undo_model, result, advice="after")
     assert "after(PasteCommand pasteCommand)" in plan.aspect_text
     assert any(w.code == "TANGLED" for w in plan.warnings)
 
 
 def test_enumerated_pointcut(command_model):
     result = query_cb(command_model, "AbstractCommand.execute", "AbstractCommand")
-    plan = plan_cb(command_model, result, enumerate_callers=True)
+    plan = plan_for(command_model, result, enumerate_callers=True)
     text = plan.aspect_text
     assert "+" not in text.split("{", 1)[1]  # no subtype marker on patterns
     assert "execution(void PasteCommand.execute())" in text
@@ -86,20 +81,20 @@ def test_enumerated_pointcut(command_model):
 
 def test_empty_cb_result_is_an_error(command_model):
     empty = query_cb(command_model, "DrawingView.checkDamage", "DrawingView")
-    with pytest.raises(PlanError):
-        plan_cb(command_model, empty)
+    with pytest.raises(PlanError, match="^cannot plan an empty CB result$"):
+        plan_for(command_model, empty)
 
 
 def test_cb_closure_drives_query_to_empty(command_model):
     result = query_cb(command_model, "DrawingView.checkDamage", "Command")
-    plan = plan_cb(command_model, result)
+    plan = plan_for(command_model, result)
     edited = apply_edits(command_model, plan.edits)
     assert query_cb(edited, "DrawingView.checkDamage", "Command").hits == ()
 
 
 def test_cb_edit_targets_stay_within_result_closure(command_model):
     result = query_cb(command_model, "DrawingView.checkDamage", "Command")
-    plan = plan_cb(command_model, result)
+    plan = plan_for(command_model, result)
     allowed = {h.call for h in result.hits}
     assert {e.target for e in plan.edits} <= allowed
 
@@ -109,7 +104,7 @@ def test_cb_edit_targets_stay_within_result_closure(command_model):
 
 def test_pure_decorator_plan(decorator_model):
     result = query_rl(decorator_model, "BorderDecorator", "Figure")
-    plan = plan_rl(decorator_model, result)
+    plan = plan_for(decorator_model, result)
     text = plan.aspect_text
     assert text.count("around()") == 2
     assert "call(void Figure.draw())" in text
@@ -129,7 +124,7 @@ class Observer { }
         "\n    public void addObserver(Observer o) {\n    }\n}",
     ))
     result = query_rl(model, "BorderDecorator", "Figure")
-    plan = plan_rl(model, result)
+    plan = plan_for(model, result)
     codes = [w.code for w in plan.warnings]
     assert "REDIR_EXTRA_ROLES" in codes
 
@@ -145,7 +140,7 @@ class Canvas {
 """
     model = model_from_source(text)
     result = query_rl(model, "BorderDecorator", "Figure")
-    plan = plan_rl(model, result)
+    plan = plan_for(model, result)
     clients = [w for w in plan.warnings if w.code == "REDIR_CLIENTS"]
     assert len(clients) == 1
     (call_id,) = clients[0].evidence
@@ -157,7 +152,7 @@ class Canvas {
 
 def test_wormhole_plan_removes_middle_parameter(monitor_model):
     result = query_ec(monitor_model, "ProgressMonitor")
-    plan = plan_ec(monitor_model, result)
+    plan = plan_for(monitor_model, result)
     text = plan.aspect_text
     assert "pointcut callerSpace(ProgressMonitor ctx)" in text
     assert "cflow(callerSpace(ctx)) && calleeSpace()" in text
@@ -179,7 +174,7 @@ def test_two_method_chain_has_no_signature_edits():
     }
     """
     model = model_from_source(text)
-    plan = plan_ec(model, query_ec(model, "Monitor"))
+    plan = plan_for(model, query_ec(model, "Monitor"))
     assert [e for e in plan.edits if e.kind == "remove_param"] == []
     assert any("no intermediate methods" in note for note in plan.notes)
 
@@ -194,7 +189,7 @@ def test_chains_sharing_a_head_get_one_caller_space():
     }
     """
     model = model_from_source(text)
-    plan = plan_ec(model, query_ec(model, "Monitor"))
+    plan = plan_for(model, query_ec(model, "Monitor"))
     text_out = plan.aspect_text
     assert text_out.count("pointcut callerSpace") == 1
     assert "execution(void A.left(Monitor)) || execution(void A.right(Monitor))" in text_out
@@ -205,7 +200,7 @@ def test_chains_sharing_a_head_get_one_caller_space():
 
 def test_rsi_plan_introduces_factory_with_visibility_caution(undo_model):
     result = query_rsi(undo_model, "Undoable", "PasteCommand")
-    plan = plan_rsi(undo_model, result)
+    plan = plan_for(undo_model, result)
     text = plan.aspect_text
     assert "declare parents : PasteCommand implements Undoable;" in text
     assert "public UndoableAdapter PasteCommand.createUndoActivity()" in text
@@ -222,7 +217,7 @@ def test_all_public_role_has_no_warnings():
     }
     """
     model = model_from_source(text)
-    plan = plan_rsi(model, query_rsi(model, "Storable", "*"))
+    plan = plan_for(model, query_rsi(model, "Storable", "*"))
     assert plan.warnings == ()
 
 
@@ -235,7 +230,7 @@ def test_role_member_overriding_non_role_member_is_a_blocker():
     }
     """
     model = model_from_source(text)
-    plan = plan_rsi(model, query_rsi(model, "Visitor", "Node"))
+    plan = plan_for(model, query_rsi(model, "Visitor", "Node"))
     blockers = [w for w in plan.warnings if w.code == "INTRO_CONFLICT"]
     assert len(blockers) == 1
     assert blockers[0].severity == "blocker"
@@ -246,7 +241,7 @@ def test_role_member_overriding_non_role_member_is_a_blocker():
 
 def test_sc_plan_moves_class_and_reports_broken_deps(undo_model):
     result = query_sc(undo_model, "PasteCommand")
-    plan = plan_sc(undo_model, result)
+    plan = plan_for(undo_model, result)
     text = plan.aspect_text
     assert "public static class UndoActivity extends UndoableAdapter" in text
     codes = {w.code for w in plan.warnings}
@@ -268,13 +263,13 @@ def test_sc_with_public_members_only_warns_not_introducible():
     }
     """
     model = model_from_source(text)
-    plan = plan_sc(model, query_sc(model, "HostCommand"))
+    plan = plan_for(model, query_sc(model, "HostCommand"))
     assert [w.code for w in plan.warnings] == ["SC_NOT_INTRODUCIBLE"]
 
 
 def test_empty_sc_result_is_an_error(command_model):
-    with pytest.raises(PlanError):
-        plan_sc(command_model, query_sc(command_model, "SelectionTool"))
+    with pytest.raises(PlanError, match="^cannot plan an empty SC result$"):
+        plan_for(command_model, query_sc(command_model, "SelectionTool"))
 
 
 # -- exception propagation ----------------------------------------------------------------------
@@ -282,7 +277,7 @@ def test_empty_sc_result_is_an_error(command_model):
 
 def test_ep_plan_structure(exceptions_model):
     result = query_ep(exceptions_model, "IOErr")
-    plan = plan_ep(exceptions_model, result)
+    plan = plan_for(exceptions_model, result)
     text = plan.aspect_text
     assert "declare soft : IOErr : (call(* StorageFormat.parse(..) throws IOErr));" in text
     deletions = {exceptions_model.method_sig(e.target) for e in plan.edits}
@@ -295,7 +290,7 @@ def test_ep_plan_structure(exceptions_model):
 
 def test_ep_closure_no_chain_contains_edited_methods(exceptions_model):
     result = query_ep(exceptions_model, "IOErr")
-    plan = plan_ep(exceptions_model, result)
+    plan = plan_for(exceptions_model, result)
     edited_model = apply_edits(exceptions_model, plan.edits)
     edited_ids = {e.target for e in plan.edits}
     for chain in query_ep(edited_model, "IOErr").hits:
@@ -311,7 +306,7 @@ class AltLoader extends DrawingLoader {
 }
 """
     model = model_from_source(text)
-    plan = plan_ep(model, query_ep(model, "IOErr"))
+    plan = plan_for(model, query_ep(model, "IOErr"))
     overrides = [w for w in plan.warnings if w.code == "EP_OVERRIDES"]
     assert len(overrides) == 1
     (related,) = overrides[0].evidence
@@ -326,7 +321,7 @@ def test_single_method_chain_plan_has_no_throws_edits():
     }
     """
     model = model_from_source(text)
-    plan = plan_ep(model, query_ep(model, "IOErr"))
+    plan = plan_for(model, query_ep(model, "IOErr"))
     assert plan.edits == ()
     assert any("single-method chain" in note for note in plan.notes)
 
@@ -336,9 +331,9 @@ def test_single_method_chain_plan_has_no_throws_edits():
 
 def test_composite_undo_aspect(undo_model):
     plans = [
-        plan_sc(undo_model, query_sc(undo_model, "PasteCommand")),
-        plan_rsi(undo_model, query_rsi(undo_model, "Undoable", "PasteCommand")),
-        plan_cb(
+        plan_for(undo_model, query_sc(undo_model, "PasteCommand")),
+        plan_for(undo_model, query_rsi(undo_model, "Undoable", "PasteCommand")),
+        plan_for(
             undo_model,
             query_cb(undo_model, "AbstractCommand.setUndoActivity", "PasteCommand"),
             advice="after",
@@ -364,17 +359,17 @@ def test_parse_aspect_rejects_malformed_text():
 
 def test_rendering_same_plan_twice_is_identical(command_model):
     result = query_cb(command_model, "DrawingView.checkDamage", "Command")
-    assert plan_cb(command_model, result).aspect_text == \
-        plan_cb(command_model, result).aspect_text
+    assert plan_for(command_model, result).aspect_text == \
+        plan_for(command_model, result).aspect_text
 
 
 def test_all_edit_targets_exist(undo_model, exceptions_model, monitor_model):
     known = lambda m, eid: eid in m.types or eid in m.methods or eid in m.fields \
         or eid in m.calls
     cases = [
-        (undo_model, plan_sc(undo_model, query_sc(undo_model, "PasteCommand"))),
-        (exceptions_model, plan_ep(exceptions_model, query_ep(exceptions_model, "IOErr"))),
-        (monitor_model, plan_ec(monitor_model, query_ec(monitor_model, "ProgressMonitor"))),
+        (undo_model, plan_for(undo_model, query_sc(undo_model, "PasteCommand"))),
+        (exceptions_model, plan_for(exceptions_model, query_ep(exceptions_model, "IOErr"))),
+        (monitor_model, plan_for(monitor_model, query_ec(monitor_model, "ProgressMonitor"))),
     ]
     for model, plan in cases:
         for edit in plan.edits:
@@ -382,10 +377,10 @@ def test_all_edit_targets_exist(undo_model, exceptions_model, monitor_model):
 
 
 def test_precedence_detected_on_overlapping_cb_plans(command_model):
-    consistency = plan_cb(
+    consistency = plan_for(
         command_model, query_cb(command_model, "AbstractCommand.execute", "AbstractCommand")
     )
-    notify = plan_cb(
+    notify = plan_for(
         command_model, query_cb(command_model, "DrawingView.checkDamage", "Command")
     )
     warnings = check_precedence([consistency, notify])
@@ -395,8 +390,8 @@ def test_precedence_detected_on_overlapping_cb_plans(command_model):
 
 
 def test_no_precedence_for_disjoint_plans(undo_model):
-    sc = plan_sc(undo_model, query_sc(undo_model, "PasteCommand"))
-    cb = plan_cb(
+    sc = plan_for(undo_model, query_sc(undo_model, "PasteCommand"))
+    cb = plan_for(
         undo_model,
         query_cb(undo_model, "AbstractCommand.setUndoActivity", "PasteCommand"),
         advice="after",

@@ -22,12 +22,7 @@ from sortweaver.queries import (
 )
 from sortweaver.refactoring import (
     check_precedence,
-    plan_cb,
-    plan_ec,
-    plan_ep,
-    plan_rl,
-    plan_rsi,
-    plan_sc,
+    plan_for,
 )
 
 
@@ -50,34 +45,34 @@ def _codes(plan) -> set[str]:
 
 def consistency_plan():
     model = _corpus("command")
-    return plan_cb(model, query_cb(model, "AbstractCommand.execute", "AbstractCommand"))
+    return plan_for(model, query_cb(model, "AbstractCommand.execute", "AbstractCommand"))
 
 
 def notify_plan():
     model = _corpus("command")
-    return plan_cb(model, query_cb(model, "DrawingView.checkDamage", "Command"))
+    return plan_for(model, query_cb(model, "DrawingView.checkDamage", "Command"))
 
 
 def undo_setup_plan():
     model = _corpus("undo")
-    return plan_cb(
+    return plan_for(
         model, query_cb(model, "AbstractCommand.setUndoActivity", "PasteCommand")
     )
 
 
 def undo_rsi_plan():
     model = _corpus("undo")
-    return plan_rsi(model, query_rsi(model, "Undoable", "PasteCommand"))
+    return plan_for(model, query_rsi(model, "Undoable", "PasteCommand"))
 
 
 def undo_sc_plan():
     model = _corpus("undo")
-    return plan_sc(model, query_sc(model, "PasteCommand"))
+    return plan_for(model, query_sc(model, "PasteCommand"))
 
 
 def pure_decorator_plan():
     model = _corpus("decorator")
-    return plan_rl(model, query_rl(model, "BorderDecorator", "Figure"))
+    return plan_for(model, query_rl(model, "BorderDecorator", "Figure"))
 
 
 _DECORATOR_EXTRA = """
@@ -98,7 +93,7 @@ class BorderDecorator implements Figure {
 
 def decorator_extra_roles_plan():
     model = _inline(_DECORATOR_EXTRA)
-    return plan_rl(model, query_rl(model, "BorderDecorator", "Figure"))
+    return plan_for(model, query_rl(model, "BorderDecorator", "Figure"))
 
 
 def decorator_direct_client_plan():
@@ -109,7 +104,7 @@ class Canvas {
 }
 """
     model = _inline(text, "decorator.mini")
-    return plan_rl(model, query_rl(model, "BorderDecorator", "Figure"))
+    return plan_for(model, query_rl(model, "BorderDecorator", "Figure"))
 
 
 def decorator_uncovered_receiver_plan():
@@ -126,7 +121,7 @@ def decorator_uncovered_receiver_plan():
     }
     """
     model = _inline(text)
-    return plan_rl(model, query_rl(model, "BorderDecorator", "FigureBase"))
+    return plan_for(model, query_rl(model, "BorderDecorator", "FigureBase"))
 
 
 def all_public_role_plan():
@@ -137,7 +132,7 @@ def all_public_role_plan():
     }
     """
     model = _inline(text)
-    return plan_rsi(model, query_rsi(model, "Storable", "*"))
+    return plan_for(model, query_rsi(model, "Storable", "*"))
 
 
 def conflicting_role_plan():
@@ -149,7 +144,7 @@ def conflicting_role_plan():
     }
     """
     model = _inline(text)
-    return plan_rsi(model, query_rsi(model, "Visitor", "Node"))
+    return plan_for(model, query_rsi(model, "Visitor", "Node"))
 
 
 def public_only_sc_plan():
@@ -163,12 +158,12 @@ def public_only_sc_plan():
     }
     """
     model = _inline(text)
-    return plan_sc(model, query_sc(model, "HostCommand"))
+    return plan_for(model, query_sc(model, "HostCommand"))
 
 
 def exceptions_plan():
     model = _corpus("exceptions")
-    return plan_ep(model, query_ep(model, "IOErr"))
+    return plan_for(model, query_ep(model, "IOErr"))
 
 
 def sibling_override_ep_plan():
@@ -180,12 +175,12 @@ class AltLoader extends DrawingLoader {
 }
 """
     model = _inline(text, "exceptions.mini")
-    return plan_ep(model, query_ep(model, "IOErr"))
+    return plan_for(model, query_ep(model, "IOErr"))
 
 
 def monitor_plan():
     model = _corpus("monitor")
-    return plan_ec(model, query_ec(model, "ProgressMonitor"))
+    return plan_for(model, query_ec(model, "ProgressMonitor"))
 
 
 def overlapping_precedence_codes() -> set[str]:
