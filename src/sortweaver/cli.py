@@ -8,9 +8,7 @@ codes: 0 success, 1 user error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import os
 import shlex
 import sys
 from pathlib import Path
@@ -46,12 +44,9 @@ from .queries import (
 )
 from .refactoring import (
     PlanError,
-    check_precedence,
     combine_plans,
     plan_for,
 )
-
-_POLICY_ENV = "SORTWEAVER_POLICY"
 
 
 class CliError(Exception):
@@ -187,18 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy(args) -> DispatchPolicy:
-    chosen = getattr(args, "policy", None) or os.environ.get(_POLICY_ENV)
-    if chosen is None:
-        return DispatchPolicy.LIFT_TO_ANCESTORS
-    try:
-        return DispatchPolicy(chosen)
-    except ValueError:
-        raise CliError(f"unknown dispatch policy {chosen!r}") from None
-
-
 def _load_model(args) -> SourceModel:
-    return load_facts_path(args.facts, policy=_policy(args))
+    policy = DispatchPolicy(args.policy) if args.policy else DispatchPolicy.LIFT_TO_ANCESTORS
+    return load_facts_path(args.facts, policy=policy)
 
 
 # -- extract ---------------------------------------------------------------------
@@ -413,6 +399,11 @@ def cmd_plan(args, stdin, stdout):
     flag = "--advice" if args.advice else "--enumerate" if args.enumerate_callers else None
     if flag and all(inst.binding.sort is not SortKind.CB for _, inst in instances):
         raise CliError(f"{flag} applies only to CB instances, and {path!r} plans none")
+    name = args.name
+    if name is None and not single:
+        name = _aspect_name_from(node.name)
+    if name is not None and not name.isidentifier():
+        raise CliError(f"aspect name {name!r} is not an identifier; choose one with --name")
     model = _load_model(args)
     plans = []
     for sub_path, instance in instances:
@@ -423,20 +414,11 @@ def cmd_plan(args, stdin, stdout):
                 result,
                 advice=args.advice or instance.binding.param("advice"),
                 enumerate_callers=args.enumerate_callers,
-                aspect_name=args.name if single else None,
+                aspect_name=name if single else None,
                 instance_path=sub_path,
             )
         )
-    if single:
-        plan = plans[0]
-    else:
-        name = args.name or _aspect_name_from(node.name)
-        plan = combine_plans(name, plans, instance_path=path)
-        interference = check_precedence(plans)
-        if interference:
-            plan = dataclasses.replace(
-                plan, warnings=tuple(list(plan.warnings) + interference)
-            )
+    plan = plans[0] if single else combine_plans(name, plans, instance_path=path)
 
     text = plan.aspect_text
     if args.output:

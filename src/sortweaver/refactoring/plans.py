@@ -2,11 +2,13 @@
 
 ``plan_for``, the one planning entry, turns one query result into a
 :class:`RefactoringPlan` through its sort's planner: a renderable aspect
-document, a machine-readable edit list against the fact model, and every
-triggered warning from the risk catalog.  Edits are not applied to source
-text; ``apply_edits`` replays the deletion edits on the fact model so closure
-properties can be checked (a consistent-behavior plan drives its originating
-query to empty).
+document, a machine-readable edit list against the fact model, and the
+warnings from the risk catalog.  Each planner gathers evidence per catalog
+code, and a warning fires exactly when its evidence is non-empty;
+``combine_plans`` adds the ``PRECEDENCE`` warnings of a group.  Edits are not
+applied to source text; ``apply_edits`` replays the deletion edits on the
+fact model so closure properties can be checked (a consistent-behavior plan
+drives its originating query to empty).
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class PlanError(ValueError):
     pass
 
 
-#: Stable risk catalog: code -> (severity, message).
+#: Stable risk catalog: code -> (severity, message).  A planner warns with a
+#: code exactly when it found evidence for it; ``PRECEDENCE`` comes from
+#: ``check_precedence`` over the plans of a group.
 WARNING_CATALOG: dict[str, tuple[str, str]] = {
     "ANON_CALLERS": (
         "caution",
@@ -213,6 +217,22 @@ def _sorted_warnings(warnings) -> tuple[RiskWarning, ...]:
     return tuple(sorted(set(warnings), key=lambda w: (w.code, w.evidence, w.message)))
 
 
+def _warnings(evidence: dict[str, list[str]]) -> tuple[RiskWarning, ...]:
+    """One warning per catalog code with non-empty evidence, sorted."""
+    return _sorted_warnings(warn(code, ids) for code, ids in evidence.items() if ids)
+
+
+def _execution(model: SourceModel, mid: str) -> Execution:
+    m = model.methods[mid]
+    return Execution(m.return_type, model.types[m.owner].qualified_name, m.name,
+                     ",".join(m.param_types))
+
+
+def _any_of(terms):
+    """The single term, or their disjunction."""
+    return terms[0] if len(terms) == 1 else OrExpr(tuple(terms))
+
+
 # -- consistent behavior ---------------------------------------------------------
 
 
@@ -239,34 +259,17 @@ def _plan_cb(
     named = [c for c in callers if not model.types[model.methods[c].owner].is_anonymous]
     anonymous = [c for c in callers if model.types[model.methods[c].owner].is_anonymous]
 
-    warnings: list[RiskWarning] = []
-    notes: list[str] = []
-
     proposed = _advice_kind(model, hits)
-    if proposed == "around":
-        tangled = [h.call for h in hits if not _first_or_last(model, h)]
-        warnings.append(warn("TANGLED", tangled or [h.call for h in hits]))
     kind = advice or proposed
     if kind not in ADVICE_KINDS:
         raise PlanError(f"unknown advice kind {kind!r}")
-
-    if any(model.calls[h.call].receiver.kind is ReceiverKind.SUPER for h in hits):
-        warnings.append(
-            warn("SUPER_CALL", [h.call for h in hits
-                                if model.calls[h.call].receiver.kind is ReceiverKind.SUPER])
-        )
-    encapsulation = []
-    if target.visibility is not Visibility.PUBLIC:
-        encapsulation.append(target.id)
-    for h in hits:
-        recv = model.calls[h.call].receiver
-        if recv.kind is ReceiverKind.FIELD \
-                and model.fields[recv.field].visibility is Visibility.PRIVATE:
-            encapsulation.append(recv.field)
-    if encapsulation:
-        warnings.append(warn("ENCAPSULATION", encapsulation))
-    if anonymous:
-        warnings.append(warn("ANON_CALLERS", anonymous))
+    tangled = []
+    if proposed == "around":
+        tangled = [h.call for h in hits if not _first_or_last(model, h)] or [h.call for h in hits]
+    receivers = [model.calls[h.call].receiver for h in hits]
+    encapsulation = [target.id] if target.visibility is not Visibility.PUBLIC else []
+    encapsulation += [r.field for r in receivers if r.kind is ReceiverKind.FIELD
+                      and model.fields[r.field].visibility is Visibility.PRIVATE]
 
     scope_type = None
     if scope_name not in ("", "*") and not scope_name.endswith("."):
@@ -274,6 +277,8 @@ def _plan_cb(
 
     shared = _shared_signature(model, callers)
     advised: set[str] = set(named)
+    omissions: list[str] = []
+    notes: list[str] = []
 
     if enumerate_callers or scope_type is None or shared is None:
         if not enumerate_callers:
@@ -283,19 +288,10 @@ def _plan_cb(
             )
         if anonymous:
             notes.append("anonymous callers cannot be enumerated and are left out")
-        pointcut_name = f"{target.name}Callers"
-        terms = tuple(
-            Execution(
-                model.methods[c].return_type,
-                model.types[model.methods[c].owner].qualified_name,
-                model.methods[c].name,
-                ",".join(model.methods[c].param_types),
-            )
-            for c in named
-        )
-        if not terms:
+        if not named:
             raise PlanError("no named callers to enumerate")
-        pointcut = PointcutDef(pointcut_name, (), terms[0] if len(terms) == 1 else OrExpr(terms))
+        pointcut_name = f"{target.name}Callers"
+        pointcut = PointcutDef(pointcut_name, (), _any_of([_execution(model, c) for c in named]))
         advice_params: tuple[tuple[str, str], ...] = ()
         ref = PointcutRef(pointcut_name, ())
     else:
@@ -316,13 +312,19 @@ def _plan_cb(
                                AndExpr(tuple(terms)))
         advice_params = ((scope_type.qualified_name, var),)
         ref = PointcutRef(pointcut_name, (var,))
-        omissions = _omissions(model, scope_type, shared, callers, target.id)
-        if omissions:
-            warnings.append(warn("OMISSION_CHECK", omissions))
-        advised = {
-            m for m in _matching_methods(model, scope_type, shared)
-            if not model.types[model.methods[m].owner].is_anonymous
-        }
+        matching = [
+            m.id
+            for tid in model.subtree(scope_type.id)
+            for m in model.methods_of(tid)
+            if (m.name, m.param_types, m.return_type) == shared
+        ]
+        caller_set = set(callers)
+        omissions = [
+            mid for mid in matching
+            if mid not in caller_set and mid != target.id
+            and model.methods[mid].body_stmt_count > 0
+        ]
+        advised = {m for m in matching if not model.types[model.methods[m].owner].is_anonymous}
 
     body = [f"// crosscut action: invoke {target_sig}"]
     if kind == "around":
@@ -342,7 +344,14 @@ def _plan_cb(
         sort="CB",
         doc=AspectDoc(f"{upper_first(target.name)}Aspect", stanzas),
         edits=edits,
-        warnings=_sorted_warnings(warnings),
+        warnings=_warnings({
+            "TANGLED": tangled,
+            "SUPER_CALL": [h.call for h, r in zip(hits, receivers)
+                           if r.kind is ReceiverKind.SUPER],
+            "ENCAPSULATION": encapsulation,
+            "ANON_CALLERS": anonymous,
+            "OMISSION_CHECK": omissions,
+        }),
         notes=tuple(notes),
         advised_methods=frozenset(advised),
     )
@@ -366,27 +375,6 @@ def _shared_signature(model: SourceModel, callers) -> tuple | None:
         for c in callers
     }
     return next(iter(sigs)) if len(sigs) == 1 else None
-
-
-def _matching_methods(model: SourceModel, scope_type, shared) -> list[str]:
-    name, params, ret = shared
-    return [
-        m.id
-        for tid in model.subtree(scope_type.id)
-        for m in model.methods_of(tid)
-        if m.name == name and m.param_types == params and m.return_type == ret
-    ]
-
-
-def _omissions(model: SourceModel, scope_type, shared, callers, target_id) -> list[str]:
-    caller_set = set(callers)
-    return [
-        mid
-        for mid in _matching_methods(model, scope_type, shared)
-        if mid not in caller_set
-        and mid != target_id
-        and model.methods[mid].body_stmt_count > 0
-    ]
 
 
 # -- redirection layer --------------------------------------------------------------
@@ -431,31 +419,26 @@ def _plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
             )
         )
 
-    warnings: list[RiskWarning] = []
-    extra = [
-        m.id
-        for m in model.methods_of(redirector.id)
-        if not m.is_constructor and m.id not in delegating
-    ]
-    if extra:
-        warnings.append(warn("REDIR_EXTRA_ROLES", extra))
-    direct = [
-        call.id
-        for mid in receiver_methods
-        for call in model.calls_to(mid, DispatchPolicy.STATIC_ONLY)
-        if model.methods[call.caller].owner != redirector.id
-    ]
-    if direct:
-        warnings.append(warn("REDIR_CLIENTS", direct))
-    uncovered = [
-        m.id
-        for m in model.methods_of(receiver.id)
-        if not m.is_constructor
-        and m.visibility is Visibility.PUBLIC
-        and m.id not in receiver_methods
-    ]
-    if uncovered:
-        warnings.append(warn("REDIR_NEW_METHODS", uncovered))
+    warnings = _warnings({
+        "REDIR_EXTRA_ROLES": [
+            m.id
+            for m in model.methods_of(redirector.id)
+            if not m.is_constructor and m.id not in delegating
+        ],
+        "REDIR_CLIENTS": [
+            call.id
+            for mid in receiver_methods
+            for call in model.calls_to(mid, DispatchPolicy.STATIC_ONLY)
+            if model.methods[call.caller].owner != redirector.id
+        ],
+        "REDIR_NEW_METHODS": [
+            m.id
+            for m in model.methods_of(receiver.id)
+            if not m.is_constructor
+            and m.visibility is Visibility.PUBLIC
+            and m.id not in receiver_methods
+        ],
+    })
 
     edits = (
         SourceEdit(
@@ -469,7 +452,7 @@ def _plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
         sort="RL",
         doc=AspectDoc(f"{redirector.simple_name}Layer", tuple(stanzas)),
         edits=edits,
-        warnings=_sorted_warnings(warnings),
+        warnings=warnings,
         advised_methods=frozenset(receiver_methods),
     )
 
@@ -489,30 +472,15 @@ def _plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
         heads.setdefault(chain.methods[0], chain.param_indices[0])
         tails.append(chain.methods[-1])
 
-    def execution_of(mid: str) -> Execution:
-        m = model.methods[mid]
-        return Execution(
-            m.return_type,
-            model.types[m.owner].qualified_name,
-            m.name,
-            ",".join(m.param_types),
-        )
-
     head_terms = []
     for mid in sorted(heads, key=natural_key):
         m = model.methods[mid]
         slots = ["*"] * m.arity
         slots[heads[mid]] = "ctx"
-        head_terms.append(AndExpr((execution_of(mid), Args(", ".join(slots)))))
-    caller_space = PointcutDef(
-        "callerSpace",
-        ((context, "ctx"),),
-        head_terms[0] if len(head_terms) == 1 else OrExpr(tuple(head_terms)),
-    )
-    tail_terms = tuple(execution_of(mid) for mid in sorted(set(tails), key=natural_key))
-    callee_space = PointcutDef(
-        "calleeSpace", (), tail_terms[0] if len(tail_terms) == 1 else OrExpr(tail_terms)
-    )
+        head_terms.append(AndExpr((_execution(model, mid), Args(", ".join(slots)))))
+    caller_space = PointcutDef("callerSpace", ((context, "ctx"),), _any_of(head_terms))
+    tail_terms = [_execution(model, mid) for mid in sorted(set(tails), key=natural_key)]
+    callee_space = PointcutDef("calleeSpace", (), _any_of(tail_terms))
     advice = Advice(
         "around",
         "void",
@@ -522,9 +490,8 @@ def _plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     )
 
     intermediates: dict[str, int] = {}
-    edits: list[SourceEdit] = []
+    call_edits: dict[str, SourceEdit] = {}
     notes: list[str] = []
-    seen = set()
     for chain in chains:
         if len(chain.methods) == 2:
             notes.append(
@@ -536,35 +503,31 @@ def _plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
             intermediates.setdefault(chain.methods[position], chain.param_indices[position])
         for position, call_id in enumerate(chain.calls):
             caller, callee = chain.methods[position], chain.methods[position + 1]
-            if callee in intermediates or caller in intermediates:
-                key = ("call", call_id)
-                if key not in seen:
-                    seen.add(key)
-                    edits.append(
-                        SourceEdit(
-                            "remove_param",
-                            call_id,
-                            f"drop the {context} argument from the call "
-                            f"{model.method_sig(caller)} -> {model.method_sig(callee)}",
-                            (("arg_index", str(chain.param_indices[position + 1])),),
-                        )
-                    )
-    for mid in sorted(intermediates, key=natural_key):
-        edits.append(
-            SourceEdit(
-                "remove_param",
-                mid,
-                f"drop the pass-through {context} parameter from {model.method_sig(mid)}",
-                (("param_index", str(intermediates[mid])),),
-            )
+            if (callee in intermediates or caller in intermediates) \
+                    and call_id not in call_edits:
+                call_edits[call_id] = SourceEdit(
+                    "remove_param",
+                    call_id,
+                    f"drop the {context} argument from the call "
+                    f"{model.method_sig(caller)} -> {model.method_sig(callee)}",
+                    (("arg_index", str(chain.param_indices[position + 1])),),
+                )
+    param_edits = [
+        SourceEdit(
+            "remove_param",
+            mid,
+            f"drop the pass-through {context} parameter from {model.method_sig(mid)}",
+            (("param_index", str(intermediates[mid])),),
         )
+        for mid in sorted(intermediates, key=natural_key)
+    ]
 
     return RefactoringPlan(
         sort="EC",
         doc=AspectDoc(
             f"{context.rsplit('.', 1)[-1]}Wormhole", (caller_space, callee_space, advice)
         ),
-        edits=tuple(edits),
+        edits=(*call_edits.values(), *param_edits),
         warnings=(),
         notes=tuple(notes),
         advised_methods=frozenset(heads) | frozenset(tails),
@@ -581,7 +544,6 @@ def _plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 
     stanzas: list = []
     edits: list[SourceEdit] = []
-    warnings: list[RiskWarning] = []
     altered: list[str] = []
     conflicts: list[str] = []
 
@@ -598,10 +560,9 @@ def _plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
         owner = model.types[member.owner].qualified_name
         if member.visibility is not Visibility.PUBLIC:
             altered.append(member.id)
-        for overridden in model.overrides_all(member.id):
-            if model.methods[overridden].owner not in model.ancestors(role.id):
-                conflicts.append(member.id)
-                break
+        if any(model.methods[overridden].owner not in model.ancestors(role.id)
+               for overridden in model.overrides_all(member.id)):
+            conflicts.append(member.id)
         stanzas.append(
             IntroMethod(
                 "public",
@@ -620,16 +581,11 @@ def _plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
             )
         )
 
-    if altered:
-        warnings.append(warn("VISIBILITY_CHANGE", altered))
-    if conflicts:
-        warnings.append(warn("INTRO_CONFLICT", conflicts))
-
     return RefactoringPlan(
         sort="RSI",
         doc=AspectDoc(f"{role.simple_name}Role", tuple(stanzas)),
         edits=tuple(edits),
-        warnings=_sorted_warnings(warnings),
+        warnings=_warnings({"VISIBILITY_CHANGE": altered, "INTRO_CONFLICT": conflicts}),
     )
 
 
@@ -643,7 +599,6 @@ def _plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     stanzas: list = []
     edits: list[SourceEdit] = []
     broken: list[str] = []
-    moved: list[str] = []
     for hit in hits:
         nested = model.types[hit.nested]
         enclosing = model.types[hit.enclosing]
@@ -657,7 +612,6 @@ def _plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
                 (f"// moved from {nested.qualified_name}",),
             )
         )
-        moved.append(nested.id)
         edits.append(
             SourceEdit(
                 "move_nested_class_to_aspect",
@@ -676,16 +630,15 @@ def _plan_sc(model: SourceModel, result: QueryResult) -> RefactoringPlan:
                 if target.owner == enclosing.id and target.visibility is Visibility.PRIVATE:
                     broken.append(target.id)
 
-    warnings = [warn("SC_NOT_INTRODUCIBLE", moved)]
-    if broken:
-        warnings.append(warn("SC_BROKEN_DEPS", broken))
-
     enclosing_name = model.types[hits[0].enclosing].simple_name
     return RefactoringPlan(
         sort="SC",
         doc=AspectDoc(f"{enclosing_name}Support", tuple(stanzas)),
         edits=tuple(edits),
-        warnings=_sorted_warnings(warnings),
+        warnings=_warnings({
+            "SC_NOT_INTRODUCIBLE": [hit.nested for hit in hits],
+            "SC_BROKEN_DEPS": broken,
+        }),
     )
 
 
@@ -749,22 +702,19 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     if any(len(c.methods) == 1 for c in chains):
         notes.append("single-method chain: nothing to unthread, only the root remains")
 
-    warnings = [warn("EP_TYPE_LOST", [exception])]
-    related: list[str] = []
     member_set = set(members)
-    for mid in members:
-        for other in model.overrides_all(mid) | model.overridden_by(mid):
-            if other not in member_set \
-                    and exception in model.methods[other].declared_throws:
-                related.append(other)
-    if related:
-        warnings.append(warn("EP_OVERRIDES", related))
+    related = [
+        other
+        for mid in members
+        for other in model.overrides_all(mid) | model.overridden_by(mid)
+        if other not in member_set and exception in model.methods[other].declared_throws
+    ]
 
     return RefactoringPlan(
         sort="EP",
         doc=AspectDoc(f"{exception.rsplit('.', 1)[-1]}Softening", tuple(stanzas)),
         edits=edits,
-        warnings=_sorted_warnings(warnings),
+        warnings=_warnings({"EP_TYPE_LOST": [exception], "EP_OVERRIDES": related}),
         notes=tuple(notes),
     )
 
@@ -807,30 +757,21 @@ def combine_plans(
     aspect_name: str, plans: list[RefactoringPlan], instance_path: str = ""
 ) -> RefactoringPlan:
     """Merge several plans into one aspect (e.g. an undo aspect holding the
-    moved support class, the role introductions and the execute advice)."""
+    moved support class, the role introductions and the execute advice).
+    Duplicate stanzas, edits and notes are kept once; the plans' sorted
+    warnings are followed by their ``PRECEDENCE`` warnings."""
     if not plans:
         raise PlanError("nothing to combine")
-    stanzas: list = []
-    for plan in plans:
-        for stanza in plan.doc.stanzas:
-            if stanza not in stanzas:
-                stanzas.append(stanza)
-    edits: list[SourceEdit] = []
-    for plan in plans:
-        for edit in plan.edits:
-            if edit not in edits:
-                edits.append(edit)
     warnings = _sorted_warnings(w for plan in plans for w in plan.warnings)
-    notes = tuple(dict.fromkeys(note for plan in plans for note in plan.notes))
-    advised = frozenset().union(*(plan.advised_methods for plan in plans))
     return RefactoringPlan(
         sort="+".join(dict.fromkeys(p.sort for p in plans)),
-        doc=AspectDoc(aspect_name, tuple(stanzas)),
-        edits=tuple(edits),
-        warnings=warnings,
+        doc=AspectDoc(aspect_name, tuple(dict.fromkeys(
+            stanza for plan in plans for stanza in plan.doc.stanzas))),
+        edits=tuple(dict.fromkeys(edit for plan in plans for edit in plan.edits)),
+        warnings=warnings + tuple(check_precedence(plans)),
         instance_path=instance_path,
-        notes=notes,
-        advised_methods=advised,
+        notes=tuple(dict.fromkeys(note for plan in plans for note in plan.notes)),
+        advised_methods=frozenset().union(*(plan.advised_methods for plan in plans)),
     )
 
 

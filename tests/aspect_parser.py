@@ -166,6 +166,8 @@ def parse_aspect(text: str) -> AspectDoc:
     if not lines or not lines[0].startswith("public aspect ") or not lines[0].endswith(" {"):
         raise AspectSyntaxError("missing aspect header")
     name = lines[0][len("public aspect "):-len(" {")]
+    if not name.isidentifier():
+        raise AspectSyntaxError(f"aspect name {name!r} is not an identifier")
     if not lines[-1] == "}":
         raise AspectSyntaxError("missing closing brace")
     body = [_dedent(line, 4) for line in lines[1:-1]]

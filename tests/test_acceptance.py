@@ -237,7 +237,6 @@ def _pipeline_outputs(tmp: Path) -> bytes:
     tmp.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    env.pop("SORTWEAVER_POLICY", None)
 
     def run(*argv: str) -> bytes:
         proc = subprocess.run(

@@ -129,16 +129,11 @@ def test_query_unknown_scope_is_user_error(facts_file, capsys):
     assert code == 1
 
 
-def test_policy_env_var_changes_lifting(facts_file, monkeypatch):
-    monkeypatch.setenv("SORTWEAVER_POLICY", "static_only")
-    code, out = run_cli(
-        "query", "cb", str(facts_file), "--target", "Command.execute", "--scope", "*"
-    )
+def test_policy_flag_changes_lifting(facts_file):
+    args = ("query", "cb", str(facts_file), "--target", "Command.execute", "--scope", "*")
+    code, out = run_cli(*args, "--policy", "static_only")
     assert out.startswith("1 hits\n")
-    monkeypatch.setenv("SORTWEAVER_POLICY", "lift_to_ancestors")
-    code, out = run_cli(
-        "query", "cb", str(facts_file), "--target", "Command.execute", "--scope", "*"
-    )
+    code, out = run_cli(*args, "--policy", "lift_to_ancestors")
     assert out.startswith("21 hits\n")
 
 
@@ -251,6 +246,28 @@ def test_plan_advice_flag_reaches_the_cb_instance_of_a_group(undo_facts):
     assert code == 0
     assert out != run_cli(*args)[1]
     assert "void around(PasteCommand pasteCommand)" in out
+
+
+@pytest.mark.parametrize("group, path, flags, name", [
+    ("!!!", "!!!", (), ""),
+    ("9 lives", "9 lives", (), "9Lives"),
+    ("PasteCommandUndo", "PasteCommandUndo/undo setup calls", ("--name", "a b"), "a b"),
+    ("PasteCommandUndo", "PasteCommandUndo", ("--name", ""), ""),
+], ids=["group-without-letters", "group-with-leading-digit", "name-with-space", "empty-name"])
+def test_plan_refuses_an_aspect_name_that_is_not_an_identifier(
+    tmp_path, capsys, group, path, flags, name
+):
+    concerns = json.loads((CORPUS / "undo-model.json").read_text())
+    concerns["children"][0]["name"] = group
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(concerns))
+    # The facts file does not exist: the name is checked before the facts load.
+    facts = tmp_path / "missing.jsonl"
+    code, out = run_cli("plan", str(model_file), path, str(facts), *flags)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: aspect name {name!r} is not an identifier; choose one with --name\n"
+    )
 
 
 def test_plan_unknown_path_is_user_error(undo_facts):

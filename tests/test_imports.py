@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in it."""
+"""Every name that a module of the package imports is used in it, and every
+module-level private name is used somewhere in the package."""
 
 from __future__ import annotations
 
@@ -75,3 +76,60 @@ def test_the_check_finds_an_unused_import():
     unused = sorted(set(_imported(tree, is_init=False)) - _used(tree))
     assert unused == ["TYPE_CHECKING", "y"]
     assert sorted(set(_imported(tree, is_init=True)) - _used(tree)) == ["TYPE_CHECKING"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private functions, classes and constants -> their statement."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        defined.update((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
+    return defined
+
+
+def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private names that no module loads, as a name or an attribute, outside
+    the statement that defines them."""
+    loads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append(node)
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in loads.get(name, ())):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_every_private_name_is_used():
+    trees = {str(p.relative_to(PACKAGE)): ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert _dead_private_names(trees) == []
+
+
+def test_the_check_finds_a_dead_private_name():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _USED\n"
+        "class _Helper:\n"
+        "    pass\n"
+        "def public(x):\n"
+        "    return x._Helper\n"
+    )
+    other = "from .m import _USED as used\n_ALIAS = used\n"
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse(other)}
+    assert _dead_private_names(trees) == ["m.py: _UNUSED", "m.py: _recursive", "n.py: _ALIAS"]

@@ -198,7 +198,6 @@ def test_grouped_seed_order_ignores_hash_seed(tmp_path):
     outputs = set()
     for hash_seed in range(1, 9):
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(REPO / "src"))
-        env.pop("SORTWEAVER_POLICY", None)
         proc = subprocess.run(
             [sys.executable, "-m", "sortweaver", "mine", "grouped", str(facts), "--json"],
             capture_output=True, env=env, check=True, text=True,

@@ -1,8 +1,16 @@
+import hashlib
+import io
+
 import pytest
 
+import warning_scenarios
 from aspect_parser import AspectSyntaxError, parse_aspect
 from conftest import CORPUS, model_from_source
 
+from sortweaver._util import pretty_json
+from sortweaver.cli import main
+from sortweaver.concerns import Group, load_model
+from sortweaver.model import DispatchPolicy
 from sortweaver.queries import (
     query_cb,
     query_ec,
@@ -352,7 +360,8 @@ def test_composite_undo_aspect(undo_model):
 
 
 def test_parse_aspect_rejects_malformed_text():
-    for bad in ("", "aspect X {", "public aspect X {\n    what is this\n}"):
+    for bad in ("", "aspect X {", "public aspect X {\n    what is this\n}",
+                "public aspect  {\n}", "public aspect a b {\n}", "public aspect 9Lives {\n}"):
         with pytest.raises(AspectSyntaxError):
             parse_aspect(bad)
 
@@ -412,3 +421,63 @@ def test_combined_same_code_warnings_are_ordered_by_evidence():
     combined = combine_plans("Softening", plans)
     assert [w.code for w in combined.warnings] == ["EP_TYPE_LOST"] * 8
     assert [w.evidence for w in combined.warnings] == [(m,) for m in methods]
+
+
+# -- pinned plan bytes ----------------------------------------------------------------
+
+PLAN_FLAG_SETS = ((), ("--json",), ("--enumerate",), ("--advice", "around"))
+
+#: sha256 and length of each plan sweep below.  A change that alters a plan
+#: on purpose updates the pin and says so in CHANGES.md.
+PLAN_PINS = {
+    "cli": ("b61fd57a29ecaa765927c2677862ed5e91d3564499a27325ef2adb29e5a528dd", 194483),
+    "corpus": ("a08b498748671003c47230d36de0db70b043d9cfa5391b991ec55126524cb737", 3433),
+    "scenarios": ("2e7e9ed2a2c977a6d63078dc7bf9ed2af7d68da0948fe0c6849a034bf340b78c", 22541),
+}
+
+
+def _concern_paths(group, prefix=""):
+    for child in group.children:
+        path = f"{prefix}/{child.name}" if prefix else child.name
+        yield path
+        if isinstance(child, Group):
+            yield from _concern_paths(child, path)
+
+
+def _cli_plan_outputs(tmp_path) -> str:
+    """``plan`` stdout and exit code for every path of both corpus concern
+    models (the root included), each flag set, under each policy."""
+    chunks = []
+    for stem in ("command", "undo"):
+        facts = tmp_path / f"{stem}.jsonl"
+        assert main(["extract", str(CORPUS / f"{stem}.mini"), "-o", str(facts)]) == 0
+        model_file = CORPUS / f"{stem}-model.json"
+        for path in ("/", *_concern_paths(load_model(model_file))):
+            for flags in PLAN_FLAG_SETS:
+                for policy in DispatchPolicy:
+                    out = io.StringIO()
+                    code = main(["plan", str(model_file), path, str(facts), *flags,
+                                 "--policy", policy.value], stdin=io.StringIO(), stdout=out)
+                    chunks.append(f"{stem} {path} {flags} {policy.value} -> {code}\n"
+                                  + out.getvalue())
+    return "\n".join(chunks)
+
+
+def test_plan_outputs_are_pinned(tmp_path, decorator_model, monitor_model, exceptions_model):
+    corpus_plans = [
+        plan_for(decorator_model, query_rl(decorator_model, "BorderDecorator", "Figure")),
+        plan_for(monitor_model, query_ec(monitor_model, "ProgressMonitor")),
+        plan_for(exceptions_model, query_ep(exceptions_model, "IOErr")),
+    ]
+    scenario_plans = [getattr(warning_scenarios, name)()
+                      for name in sorted(dir(warning_scenarios)) if name.endswith("_plan")]
+    outputs = {
+        "cli": _cli_plan_outputs(tmp_path),
+        "corpus": "\n".join(pretty_json(p.to_json()) for p in corpus_plans),
+        "scenarios": "\n".join(pretty_json(p.to_json()) for p in scenario_plans),
+    }
+    pins = {}
+    for name, text in outputs.items():
+        data = text.encode("utf-8")
+        pins[name] = (hashlib.sha256(data).hexdigest(), len(data))
+    assert pins == PLAN_PINS
