@@ -50,14 +50,15 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import deque
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.scanner import make_scanner
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from ._util import natural_key, simple_name
 
@@ -575,6 +576,10 @@ class SourceModel:
 
 # -- loading ----------------------------------------------------------------
 
+#: Records decoded and checked together.  A chunk's dicts are dropped before
+#: the next is read, so a load's peak is the model plus one chunk.
+_CHUNK = 1024
+
 
 def load_facts(lines: Iterable[str | bytes], *,
                policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
@@ -585,6 +590,11 @@ def load_facts(lines: Iterable[str | bytes], *,
     duplicate ids and dangling references.  Supertype references to
     undeclared ids are retained as external opaque types rather than
     rejected, since real fact extracts are routinely partial.
+
+    Each line is decoded only when ``load_records`` reads it into its next
+    chunk, so a load holds the model plus one chunk of decoded lines, and
+    the error reported, with its message and line, is the one a load that
+    decodes every line first would report.
 
     The cycle collector is paused meanwhile: decoding and linking make no
     reference cycles, so its passes over the young records would free
@@ -599,14 +609,13 @@ def load_facts(lines: Iterable[str | bytes], *,
             gc.enable()
 
 
-def _json_records(lines: Iterable[str | bytes]) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line.
+def _json_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line, one line at a time.
 
     The JSON scanner decodes each stripped line; a line it does not consume
     whole goes to ``json.loads``, which words the error.
     """
     scan = _scan_once
-    records: list[tuple[int, dict]] = []
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             try:
@@ -624,8 +633,7 @@ def _json_records(lines: Iterable[str | bytes]) -> list[tuple[int, dict]]:
             rec = _loads(text, lineno)
         if not isinstance(rec, dict):
             raise FactError("record is not a JSON object", lineno)
-        records.append((lineno, rec))
-    return records
+        yield lineno, rec
 
 
 def _loads(text: str, lineno: int):
@@ -659,12 +667,32 @@ def load_records(
     """Build a model from already-parsed records.
 
     Accepts plain dicts or (line number, dict) pairs; line numbers feed the
-    error messages when present.  The records are checked a column at a
-    time; if any check fails, they are decoded one by one instead, which
-    reports the first fault in record order.
+    error messages when present.  The records are read ``_CHUNK`` at a time,
+    so a load holds the declarations plus one chunk of records.  Each chunk
+    is checked a column at a time; if any check fails, or an id repeats one
+    already seen, that chunk is decoded one record at a time instead, which
+    reports the first fault in record order.  The rest of the input is read
+    before that fault is raised, so an error raised by the input itself (a
+    later line that is not JSON, for ``load_facts``) is reported first, as
+    when every line is decoded before any record.
     """
-    pairs = [item if isinstance(item, tuple) else (None, item) for item in records]
-    decls, seen_ids = _decode_columns(pairs) or _decode_each(pairs)
+    decls: dict[str, list] = {kind: [] for kind in _RECORDS}
+    seen_ids: dict[str, int | None] = {}
+    items = iter(records)
+    while chunk := [item if isinstance(item, tuple) else (None, item)
+                    for item in islice(items, _CHUNK)]:
+        found = _decode_columns(chunk)
+        if found is None or not seen_ids.keys().isdisjoint(found[1]):
+            try:
+                _decode_each(chunk, decls, seen_ids)
+            except FactError:
+                deque(items, maxlen=0)  # the input's own errors come first
+                raise
+        else:
+            for kind, group in found[0].items():
+                decls[kind].extend(group)
+            seen_ids.update(found[1])
+        del chunk  # before the next chunk is read
 
     # Supertype references that do not resolve become external opaque types.
     types = decls["type"]
@@ -878,22 +906,21 @@ def _decode(rec: dict, line: int | None):
     return decl_class(**values)
 
 
-def _decode_each(pairs: list[tuple[int | None, dict]]):
-    """Declarations by kind and id -> line, decoded record by record."""
-    decls: dict[str, list] = {kind: [] for kind in _RECORDS}
-    seen_ids: dict[str, int | None] = {}
+def _decode_each(pairs: list[tuple[int | None, dict]], decls: dict[str, list],
+                 seen_ids: dict[str, int | None]):
+    """Decode record by record into declarations by kind and id -> line."""
     for line, rec in pairs:
         decl = _decode(rec, line)
         if decl.id in seen_ids:
             raise FactError(f"duplicate id {decl.id!r}", line)
         seen_ids[decl.id] = line
         decls[rec["k"]].append(decl)
-    return decls, seen_ids
 
 
 def _decode_columns(pairs: list[tuple[int | None, dict]]):
-    """What ``_decode_each`` returns, checked a column at a time; ``None``
-    unless every record passes every check and no id repeats."""
+    """The declarations by kind and id -> line that ``_decode_each`` would
+    fill, checked a column at a time; ``None`` unless every record passes
+    every check and no id repeats."""
     if set(map(len, pairs)) - {2}:
         return None
     recs = list(map(itemgetter(1), pairs))

@@ -218,8 +218,10 @@ def _sorted_warnings(warnings) -> tuple[RiskWarning, ...]:
 
 
 def _warnings(evidence: dict[str, list[str]]) -> tuple[RiskWarning, ...]:
-    """One warning per catalog code with non-empty evidence, sorted."""
-    return _sorted_warnings(warn(code, ids) for code, ids in evidence.items() if ids)
+    """One warning per catalog code with non-empty evidence, sorted; an id
+    the evidence repeats is listed once."""
+    return _sorted_warnings(warn(code, dict.fromkeys(ids))
+                            for code, ids in evidence.items() if ids)
 
 
 def _execution(model: SourceModel, mid: str) -> Execution:

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 from itertools import combinations
 from json.scanner import c_make_scanner, py_make_scanner
 
@@ -18,6 +19,7 @@ from sortweaver.model import (
     ReceiverKind,
     _decode,
     _decode_columns,
+    dumps_facts,
     load_facts,
     load_facts_path,
     load_records,
@@ -584,6 +586,105 @@ def test_load_facts_path_matches_the_per_line_loader(tmp_path, monkeypatch, make
         with open(path, "rb") as handle:
             want = _outcome(oracles.load_facts_per_record, handle)
         assert _outcome(load_facts_path, path) == want
+
+
+#: Chunk sizes small enough that every test file crosses chunk boundaries.
+_SMALL_CHUNKS = pytest.mark.parametrize("size", [1, 3], ids=["chunk-1", "chunk-3"])
+
+
+@_SMALL_CHUNKS
+def test_load_records_matches_the_per_record_loader_in_small_chunks(monkeypatch, size):
+    monkeypatch.setattr(model_module, "_CHUNK", size)
+    test_load_records_matches_the_per_record_loader_under_mutation()
+
+
+@_SMALL_CHUNKS
+@pytest.mark.parametrize("make_scanner", [c_make_scanner, py_make_scanner],
+                         ids=["c-scanner", "py-scanner"])
+@pytest.mark.parametrize("mutate", list(_LINE_MUTANTS.values()), ids=list(_LINE_MUTANTS))
+def test_load_facts_path_matches_the_per_line_loader_in_small_chunks(
+        tmp_path, monkeypatch, make_scanner, mutate, size):
+    monkeypatch.setattr(model_module, "_CHUNK", size)
+    test_load_facts_path_matches_the_per_line_loader(tmp_path, monkeypatch, make_scanner, mutate)
+
+
+def _types(count: int) -> list[dict]:
+    return [dict(TYPE, id=f"T{i}", name=f"A{i}") for i in range(1, count + 1)]
+
+
+@pytest.fixture(params=[1, 3, None], ids=["chunk-1", "chunk-3", "default"])
+def chunk(request, monkeypatch) -> int:
+    """The loader's chunk size for a test: 1, 3 or the default.  The inputs
+    below span two chunks or more at each."""
+    if request.param is not None:
+        monkeypatch.setattr(model_module, "_CHUNK", request.param)
+    return model_module._CHUNK
+
+
+def test_a_later_line_that_is_not_json_outranks_an_earlier_bad_record(chunk):
+    records = _types(2 * chunk + 2)
+    stream = lines(dict(records[0], kind="struct"), *records[1:]) + ["{nope"]
+    with pytest.raises(FactError) as err:
+        load_facts(stream)
+    assert err.value.line == len(stream)
+    assert str(err.value) == _outcome(oracles.load_facts_per_record, stream)
+    assert str(err.value).startswith(f"line {len(stream)}: invalid JSON: ")
+
+
+def test_a_duplicate_of_an_id_from_an_earlier_chunk_names_the_later_line(chunk):
+    records = _types(chunk + 2)
+    stream = lines(*records, records[0])
+    with pytest.raises(FactError) as err:
+        load_facts(stream)
+    assert str(err.value) == f"line {len(stream)}: duplicate id 'T1'"
+    assert str(err.value) == _outcome(oracles.load_facts_per_record, stream)
+
+
+def test_load_records_reads_a_plain_list_of_dicts_across_chunks(chunk):
+    records = _types(chunk + 2)
+    records += [dict(METHOD, id=f"M{i}", owner=f"T{i}") for i in range(1, len(records) + 1)]
+    assert load_records(records).to_records() == oracles.load_records_per_record(
+        records).to_records()
+    records.append(dict(records[-1], stmts=-1, id="M0"))
+    with pytest.raises(FactError) as err:
+        load_records(records)
+    assert str(err.value) == _outcome(oracles.load_records_per_record, records)
+    assert err.value.line is None
+
+
+def _synthetic_records(types: int) -> list[dict]:
+    """24 records per type: the type, 2 fields, 8 methods and 13 calls."""
+    records = []
+    for t in range(types):
+        tid = f"T{t}"
+        records.append(dict(TYPE, id=tid, name=f"p.Shape{t}",
+                            super=[f"T{t % 10}"] if t >= 10 else []))
+        records += [{"k": "field", "id": f"F{t}_{f}", "owner": tid, "name": f"f{f}",
+                     "type": "p.Shape0", "vis": "private"} for f in range(2)]
+        records += [dict(METHOD, id=f"M{t}_{m}", owner=tid, name=f"m{m}", stmts=3)
+                    for m in range(8)]
+        records += [{"k": "call", "id": f"C{t}_{c}", "caller": f"M{t}_{c % 8}",
+                     "target": f"M{(t * 7 + c) % types}_{c % 8}",
+                     "recv": {"kind": "field", "field": f"F{t}_1"} if c % 2 else {"kind": "this"},
+                     "ord": 1 + c % 3, "pass": []} for c in range(13)]
+    return records
+
+
+def test_a_load_peaks_at_no_more_than_twice_the_model_it_returns(tmp_path):
+    """Records are decoded and dropped a chunk at a time, so the transient
+    records never outweigh the declarations they become."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text(dumps_facts(_synthetic_records(500)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = load_facts_path(path)
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(model.types) + len(model.methods) + len(model.fields) + len(model.calls) == 12_000
+    assert peak <= 2 * retained, (peak, retained)
 
 
 # -- the natural sort key --------------------------------------------------------------
