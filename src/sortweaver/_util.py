@@ -1,12 +1,15 @@
-"""Small shared helpers: deterministic ordering, canonical JSON, digests."""
+"""Small shared helpers: deterministic ordering, canonical JSON, digests,
+and the cycle-collector pause."""
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import re
 import unicodedata
+from contextlib import contextmanager
 
 _CHUNKS = re.compile(r"(\d+)")
 
@@ -85,3 +88,19 @@ def upper_first(name: str) -> str:
 
 def lower_first(name: str) -> str:
     return name[:1].lower() + name[1:]
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cycle collector off, then restore its state.
+
+    For work that allocates many objects and makes no reference cycles, where
+    the collector's passes over them would free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

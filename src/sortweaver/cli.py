@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._util import pretty_json
+from ._util import collector_paused, pretty_json
 from .concerns import (
     MODEL_SCHEMA_VERSION,
     ConcernModelError,
@@ -190,9 +190,11 @@ def _load_model(args) -> SourceModel:
 # -- extract ---------------------------------------------------------------------
 
 
-def cmd_extract(args, stdin, stdout):
+def _parse_files(paths: list[str]) -> list:
+    """The compilation unit of each file; a CliError names the first that
+    is not UTF-8 or does not parse, after printing its diagnostics."""
     units = []
-    for path in args.files:
+    for path in paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -203,14 +205,24 @@ def cmd_extract(args, stdin, stdout):
                 print(f"{path}: {diag}", file=sys.stderr)
             raise CliError(f"{path}: parse failed")
         units.append(result.unit)
-    extraction = extract_facts(units)
-    for warning in extraction.warnings:
-        print(f"warning: {warning.pos}: {warning.message}", file=sys.stderr)
-    payload = extraction.to_jsonl()
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        stdout.write(payload)
+    return units
+
+
+def cmd_extract(args, stdin, stdout):
+    # Parsing and extraction make no reference cycles, so the collector is
+    # paused throughout.  The syntax trees are freed as soon as
+    # ``extract_facts`` returns, and the records once they are encoded,
+    # before the text is written.
+    with collector_paused():
+        extraction = extract_facts(_parse_files(args.files))
+        for warning in extraction.warnings:
+            print(f"warning: {warning.pos}: {warning.message}", file=sys.stderr)
+        payload = extraction.to_jsonl()
+        del extraction
+        if args.output:
+            Path(args.output).write_text(payload, encoding="utf-8")
+        else:
+            stdout.write(payload)
 
 
 # -- mine ------------------------------------------------------------------------

@@ -141,6 +141,7 @@ class _Extractor:
         self.anon_info: dict[int, _TypeInfo] = {}  # by id() of the anonymous TypeNode
         self.externals: dict[str, _TypeInfo] = {}
         self.external_order: list[_TypeInfo] = []
+        self.hierarchies: dict[str, list[_TypeInfo]] = {}  # by type id, once linked
         self.calls: list[dict] = []
         self.warnings: list[Diagnostic] = []
         self.counters = {"T": 0, "M": 0, "F": 0, "C": 0, "XT": 0, "XM": 0}
@@ -306,17 +307,21 @@ class _Extractor:
         return stub
 
     def hierarchy(self, start: _TypeInfo) -> list[_TypeInfo]:
-        """Breadth-first walk of a type and its supertypes, without repeats."""
-        out: list[_TypeInfo] = []
-        queue = [start]
-        seen = set()
-        while queue:
-            info = queue.pop(0)
-            if id(info) in seen:
-                continue
-            seen.add(id(info))
-            out.append(info)
-            queue.extend(info.supertypes)
+        """Breadth-first walk of a type and its supertypes, without repeats.
+
+        Memoised per type id: supertypes are fixed once linked.  The lists
+        live on the extractor, not on the types, so they make no cycle.
+        """
+        out = self.hierarchies.get(start.id)
+        if out is None:
+            out = [start]
+            seen = {id(start)}
+            for info in out:  # ``out`` is also the queue
+                for sup in info.supertypes:
+                    if id(sup) not in seen:
+                        seen.add(id(sup))
+                        out.append(sup)
+            self.hierarchies[start.id] = out
         return out
 
     def find_method(self, start: _TypeInfo, name: str, arity: int) -> _MethodInfo | None:

@@ -47,8 +47,11 @@ def tokenize(text: str) -> list[Token]:
     """Produce the token stream; raises LexError on the first bad character.
 
     ``int`` is a run of decimal digits, exactly what :func:`int` accepts; an
-    identifier starts with a letter (``str.isalpha``) or ``_``.
+    identifier starts with a letter (``str.isalpha``) or ``_``.  Tokens and
+    positions are built with ``tuple.__new__``, which skips the named
+    tuples' Python-level constructors and makes the same values.
     """
+    new = tuple.__new__
     tokens: list[Token] = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(text):
@@ -59,7 +62,7 @@ def tokenize(text: str) -> list[Token]:
                 line += newlines
                 line_start = start + value.rindex("\n") + 1
             continue
-        pos = Position(line, start - line_start + 1)
+        pos = new(Position, (line, start - line_start + 1))
         if kind == "word":
             if not (value[0].isalpha() or value[0] == "_"):
                 kind, value = "error", value[0]
@@ -73,6 +76,6 @@ def tokenize(text: str) -> list[Token]:
             else:
                 message = f"unexpected character {value!r}"
             raise LexError(Diagnostic("error", pos, message))
-        tokens.append(Token(kind, value, pos))
-    tokens.append(Token("eof", "", Position(line, len(text) - line_start + 1)))
+        tokens.append(new(Token, (kind, value, pos)))
+    tokens.append(new(Token, ("eof", "", new(Position, (line, len(text) - line_start + 1)))))
     return tokens

@@ -63,34 +63,42 @@ def parse(text: str, source: str = "") -> ParseResult:
     return ParseResult(unit, [])
 
 
+#: Token kinds whose value is their tag, the only tokens :meth:`_Parser.at` matches.
+_TAGGED = ("keyword", "punct", "op")
+#: The furthest lookahead (``at("=", 2)``); the parser's token list ends in
+#: this many extra copies of the eof token, so no index needs clamping.
+_LOOKAHEAD = 2
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = tokens + tokens[-1:] * _LOOKAHEAD
+        self.tags = [tok.value if tok.kind in _TAGGED else None for tok in self.tokens]
         self.index = 0
         self.anonymous: list[TypeNode] = []  # of the method body being parsed
 
     # -- token helpers ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index + offset]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         if tok.kind != "eof":
             self.index += 1
         return tok
 
     def at(self, value: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok.value == value and tok.kind in ("keyword", "punct", "op")
+        return self.tags[self.index + offset] == value
 
     def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if not self.at(value):
+        tok = self.tokens[self.index]
+        if self.tags[self.index] != value:
             raise ParseError(
                 Diagnostic("error", tok.pos, f"expected {value!r}, found {tok.value!r}")
             )
-        return self.next()
+        self.index += 1  # a tagged token, so not the eof
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
@@ -105,10 +113,10 @@ class _Parser:
 
     def visibility(self, default: str = "package") -> str:
         """Consume an optional visibility keyword; ``default`` when absent."""
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.value in _VISIBILITIES:
-            self.next()
-            return tok.value
+        tag = self.tags[self.index]
+        if tag in _VISIBILITIES:
+            self.index += 1
+            return tag
         return default
 
     def names(self, what: str) -> list[str]:
@@ -345,7 +353,7 @@ class _Parser:
         if self.at("super"):
             self.next()
             return Super()
-        if tok.kind in ("int", "string") or (tok.kind == "keyword" and tok.value in _LITERALS):
+        if tok.kind in ("int", "string") or self.tags[self.index] in _LITERALS:
             self.next()
             return Literal()
         if self.at("("):

@@ -48,7 +48,6 @@ accepted only for ``encl``, and a bool is never an integer.
 
 from __future__ import annotations
 
-import gc
 import json
 from collections import deque
 from enum import Enum
@@ -60,7 +59,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from ._util import natural_key, simple_name
+from ._util import collector_paused, natural_key, simple_name
 
 #: Version of the fact record schema accepted by this loader.
 SCHEMA_VERSION = "1"
@@ -596,17 +595,12 @@ def load_facts(lines: Iterable[str | bytes], *,
     the error reported, with its message and line, is the one a load that
     decodes every line first would report.
 
-    The cycle collector is paused meanwhile: decoding and linking make no
-    reference cycles, so its passes over the young records would free
-    nothing.
+    The cycle collector is paused meanwhile (``collector_paused``, shared
+    with ``extract``): decoding and linking make no reference cycles, so its
+    passes over the young records would free nothing.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return load_records(_json_records(lines), policy=policy)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _json_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:

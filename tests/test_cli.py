@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CORPUS, CORPUS_FILES
 
+from sortweaver import cli, minilang
 from sortweaver.cli import build_parser, main
 from sortweaver.model import load_facts_path
 from sortweaver.queries import QueryBinding, execute_binding
@@ -78,6 +79,35 @@ def test_extract_parse_failure_exits_one(tmp_path, capsys):
     code, _ = run_cli("extract", str(bad))
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("source, code, error", [
+    (b"class A { void f() { } }", 0, ""),
+    (b"class A {", 1, "{path}: error: 1:10: expected type or constructor name, found ''\n"
+                      "error: {path}: parse failed\n"),
+    (b"class A { }\n\xff", 1, "error: {path}: not valid UTF-8 (invalid start byte)\n"),
+], ids=["extracts", "parse-failure", "not-utf-8"])
+def test_extract_restores_the_collector_state(tmp_path, capsys, monkeypatch, enabled,
+                                              source, code, error):
+    path = tmp_path / "a.mini"
+    path.write_bytes(source)
+    during = []
+
+    def parse(text, source=""):
+        during.append(gc.isenabled())
+        return minilang.parse(text, source)
+
+    monkeypatch.setattr(cli, "parse", parse)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert run_cli("extract", str(path))[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert during == ([] if b"\xff" in source else [False])
+    assert capsys.readouterr().err == error.format(path=path)
 
 
 def test_mine_fanin_json_first_seed_names_check_damage(facts_file):

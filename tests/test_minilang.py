@@ -635,3 +635,40 @@ def test_declaration_sweep_over_token_mutants_is_pinned():
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert 0 < parsed < len(outcomes)
     assert digest == DECLARATION_SWEEP_SHA256, (digest, parsed)
+
+
+# -- end of stream: every prefix of the corpus that ends at a token ---------------------
+
+
+def _token_ends(text):
+    """The offset just past each token of ``text``, the eof token included."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    for tok in tokenize(text):
+        start = line_starts[tok.pos.line - 1] + tok.pos.col - 1
+        yield start + len(tok.value) + (2 if tok.kind == "string" else 0)
+
+
+#: sha256 over the outcomes of the truncation sweep: each prefix's first
+#: diagnostic, or the sha256 of its facts and warnings.  It guards what the
+#: parser reads when it looks past the last token (``peek(1)``,
+#: ``at("=", 2)``): the eof token.  A change that alters a diagnostic or a
+#: fact on purpose updates it and says so in CHANGES.md.
+TRUNCATION_SWEEP_SHA256 = "ef85776b6b245278f9e824131bbb281b609faec5c9fdc6dd54fd4426d86865b3"
+
+
+def test_truncation_sweep_over_corpus_prefixes_is_pinned():
+    outcomes, parsed = [], 0
+    for name in CORPUS_FILES:
+        text = (CORPUS / name).read_text()
+        for end in _token_ends(text):
+            result = parse(text[:end], name)
+            if not result.ok:
+                outcomes.append(str(result.diagnostics[0]))
+                continue
+            parsed += 1
+            extraction = extract_facts(result.unit)
+            facts = extraction.to_jsonl() + "".join(f"{w}\n" for w in extraction.warnings)
+            outcomes.append(hashlib.sha256(facts.encode()).hexdigest())
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert 0 < parsed < len(outcomes)
+    assert digest == TRUNCATION_SWEEP_SHA256, (digest, parsed, len(outcomes))
