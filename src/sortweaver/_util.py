@@ -19,8 +19,21 @@ def natural_key(text: str) -> tuple:
 
     The key alternates the text around the digit runs (as strings, maybe
     empty at either end) with the runs' values, so each position holds
-    one kind of value in every key.
+    one kind of value in every key.  An id of letters then ASCII digits
+    (``C12``), as extractors write them, skips the regex: a letter is never
+    a ``\\d`` digit, so its split is the head, the digits and ``""``.
     """
+    head = text.rstrip("0123456789")
+    if len(head) < len(text) and head.isalpha():
+        try:
+            return (head, int(text[len(head):]), "")
+        except ValueError:  # a run longer than ``int()`` converts
+            pass
+    return _split_key(text)
+
+
+def _split_key(text: str) -> tuple:
+    """``natural_key`` by splitting the text at every ``\\d`` run."""
     parts = _CHUNKS.split(text)
     try:
         if len(parts) == 3:  # one digit run, as most ids have
@@ -63,6 +76,20 @@ class _LongRun:
         return hash(self.digits)
 
 
+#: The most digits a count typed by a user (an ``/arity`` suffix, a seed
+#: number) may have.  A longer one is refused before ``int()``, which refuses
+#: (or slowly converts) thousands of digits.
+_MAX_COUNT_DIGITS = 9
+
+
+def ascii_count(text: str) -> int | None:
+    """The value of 1 to ``_MAX_COUNT_DIGITS`` ASCII digits, else ``None``
+    (``str.isdigit`` alone also passes "²" and "١")."""
+    if text.isascii() and text.isdigit() and len(text) <= _MAX_COUNT_DIGITS:
+        return int(text)
+    return None
+
+
 def canonical_json(obj) -> str:
     """Key-sorted, whitespace-free JSON used for digests and comparisons."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
@@ -95,7 +122,11 @@ def collector_paused():
     """Run the block with the cycle collector off, then restore its state.
 
     For work that allocates many objects and makes no reference cycles, where
-    the collector's passes over them would free nothing.
+    the collector's passes over them would free nothing.  If the collector
+    was on, the objects that survive the block move to the oldest generation
+    (``gc.freeze`` then ``gc.unfreeze``, which runs no collection), so the
+    young collections that follow do not walk them again; this is skipped
+    when objects are already frozen, since ``unfreeze`` would thaw them too.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -103,4 +134,7 @@ def collector_paused():
         yield
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._util import collector_paused, pretty_json
+from ._util import ascii_count, collector_paused, pretty_json
 from .concerns import (
     MODEL_SCHEMA_VERSION,
     ConcernModelError,
@@ -561,9 +561,10 @@ def _repl_dispatch(model: SourceModel, seeds: list, command: str, rest: list[str
             stdout.write("no seeds\n")
         return
     if command == "seedexpand":
-        if len(rest) != 1 or not rest[0].startswith("S") or not rest[0][1:].isdigit():
+        number = ascii_count(rest[0][1:]) if len(rest) == 1 and rest[0][:1] == "S" else None
+        if number is None:
             raise CliError("usage: seedexpand S<n>")
-        index = int(rest[0][1:]) - 1
+        index = number - 1
         if not 0 <= index < len(seeds):
             raise CliError(f"no such seed {rest[0]}; run mine first")
         for suggestion in expand_seed(model, seeds[index]):

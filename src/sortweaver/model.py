@@ -49,6 +49,7 @@ accepted only for ``encl``, and a bool is never an integer.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from enum import Enum
 from functools import cached_property, partial
@@ -59,7 +60,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from ._util import collector_paused, natural_key, simple_name
+from ._util import ascii_count, collector_paused, natural_key, simple_name
 
 #: Version of the fact record schema accepted by this loader.
 SCHEMA_VERSION = "1"
@@ -110,12 +111,6 @@ class DispatchPolicy(str, Enum):
 
 
 DEFAULT_POLICY = DispatchPolicy.LIFT_TO_ANCESTORS
-
-#: The most digits an ``/arity`` suffix may have.  No method has a billion
-#: parameters, and a longer suffix is rejected before ``int()``, which
-#: refuses (or slowly converts) thousands of digits.
-_MAX_ARITY_DIGITS = 9
-
 
 # Declarations are named tuples: immutable, hashable and cheap to build by
 # the ten thousand, as a load does.
@@ -311,11 +306,9 @@ class SourceModel:
         arity = None
         if "/" in ref:
             ref, suffix = ref.rsplit("/", 1)
-            # ASCII digits only: ``str.isdigit`` alone also passes "²".
-            digits = suffix.isascii() and suffix.isdigit()
-            if not digits or len(suffix) > _MAX_ARITY_DIGITS:
+            arity = ascii_count(suffix)
+            if arity is None:
                 raise FactError(f"bad arity suffix in method reference: {ref}/{suffix}")
-            arity = int(suffix)
         if "." in ref:
             type_name, method_name = ref.rsplit(".", 1)
             owner = self.require_type(type_name)
@@ -426,8 +419,12 @@ class SourceModel:
         index = self._calls_to.get(policy)
         if index is None:
             grouped: dict[str, list[CallSite]] = {}
+            lifted: dict[str, tuple[str, ...]] = {}  # many calls share a target
             for call in self._calls.values():
-                for callee in self.lifted_callees(call, policy):
+                callees = lifted.get(call.static_target)
+                if callees is None:
+                    callees = lifted[call.static_target] = self.lifted_callees(call, policy)
+                for callee in callees:
                     grouped.setdefault(callee, []).append(call)
             index = self._calls_to[policy] = {m: tuple(cs) for m, cs in grouped.items()}
         return index
@@ -590,44 +587,98 @@ def load_facts(lines: Iterable[str | bytes], *,
     undeclared ids are retained as external opaque types rather than
     rejected, since real fact extracts are routinely partial.
 
-    Each line is decoded only when ``load_records`` reads it into its next
-    chunk, so a load holds the model plus one chunk of decoded lines, and
-    the error reported, with its message and line, is the one a load that
-    decodes every line first would report.
+    Lines are decoded a chunk at a time, when ``load_records`` reads them
+    into its next chunk, so a load holds the model plus about one chunk of
+    decoded lines, and the error reported, with its message and line, is
+    the one a load that decodes every line first would report.
 
     The cycle collector is paused meanwhile (``collector_paused``, shared
     with ``extract``): decoding and linking make no reference cycles, so its
-    passes over the young records would free nothing.
+    passes over the young records would free nothing, and the model it
+    returns starts in the oldest generation.
     """
     with collector_paused():
         return load_records(_json_records(lines), policy=policy)
 
 
 def _json_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line, one line at a time.
+    """(line number, object) for each non-blank line, read ``_CHUNK`` lines
+    at a time.
 
-    The JSON scanner decodes each stripped line; a line it does not consume
-    whole goes to ``json.loads``, which words the error.
+    Each chunk is decoded by one scanner call (``_scan_lines``).  A chunk it
+    refuses is decoded here one line at a time: the JSON scanner decodes each
+    stripped line, and a line it does not consume whole goes to
+    ``json.loads``, which words the error.  That loop runs in this frame,
+    not in a call below it, so a line nested near the recursion limit is
+    refused at the same depth whether or not its chunk was scanned first.
     """
     scan = _scan_once
-    for lineno, raw in enumerate(lines, start=1):
+    numbered = enumerate(lines, start=1)
+    while chunk := list(islice(numbered, _CHUNK)):
+        pairs = _scan_lines(chunk)
+        if pairs is not None:
+            yield from pairs
+            del chunk, pairs  # before the next chunk is decoded
+            continue
+        for lineno, raw in chunk:
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FactError(f"not valid UTF-8 ({exc.reason})", lineno) from None
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                rec, end = scan(text, 0)
+            except (StopIteration, ValueError, RecursionError):  # no value, or bad JSON
+                end = None
+            if end != len(text):
+                rec = _loads(text, lineno)
+            if not isinstance(rec, dict):
+                raise FactError("record is not a JSON object", lineno)
+            yield lineno, rec
+
+
+#: Where one object may end and the next begin in a JSON array.  Every
+#: separator between two objects of an array lies inside one such match.
+_OBJECT_JOIN = re.compile(r"\}\s*,\s*\{")
+
+
+def _scan_lines(chunk: list[tuple[int, str | bytes]]) -> Iterator[tuple[int, dict]] | None:
+    """The chunk's (line number, object) pairs, or ``None`` unless each
+    non-blank line is exactly one JSON object.
+
+    The stripped lines, each ``{...}``, are joined into one array and
+    scanned once (the scanner forgets its key strings after every call, so
+    this shares them across the chunk).  The joins are the only matches of
+    ``_OBJECT_JOIN`` in the text only if no line holds a match of its own;
+    then every separator the scanner found is a join, and each line is one
+    object, as the line-by-line decoding would read it.
+    """
+    numbers, texts = [], []
+    for lineno, raw in chunk:
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FactError(f"not valid UTF-8 ({exc.reason})", lineno) from None
+            except UnicodeDecodeError:
+                return None
         text = raw.strip()
-        if not text:
-            continue
-        try:
-            rec, end = scan(text, 0)
-        except (StopIteration, ValueError, RecursionError):  # no value, or bad JSON
-            end = None
-        if end != len(text):
-            rec = _loads(text, lineno)
-        if not isinstance(rec, dict):
-            raise FactError("record is not a JSON object", lineno)
-        yield lineno, rec
+        if text:
+            if text[0] != "{" or text[-1] != "}":
+                return None
+            numbers.append(lineno)
+            texts.append(text)
+    joined = "[" + ",".join(texts) + "]"
+    if len(_OBJECT_JOIN.findall(joined)) != len(texts) - 1:
+        return None
+    try:
+        recs, end = _scan_once(joined, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if end != len(joined) or len(recs) != len(texts) or set(map(type, recs)) - {dict}:
+        return None
+    return zip(numbers, recs)
 
 
 def _loads(text: str, lineno: int):

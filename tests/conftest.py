@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,12 @@ REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 
 CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.mini"))
+
+
+def young_objects(objects) -> list:
+    """Those of ``objects`` that the collector keeps in generation 0 or 1."""
+    wanted = set(map(id, objects))
+    return [obj for gen in (0, 1) for obj in gc.get_objects(gen) if id(obj) in wanted]
 
 
 def model_from_source(text: str, source: str = "inline.mini") -> SourceModel:

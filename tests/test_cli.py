@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS, CORPUS_FILES
+from conftest import CORPUS, CORPUS_FILES, young_objects
 
 from sortweaver import cli, minilang
 from sortweaver.cli import build_parser, main
@@ -90,24 +90,39 @@ def test_extract_parse_failure_exits_one(tmp_path, capsys):
 ], ids=["extracts", "parse-failure", "not-utf-8"])
 def test_extract_restores_the_collector_state(tmp_path, capsys, monkeypatch, enabled,
                                               source, code, error):
+    """The collector's state and its frozen objects are as they were, and with
+    the collector on and nothing frozen the syntax trees kept past the
+    command are no longer young."""
     path = tmp_path / "a.mini"
     path.write_bytes(source)
-    during = []
+    during, trees = [], []
 
     def parse(text, source=""):
         during.append(gc.isenabled())
-        return minilang.parse(text, source)
+        trees.append(minilang.parse(text, source))
+        return trees[-1]
 
     monkeypatch.setattr(cli, "parse", parse)
     was_enabled = gc.isenabled()
     gc.enable() if enabled else gc.disable()
     try:
+        moved = enabled and not gc.get_freeze_count()
         assert run_cli("extract", str(path))[0] == code
         assert gc.isenabled() is enabled
+        if moved:
+            assert not young_objects([tree.unit for tree in trees])
+        gc.freeze()  # then nothing moves, and nothing frozen is thawed
+        try:
+            count = gc.get_freeze_count()
+            assert run_cli("extract", str(path))[0] == code
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == count
+        finally:
+            gc.unfreeze()
     finally:
         gc.enable() if was_enabled else gc.disable()
-    assert during == ([] if b"\xff" in source else [False])
-    assert capsys.readouterr().err == error.format(path=path)
+    assert during == ([] if b"\xff" in source else [False, False])
+    assert capsys.readouterr().err == error.format(path=path) * 2
 
 
 def test_mine_fanin_json_first_seed_names_check_damage(facts_file):
@@ -476,6 +491,19 @@ def test_repl_query_usage_errors(facts_file, line, usage):
     assert code == 0
     assert f"\nerror: usage: {usage}\n" in out
     assert f"\n  {usage} " in out  # the help text lists the same usage
+
+
+@pytest.mark.parametrize("seed_id", [
+    "S\u00b2",  # passes ``str.isdigit``, refused by ``int()``
+    "S" + "1" * 5000,  # longer than ``int()`` converts
+    "S\u0661",  # an Arabic-Indic one, which ``int()`` reads as 1
+], ids=["superscript", "5000-digits", "arabic-indic"])
+def test_repl_seedexpand_takes_ascii_seed_numbers_only(facts_file, seed_id):
+    script = f"mine fanin\nseedexpand {seed_id}\nseedexpand S1\n"
+    code, out = run_cli("repl", str(facts_file), stdin_text=script)
+    assert code == 0
+    assert "\nerror: usage: seedexpand S<n>\n" in out
+    assert out.count("error:") == 1 and "coverage 19/28" in out
 
 
 # -- malformed and hostile fact files ----------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 from json.scanner import c_make_scanner, py_make_scanner
@@ -8,10 +9,10 @@ from json.scanner import c_make_scanner, py_make_scanner
 import pytest
 
 import oracles
-from conftest import CORPUS, CORPUS_FILES
+from conftest import CORPUS, CORPUS_FILES, young_objects
 from randmodels import dense_hierarchy, random_model
 from sortweaver import model as model_module
-from sortweaver._util import natural_key
+from sortweaver._util import _split_key, natural_key
 from sortweaver.minilang import extract_facts, parse
 from sortweaver.model import (
     DispatchPolicy,
@@ -111,16 +112,32 @@ def test_deep_hierarchy_declared_child_first_closes_without_recursion():
     (lines(TYPE) + ["[" * 100_000 + "]" * 100_000], "line 2: input nests too deeply"),
 ], ids=["loads", "fact-error", "nests-too-deeply"])
 def test_load_facts_restores_the_collector_state(enabled, stream, error):
-    was_enabled = gc.isenabled()
-    gc.enable() if enabled else gc.disable()
-    try:
+    """The collector's state and its frozen objects are as they were, and with
+    the collector on and nothing frozen the loaded declarations are no longer
+    young."""
+    def load(moved: bool):
         if error is None:
-            assert list(load_facts(stream).methods) == ["M1"]
+            model = load_facts(stream)
+            assert list(model.methods) == ["M1"]
+            if moved:
+                assert not young_objects(model.methods.values())
         else:
             with pytest.raises(FactError) as err:
                 load_facts(stream)
             assert str(err.value) == error
         assert gc.isenabled() is enabled
+
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        load(moved=enabled and not gc.get_freeze_count())
+        gc.freeze()  # then nothing moves, and nothing frozen is thawed
+        try:
+            count = gc.get_freeze_count()
+            load(moved=False)
+            assert gc.get_freeze_count() == count
+        finally:
+            gc.unfreeze()
     finally:
         gc.enable() if was_enabled else gc.disable()
 
@@ -612,6 +629,78 @@ def _types(count: int) -> list[dict]:
     return [dict(TYPE, id=f"T{i}", name=f"A{i}") for i in range(1, count + 1)]
 
 
+def _type_line(number: int, **extra) -> bytes:
+    return json.dumps(dict(TYPE, id=f"X{number}", name=f"X{number}", **extra)).encode()
+
+
+def _split(line: bytes, after: bytes) -> list[bytes]:
+    """The line broken in two after the first ``after``."""
+    cut = line.index(after) + len(after)
+    return [line[:cut], line[cut:]]
+
+
+#: Lines that a chunk scan could misread: objects that span lines, lines
+#: that hold more or less than one object, padding, and lines that the
+#: scanner refuses.  Each case's lines take the place of no record.
+_DECODE_CASES = {
+    "spans-at-[": _split(_type_line(1, super=["T1"]), b'"super": ['),
+    "spans-at-[-between-objects": _split(_type_line(1, x=[{}, {}]), b"[{}, "),
+    "spans-at-{": _split(_type_line(1, x={"a": 1}), b'"x": {'),
+    "spans-after-{": _split(_type_line(1), b"{"),
+    "string-spans-lines": _split(_type_line(1, src="a b"), b'"a'),
+    "two-objects-on-a-line": [_type_line(1) + b", " + _type_line(2)],
+    "three-lines-the-join-parses": [  # [{X1, "x": [{}, {}]}, {X2}, {X3}] when joined
+        _split(_type_line(1, x=[{}, {}]), b"[{}")[0],
+        b"{}]}, " + _type_line(2), _type_line(3)],
+    "join-in-a-string": [_type_line(1, src="a}, {b"), _type_line(2, src="}  ,\t{")],
+    "blank-lines": [b"", _type_line(1), b" \t ", b"", _type_line(2)],
+    "crlf": [_type_line(1) + b"\r", b"\r", _type_line(2) + b"\r"],
+    "x1c-padding": [b"\x1c" + _type_line(1) + b"\x1c", b"\x1c"],
+    "u2028-padding": ["\u2028".encode() + _type_line(1) + "\u2028".encode(), _type_line(2)],
+    "not-utf-8": [_type_line(1), _type_line(2)[:-1] + b', "x": "\xff"}'],
+    "nan": [_type_line(1)[:-1] + b', "x": NaN}', _type_line(2)[:-1] + b', "src": NaN}'],
+    "huge-int": [_type_line(1)[:-1] + b', "x": ' + b"1" * 5000 + b"}"],
+}
+
+
+def _nested_line(depth: int) -> bytes:
+    return _type_line(1)[:-1] + b', "x": ' + b"[" * depth + b"]" * depth + b"}"
+
+
+def _outcomes(stream) -> tuple:
+    """The outcome of ``load_facts``, then its outcome with every chunk
+    refused by the chunk scan, so that each line is decoded alone; both
+    from the same depth of the call stack."""
+    got = _outcome(load_facts, stream)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_scan_lines", lambda chunk: None)
+        return got, _outcome(load_facts, stream)
+
+
+@pytest.mark.parametrize("case", [*_DECODE_CASES, "nesting-at-the-limit"])
+def test_load_facts_decodes_a_chunk_as_the_per_line_reader_does(case):
+    """Each case's lines start at line 1, 1,024, 1,025 and after the last
+    record of 1,100; the model, or the error and its line, is the one that
+    decoding each line alone gives."""
+    records = [json.dumps(rec).encode() + b"\n" for rec in _types(1100)]
+    if case == "nesting-at-the-limit":
+        # The deepest line the per-line reader takes; nested once more in
+        # the chunk's array, it is too deep for the chunk scan.
+        low, high = 1, sys.getrecursionlimit()
+        while low < high:
+            mid = (low + high + 1) // 2
+            ok = not isinstance(_outcomes([_nested_line(mid)])[1], str)
+            low, high = (mid, high) if ok else (low, mid - 1)
+        variants = [[_nested_line(depth)] for depth in (low - 1, low, low + 1)]
+    else:
+        variants = [_DECODE_CASES[case]]
+    for lines in variants:
+        for start in (1, 1024, 1025, len(records) + 1):
+            stream = records[:start - 1] + [line + b"\n" for line in lines] + records[start - 1:]
+            got, want = _outcomes(stream)
+            assert got == want, start
+
+
 @pytest.fixture(params=[1, 3, None], ids=["chunk-1", "chunk-3", "default"])
 def chunk(request, monkeypatch) -> int:
     """The loader's chunk size for a test: 1, 3 or the default.  The inputs
@@ -690,10 +779,27 @@ def test_a_load_peaks_at_no_more_than_twice_the_model_it_returns(tmp_path):
 # -- the natural sort key --------------------------------------------------------------
 
 
+def _chunk_keyed(text: str) -> bool:
+    try:
+        oracles.natural_key_chunks(text)
+    except ValueError:  # "\u00b2", or a run longer than ``int()`` converts
+        return False
+    return True
+
+
 def test_natural_key_keeps_the_order_of_every_id_the_chunk_key_sorted():
     rng = random.Random(5)
     alphabet = ["a", "Z", "_", ".", "0", "1", "2", "09", "10", "\u0661", "\u0660", "x9"]
     ids = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(6))) for _ in range(600)]
+    # Around the letters-then-ASCII-digits fast path, which must key as the split does.
+    ids += [
+        "\u00e97", "\u03a9mega12", "\u65e5\u672c3", "\u01c52", "C\u0663", "C\u06633", "\u0663", "\u0663C",
+        "C\u00b2", "\u00b23", "C\u2177", "\u21777", "\u2177", "C007", "C7", "C0", "C00",
+        "123", "0", "007", "", "C", "C" + "9" * 4300, "C" + "9" * 4301, "C" + "1" * 5000,
+        "9" * 5000, "C" + "0" * 4999 + "2", "a_b3", "_3", "$x1", "x$2", "p.C4", ".5", "C4.",
+    ]
+    assert [natural_key(text) for text in ids] == [_split_key(text) for text in ids]
+    ids = [text for text in ids if _chunk_keyed(text)]
     for first, second in zip(ids, reversed(ids)):
         old_first, old_second = oracles.natural_key_chunks(first), oracles.natural_key_chunks(second)
         new_first, new_second = natural_key(first), natural_key(second)
