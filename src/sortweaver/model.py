@@ -699,7 +699,8 @@ _scan_once = make_scanner(json.JSONDecoder())
 
 def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
     """Load a facts.jsonl file.  Lines end at ``\\n``, as in JSON Lines, and
-    are decoded one by one, so an encoding error names its line."""
+    are read as bytes and decoded by ``load_facts``, so an encoding error
+    names its line."""
     with open(path, "rb") as handle:
         return load_facts(handle, policy=policy)
 
