@@ -30,7 +30,7 @@ from .concerns import (
     run_all,
     save_model,
 )
-from .minilang import extract_facts, parse
+from .minilang import ExtractError, extract_facts, parse
 from .mining import TECHNIQUES, MiningConfig, mine
 from .model import SCHEMA_VERSION, DispatchPolicy, FactError, SourceModel, load_facts_path
 from .queries import (
@@ -211,10 +211,13 @@ def _parse_files(paths: list[str]) -> list:
 def cmd_extract(args, stdin, stdout):
     # Parsing and extraction make no reference cycles, so the collector is
     # paused throughout.  The syntax trees are freed as soon as
-    # ``extract_facts`` returns, and the records once they are encoded,
+    # ``extract_facts`` returns, and the declarations once they are encoded,
     # before the text is written.
     with collector_paused():
-        extraction = extract_facts(_parse_files(args.files))
+        try:
+            extraction = extract_facts(_parse_files(args.files))
+        except ExtractError as exc:  # one unit per file, in order
+            raise CliError(f"{args.files[exc.unit]}: {exc.message}") from None
         for warning in extraction.warnings:
             print(f"warning: {warning.pos}: {warning.message}", file=sys.stderr)
         payload = extraction.to_jsonl()
@@ -351,6 +354,8 @@ def cmd_model_add_instance(args, stdin, stdout):
         if "=" not in item:
             raise CliError(f"bad --param {item!r}; expected KEY=VALUE")
         key, value = item.split("=", 1)
+        if key in params:
+            raise CliError(f"repeated --param key {key!r}")
         params[key] = value
     binding = QueryBinding.make(SortKind(args.sort), **params)
     _edit_model(args, lambda root: add_instance(root, args.path, binding, args.note))

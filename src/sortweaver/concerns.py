@@ -97,17 +97,32 @@ def _binding(path: str, sort, params) -> QueryBinding:
     return QueryBinding.make(sort, **params)
 
 
-def _node_from_json(obj: dict, parent: str | None = None):
+def _check_name(name: str, taken: bool, parent: str):
+    """The rule for the name of every node but the root, so that a concern
+    path reaches it: non-empty, no ``/``, and ``taken`` by no sibling."""
+    reason = ("is empty" if not name else "contains '/'" if "/" in name
+              else "duplicates a sibling's name" if taken else None)
+    if reason is not None:
+        raise ConcernModelError(f"concern name {name!r} under {_shown(parent)} {reason}")
+
+
+def _node_from_json(obj: dict, parent: str | None = None, siblings: set[str] | None = None):
     """Build a node; ``parent`` is the concern path of its group (None for
-    the root), so that errors name the node's own path."""
+    the root), so that errors name the node's own path, and ``siblings``
+    holds the names its group's earlier children took."""
     if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
         raise ConcernModelError(f"bad concern-model node in {_shown(parent or '')}: {obj!r}")
-    path = "" if parent is None else _join(parent, obj["name"])
+    path = ""
+    if parent is not None:
+        _check_name(obj["name"], obj["name"] in siblings, parent)
+        siblings.add(obj["name"])
+        path = _join(parent, obj["name"])
     if "children" in obj:
         if not isinstance(obj["children"], list):
             raise ConcernModelError(f"children of {_shown(path)} must be a list")
         group = Group(obj["name"])
-        group.children = [_node_from_json(c, path) for c in obj["children"]]
+        names: set[str] = set()
+        group.children = [_node_from_json(c, path, names) for c in obj["children"]]
         return group
     if "sort" not in obj or "params" not in obj:
         raise ConcernModelError(f"instance node missing sort/params: {_shown(path)}")
@@ -223,8 +238,7 @@ def rename(root: Group, path: str, new_name: str):
     child = parent.child(name)
     if child is None:
         raise ConcernModelError(f"no such concern path: {path!r}")
-    if parent.child(new_name) is not None:
-        raise ConcernModelError(f"duplicate name {new_name!r} among siblings of {path!r}")
+    _check_name(new_name, parent.child(new_name) is not None, "/".join(_split(path)[:-1]))
     child.name = new_name
 
 

@@ -1,9 +1,10 @@
 """Fact extraction from MiniLang syntax trees.
 
-Walks parsed compilation units and emits ``facts.jsonl`` records (see
-:mod:`sortweaver.model`).  Extraction is deterministic: ids, statement
-ordinals and record order depend only on the input text and file order, so
-the same sources always produce byte-identical output.
+Walks parsed compilation units and emits the model's declarations, which
+``records_of`` in :mod:`sortweaver.model` writes as ``facts.jsonl`` records.
+Extraction is deterministic: ids, statement ordinals and declaration order
+depend only on the input text and file order, so the same sources always
+produce byte-identical output.
 
 Conventions:
 
@@ -23,6 +24,9 @@ Conventions:
   external method stub (owned by the receiver's type when that type is
   itself external, else by the external ``$unresolved`` type) and reported
   as a warning.
+* Sources the model would refuse raise :class:`ExtractError`: a supertype
+  cycle, two fields of one name in a type, or two methods of one type
+  whose signatures are equal once their parameter types are resolved.
 """
 
 from __future__ import annotations
@@ -50,7 +54,20 @@ from .ast import (
     TryStmt,
     TypeNode,
 )
-from ..model import dumps_facts
+from ..model import (
+    _RECEIVERS,
+    CallSite,
+    Decl,
+    FieldDecl,
+    MethodDecl,
+    Receiver,
+    ReceiverKind,
+    TypeDecl,
+    TypeKind,
+    Visibility,
+    dumps_facts,
+    records_of,
+)
 
 
 @dataclass
@@ -62,6 +79,7 @@ class _TypeInfo:
     encl: "_TypeInfo | None"
     supertype_names: list[str]
     src: str
+    unit: int  # the index of the declaring unit; -1 for an external type
     supertypes: list["_TypeInfo"] = field(default_factory=list)
     children: dict[str, "_TypeInfo"] = field(default_factory=dict)
     fields: list["_FieldInfo"] = field(default_factory=list)
@@ -114,15 +132,28 @@ class _MethodInfo:
 
 @dataclass
 class ExtractResult:
-    records: list[dict]
+    #: One declaration per fact record, in record order.
+    records: list[Decl]
     warnings: list[Diagnostic]
 
     def to_jsonl(self) -> str:
-        return dumps_facts(self.records)
+        return dumps_facts(records_of(self.records))
+
+
+class ExtractError(ValueError):
+    """Sources whose facts the model would refuse.  ``message`` names the
+    type and the member or the cycle; ``unit`` is the index of the unit
+    that declares the type, whose source the error's text names first."""
+
+    def __init__(self, unit: int, source: str, message: str):
+        self.unit = unit
+        self.message = message
+        super().__init__(f"{source}: {message}")
 
 
 def extract_facts(units: CompilationUnit | list[CompilationUnit]) -> ExtractResult:
-    """Emit fact records for one or more diagnostics-free compilation units."""
+    """The fact declarations of one or more diagnostics-free compilation
+    units; raises :class:`ExtractError` for sources the model would refuse."""
     if isinstance(units, CompilationUnit):
         units = [units]
     extractor = _Extractor(units)
@@ -142,7 +173,7 @@ class _Extractor:
         self.externals: dict[str, _TypeInfo] = {}
         self.external_order: list[_TypeInfo] = []
         self.hierarchies: dict[str, list[_TypeInfo]] = {}  # by type id, once linked
-        self.calls: list[dict] = []
+        self.calls: list[CallSite] = []
         self.warnings: list[Diagnostic] = []
         self.counters = {"T": 0, "M": 0, "F": 0, "C": 0, "XT": 0, "XM": 0}
 
@@ -153,13 +184,17 @@ class _Extractor:
     def warn(self, pos: Position, message: str):
         self.warnings.append(Diagnostic("warning", pos, message))
 
+    def refusal(self, info: _TypeInfo, message: str) -> ExtractError:
+        return ExtractError(info.unit, info.src, f"{info.kind} {info.qualified_name}: {message}")
+
     # -- phase 1: registration ----------------------------------------------
 
     def run(self) -> ExtractResult:
-        for unit in self.units:
+        for index, unit in enumerate(self.units):
             for node in unit.types:
-                self.register_type(node, encl=None, src=unit.source)
+                self.register_type(node, encl=None, unit=index)
         self.link_supertypes()
+        self.check_acyclic()
         for info in self.types:
             if info.is_anonymous:
                 continue  # walked from its new-expression site
@@ -180,7 +215,7 @@ class _Extractor:
             info.children.clear()
             info.supertypes.clear()
 
-    def register_type(self, node: TypeNode, encl: _TypeInfo | None, src: str) -> _TypeInfo:
+    def register_type(self, node: TypeNode, encl: _TypeInfo | None, unit: int) -> _TypeInfo:
         anonymous = not node.name
         if anonymous:
             encl.anon_counter += 1
@@ -194,7 +229,8 @@ class _Extractor:
             is_anonymous=anonymous,
             encl=encl,
             supertype_names=node.supertypes,
-            src=src,
+            src=self.units[unit].source,
+            unit=unit,
         )
         if qname in self.by_qname:
             self.warn(node.pos, f"duplicate type name {qname!r}; later declaration shadows")
@@ -216,12 +252,12 @@ class _Extractor:
                 )
             )
         for method in node.methods:
-            self.register_method(info, method, src)
+            self.register_method(info, method)
         for nested in node.nested:
-            self.register_type(nested, encl=info, src=src)
+            self.register_type(nested, encl=info, unit=unit)
         return info
 
-    def register_method(self, info: _TypeInfo, node: MethodNode, src: str) -> _MethodInfo:
+    def register_method(self, info: _TypeInfo, node: MethodNode) -> _MethodInfo:
         method = _MethodInfo(
             id=self.fresh("M"),
             owner=info,
@@ -237,7 +273,7 @@ class _Extractor:
         )
         info.methods.append(method)
         for anon in node.anonymous:
-            self.anon_info[id(anon)] = self.register_type(anon, encl=info, src=src)
+            self.anon_info[id(anon)] = self.register_type(anon, encl=info, unit=info.unit)
         return method
 
     def link_supertypes(self):
@@ -247,6 +283,25 @@ class _Extractor:
                 if resolved is None:
                     resolved = self.external_type(name)
                 info.supertypes.append(resolved)
+
+    def check_acyclic(self):
+        """Raise on the first supertype cycle, walking the types in
+        declaration order, depth first, with an explicit path."""
+        done: set[int] = set()
+        for start in self.types:
+            path = {} if id(start) in done else {id(start): (start, iter(start.supertypes))}
+            while path:
+                info, pending = next(reversed(path.values()))
+                sup = next((s for s in pending if id(s) not in done), None)
+                if sup is None:
+                    path.popitem()
+                    done.add(id(info))
+                elif id(sup) in path:
+                    cycle = [entry[0] for entry in path.values()][list(path).index(id(sup)):]
+                    names = " -> ".join(t.qualified_name for t in cycle + [sup])
+                    raise self.refusal(sup, f"cycle in supertype hierarchy: {names}")
+                else:
+                    path[id(sup)] = (sup, iter(sup.supertypes))
 
     # -- name resolution -----------------------------------------------------
 
@@ -279,6 +334,7 @@ class _Extractor:
                 encl=None,
                 supertype_names=[],
                 src="",
+                unit=-1,
                 is_external=True,
             )
             self.externals[name] = info
@@ -340,60 +396,39 @@ class _Extractor:
 
     # -- emission -------------------------------------------------------------
 
-    def emit(self) -> list[dict]:
-        records: list[dict] = []
+    def emit(self) -> list[Decl]:
+        resolve = self.resolve_type_text
+        kinds, visibilities = TypeKind._value2member_map_, Visibility._value2member_map_
+        decls: list[Decl] = []
         for info in self.types + self.external_order:
-            rec = {
-                "k": "type",
-                "id": info.id,
-                "name": info.qualified_name,
-                "kind": info.kind,
-                "abstract": info.is_abstract,
-                "anon": info.is_anonymous,
-                "encl": info.encl.id if info.encl else None,
-                "super": [s.id for s in info.supertypes],
-            }
-            if info.is_external:
-                rec["ext"] = True
-            if info.src:
-                rec["src"] = info.src
-            records.append(rec)
+            decls.append(TypeDecl(
+                info.id, info.qualified_name, kinds[info.kind], info.is_abstract,
+                info.is_anonymous, info.encl.id if info.encl else None,
+                tuple([s.id for s in info.supertypes]), info.is_external, info.src,
+            ))
+            names: set[str] = set()
             for fld in info.fields:
-                records.append(
-                    {
-                        "k": "field",
-                        "id": fld.id,
-                        "owner": info.id,
-                        "name": fld.name,
-                        "type": self.resolve_type_text(fld.declared_type, info),
-                        "vis": fld.visibility,
-                        **({"src": info.src} if info.src else {}),
-                    }
-                )
+                if fld.name in names:
+                    raise self.refusal(info, f"duplicate field {fld.name!r}")
+                names.add(fld.name)
+                decls.append(FieldDecl(fld.id, info.id, fld.name,
+                                       resolve(fld.declared_type, info),
+                                       visibilities[fld.visibility], info.src))
+            signatures: set[tuple[str, tuple[str, ...]]] = set()
             for method in info.methods + info.stubs:
-                rec = {
-                    "k": "method",
-                    "id": method.id,
-                    "owner": info.id,
-                    "name": method.name,
-                    "params": [self.resolve_type_text(p, info) for p, _ in method.params],
-                    "ret": self.resolve_type_text(method.return_type, info),
-                    "vis": method.visibility,
-                    "static": method.is_static,
-                    "abstract": method.is_abstract,
-                    "ctor": method.is_constructor,
-                    "throws": [self.resolve_type_text(t, info) for t in method.throws],
-                    "stmts": method.body_stmt_count,
-                }
-                if method.raises:
-                    rec["raises"] = list(dict.fromkeys(method.raises))
-                if method.is_external:
-                    rec["ext"] = True
-                if info.src:
-                    rec["src"] = info.src
-                records.append(rec)
-        records.extend(self.calls)
-        return records
+                params = tuple([resolve(p, info) for p, _ in method.params])
+                if (method.name, params) in signatures:
+                    raise self.refusal(info, f"duplicate method {method.name}({','.join(params)})")
+                signatures.add((method.name, params))
+                decls.append(MethodDecl(
+                    method.id, info.id, method.name, params,
+                    resolve(method.return_type, info), visibilities[method.visibility],
+                    method.is_static, method.is_abstract, method.is_constructor,
+                    tuple([resolve(t, info) for t in method.throws]), method.body_stmt_count,
+                    tuple(dict.fromkeys(method.raises)), method.is_external, info.src,
+                ))
+        decls.extend(self.calls)
+        return decls
 
 
 class _BodyWalker:
@@ -528,55 +563,55 @@ class _BodyWalker:
                 break
         if ctor is None:
             return
-        self.append_call(expr, ctor, {"kind": "other"}, ordinal)
+        self.append_call(expr, ctor, _RECEIVERS["other"], ordinal)
 
     def emit_call(self, expr: CallExpr, ordinal: int, recv_type: str | None) -> str | None:
         """Emit one call; ``recv_type`` is the type of a call receiver already walked."""
         recv = expr.receiver
-        receiver_json: dict
+        receiver: Receiver
         lookup_start: _TypeInfo | None
         lexical_fallback = False
 
         if recv is None:
-            receiver_json = {"kind": "this"}
+            receiver = _RECEIVERS["this"]
             lookup_start = self.owner
             lexical_fallback = True
         elif isinstance(recv, This):
-            receiver_json = {"kind": "this"}
+            receiver = _RECEIVERS["this"]
             lookup_start = self.owner
         elif isinstance(recv, Super):
-            receiver_json = {"kind": "super"}
+            receiver = _RECEIVERS["super"]
             lookup_start = None  # search starts at supertypes
         elif isinstance(recv, Name):
             kind, payload, type_name = self.classify_name(recv.value)
             if kind == "param":
-                receiver_json = {"kind": "param", "index": payload}
+                receiver = Receiver(ReceiverKind.PARAM, index=payload)
                 lookup_start = self.type_or_external(type_name)
             elif kind == "local":
-                receiver_json = {"kind": "local"}
+                receiver = _RECEIVERS["local"]
                 lookup_start = self.type_or_external(type_name)
             elif kind == "field":
-                receiver_json = {"kind": "field", "field": payload.id}
+                receiver = Receiver(ReceiverKind.FIELD, field=payload.id)
                 lookup_start = self.type_or_external(type_name, context=payload.owner)
             elif kind == "type":
-                receiver_json = {"kind": "other"}
+                receiver = _RECEIVERS["other"]
                 lookup_start = payload
             else:
-                receiver_json = {"kind": "other"}
+                receiver = _RECEIVERS["other"]
                 lookup_start = None
                 self.ex.warn(expr.pos, f"unknown receiver {recv.value!r}")
         else:
             # The chain loop walked a call receiver; any other is walked here.
             if not isinstance(recv, CallExpr):
                 recv_type = self.walk_expr(recv, ordinal)
-            receiver_json = {"kind": "other"}
+            receiver = _RECEIVERS["other"]
             lookup_start = self.type_or_external(recv_type)
 
         for arg in expr.args:
             self.walk_expr(arg, ordinal)
 
         target = self.resolve_target(expr, lookup_start, recv, lexical_fallback)
-        self.append_call(expr, target, receiver_json, ordinal)
+        self.append_call(expr, target, receiver, ordinal)
         return target.return_type
 
     def resolve_target(
@@ -617,23 +652,13 @@ class _BodyWalker:
         )
         return self.ex.external_stub(stub_owner, expr.name, arity)
 
-    def append_call(self, expr, target: _MethodInfo, receiver_json: dict, ordinal: int):
+    def append_call(self, expr, target: _MethodInfo, receiver: Receiver, ordinal: int):
         passes = []
         for arg_index, arg in enumerate(expr.args):
             if isinstance(arg, Name):
                 for param_index, (_, pname) in enumerate(self.method.params):
                     if pname == arg.value:
-                        passes.append([arg_index, param_index])
+                        passes.append((arg_index, param_index))
                         break
-        rec = {
-            "k": "call",
-            "id": self.ex.fresh("C"),
-            "caller": self.method.id,
-            "target": target.id,
-            "recv": receiver_json,
-            "ord": ordinal,
-            "pass": passes,
-        }
-        if self.owner.src:
-            rec["src"] = self.owner.src
-        self.ex.calls.append(rec)
+        self.ex.calls.append(CallSite(self.ex.fresh("C"), self.method.id, target.id, receiver,
+                                      ordinal, tuple(passes), self.owner.src))

@@ -239,6 +239,8 @@ class _Parser:
             method.is_abstract = True
         elif not body:
             raise self.fail("interface methods cannot have bodies")
+        elif method.is_abstract:
+            raise self.fail("abstract methods cannot have bodies")
         else:
             outer, self.anonymous = self.anonymous, []
             method.body = self.parse_block()

@@ -37,7 +37,8 @@ Record schema (``facts.jsonl``, field ``k`` discriminates)::
      "recv":{"kind":"super"},"ord":1,"pass":[[0,0]]}
 
 The keys of each kind, their types and their checks are one table,
-``_RECORDS``, which drives both loading and ``SourceModel.to_records``.
+``_RECORDS``, which drives loading; ``records_of``, the one writer, writes
+the same keys from declarations.
 Unknown keys are ignored so extractors may attach extra information.  Three
 keys are optional: ``src`` (string: source file of the entity), ``ext``
 (bool: entity synthesized for an unresolved reference) and, on methods,
@@ -170,14 +171,6 @@ class Receiver(NamedTuple):
     kind: ReceiverKind
     field: str | None = None  # FieldDecl id, for kind == FIELD
     index: int | None = None  # parameter index, for kind == PARAM
-
-    def to_json(self) -> dict:
-        rec: dict = {"kind": self.kind.value}
-        if self.kind is ReceiverKind.FIELD:
-            rec["field"] = self.field
-        if self.kind is ReceiverKind.PARAM:
-            rec["index"] = self.index
-        return rec
 
 
 class CallSite(NamedTuple):
@@ -447,19 +440,8 @@ class SourceModel:
 
     def to_records(self) -> list[dict]:
         """Canonical record list; loading it again reproduces this model."""
-        records: list[dict] = []
-        for kind, decls in (("type", self._types), ("method", self._methods),
-                            ("field", self._fields), ("call", self._calls)):
-            keys = _RECORDS[kind][1]
-            for decl in decls.values():
-                rec = {"k": kind}
-                for key in keys:
-                    value = getattr(decl, key.attr)
-                    if value or not key.optional:
-                        encode = _TO_JSON.get(type(value))
-                        rec[key.name] = value if encode is None else encode(value)
-                records.append(rec)
-        return records
+        return list(records_of(chain(self._types.values(), self._methods.values(),
+                                     self._fields.values(), self._calls.values())))
 
     # -- validation and derivation ----------------------------------------
 
@@ -758,9 +740,10 @@ def load_records(
 
 # -- the record schema ------------------------------------------------------
 #
-# One table per record kind drives both directions: ``_decode`` checks each
-# key in table order, so a record with several faults reports the first
-# one in that order, and ``SourceModel.to_records`` writes the keys back.
+# One table per record kind drives loading: ``_decode`` checks each key in
+# table order, so a record with several faults reports the first one in
+# that order.  ``records_of`` writes the same keys, and a test holds the two
+# to agree.
 # ``_decode_columns`` runs the same checks over whole columns, as C-level
 # builtins, and words no error: a column that fails sends the load to
 # ``_decode``.
@@ -1023,19 +1006,58 @@ def _decode_kind(kind: str, recs: list[dict]) -> list | None:
                     zip(*map(columns.__getitem__, decl_class._fields))))
 
 
-#: How attribute values of these types are written back; others as they are.
-_TO_JSON: dict[type, Callable] = {
-    TypeKind: attrgetter("value"),
-    Visibility: attrgetter("value"),
-    Receiver: Receiver.to_json,
-    # strings, or the (argument, parameter) pairs of ``pass``
-    tuple: lambda values: [list(v) if isinstance(v, tuple) else v for v in values],
-}
+#: A declaration of any kind: what a front end builds and ``records_of`` writes.
+Decl = TypeDecl | MethodDecl | FieldDecl | CallSite
+
+
+def records_of(decls: Iterable[Decl]) -> Iterator[dict]:
+    """The fact record of each declaration: the one writer of the format that
+    ``_RECORDS`` reads.  Each kind is one dict literal, as a loop over the
+    table's keys would cost a lookup per key on every record."""
+    for decl in decls:
+        cls = type(decl)
+        if cls is CallSite:
+            recv = decl.receiver
+            rec = {"k": "call", "id": decl.id, "caller": decl.caller,
+                   "target": decl.static_target,
+                   "recv": ({"kind": "field", "field": recv.field}
+                            if recv.kind is ReceiverKind.FIELD else
+                            {"kind": "param", "index": recv.index}
+                            if recv.kind is ReceiverKind.PARAM else
+                            {"kind": recv.kind.value}),
+                   "ord": decl.ordinal, "pass": [list(p) for p in decl.arg_passthrough]}
+        elif cls is MethodDecl:
+            rec = {"k": "method", "id": decl.id, "owner": decl.owner, "name": decl.name,
+                   "params": list(decl.param_types), "ret": decl.return_type,
+                   "vis": decl.visibility.value, "static": decl.is_static,
+                   "abstract": decl.is_abstract, "ctor": decl.is_constructor,
+                   "throws": list(decl.declared_throws), "stmts": decl.body_stmt_count}
+            if decl.direct_throws:
+                rec["raises"] = list(decl.direct_throws)
+            if decl.is_external:
+                rec["ext"] = True
+        elif cls is FieldDecl:
+            rec = {"k": "field", "id": decl.id, "owner": decl.owner, "name": decl.name,
+                   "type": decl.declared_type, "vis": decl.visibility.value}
+        else:
+            rec = {"k": "type", "id": decl.id, "name": decl.qualified_name,
+                   "kind": decl.kind.value, "abstract": decl.is_abstract,
+                   "anon": decl.is_anonymous, "encl": decl.enclosing_type,
+                   "super": list(decl.supertypes)}
+            if decl.is_external:
+                rec["ext"] = True
+        if decl.src:
+            rec["src"] = decl.src
+        yield rec
 
 
 def dumps_facts(records: Iterable[dict]) -> str:
     """The facts.jsonl text: one key-sorted JSON object per line."""
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return "".join(_encode(rec) + "\n" for rec in records)
+
+
+#: ``json.dumps(rec, sort_keys=True)`` without building an encoder per record.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _group(items, key) -> dict:

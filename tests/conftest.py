@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sortweaver.minilang import extract_facts, parse
-from sortweaver.model import SourceModel, load_records
+from sortweaver.model import SourceModel, load_records, records_of
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -24,7 +24,7 @@ def model_from_source(text: str, source: str = "inline.mini") -> SourceModel:
     result = parse(text, source)
     assert result.ok, [str(d) for d in result.diagnostics]
     extraction = extract_facts(result.unit)
-    return load_records(extraction.records)
+    return load_records(records_of(extraction.records))
 
 
 def corpus_model(name: str) -> SourceModel:

@@ -23,7 +23,7 @@ from warning_scenarios import SCENARIOS
 
 from sortweaver.mining import MiningConfig, grouped_calls_analysis
 from sortweaver.minilang import extract_facts, parse
-from sortweaver.model import load_records
+from sortweaver.model import load_records, records_of
 from sortweaver.queries import (
     query_cb,
     query_ec,
@@ -302,11 +302,11 @@ def test_criterion_8_frontend_round_trip():
             continue
         extraction = extract_facts(result.unit)
         try:
-            load_records(extraction.records)
+            load_records(records_of(extraction.records))
         except Exception as exc:  # noqa: BLE001 - the criterion is "never fails"
             failures.append(f"{name}: load failed: {exc}")
             continue
-        calls = sum(1 for r in extraction.records if r["k"] == "call")
+        calls = sum(1 for r in records_of(extraction.records) if r["k"] == "call")
         expected = oracles.invocation_count(text)
         if calls != expected:
             failures.append(f"{name}: {calls} call records vs {expected} call statements")

@@ -10,7 +10,7 @@ from conftest import CORPUS, CORPUS_FILES, young_objects
 
 from sortweaver import cli, minilang
 from sortweaver.cli import build_parser, main
-from sortweaver.model import load_facts_path
+from sortweaver.model import load_facts_path, load_records
 from sortweaver.queries import QueryBinding, execute_binding
 
 
@@ -79,6 +79,55 @@ def test_extract_parse_failure_exits_one(tmp_path, capsys):
     code, _ = run_cli("extract", str(bad))
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+#: Sources whose facts every command that loads them would refuse; ``extract``
+#: refuses them instead, naming the file, the type and the member or cycle.
+_REFUSED_SOURCES = {
+    "duplicate-signature": ("class A { void f() { } void f() { } }",
+                            "error: {path}: class A: duplicate method f()"),
+    "duplicate-signature-anonymous": (
+        "class A { void m() { new A() { void f() { } void f() { } }; } }",
+        "error: {path}: class A$anon1: duplicate method f()"),
+    "duplicate-signature-named-resolved": (
+        "class A { class B { } void f(B x) { } void f(B y) { } }",
+        "error: {path}: class A: duplicate method f(A.B)"),
+    "duplicate-field": ("class A { int x; String x; }",
+                        "error: {path}: class A: duplicate field 'x'"),
+    "abstract-with-body": ("class A { abstract void f() { return; } }",
+                           "{path}: error: 1:29: abstract methods cannot have bodies\n"
+                           "error: {path}: parse failed"),
+    "abstract-with-empty-body": ("class A { abstract void f() { } }",
+                                 "{path}: error: 1:29: abstract methods cannot have bodies\n"
+                                 "error: {path}: parse failed"),
+    "supertype-cycle": ("class A extends B { } class B extends A { }",
+                        "error: {path}: class A: cycle in supertype hierarchy: A -> B -> A"),
+    "extends-itself": ("class A extends A { }",
+                       "error: {path}: class A: cycle in supertype hierarchy: A -> A"),
+    "interface-cycle": ("interface I extends J { } interface J extends I { }",
+                        "error: {path}: interface I: cycle in supertype hierarchy: I -> J -> I"),
+}
+
+
+@pytest.mark.parametrize("source, message", list(_REFUSED_SOURCES.values()),
+                         ids=list(_REFUSED_SOURCES))
+def test_extract_refuses_facts_the_model_rejects(tmp_path, capsys, source, message):
+    path = tmp_path / "refused.mini"
+    path.write_text(source, encoding="utf-8")
+    assert run_cli("extract", str(path)) == (1, "")
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
+
+
+def test_extract_refusal_names_the_file_that_declares_the_type(tmp_path, capsys):
+    # Both files are named a.mini, as their facts' ``src`` is.
+    first, second = tmp_path / "x" / "a.mini", tmp_path / "y" / "a.mini"
+    first.parent.mkdir()
+    second.parent.mkdir()
+    first.write_text("class A { }", encoding="utf-8")
+    second.write_text("class B extends C { } class C extends B { }", encoding="utf-8")
+    assert run_cli("extract", str(first), str(second))[0] == 1
+    assert capsys.readouterr().err == (
+        f"error: {second}: class B: cycle in supertype hierarchy: B -> C -> B\n")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
@@ -217,6 +266,48 @@ def test_model_duplicate_group_is_user_error(tmp_path):
     run_cli("model", "add-group", str(model_file), "dup")
     code, _ = run_cli("model", "add-group", str(model_file), "dup")
     assert code == 1
+
+
+@pytest.mark.parametrize("new_name, reason", [("b/c", "contains '/'"), ("", "is empty")],
+                         ids=["slash", "empty"])
+def test_model_rename_refuses_a_name_no_path_reaches(tmp_path, capsys, new_name, reason):
+    model_file = tmp_path / "concerns.json"
+    run_cli("model", "init", str(model_file))
+    run_cli("model", "add-group", str(model_file), "a")
+    before = model_file.read_bytes()
+    capsys.readouterr()
+    assert run_cli("model", "rename", str(model_file), "a", new_name)[0] == 1
+    assert capsys.readouterr().err == f"error: concern name {new_name!r} under '/' {reason}\n"
+    assert model_file.read_bytes() == before
+
+
+_INSTANCE = {"name": "x", "sort": "CB", "params": {"target": "DrawingView.checkDamage"}}
+
+
+@pytest.mark.parametrize("children, message", [
+    ([_INSTANCE, _INSTANCE], "concern name 'x' under 'g' duplicates a sibling's name"),
+    ([dict(_INSTANCE, name="x/y")], "concern name 'x/y' under 'g' contains '/'"),
+    ([{"name": "", "children": []}], "concern name '' under 'g' is empty"),
+], ids=["repeated", "slash", "empty"])
+def test_load_model_refuses_a_name_no_path_reaches(tmp_path, capsys, facts_file, children,
+                                                   message):
+    model_file = tmp_path / "concerns.json"
+    model_file.write_text(json.dumps({"name": "root", "children": [
+        {"name": "g", "children": children}]}), encoding="utf-8")
+    assert run_cli("model", "run", str(model_file), str(facts_file)) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_model_add_instance_refuses_a_repeated_param_key(tmp_path, capsys):
+    model_file = tmp_path / "concerns.json"
+    run_cli("model", "init", str(model_file))
+    before = model_file.read_bytes()
+    capsys.readouterr()
+    code, _ = run_cli("model", "add-instance", str(model_file), "a", "--sort", "CB",
+                      "--param", "target=X", "--param", "target=Y")
+    assert code == 1
+    assert capsys.readouterr().err == "error: repeated --param key 'target'\n"
+    assert model_file.read_bytes() == before
 
 
 def test_plan_instance_writes_aspect_and_edits(tmp_path, undo_facts):
@@ -744,9 +835,11 @@ def test_extract_mutation_sweep_exits_zero_or_one_naming_the_file(tmp_path, caps
         for _ in range(rng.randint(1, 3)):
             text = _mutate(rng, text)
         path.write_bytes(text)
-        code, _ = run_cli("extract", str(path))
+        code, out = run_cli("extract", str(path))
         err = capsys.readouterr().err
         assert code in (0, 1), (case, err[-300:])
         assert code == 0 or f"error: {path}: " in err, (case, err[-300:])
+        if code == 0:  # what extract writes, the other commands load
+            load_records(map(json.loads, out.splitlines()))
         codes.append(code)
     assert 0 in codes and 1 in codes

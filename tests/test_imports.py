@@ -133,3 +133,29 @@ def test_the_check_finds_a_dead_private_name():
     other = "from .m import _USED as used\n_ALIAS = used\n"
     trees = {"m.py": ast.parse(source), "n.py": ast.parse(other)}
     assert _dead_private_names(trees) == ["m.py: _UNUSED", "m.py: _recursive", "n.py: _ALIAS"]
+
+
+def _record_literals(tree: ast.Module) -> list[int]:
+    """The line of each dict display with a ``"k"`` key, which is how a fact
+    record starts."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            and any(isinstance(key, ast.Constant) and key.value == "k" for key in node.keys)]
+
+
+def test_only_the_model_writes_fact_records():
+    """``model.records_of`` is the one writer of the fact format: a front end
+    builds declarations."""
+    found = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES
+             if path != PACKAGE / "model.py"
+             for line in _record_literals(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_check_finds_a_record_literal():
+    source = (
+        'a = {"k": "type", "id": "T1"}\n'
+        'b = {"kind": "this", "k2": 1}\n'
+        'c = [{**a, "k": "call"}]\n'
+        'd = dict(k="field")\n'
+    )
+    assert _record_literals(ast.parse(source)) == [1, 3]

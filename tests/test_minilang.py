@@ -6,9 +6,9 @@ import weakref
 from conftest import CORPUS, CORPUS_FILES, model_from_source
 from oracles import invocation_count, tokenize_per_character
 
-from sortweaver.minilang import extract_facts, parse
+from sortweaver.minilang import ExtractError, extract_facts, parse
 from sortweaver.minilang.lexer import LexError, tokenize
-from sortweaver.model import ReceiverKind, load_records
+from sortweaver.model import ReceiverKind, load_records, records_of
 
 
 def extract(text, source="inline.mini"):
@@ -68,7 +68,7 @@ def test_consistency_check_transcription_super_call_at_ordinal_one():
     }
     class DrawingView { }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     paste = model.resolve_method("PasteCommand.execute")
     base = model.resolve_method("AbstractCommand.execute")
     supers = [
@@ -96,7 +96,7 @@ def test_anonymous_class_gets_synthesized_name_and_enclosing():
         public void print() { }
     }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     anon = model.type_by_name("DrawApplication$anon1")
     assert anon is not None and anon.is_anonymous
     assert model.types[anon.enclosing_type].qualified_name == "DrawApplication"
@@ -146,7 +146,7 @@ def test_anonymous_classes_are_numbered_in_the_order_their_bodies_close():
     """
     extraction = extract(text)
     types = [(r["id"], r["name"], r["encl"], r["super"])
-             for r in extraction.records if r["k"] == "type"]
+             for r in records_of(extraction.records) if r["k"] == "type"]
     assert types == [
         ("T1", "Listener", None, []),
         ("T2", "Base", None, []),
@@ -174,7 +174,7 @@ def test_anonymous_classes_are_numbered_in_the_order_their_bodies_close():
 def _anonymous_calls(text):
     """(target signature, receiver kind) of each call in an anonymous class."""
     extraction = extract(text)
-    model = load_records(extraction.records)
+    model = load_records(records_of(extraction.records))
     calls = [c for c in model.calls.values()
              if model.types[model.methods[c.caller].owner].is_anonymous]
     return [(model.method_sig(c.static_target), c.receiver.kind.value) for c in calls], \
@@ -236,7 +236,7 @@ def test_throws_clause_recorded():
         public void parse() throws IOErr { throw new IOErr(); }
     }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     read = model.resolve_method("Reader.read")
     assert read.declared_throws == ("IOErr",)
     parse_m = model.resolve_method("Reader.parse")
@@ -252,7 +252,7 @@ def test_unknown_call_target_becomes_external_stub_with_warning():
     """
     extraction = extract(text)
     assert any("spin" in w.message for w in extraction.warnings)
-    model = load_records(extraction.records)
+    model = load_records(records_of(extraction.records))
     widget = model.type_by_name("Widget")
     assert widget is not None and widget.is_external
     stub = [m for m in model.methods_of(widget.id)]
@@ -279,7 +279,7 @@ def test_receiver_classification():
         private Helper makeHelper() { return fHelper; }
     }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     f = model.resolve_method("A.f")
     kinds = [c.receiver.kind.value for c in model.calls_of(f.id)]
     assert kinds == ["field", "param", "this", "local", "this", "this"]
@@ -295,7 +295,7 @@ def test_passthrough_pairs_recorded():
         public void inner(Monitor m) { }
     }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     outer = model.resolve_method("A.outer")
     assert model.calls_of(outer.id)[0].arg_passthrough == ((0, 0),)
 
@@ -314,7 +314,7 @@ def test_constructor_call_recorded_only_when_declared():
         }
     }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     user = model.resolve_method("User.f")
     targets = [model.methods[c.static_target] for c in model.calls_of(user.id)]
     assert [t.is_constructor for t in targets] == [True]
@@ -340,7 +340,7 @@ def test_nested_statement_ordinals_count_pre_order():
         public void finish() { }
     }
     """
-    model = load_records(extract(text).records)
+    model = load_records(records_of(extract(text).records))
     f = model.resolve_method("A.f")
     assert f.body_stmt_count == 5
     by_name = {
@@ -363,14 +363,14 @@ def test_every_corpus_file_loads_after_extraction():
         assert result.ok, name
         extraction = extract_facts(result.unit)
         assert not extraction.warnings, (name, [str(w) for w in extraction.warnings])
-        model = load_records(extraction.records)
+        model = load_records(records_of(extraction.records))
         assert model.calls is not None
 
 
 def test_call_record_count_matches_text_scan_per_corpus_file():
     for name in CORPUS_FILES:
         text = (CORPUS / name).read_text()
-        records = extract(text, name).records
+        records = records_of(extract(text, name).records)
         calls = sum(1 for r in records if r["k"] == "call")
         assert calls == invocation_count(text), name
 
@@ -382,7 +382,7 @@ def test_statement_counter_matches_parser_bodies():
         "public void c() {} public void d() {} public void g() {} }"
     )
     assert result.ok
-    method = extract_facts(result.unit).records[1]
+    method = list(records_of(extract_facts(result.unit).records))[1]
     assert (method["k"], method["name"]) == ("method", "f")
     # a(); if; c(); try; d(); g();  (try/catch is one statement)
     assert method["stmts"] == 6
@@ -444,12 +444,12 @@ def test_tokenizer_matches_the_per_character_scanner():
 
 
 def test_extract_leaves_no_reference_cycles():
-    # Nested and anonymous types (the corpus) and a supertype cycle: once
-    # the units and the result are dropped, reference counting alone must
-    # free every syntax tree.
+    # Nested and anonymous types (the corpus), and a supertype cycle, which
+    # extraction refuses after linking it: once the units and the result or
+    # the error are dropped, reference counting alone must free every
+    # syntax tree.
     sources = [((CORPUS / name).read_text(), name) for name in CORPUS_FILES]
-    sources.append(("class A extends B { class In { void f() { } } } class B extends A { }",
-                    "cycle.mini"))
+    cycle = "class A extends B { class In { void f() { } } } class B extends A { }"
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -458,6 +458,16 @@ def test_extract_leaves_no_reference_cycles():
         result = extract_facts(units)
         assert result.records
         del units, result
+        assert [ref for ref in nodes if ref() is not None] == []
+        units = [parse(cycle, "cycle.mini").unit]
+        nodes = [weakref.ref(node) for unit in units for node in unit.types]
+        try:
+            extract_facts(units)
+        except ExtractError as exc:
+            assert "cycle in supertype hierarchy: A -> B -> A" in str(exc)
+        else:
+            raise AssertionError("a supertype cycle extracted")
+        del units
         assert [ref for ref in nodes if ref() is not None] == []
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -477,10 +487,10 @@ def _methods(records):
 
 
 def test_interface_extends_a_list_and_its_members_take_a_visibility():
-    records = extract(
+    records = list(records_of(extract(
         "interface A { void a(); } interface B { } interface C extends A, B {"
         " public void f(); protected int g(Object o); private void h(); void k(); }"
-    ).records
+    ).records))
     assert _types(records) == [
         ("T1", "A", "interface", True, []),
         ("T2", "B", "interface", True, []),
@@ -497,11 +507,11 @@ def test_interface_extends_a_list_and_its_members_take_a_visibility():
 
 
 def test_abstract_and_static_members_and_throws_lists():
-    records = extract(
+    records = list(records_of(extract(
         "class X { } class Y { } class A { abstract void f(); public abstract int g();"
-        " static abstract void h(); protected abstract void k() { }"
+        " static abstract void h(); protected abstract void k();"
         " void t() throws X, Y { } void u() throws X, Y, Z; static int n; }"
-    ).records
+    ).records))
     assert _types(records) == [
         ("T1", "X", "class", False, []),
         ("T2", "Y", "class", False, []),
@@ -523,9 +533,9 @@ def test_abstract_and_static_members_and_throws_lists():
 
 
 def test_a_top_level_type_may_carry_a_visibility():
-    records = extract(
+    records = list(records_of(extract(
         "public class A { } private interface I { } protected class B extends A implements I { }"
-    ).records
+    ).records))
     assert _types(records) == [
         ("T1", "A", "class", False, []),
         ("T2", "I", "interface", True, []),
@@ -536,6 +546,7 @@ def test_a_top_level_type_may_carry_a_visibility():
 def test_declaration_errors_stop_at_the_offending_token():
     cases = {
         "interface I {\n  void f() { }\n}": "error: 2:12: interface methods cannot have bodies",
+        "class A {\n  abstract void f() { }\n}": "error: 2:21: abstract methods cannot have bodies",
         "class A { void m() { new A() { class In { } }; } }":
             "error: 1:46: anonymous classes cannot declare nested types",
         "class A { void m() { new A() { public interface In { } void g() { } }; } }":

@@ -24,6 +24,7 @@ from sortweaver.model import (
     load_facts,
     load_facts_path,
     load_records,
+    records_of,
 )
 
 
@@ -351,7 +352,7 @@ def test_record_order_does_not_change_the_model(command_model):
 
 def _corpus_records() -> list[dict]:
     units = [parse((CORPUS / name).read_text(), name).unit for name in CORPUS_FILES]
-    return extract_facts(units).records
+    return list(records_of(extract_facts(units).records))
 
 
 def test_to_records_round_trip(undo_model):
@@ -361,6 +362,39 @@ def test_to_records_round_trip(undo_model):
     extracted = _corpus_records()
     assert {json.dumps(r, sort_keys=True) for r in load_records(extracted).to_records()} \
         == {json.dumps(r, sort_keys=True) for r in extracted}
+
+
+def _declarations(model) -> list:
+    return [*model.types.values(), *model.methods.values(), *model.fields.values(),
+            *model.calls.values()]
+
+
+def test_the_writer_agrees_with_the_reader():
+    """Each record ``records_of`` writes holds its kind's required ``_RECORDS``
+    keys, plus each optional key exactly when its value is truthy, and
+    ``load_records`` of the records gives back equal declarations.  The
+    inputs: each corpus file's extraction, one with unresolved names (which
+    makes ``ext`` entities), and 300 random models under each policy."""
+    sources = [((CORPUS / name).read_text(), name) for name in CORPUS_FILES]
+    sources.append(("class A extends Gone { void f() { g(); new Lost().h(); } }", "ext.mini"))
+    cases = [(extract_facts([parse(text, name).unit]).records, DispatchPolicy.LIFT_TO_ANCESTORS)
+             for text, name in sources]
+    rng = random.Random(2020)
+    for policy in DispatchPolicy:
+        cases += [(_declarations(random_model(rng, policy=policy)), policy) for _ in range(300)]
+    written = set()
+    for decls, policy in cases:
+        records = list(records_of(decls))
+        assert len(records) == len(decls)
+        for decl, rec in zip(decls, records):
+            decl_class, keys = model_module._RECORDS[rec["k"]]
+            assert type(decl) is decl_class, rec
+            assert rec.keys() == {"k"} | {key.name for key in keys
+                                          if not key.optional or getattr(decl, key.attr)}, rec
+            written |= {(rec["k"], key) for key in rec}
+        model = load_records(records, policy=policy)
+        assert {d.id: d for d in _declarations(model)} == {d.id: d for d in decls}
+    assert {("type", "ext"), ("method", "ext"), ("method", "raises")} <= written
 
 
 def test_resolve_method_forms(command_model):
@@ -532,7 +566,8 @@ def _shape(rec) -> str:
 
 
 def _unit_records(name: str) -> list[dict]:
-    return extract_facts([parse((CORPUS / name).read_text(), name).unit]).records
+    return list(records_of(
+        extract_facts([parse((CORPUS / name).read_text(), name).unit]).records))
 
 
 def test_load_records_matches_the_per_record_loader_under_mutation():

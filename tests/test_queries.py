@@ -405,7 +405,7 @@ def test_query_results_are_deterministic(undo_model):
 
 def test_hits_order_by_source_file_then_id():
     from sortweaver.minilang import extract_facts, parse
-    from sortweaver.model import load_records
+    from sortweaver.model import load_records, records_of
 
     shared = "class Target { public void hit() { } }"
     caller = """
@@ -418,7 +418,7 @@ def test_hits_order_by_source_file_then_id():
         parse(shared + caller % "B", "zz_late.mini").unit,
         parse(caller % "A", "aa_early.mini").unit,
     ]
-    model = load_records(extract_facts(units).records)
+    model = load_records(records_of(extract_facts(units).records))
     hits = query_cb(model, "Target.hit", "*").hits
     files = [model.entity_src(h.call) for h in hits]
     assert files == sorted(files)
