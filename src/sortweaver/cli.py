@@ -30,7 +30,7 @@ from .concerns import (
     run_all,
     save_model,
 )
-from .minilang import ExtractError, extract_facts, parse
+from .minilang import ExtractError, MiniLangSyntaxError, extract_facts, parse
 from .mining import TECHNIQUES, MiningConfig, mine
 from .model import SCHEMA_VERSION, DispatchPolicy, FactError, SourceModel, load_facts_path
 from .queries import (
@@ -192,19 +192,18 @@ def _load_model(args) -> SourceModel:
 
 def _parse_files(paths: list[str]) -> list:
     """The compilation unit of each file; a CliError names the first that
-    is not UTF-8 or does not parse, after printing its diagnostics."""
+    is not UTF-8 or does not parse, after printing its diagnostic."""
     units = []
     for path in paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise CliError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-        result = parse(text, source=Path(path).name)
-        if not result.ok:
-            for diag in result.diagnostics:
-                print(f"{path}: {diag}", file=sys.stderr)
-            raise CliError(f"{path}: parse failed")
-        units.append(result.unit)
+        try:
+            units.append(parse(text, source=Path(path).name))
+        except MiniLangSyntaxError as exc:
+            print(f"{path}: {exc.diagnostic}", file=sys.stderr)
+            raise CliError(f"{path}: parse failed") from None
     return units
 
 
@@ -276,11 +275,11 @@ def cmd_mine(args, stdin, stdout):
         stdout.write("no seeds\n")
         return
     for rank, seed in enumerate(seeds, start=1):
-        subject = _seed_subject(model, seed)
+        subject = _seed_subject(seed)
         stdout.write(f"{rank:>3}  {seed.score:>8g}  {seed.sort_hint}  {subject}\n")
 
 
-def _seed_subject(model: SourceModel, seed) -> str:
+def _seed_subject(seed) -> str:
     if seed.technique == "fanin":
         return seed.evidence["method_sig"]
     if seed.technique == "grouped":
@@ -561,7 +560,7 @@ def _repl_dispatch(model: SourceModel, seeds: list, command: str, rest: list[str
             raise CliError(f"usage: mine {'|'.join(TECHNIQUES)}")
         seeds[:] = mine(model, rest[0])
         for index, seed in enumerate(seeds, start=1):
-            stdout.write(f"  S{index}  {seed.score:g}  {_seed_subject(model, seed)}\n")
+            stdout.write(f"  S{index}  {seed.score:g}  {_seed_subject(seed)}\n")
         if not seeds:
             stdout.write("no seeds\n")
         return

@@ -195,7 +195,9 @@ def node_at(root: Group, path: str):
     return node
 
 
-def _parent_of(root: Group, path: str) -> tuple[Group, str]:
+def _parent_of(root: Group, path: str) -> tuple[Group, str, str]:
+    """The group that holds the node at ``path``, that group's concern path
+    and the node's name."""
     parts = _split(path)
     parent = root
     for part in parts[:-1]:
@@ -203,22 +205,20 @@ def _parent_of(root: Group, path: str) -> tuple[Group, str]:
         if not isinstance(child, Group):
             raise ConcernModelError(f"no such concern path: {path!r}")
         parent = child
-    return parent, parts[-1]
+    return parent, "/".join(parts[:-1]), parts[-1]
 
 
 def add_group(root: Group, path: str) -> Group:
-    parent, name = _parent_of(root, path)
-    if parent.child(name) is not None:
-        raise ConcernModelError(f"duplicate name at {path!r}")
+    parent, parent_path, name = _parent_of(root, path)
+    _check_name(name, parent.child(name) is not None, parent_path)
     group = Group(name)
     parent.children.append(group)
     return group
 
 
 def add_instance(root: Group, path: str, binding: QueryBinding, note: str = "") -> Instance:
-    parent, name = _parent_of(root, path)
-    if parent.child(name) is not None:
-        raise ConcernModelError(f"duplicate name at {path!r}")
+    parent, parent_path, name = _parent_of(root, path)
+    _check_name(name, parent.child(name) is not None, parent_path)
     binding = _binding(path, binding.sort, dict(binding.params))
     instance = Instance(name, binding, None, note)
     parent.children.append(instance)
@@ -226,7 +226,7 @@ def add_instance(root: Group, path: str, binding: QueryBinding, note: str = "") 
 
 
 def remove(root: Group, path: str):
-    parent, name = _parent_of(root, path)
+    parent, _, name = _parent_of(root, path)
     child = parent.child(name)
     if child is None:
         raise ConcernModelError(f"no such concern path: {path!r}")
@@ -234,11 +234,12 @@ def remove(root: Group, path: str):
 
 
 def rename(root: Group, path: str, new_name: str):
-    parent, name = _parent_of(root, path)
+    """Rename the node at ``path``; its own name is not a sibling's."""
+    parent, parent_path, name = _parent_of(root, path)
     child = parent.child(name)
     if child is None:
         raise ConcernModelError(f"no such concern path: {path!r}")
-    _check_name(new_name, parent.child(new_name) is not None, "/".join(_split(path)[:-1]))
+    _check_name(new_name, new_name != name and parent.child(new_name) is not None, parent_path)
     child.name = new_name
 
 
@@ -263,10 +264,6 @@ class DriftReport:
     added: tuple[str, ...]
     removed: tuple[str, ...]
     unchanged: int
-
-    @property
-    def clean(self) -> bool:
-        return not self.added and not self.removed
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,8 @@
-"""MiniLang frontend: parse Java-like sources and extract their fact declarations."""
+"""MiniLang frontend: ``parse`` turns a source into a compilation unit or
+raises :class:`MiniLangSyntaxError`, and ``extract_facts`` turns a list of
+units into the model's fact declarations."""
 
-from .ast import CompilationUnit, Diagnostic, ParseResult, Position
+from .ast import CompilationUnit, Diagnostic, MiniLangSyntaxError, Position
 from .extract import ExtractError, ExtractResult, extract_facts
 from .parser import parse
 
@@ -9,7 +11,7 @@ __all__ = [
     "Diagnostic",
     "ExtractError",
     "ExtractResult",
-    "ParseResult",
+    "MiniLangSyntaxError",
     "Position",
     "extract_facts",
     "parse",

@@ -32,6 +32,15 @@ class Diagnostic:
         return f"{self.severity}: {self.pos}: {self.message}"
 
 
+class MiniLangSyntaxError(Exception):
+    """The first lexical or syntax error of a source, as an error
+    diagnostic at the offending token."""
+
+    def __init__(self, pos: Position, message: str):
+        self.diagnostic = Diagnostic("error", pos, message)
+        super().__init__(str(self.diagnostic))
+
+
 # -- expressions -------------------------------------------------------------
 
 
@@ -175,15 +184,3 @@ class TypeNode:
 class CompilationUnit:
     types: list[TypeNode] = field(default_factory=list)
     source: str = ""  # file name the unit was parsed from
-
-
-@dataclass
-class ParseResult:
-    unit: CompilationUnit | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.unit is not None and not any(
-            d.severity == "error" for d in self.diagnostics
-        )

@@ -81,7 +81,6 @@ class _TypeInfo:
     src: str
     unit: int  # the index of the declaring unit; -1 for an external type
     supertypes: list["_TypeInfo"] = field(default_factory=list)
-    children: dict[str, "_TypeInfo"] = field(default_factory=dict)
     fields: list["_FieldInfo"] = field(default_factory=list)
     methods: list["_MethodInfo"] = field(default_factory=list)
     stubs: list["_MethodInfo"] = field(default_factory=list)  # of an external type
@@ -102,7 +101,6 @@ class _TypeInfo:
 @dataclass
 class _FieldInfo:
     id: str
-    owner: _TypeInfo
     name: str
     declared_type: str
     visibility: str
@@ -111,7 +109,6 @@ class _FieldInfo:
 @dataclass
 class _MethodInfo:
     id: str
-    owner: _TypeInfo
     name: str
     params: list[tuple[str, str]]  # (resolved type name, parameter name)
     return_type: str
@@ -151,16 +148,14 @@ class ExtractError(ValueError):
         super().__init__(f"{source}: {message}")
 
 
-def extract_facts(units: CompilationUnit | list[CompilationUnit]) -> ExtractResult:
-    """The fact declarations of one or more diagnostics-free compilation
-    units; raises :class:`ExtractError` for sources the model would refuse."""
-    if isinstance(units, CompilationUnit):
-        units = [units]
-    extractor = _Extractor(units)
-    try:
-        return extractor.run()
-    finally:
-        extractor.unlink()
+def _refusal(info: _TypeInfo, message: str) -> ExtractError:
+    return ExtractError(info.unit, info.src, f"{info.kind} {info.qualified_name}: {message}")
+
+
+def extract_facts(units: list[CompilationUnit]) -> ExtractResult:
+    """The fact declarations of parsed compilation units; raises
+    :class:`ExtractError` for sources the model would refuse."""
+    return _Extractor(units).run()
 
 
 class _Extractor:
@@ -169,6 +164,9 @@ class _Extractor:
         self.types: list[_TypeInfo] = []
         self.by_qname: dict[str, _TypeInfo] = {}
         self.by_simple: dict[str, list[_TypeInfo]] = {}
+        # Named nested types by (encloser id, name); a nested type links to
+        # its encloser only through ``encl``.
+        self.nested: dict[tuple[str, str], _TypeInfo] = {}
         self.anon_info: dict[int, _TypeInfo] = {}  # by id() of the anonymous TypeNode
         self.externals: dict[str, _TypeInfo] = {}
         self.external_order: list[_TypeInfo] = []
@@ -183,9 +181,6 @@ class _Extractor:
 
     def warn(self, pos: Position, message: str):
         self.warnings.append(Diagnostic("warning", pos, message))
-
-    def refusal(self, info: _TypeInfo, message: str) -> ExtractError:
-        return ExtractError(info.unit, info.src, f"{info.kind} {info.qualified_name}: {message}")
 
     # -- phase 1: registration ----------------------------------------------
 
@@ -202,18 +197,6 @@ class _Extractor:
                 if method.body is not None:
                     _BodyWalker(self, info, method).walk()
         return ExtractResult(self.emit(), self.warnings)
-
-    def unlink(self):
-        """Break the links that point back to a type (members to their
-        owner, nested types to their encloser, supertype cycles), so the
-        type table and the syntax trees it holds are freed by reference
-        counting alone when extraction ends, not by a cycle collection."""
-        for info in self.types + self.external_order:
-            info.methods.clear()
-            info.stubs.clear()
-            info.fields.clear()
-            info.children.clear()
-            info.supertypes.clear()
 
     def register_type(self, node: TypeNode, encl: _TypeInfo | None, unit: int) -> _TypeInfo:
         anonymous = not node.name
@@ -238,14 +221,13 @@ class _Extractor:
             self.by_qname[qname] = info
         self.by_simple.setdefault(info.simple_name, []).append(info)
         if encl is not None and not anonymous:
-            encl.children[node.name] = info
+            self.nested[(encl.id, node.name)] = info
         self.types.append(info)
 
         for fld in node.fields:
             info.fields.append(
                 _FieldInfo(
                     id=self.fresh("F"),
-                    owner=info,
                     name=fld.name,
                     declared_type=fld.declared_type,
                     visibility=fld.visibility,
@@ -260,7 +242,6 @@ class _Extractor:
     def register_method(self, info: _TypeInfo, node: MethodNode) -> _MethodInfo:
         method = _MethodInfo(
             id=self.fresh("M"),
-            owner=info,
             name=node.name,
             params=[(p.declared_type, p.name) for p in node.params],
             return_type=node.return_type,
@@ -286,7 +267,9 @@ class _Extractor:
 
     def check_acyclic(self):
         """Raise on the first supertype cycle, walking the types in
-        declaration order, depth first, with an explicit path."""
+        declaration order, depth first, with an explicit path.  Before it
+        raises, it clears every type's supertype links, so the abandoned
+        type table holds no cycle."""
         done: set[int] = set()
         for start in self.types:
             path = {} if id(start) in done else {id(start): (start, iter(start.supertypes))}
@@ -299,7 +282,9 @@ class _Extractor:
                 elif id(sup) in path:
                     cycle = [entry[0] for entry in path.values()][list(path).index(id(sup)):]
                     names = " -> ".join(t.qualified_name for t in cycle + [sup])
-                    raise self.refusal(sup, f"cycle in supertype hierarchy: {names}")
+                    for info in self.types:
+                        info.supertypes.clear()
+                    raise _refusal(sup, f"cycle in supertype hierarchy: {names}")
                 else:
                     path[id(sup)] = (sup, iter(sup.supertypes))
 
@@ -312,8 +297,9 @@ class _Extractor:
         while cursor is not None:
             if cursor.simple_name == name:
                 return cursor
-            if name in cursor.children:
-                return cursor.children[name]
+            nested = self.nested.get((cursor.id, name))
+            if nested is not None:
+                return nested
             cursor = cursor.encl
         candidates = self.by_simple.get(name, [])
         if len(candidates) == 1:
@@ -347,7 +333,6 @@ class _Extractor:
                 return stub
         stub = _MethodInfo(
             id=self.fresh("XM"),
-            owner=owner,
             name=name,
             params=[("Object", f"a{i}") for i in range(arity)],
             return_type="Object",
@@ -387,11 +372,13 @@ class _Extractor:
                     return method
         return None
 
-    def find_field(self, start: _TypeInfo, name: str) -> _FieldInfo | None:
+    def find_field(self, start: _TypeInfo, name: str) -> tuple[_TypeInfo, _FieldInfo] | None:
+        """The first field named ``name`` in ``start``'s hierarchy, with the
+        type that declares it."""
         for info in self.hierarchy(start):
             for fld in info.fields:
                 if fld.name == name:
-                    return fld
+                    return info, fld
         return None
 
     # -- emission -------------------------------------------------------------
@@ -409,7 +396,7 @@ class _Extractor:
             names: set[str] = set()
             for fld in info.fields:
                 if fld.name in names:
-                    raise self.refusal(info, f"duplicate field {fld.name!r}")
+                    raise _refusal(info, f"duplicate field {fld.name!r}")
                 names.add(fld.name)
                 decls.append(FieldDecl(fld.id, info.id, fld.name,
                                        resolve(fld.declared_type, info),
@@ -418,7 +405,7 @@ class _Extractor:
             for method in info.methods + info.stubs:
                 params = tuple([resolve(p, info) for p, _ in method.params])
                 if (method.name, params) in signatures:
-                    raise self.refusal(info, f"duplicate method {method.name}({','.join(params)})")
+                    raise _refusal(info, f"duplicate method {method.name}({','.join(params)})")
                 signatures.add((method.name, params))
                 decls.append(MethodDecl(
                     method.id, info.id, method.name, params,
@@ -524,7 +511,8 @@ class _BodyWalker:
     def classify_name(self, name: str):
         """Classify an identifier: parameter, local, field, type, or unknown.
 
-        An anonymous class's body looks in its own fields and those of its
+        Returns (kind, payload, type name); a field's payload is (declaring
+        type, field).  An anonymous class's body looks in its own fields and those of its
         supertypes, then sees what the enclosing method sees.  A parameter of
         that method is a ``local`` here: a ``param`` index would point into
         this method's parameters.
@@ -535,16 +523,16 @@ class _BodyWalker:
         if name in self.locals:
             return "local", None, self.locals[name]
         if self.outer is not None:
-            fld = self.ex.find_field(self.owner, name)
-            if fld is not None:
-                return "field", fld, fld.declared_type
+            found = self.ex.find_field(self.owner, name)
+            if found is not None:
+                return "field", found, found[1].declared_type
             kind, payload, type_name = self.outer.classify_name(name)
             return ("local", None, type_name) if kind == "param" else (kind, payload, type_name)
         cursor: _TypeInfo | None = self.owner
         while cursor is not None:
-            fld = self.ex.find_field(cursor, name)
-            if fld is not None:
-                return "field", fld, fld.declared_type
+            found = self.ex.find_field(cursor, name)
+            if found is not None:
+                return "field", found, found[1].declared_type
             cursor = cursor.encl
         info = self.ex.resolve_type_name(name, self.owner)
         if info is not None:
@@ -591,8 +579,9 @@ class _BodyWalker:
                 receiver = _RECEIVERS["local"]
                 lookup_start = self.type_or_external(type_name)
             elif kind == "field":
-                receiver = Receiver(ReceiverKind.FIELD, field=payload.id)
-                lookup_start = self.type_or_external(type_name, context=payload.owner)
+                declarer, fld = payload
+                receiver = Receiver(ReceiverKind.FIELD, field=fld.id)
+                lookup_start = self.type_or_external(type_name, context=declarer)
             elif kind == "type":
                 receiver = _RECEIVERS["other"]
                 lookup_start = payload

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .ast import Diagnostic, Position
+from .ast import MiniLangSyntaxError, Position
 
 KEYWORDS = {
     "class", "interface", "extends", "implements",
@@ -37,14 +37,9 @@ class Token(NamedTuple):
     pos: Position
 
 
-class LexError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
-
-
 def tokenize(text: str) -> list[Token]:
-    """Produce the token stream; raises LexError on the first bad character.
+    """Produce the token stream; raises :class:`MiniLangSyntaxError` on the
+    first bad character.
 
     ``int`` is a run of decimal digits, exactly what :func:`int` accepts; an
     identifier starts with a letter (``str.isalpha``) or ``_``.  Tokens and
@@ -75,7 +70,7 @@ def tokenize(text: str) -> list[Token]:
                 message = "unterminated string literal"
             else:
                 message = f"unexpected character {value!r}"
-            raise LexError(Diagnostic("error", pos, message))
+            raise MiniLangSyntaxError(pos, message)
         tokens.append(new(Token, (kind, value, pos)))
     tokens.append(new(Token, ("eof", "", new(Position, (line, len(text) - line_start + 1)))))
     return tokens

@@ -1,9 +1,9 @@
 """Recursive-descent parser for MiniLang.
 
 The grammar is deliberately small: no generics, no lambdas, overloads
-distinguished by arity only.  Parsing either yields a full tree or a single
-error diagnostic at the first offending token; it never raises on arbitrary
-input.
+distinguished by arity only.  Parsing either yields a full tree or raises
+:class:`MiniLangSyntaxError` with one error diagnostic at the first
+offending token; no other exception escapes on arbitrary input.
 """
 
 from __future__ import annotations
@@ -13,17 +13,16 @@ from .ast import (
     BinaryExpr,
     CallExpr,
     CompilationUnit,
-    Diagnostic,
     ExprStmt,
     FieldNode,
     IfStmt,
     Literal,
     LocalDecl,
     MethodNode,
+    MiniLangSyntaxError,
     Name,
     NewExpr,
     Param,
-    ParseResult,
     Position,
     ReturnStmt,
     Stmt,
@@ -33,34 +32,22 @@ from .ast import (
     TryStmt,
     TypeNode,
 )
-from .lexer import LexError, Token, tokenize
+from .lexer import Token, tokenize
 
 _VISIBILITIES = ("public", "protected", "private")
 _LITERALS = ("null", "true", "false")
 
 
-class ParseError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
-
-
-def parse(text: str, source: str = "") -> ParseResult:
-    """Parse MiniLang source into a tree, or report the first error."""
-    try:
-        tokens = tokenize(text)
-    except LexError as exc:
-        return ParseResult(None, [exc.diagnostic])
-    parser = _Parser(tokens)
+def parse(text: str, source: str = "") -> CompilationUnit:
+    """Parse MiniLang source into a tree; raises :class:`MiniLangSyntaxError`
+    at the first error."""
+    parser = _Parser(tokenize(text))
     try:
         unit = parser.parse_unit()
-    except ParseError as exc:
-        return ParseResult(None, [exc.diagnostic])
     except RecursionError:
-        diag = Diagnostic("error", Position(1, 1), "input nests too deeply")
-        return ParseResult(None, [diag])
+        raise MiniLangSyntaxError(Position(1, 1), "input nests too deeply") from None
     unit.source = source
-    return ParseResult(unit, [])
+    return unit
 
 
 #: Token kinds whose value is their tag, the only tokens :meth:`_Parser.at` matches.
@@ -94,22 +81,18 @@ class _Parser:
     def expect(self, value: str) -> Token:
         tok = self.tokens[self.index]
         if self.tags[self.index] != value:
-            raise ParseError(
-                Diagnostic("error", tok.pos, f"expected {value!r}, found {tok.value!r}")
-            )
+            raise MiniLangSyntaxError(tok.pos, f"expected {value!r}, found {tok.value!r}")
         self.index += 1  # a tagged token, so not the eof
         return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
         if tok.kind != "ident":
-            raise ParseError(
-                Diagnostic("error", tok.pos, f"expected {what}, found {tok.value!r}")
-            )
+            raise MiniLangSyntaxError(tok.pos, f"expected {what}, found {tok.value!r}")
         return self.next()
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(Diagnostic("error", self.peek().pos, message))
+    def fail(self, message: str) -> MiniLangSyntaxError:
+        return MiniLangSyntaxError(self.peek().pos, message)
 
     def visibility(self, default: str = "package") -> str:
         """Consume an optional visibility keyword; ``default`` when absent."""
@@ -187,26 +170,26 @@ class _Parser:
             return
 
         is_static = False
-        is_abstract = False
+        abstract_at = None  # the position of the last ``abstract``
         while self.at("static") or self.at("abstract"):
             if self.at("static"):
                 is_static = True
             else:
-                is_abstract = True
+                abstract_at = self.peek().pos
             self.next()
+        is_abstract = abstract_at is not None
 
         first = self.expect_ident("type or constructor name")
         if self.at("("):
             if first.value != node.name:
-                raise ParseError(
-                    Diagnostic(
-                        "error",
-                        first.pos,
-                        f"constructor name {first.value!r} does not match class {node.name!r}",
-                    )
+                raise MiniLangSyntaxError(
+                    first.pos,
+                    f"constructor name {first.value!r} does not match class {node.name!r}",
                 )
+            if is_abstract:
+                raise MiniLangSyntaxError(abstract_at, "constructors cannot be abstract")
             method = MethodNode(visibility=vis, return_type="void", name=first.value,
-                                is_static=is_static, is_abstract=is_abstract, is_constructor=True)
+                                is_static=is_static, is_constructor=True)
         else:
             second = self.expect_ident("member name")
             if not self.at("("):
@@ -220,7 +203,8 @@ class _Parser:
 
     def finish_method(self, method: MethodNode, body: bool = True) -> MethodNode:
         """Parse ``method``'s parameters, throws clause and body, or the ``;``
-        that makes it abstract; ``body=False`` refuses a body."""
+        that makes it abstract; ``body=False`` refuses a body, and a
+        constructor needs one."""
         self.expect("(")
         if not self.at(")"):
             while True:
@@ -235,6 +219,8 @@ class _Parser:
             self.next()
             method.throws = self.names("exception name")
         if self.at(";"):
+            if method.is_constructor:
+                raise self.fail("constructors need a body")
             self.next()
             method.is_abstract = True
         elif not body:

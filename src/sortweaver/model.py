@@ -208,6 +208,11 @@ class SourceModel:
         self._methods = {m.id: m for m in sorted(methods, key=lambda m: natural_key(m.id))}
         self._fields = {f.id: f for f in sorted(fields, key=lambda f: natural_key(f.id))}
         self._calls = {c.id: c for c in sorted(calls, key=lambda c: natural_key(c.id))}
+        # Read-only views of the four tables, by id in natural order.
+        self.types = MappingProxyType(self._types)
+        self.methods = MappingProxyType(self._methods)
+        self.fields = MappingProxyType(self._fields)
+        self.calls = MappingProxyType(self._calls)
         self.policy = DispatchPolicy(policy)
 
         self._validate_references(lines)
@@ -228,22 +233,6 @@ class SourceModel:
         self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
 
     # -- basic access ------------------------------------------------------
-
-    @property
-    def types(self):
-        return MappingProxyType(self._types)
-
-    @property
-    def methods(self):
-        return MappingProxyType(self._methods)
-
-    @property
-    def fields(self):
-        return MappingProxyType(self._fields)
-
-    @property
-    def calls(self):
-        return MappingProxyType(self._calls)
 
     def methods_of(self, type_id: str) -> tuple[MethodDecl, ...]:
         return self._methods_by_owner.get(type_id, ())

@@ -60,24 +60,13 @@ class QueryBinding:
 
 
 # -- hits ---------------------------------------------------------------------
+#
+# Every hit class has ``key`` (the drift key), ``order_key`` (hit order) and
+# ``to_json``.
 
 
 @dataclass(frozen=True)
-class Hit:
-    """One query match; subclasses define the sort-specific payload."""
-
-    def key(self, model: SourceModel) -> str:
-        raise NotImplementedError
-
-    def order_key(self, model: SourceModel):
-        raise NotImplementedError
-
-    def to_json(self, model: SourceModel) -> dict:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class CbHit(Hit):
+class CbHit:
     call: str
     caller: str
     target: str
@@ -99,7 +88,7 @@ class CbHit(Hit):
 
 
 @dataclass(frozen=True)
-class RlHit(Hit):
+class RlHit:
     redirector_method: str
     receiver_method: str
     call: str
@@ -122,7 +111,7 @@ class RlHit(Hit):
 
 
 @dataclass(frozen=True)
-class ChainHit(Hit):
+class ChainHit:
     """A maximal chain of methods (used by EC and EP)."""
 
     methods: tuple[str, ...]
@@ -150,7 +139,7 @@ class ChainHit(Hit):
 
 
 @dataclass(frozen=True)
-class RsiHit(Hit):
+class RsiHit:
     type_id: str
     member: str  # role type id for "declares_role", method id for "role_member"
     kind: str
@@ -181,7 +170,7 @@ class RsiHit(Hit):
 
 
 @dataclass(frozen=True)
-class ScHit(Hit):
+class ScHit:
     enclosing: str
     nested: str
 
@@ -206,7 +195,7 @@ class QueryResult:
     sort: SortKind
     binding: QueryBinding
     policy: DispatchPolicy
-    hits: tuple[Hit, ...]
+    hits: tuple[CbHit | RlHit | ChainHit | RsiHit | ScHit, ...]
 
     def keys(self, model: SourceModel) -> tuple[str, ...]:
         return tuple(h.key(model) for h in self.hits)
@@ -247,7 +236,7 @@ def scope_type_ids(model: SourceModel, scope: str) -> frozenset[str] | None:
     return model.subtree(scoped.id)
 
 
-def _in_scope(model: SourceModel, owner: str, scope_ids: frozenset[str] | None) -> bool:
+def _in_scope(owner: str, scope_ids: frozenset[str] | None) -> bool:
     return scope_ids is None or owner in scope_ids
 
 
@@ -263,7 +252,7 @@ def query_cb(model: SourceModel, target: str, scope: str = "*") -> QueryResult:
         CbHit(call.id, call.caller, target_decl.id, call.ordinal)
         for call in model.calls_to(target_decl.id)
         if call.caller != target_decl.id  # self-call
-        and _in_scope(model, model.methods[call.caller].owner, scope_ids)
+        and _in_scope(model.methods[call.caller].owner, scope_ids)
     ]
     return _result(model, SortKind.CB, binding, hits)
 
@@ -346,13 +335,13 @@ def _components(nodes, succ) -> dict:
     return component
 
 
-def _maximal_chains(succ, stop_at=frozenset(), min_len=2):
+def _maximal_chains(succ, stop_at=frozenset()):
     """Maximal simple paths over an edge relation, in natural id order.
 
     ``succ`` maps node -> list of (neighbor, edge payload); the nodes are its
     keys and every neighbor.  Stop nodes terminate chains (a stop tail is a
     valid end of any length, and a stop node never extends a chain
-    leftward); otherwise a path is reported when it has at least ``min_len``
+    leftward); otherwise a path is reported when it has at least two
     nodes, cannot grow right (no unvisited successor) and cannot grow left
     (no unvisited non-stop predecessor).
 
@@ -397,7 +386,7 @@ def _maximal_chains(succ, stop_at=frozenset(), min_len=2):
                     break
             else:
                 frames.pop()
-                if not frame[1] and (len(path) >= min_len or path[-1] in stop_at) \
+                if not frame[1] and (len(path) >= 2 or path[-1] in stop_at) \
                         and all(p in seen for p in blockers):
                     chains.append((tuple(path), tuple(edges)))
                 seen.discard(path.pop())
@@ -415,7 +404,7 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
     context_params = {
         mid: frozenset(i for i, p in enumerate(m.param_types) if p == context_type)
         for mid, m in model.methods.items()
-        if context_type in m.param_types and _in_scope(model, m.owner, scope_ids)
+        if context_type in m.param_types and _in_scope(m.owner, scope_ids)
     }
 
     succ: dict[str, list] = {}
@@ -431,7 +420,7 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
                 break
 
     hits = []
-    for path, edges in _maximal_chains(succ, min_len=2):
+    for path, edges in _maximal_chains(succ):
         indices = [edges[0][1]] + [e[2] for e in edges]
         hits.append(
             ChainHit(
@@ -468,7 +457,7 @@ def query_ep(model: SourceModel, exception: str, root: str | None = None) -> Que
         succ.setdefault(mid, [])
 
     hits = []
-    for path, edges in _maximal_chains(succ, stop_at=raisers, min_len=2):
+    for path, edges in _maximal_chains(succ, stop_at=raisers):
         hits.append(ChainHit(methods=path, calls=edges, root_raises=path[-1] in raisers))
     if root is not None:
         root_decl = model.resolve_method(root)
@@ -483,7 +472,7 @@ def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
     binding = QueryBinding.make(SortKind.RSI, role=role_decl.qualified_name, scope=scope)
     hits = []
     for tid in model.types:
-        if tid == role_decl.id or not _in_scope(model, tid, scope_ids):
+        if tid == role_decl.id or not _in_scope(tid, scope_ids):
             continue
         if role_decl.id not in model.ancestors(tid):
             continue
@@ -507,7 +496,7 @@ def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> Q
     for tid, t in model.types.items():
         if t.enclosing_type is None:
             continue
-        if not _in_scope(model, t.enclosing_type, scope_ids):
+        if not _in_scope(t.enclosing_type, scope_ids):
             continue
         if role_decl is not None and role_decl.id not in model.ancestors(tid):
             continue
@@ -594,18 +583,16 @@ class BindingSuggestion:
     total: int
 
 
-def expand_seed(
-    model: SourceModel, seed: Seed, min_coverage: float = 0.5
-) -> list[BindingSuggestion]:
+def expand_seed(model: SourceModel, seed: Seed) -> list[BindingSuggestion]:
     """Propose query bindings that turn a mining seed into a documented concern.
 
     Fan-in seeds: candidate scopes are the minimal common ancestors covering
-    at least ``min_coverage`` of the callers (each reported with coverage),
+    at least half of the callers (each reported with coverage),
     plus the whole-model scope.  Redirector seeds map onto an RL binding;
     grouped seeds yield one CB binding per callee in the group.
     """
     if seed.technique == "fanin":
-        return _expand_fanin(model, seed, min_coverage)
+        return _expand_fanin(model, seed)
     if seed.technique == "redirect":
         binding = QueryBinding.make(
             SortKind.RL,
@@ -629,7 +616,7 @@ def expand_seed(
     raise FactError(f"cannot expand seeds of technique {seed.technique!r}")
 
 
-def _expand_fanin(model, seed, min_coverage):
+def _expand_fanin(model, seed):
     target = seed.evidence["method"]
     callers = list(seed.evidence["callers"])
     total = len(callers)
@@ -637,7 +624,7 @@ def _expand_fanin(model, seed, min_coverage):
     for tid in model.types:
         subtree = model.subtree(tid)
         covered = frozenset(c for c in callers if model.methods[c].owner in subtree)
-        if covered and len(covered) / total >= min_coverage:
+        if covered and 2 * len(covered) >= total:
             covered_by[tid] = covered
     # Drop an ancestor when a proper subtype covers the same caller set.
     keep = {}

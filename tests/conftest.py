@@ -21,10 +21,7 @@ def young_objects(objects) -> list:
 
 
 def model_from_source(text: str, source: str = "inline.mini") -> SourceModel:
-    result = parse(text, source)
-    assert result.ok, [str(d) for d in result.diagnostics]
-    extraction = extract_facts(result.unit)
-    return load_records(records_of(extraction.records))
+    return load_records(records_of(extract_facts([parse(text, source)]).records))
 
 
 def corpus_model(name: str) -> SourceModel:

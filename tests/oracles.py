@@ -13,8 +13,8 @@ import json
 import re
 from itertools import combinations
 
-from sortweaver.minilang.ast import Diagnostic, Position
-from sortweaver.minilang.lexer import KEYWORDS, LexError, Token
+from sortweaver.minilang.ast import MiniLangSyntaxError, Position
+from sortweaver.minilang.lexer import KEYWORDS, Token
 from sortweaver.model import (
     DEFAULT_POLICY,
     CallSite,
@@ -698,7 +698,7 @@ def tokenize_per_character(text: str) -> list[Token]:
         if text.startswith("/*", i):
             end = text.find("*/", i + 2)
             if end == -1:
-                raise LexError(Diagnostic("error", pos(), "unterminated block comment"))
+                raise MiniLangSyntaxError(pos(), "unterminated block comment")
             advance(end + 2 - i)
             continue
         if ch == '"':
@@ -707,7 +707,7 @@ def tokenize_per_character(text: str) -> list[Token]:
             while j < n and text[j] not in ('"', "\n"):
                 j += 1
             if j >= n or text[j] != '"':
-                raise LexError(Diagnostic("error", start, "unterminated string literal"))
+                raise MiniLangSyntaxError(start, "unterminated string literal")
             tokens.append(Token("string", text[i + 1:j], start))
             advance(j + 1 - i)
             continue
@@ -740,7 +740,7 @@ def tokenize_per_character(text: str) -> list[Token]:
             tokens.append(Token("punct", ch, pos()))
             advance(1)
             continue
-        raise LexError(Diagnostic("error", pos(), f"unexpected character {ch!r}"))
+        raise MiniLangSyntaxError(pos(), f"unexpected character {ch!r}")
 
     tokens.append(Token("eof", "", Position(line, col)))
     return tokens

@@ -100,6 +100,12 @@ _REFUSED_SOURCES = {
     "abstract-with-empty-body": ("class A { abstract void f() { } }",
                                  "{path}: error: 1:29: abstract methods cannot have bodies\n"
                                  "error: {path}: parse failed"),
+    "abstract-constructor": ("class C { abstract C(); void m() { new C(); } }",
+                             "{path}: error: 1:11: constructors cannot be abstract\n"
+                             "error: {path}: parse failed"),
+    "bodiless-constructor": ("class C { C(); void m() { new C(); } }",
+                             "{path}: error: 1:14: constructors need a body\n"
+                             "error: {path}: parse failed"),
     "supertype-cycle": ("class A extends B { } class B extends A { }",
                         "error: {path}: class A: cycle in supertype hierarchy: A -> B -> A"),
     "extends-itself": ("class A extends A { }",
@@ -159,7 +165,7 @@ def test_extract_restores_the_collector_state(tmp_path, capsys, monkeypatch, ena
         assert run_cli("extract", str(path))[0] == code
         assert gc.isenabled() is enabled
         if moved:
-            assert not young_objects([tree.unit for tree in trees])
+            assert not young_objects(trees)
         gc.freeze()  # then nothing moves, and nothing frozen is thawed
         try:
             count = gc.get_freeze_count()
@@ -266,6 +272,35 @@ def test_model_duplicate_group_is_user_error(tmp_path):
     run_cli("model", "add-group", str(model_file), "dup")
     code, _ = run_cli("model", "add-group", str(model_file), "dup")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("add-group", "g/x"),
+    ("add-instance", "g/x", "--sort", "SC"),
+    ("rename", "g/y", "x"),
+], ids=["add-group", "add-instance", "rename"])
+def test_every_edit_words_a_duplicate_name_as_the_loader_does(tmp_path, capsys, command):
+    model_file = tmp_path / "concerns.json"
+    run_cli("model", "init", str(model_file))
+    for path in ("g", "g/x", "g/y"):
+        run_cli("model", "add-group", str(model_file), path)
+    before = model_file.read_bytes()
+    capsys.readouterr()
+    assert run_cli("model", command[0], str(model_file), *command[1:]) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: concern name 'x' under 'g' duplicates a sibling's name\n")
+    assert model_file.read_bytes() == before
+
+
+def test_model_rename_to_its_own_name_is_no_duplicate(tmp_path, capsys):
+    model_file = tmp_path / "concerns.json"
+    run_cli("model", "init", str(model_file))
+    run_cli("model", "add-group", str(model_file), "g")
+    before = model_file.read_bytes()
+    capsys.readouterr()
+    assert run_cli("model", "rename", str(model_file), "g", "g") == (0, "renamed g to g\n")
+    assert capsys.readouterr().err == ""
+    assert model_file.read_bytes() == before
 
 
 @pytest.mark.parametrize("new_name, reason", [("b/c", "contains '/'"), ("", "is empty")],

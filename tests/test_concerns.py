@@ -96,7 +96,7 @@ def test_rerun_after_commit_shows_zero_drift(command_model):
     root = load_model(CORPUS / "command-model.json")
     run_all(root, command_model, commit=True)
     runs = run_all(root, command_model)
-    assert all(r.drift.clean for r in runs)
+    assert all(r.drift.added == r.drift.removed == () for r in runs)
 
 
 def test_new_command_subclass_adds_exactly_one_hit(command_model):

@@ -1,5 +1,6 @@
-"""Every name that a module of the package imports is used in it, and every
-module-level private name is used somewhere in the package."""
+"""Every name that a module of the package imports is used in it, every
+module-level private name is used somewhere in the package, and every
+function reads each of its parameters."""
 
 from __future__ import annotations
 
@@ -133,6 +134,59 @@ def test_the_check_finds_a_dead_private_name():
     other = "from .m import _USED as used\n_ALIAS = used\n"
     trees = {"m.py": ast.parse(source), "n.py": ast.parse(other)}
     assert _dead_private_names(trees) == ["m.py: _UNUSED", "m.py: _recursive", "n.py: _ALIAS"]
+
+
+#: The shared signature of the ``cmd_*`` handlers, which ``main`` calls alike.
+_HANDLER_PARAMS = ("args", "stdin", "stdout")
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``line N: function(parameter)`` for each parameter that the body of its
+    function or lambda never reads, in line order; a ``cmd_*`` handler's
+    shared parameters are exempt."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {part.id for stmt in body for part in ast.walk(stmt)
+                if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load)}
+        exempt = _HANDLER_PARAMS if name.startswith("cmd_") else ()
+        unread += [(node.lineno, f"line {node.lineno}: {name}({param.arg})") for param in params
+                   if param is not None and param.arg not in read and param.arg not in exempt]
+    return [entry for _, entry in sorted(unread, key=lambda item: item[0])]
+
+
+def test_every_parameter_is_read():
+    found = [f"{path.relative_to(PACKAGE)}: {entry}" for path in MODULES
+             for entry in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *rest, c=1, **extra):\n"
+        "    return a + c\n"
+        "def g(x):\n"
+        "    def inner(y):\n"
+        "        return x\n"
+        "    return inner\n"
+        "class K:\n"
+        "    def m(self, z):\n"
+        "        return z\n"
+        "key = lambda item, model: item\n"
+        "def cmd_run(args, stdin, stdout):\n"
+        "    pass\n"
+        "def run(args, stdin, stdout):\n"
+        "    return args, stdout\n"
+    )
+    assert _unread_parameters(ast.parse(source)) == [
+        "line 1: f(b)", "line 1: f(rest)", "line 1: f(extra)", "line 4: inner(y)",
+        "line 8: m(self)", "line 10: <lambda>(model)", "line 13: run(stdin)",
+    ]
 
 
 def _record_literals(tree: ast.Module) -> list[int]:

@@ -6,21 +6,26 @@ import weakref
 from conftest import CORPUS, CORPUS_FILES, model_from_source
 from oracles import invocation_count, tokenize_per_character
 
-from sortweaver.minilang import ExtractError, extract_facts, parse
-from sortweaver.minilang.lexer import LexError, tokenize
+from sortweaver.minilang import ExtractError, MiniLangSyntaxError, extract_facts, parse
+from sortweaver.minilang.lexer import tokenize
 from sortweaver.model import ReceiverKind, load_records, records_of
 
 
 def extract(text, source="inline.mini"):
-    result = parse(text, source)
-    assert result.ok, [str(d) for d in result.diagnostics]
-    return extract_facts(result.unit)
+    return extract_facts([parse(text, source)])
+
+
+def syntax_error(text, source=""):
+    """The diagnostic that ``parse`` raises for ``text``; None if it parses."""
+    try:
+        parse(text, source)
+    except MiniLangSyntaxError as exc:
+        return exc.diagnostic
+    return None
 
 
 def test_minimal_class():
-    result = parse("class A { public void f() { } }")
-    assert result.ok
-    unit = result.unit
+    unit = parse("class A { public void f() { } }")
     assert len(unit.types) == 1
     assert unit.types[0].name == "A"
     method = unit.types[0].methods[0]
@@ -28,22 +33,18 @@ def test_minimal_class():
 
 
 def test_unbalanced_brace_is_a_single_error_diagnostic():
-    result = parse("class A { public void f() { }")
-    assert not result.ok
-    assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].severity == "error"
-    assert result.diagnostics[0].pos.line == 1
+    diagnostic = syntax_error("class A { public void f() { }")
+    assert diagnostic.severity == "error"
+    assert diagnostic.pos.line == 1
 
 
 def test_arbitrary_bytes_never_crash():
     for garbage in ["\x00\x01\x02", "class {{{{", "interface", "/*", '"open',
                     "class A extends extends B {}", "}}}}", "1 + 1",
                     "class A { void m() { x = ²; } }"]:
-        result = parse(garbage)
-        assert not result.ok
-        assert result.diagnostics
+        assert syntax_error(garbage) is not None, garbage
     # int literals are kept as written, so their length is no limit
-    assert parse("class A { void m() { x = " + "9" * 5000 + "; } }").ok
+    assert syntax_error("class A { void m() { x = " + "9" * 5000 + "; } }") is None
 
 
 def test_consistency_check_transcription_super_call_at_ordinal_one():
@@ -359,9 +360,7 @@ def test_extraction_is_byte_stable():
 
 def test_every_corpus_file_loads_after_extraction():
     for name in CORPUS_FILES:
-        result = parse((CORPUS / name).read_text(), name)
-        assert result.ok, name
-        extraction = extract_facts(result.unit)
+        extraction = extract_facts([parse((CORPUS / name).read_text(), name)])
         assert not extraction.warnings, (name, [str(w) for w in extraction.warnings])
         model = load_records(records_of(extraction.records))
         assert model.calls is not None
@@ -376,13 +375,12 @@ def test_call_record_count_matches_text_scan_per_corpus_file():
 
 
 def test_statement_counter_matches_parser_bodies():
-    result = parse(
+    unit = parse(
         "class A { public void f() { a(); if (b()) { c(); } try { d(); } "
         "catch (E e) { g(); } } public void a() {} public boolean b() { return true; } "
         "public void c() {} public void d() {} public void g() {} }"
     )
-    assert result.ok
-    method = list(records_of(extract_facts(result.unit).records))[1]
+    method = list(records_of(extract_facts([unit]).records))[1]
     assert (method["k"], method["name"]) == ("method", "f")
     # a(); if; c(); try; d(); g();  (try/catch is one statement)
     assert method["stmts"] == 6
@@ -398,7 +396,7 @@ _LEX_ALPHABET = ["²", "½", "Ⅻ", "١", "\x00", "\xa0", "\r", "\n", " ", "\t",
 def _lexed(scan, text):
     try:
         return [(t.kind, t.value, t.pos.line, t.pos.col) for t in scan(text)]
-    except LexError as exc:
+    except MiniLangSyntaxError as exc:
         return ("error", exc.diagnostic.message, exc.diagnostic.pos.line, exc.diagnostic.pos.col)
 
 
@@ -443,24 +441,46 @@ def test_tokenizer_matches_the_per_character_scanner():
     assert changed  # the one intended difference was exercised
 
 
+def _type_nodes(units):
+    """Every type node of the units: top-level, nested and anonymous."""
+    nodes = [node for unit in units for node in unit.types]
+    for node in nodes:  # ``nodes`` is also the queue
+        nodes += node.nested
+        nodes += [anon for method in node.methods for anon in method.anonymous]
+    return nodes
+
+
+#: Two supertype cycles: extraction refuses the first, A -> B -> A.  Each
+#: cycle's types hold method bodies with anonymous classes, which a type
+#: table left with a cycle would keep alive.
+_TWO_CYCLES = """
+class A extends B { class In { void f() { new A() { }; } } void m() { new B() { }; } }
+class B extends A { }
+class C extends D { void n() { new C() { void g() { new D() { }; } }; } }
+class D extends C { }
+"""
+
+
 def test_extract_leaves_no_reference_cycles():
-    # Nested and anonymous types (the corpus), and a supertype cycle, which
-    # extraction refuses after linking it: once the units and the result or
-    # the error are dropped, reference counting alone must free every
-    # syntax tree.
+    # The corpus and the declaration source (nested and anonymous types),
+    # then a refused supertype cycle: once the units and the result or the
+    # error are dropped, reference counting alone must free every type node.
     sources = [((CORPUS / name).read_text(), name) for name in CORPUS_FILES]
-    cycle = "class A extends B { class In { void f() { } } } class B extends A { }"
+    sources.append((_DECLARATION_SOURCE, "declarations.mini"))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        units = [parse(text, name).unit for text, name in sources]
-        nodes = [weakref.ref(node) for unit in units for node in unit.types]
+        units = [parse(text, name) for text, name in sources]
+        nodes = [weakref.ref(node) for node in _type_nodes(units)]
+        assert sum(not ref().name for ref in nodes) == 4  # and 5 named nested types
+        assert len(nodes) == sum(len(unit.types) for unit in units) + 9
         result = extract_facts(units)
         assert result.records
         del units, result
-        assert [ref for ref in nodes if ref() is not None] == []
-        units = [parse(cycle, "cycle.mini").unit]
-        nodes = [weakref.ref(node) for unit in units for node in unit.types]
+        assert [ref() for ref in nodes if ref() is not None] == []
+        units = [parse(_TWO_CYCLES, "cycle.mini")]
+        nodes = [weakref.ref(node) for node in _type_nodes(units)]
+        assert len(nodes) == 9
         try:
             extract_facts(units)
         except ExtractError as exc:
@@ -468,7 +488,7 @@ def test_extract_leaves_no_reference_cycles():
         else:
             raise AssertionError("a supertype cycle extracted")
         del units
-        assert [ref for ref in nodes if ref() is not None] == []
+        assert [ref() for ref in nodes if ref() is not None] == []
     finally:
         gc.enable() if was_enabled else gc.disable()
 
@@ -555,10 +575,12 @@ def test_declaration_errors_stop_at_the_offending_token():
         "class A { B() { } }": "error: 1:11: constructor name 'B' does not match class 'A'",
         "interface I extends A, { }": "error: 1:24: expected interface name, found '{'",
         "class A { void f() throws { } }": "error: 1:27: expected exception name, found '{'",
+        "class C {\n  abstract C();\n}": "error: 2:3: constructors cannot be abstract",
+        "class C { static abstract C() { } }": "error: 1:18: constructors cannot be abstract",
+        "class C {\n  public C() throws E;\n}": "error: 2:22: constructors need a body",
     }
     for text, diagnostic in cases.items():
-        result = parse(text)
-        assert [str(d) for d in result.diagnostics] == [diagnostic], text
+        assert str(syntax_error(text)) == diagnostic, text
 
 
 _DECLARATION_SOURCE = """\
@@ -625,7 +647,7 @@ def _token_mutant(rng, tokens):
 #: sha256 over the outcomes of the declaration sweep: each mutant's first
 #: diagnostic, or the sha256 of its facts and warnings.  A change that alters
 #: a diagnostic or a fact on purpose updates it and says so in CHANGES.md.
-DECLARATION_SWEEP_SHA256 = "abfbeb95c57dee1caa3ccbe3fcdb53d6cde6f053e277ef12c7fd6d2f3363d0f5"
+DECLARATION_SWEEP_SHA256 = "b7203add468ed691690548947f64b1a540fefa54870e9cc30f6a6db5282b3479"
 
 
 def test_declaration_sweep_over_token_mutants_is_pinned():
@@ -635,12 +657,13 @@ def test_declaration_sweep_over_token_mutants_is_pinned():
     outcomes, parsed = [], 0
     for _ in range(500):
         text = _token_mutant(rng, rng.choice(sources))
-        result = parse(text, "mutant.mini")
-        if not result.ok:
-            outcomes.append(str(result.diagnostics[0]))
+        try:
+            unit = parse(text, "mutant.mini")
+        except MiniLangSyntaxError as exc:
+            outcomes.append(str(exc.diagnostic))
             continue
         parsed += 1
-        extraction = extract_facts(result.unit)
+        extraction = extract_facts([unit])
         facts = extraction.to_jsonl() + "".join(f"{w}\n" for w in extraction.warnings)
         outcomes.append(hashlib.sha256(facts.encode()).hexdigest())
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
@@ -672,12 +695,13 @@ def test_truncation_sweep_over_corpus_prefixes_is_pinned():
     for name in CORPUS_FILES:
         text = (CORPUS / name).read_text()
         for end in _token_ends(text):
-            result = parse(text[:end], name)
-            if not result.ok:
-                outcomes.append(str(result.diagnostics[0]))
+            try:
+                unit = parse(text[:end], name)
+            except MiniLangSyntaxError as exc:
+                outcomes.append(str(exc.diagnostic))
                 continue
             parsed += 1
-            extraction = extract_facts(result.unit)
+            extraction = extract_facts([unit])
             facts = extraction.to_jsonl() + "".join(f"{w}\n" for w in extraction.warnings)
             outcomes.append(hashlib.sha256(facts.encode()).hexdigest())
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()

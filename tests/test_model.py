@@ -351,7 +351,7 @@ def test_record_order_does_not_change_the_model(command_model):
 
 
 def _corpus_records() -> list[dict]:
-    units = [parse((CORPUS / name).read_text(), name).unit for name in CORPUS_FILES]
+    units = [parse((CORPUS / name).read_text(), name) for name in CORPUS_FILES]
     return list(records_of(extract_facts(units).records))
 
 
@@ -377,7 +377,7 @@ def test_the_writer_agrees_with_the_reader():
     makes ``ext`` entities), and 300 random models under each policy."""
     sources = [((CORPUS / name).read_text(), name) for name in CORPUS_FILES]
     sources.append(("class A extends Gone { void f() { g(); new Lost().h(); } }", "ext.mini"))
-    cases = [(extract_facts([parse(text, name).unit]).records, DispatchPolicy.LIFT_TO_ANCESTORS)
+    cases = [(extract_facts([parse(text, name)]).records, DispatchPolicy.LIFT_TO_ANCESTORS)
              for text, name in sources]
     rng = random.Random(2020)
     for policy in DispatchPolicy:
@@ -567,7 +567,7 @@ def _shape(rec) -> str:
 
 def _unit_records(name: str) -> list[dict]:
     return list(records_of(
-        extract_facts([parse((CORPUS / name).read_text(), name).unit]).records))
+        extract_facts([parse((CORPUS / name).read_text(), name)]).records))
 
 
 def test_load_records_matches_the_per_record_loader_under_mutation():

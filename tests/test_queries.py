@@ -284,9 +284,8 @@ def test_chain_search_matches_recursive_search_on_random_graphs():
     seen_cyclic = seen_nonempty = 0
     for _ in range(2500):
         succ, pred, stop = _random_chain_graph(rng)
-        min_len = rng.choice((1, 2, 3))
-        expected = oracles.maximal_chains_recursive(succ, pred, stop, min_len)
-        assert _maximal_chains(succ, stop, min_len) == expected
+        expected = oracles.maximal_chains_recursive(succ, pred, stop)
+        assert _maximal_chains(succ, stop) == expected
         seen_nonempty += bool(expected)
         # a self-loop or a two-node cycle
         seen_cyclic += any(a == b or a in dict(succ.get(b, ()))
@@ -415,8 +414,8 @@ def test_hits_order_by_source_file_then_id():
     }
     """
     units = [
-        parse(shared + caller % "B", "zz_late.mini").unit,
-        parse(caller % "A", "aa_early.mini").unit,
+        parse(shared + caller % "B", "zz_late.mini"),
+        parse(caller % "A", "aa_early.mini"),
     ]
     model = load_records(records_of(extract_facts(units).records))
     hits = query_cb(model, "Target.hit", "*").hits
