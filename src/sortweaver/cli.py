@@ -32,7 +32,14 @@ from .concerns import (
 )
 from .minilang import ExtractError, MiniLangSyntaxError, extract_facts, parse
 from .mining import TECHNIQUES, MiningConfig, mine
-from .model import SCHEMA_VERSION, DispatchPolicy, FactError, SourceModel, load_facts_path
+from .model import (
+    DEFAULT_POLICY,
+    SCHEMA_VERSION,
+    DispatchPolicy,
+    FactError,
+    SourceModel,
+    load_facts_path,
+)
 from .queries import (
     ADVICE_KINDS,
     QueryBinding,
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(args) -> SourceModel:
-    policy = DispatchPolicy(args.policy) if args.policy else DispatchPolicy.LIFT_TO_ANCESTORS
+    policy = DispatchPolicy(args.policy) if args.policy else DEFAULT_POLICY
     return load_facts_path(args.facts, policy=policy)
 
 
@@ -218,7 +225,7 @@ def cmd_extract(args, stdin, stdout):
         except ExtractError as exc:  # one unit per file, in order
             raise CliError(f"{args.files[exc.unit]}: {exc.message}") from None
         for warning in extraction.warnings:
-            print(f"warning: {warning.pos}: {warning.message}", file=sys.stderr)
+            print(warning, file=sys.stderr)
         payload = extraction.to_jsonl()
         del extraction
         if args.output:

@@ -6,6 +6,13 @@ Extraction is deterministic: ids, statement ordinals and declaration order
 depend only on the input text and file order, so the same sources always
 produce byte-identical output.
 
+Each declaration is held once.  A method keeps its parser node and adds
+only what its body walk finds: the statement count and the exceptions it
+raises.  A field and an external stub are the model's ``FieldDecl`` and
+``MethodDecl`` from the start; a field's declared type is resolved when it
+is emitted.  What a name denotes as a call receiver is decided in one
+place, ``_BodyWalker.name_receiver``.
+
 Conventions:
 
 * Statement ordinals number every statement in lexical pre-order, nested
@@ -54,6 +61,7 @@ from .ast import (
     TryStmt,
     TypeNode,
 )
+from .._util import simple_name
 from ..model import (
     _RECEIVERS,
     CallSite,
@@ -81,50 +89,31 @@ class _TypeInfo:
     src: str
     unit: int  # the index of the declaring unit; -1 for an external type
     supertypes: list["_TypeInfo"] = field(default_factory=list)
-    fields: list["_FieldInfo"] = field(default_factory=list)
+    fields: list[FieldDecl] = field(default_factory=list)  # types as written until ``emit``
     methods: list["_MethodInfo"] = field(default_factory=list)
-    stubs: list["_MethodInfo"] = field(default_factory=list)  # of an external type
+    stubs: list[MethodDecl] = field(default_factory=list)  # of an external type
     is_external: bool = False
     anon_counter: int = 0
-
-    @property
-    def simple_name(self) -> str:
-        return self.qualified_name.rsplit(".", 1)[-1]
 
     @property
     def is_abstract(self) -> bool:
         if self.kind == "interface":
             return True
-        return any(m.is_abstract for m in self.methods)
-
-
-@dataclass
-class _FieldInfo:
-    id: str
-    name: str
-    declared_type: str
-    visibility: str
+        return any(m.node.is_abstract for m in self.methods)
 
 
 @dataclass
 class _MethodInfo:
     id: str
-    name: str
-    params: list[tuple[str, str]]  # (resolved type name, parameter name)
-    return_type: str
-    visibility: str
-    is_static: bool
-    is_abstract: bool
-    is_constructor: bool
-    throws: list[str]
-    body: list[Stmt] | None
+    node: MethodNode
     body_stmt_count: int = 0  # the walker's last statement ordinal
     raises: list[str] = field(default_factory=list)
-    is_external: bool = False
 
     @property
-    def arity(self) -> int:
-        return len(self.params)
+    def return_type(self) -> str:
+        """As written; a call on this method's result resolves it where the
+        call is."""
+        return self.node.return_type
 
 
 @dataclass
@@ -168,8 +157,7 @@ class _Extractor:
         # its encloser only through ``encl``.
         self.nested: dict[tuple[str, str], _TypeInfo] = {}
         self.anon_info: dict[int, _TypeInfo] = {}  # by id() of the anonymous TypeNode
-        self.externals: dict[str, _TypeInfo] = {}
-        self.external_order: list[_TypeInfo] = []
+        self.externals: dict[str, _TypeInfo] = {}  # in creation order
         self.hierarchies: dict[str, list[_TypeInfo]] = {}  # by type id, once linked
         self.calls: list[CallSite] = []
         self.warnings: list[Diagnostic] = []
@@ -194,7 +182,7 @@ class _Extractor:
             if info.is_anonymous:
                 continue  # walked from its new-expression site
             for method in info.methods:
-                if method.body is not None:
+                if method.node.body is not None:
                     _BodyWalker(self, info, method).walk()
         return ExtractResult(self.emit(), self.warnings)
 
@@ -219,43 +207,24 @@ class _Extractor:
             self.warn(node.pos, f"duplicate type name {qname!r}; later declaration shadows")
         else:
             self.by_qname[qname] = info
-        self.by_simple.setdefault(info.simple_name, []).append(info)
+        self.by_simple.setdefault(simple_name(qname), []).append(info)
         if encl is not None and not anonymous:
             self.nested[(encl.id, node.name)] = info
         self.types.append(info)
 
         for fld in node.fields:
-            info.fields.append(
-                _FieldInfo(
-                    id=self.fresh("F"),
-                    name=fld.name,
-                    declared_type=fld.declared_type,
-                    visibility=fld.visibility,
-                )
-            )
+            info.fields.append(FieldDecl(self.fresh("F"), info.id, fld.name, fld.declared_type,
+                                         Visibility(fld.visibility), info.src))
         for method in node.methods:
             self.register_method(info, method)
         for nested in node.nested:
             self.register_type(nested, encl=info, unit=unit)
         return info
 
-    def register_method(self, info: _TypeInfo, node: MethodNode) -> _MethodInfo:
-        method = _MethodInfo(
-            id=self.fresh("M"),
-            name=node.name,
-            params=[(p.declared_type, p.name) for p in node.params],
-            return_type=node.return_type,
-            visibility=node.visibility,
-            is_static=node.is_static,
-            is_abstract=node.is_abstract,
-            is_constructor=node.is_constructor,
-            throws=list(node.throws),
-            body=node.body,
-        )
-        info.methods.append(method)
+    def register_method(self, info: _TypeInfo, node: MethodNode):
+        info.methods.append(_MethodInfo(self.fresh("M"), node))
         for anon in node.anonymous:
             self.anon_info[id(anon)] = self.register_type(anon, encl=info, unit=info.unit)
-        return method
 
     def link_supertypes(self):
         for info in self.types:
@@ -295,7 +264,7 @@ class _Extractor:
             return self.by_qname[name]
         cursor = context
         while cursor is not None:
-            if cursor.simple_name == name:
+            if simple_name(cursor.qualified_name) == name:
                 return cursor
             nested = self.nested.get((cursor.id, name))
             if nested is not None:
@@ -324,26 +293,17 @@ class _Extractor:
                 is_external=True,
             )
             self.externals[name] = info
-            self.external_order.append(info)
         return self.externals[name]
 
-    def external_stub(self, owner: _TypeInfo, name: str, arity: int) -> _MethodInfo:
+    def external_stub(self, owner: _TypeInfo, name: str, arity: int) -> MethodDecl:
+        """The stub ``name/arity`` of the external type ``owner``, typed
+        ``Object`` throughout; like any declared type name, ``Object`` is
+        stored qualified when it resolves."""
         for stub in owner.stubs:
             if stub.name == name and stub.arity == arity:
                 return stub
-        stub = _MethodInfo(
-            id=self.fresh("XM"),
-            name=name,
-            params=[("Object", f"a{i}") for i in range(arity)],
-            return_type="Object",
-            visibility="public",
-            is_static=False,
-            is_abstract=False,
-            is_constructor=False,
-            throws=[],
-            body=None,
-            is_external=True,
-        )
+        obj = self.resolve_type_text("Object", owner)
+        stub = MethodDecl(self.fresh("XM"), owner.id, name, (obj,) * arity, obj, is_external=True)
         owner.stubs.append(stub)
         return stub
 
@@ -368,11 +328,12 @@ class _Extractor:
     def find_method(self, start: _TypeInfo, name: str, arity: int) -> _MethodInfo | None:
         for info in self.hierarchy(start):
             for method in info.methods:
-                if method.name == name and method.arity == arity and not method.is_constructor:
+                node = method.node
+                if node.name == name and len(node.params) == arity and not node.is_constructor:
                     return method
         return None
 
-    def find_field(self, start: _TypeInfo, name: str) -> tuple[_TypeInfo, _FieldInfo] | None:
+    def find_field(self, start: _TypeInfo, name: str) -> tuple[_TypeInfo, FieldDecl] | None:
         """The first field named ``name`` in ``start``'s hierarchy, with the
         type that declares it."""
         for info in self.hierarchy(start):
@@ -387,7 +348,7 @@ class _Extractor:
         resolve = self.resolve_type_text
         kinds, visibilities = TypeKind._value2member_map_, Visibility._value2member_map_
         decls: list[Decl] = []
-        for info in self.types + self.external_order:
+        for info in self.types + list(self.externals.values()):
             decls.append(TypeDecl(
                 info.id, info.qualified_name, kinds[info.kind], info.is_abstract,
                 info.is_anonymous, info.encl.id if info.encl else None,
@@ -398,22 +359,22 @@ class _Extractor:
                 if fld.name in names:
                     raise _refusal(info, f"duplicate field {fld.name!r}")
                 names.add(fld.name)
-                decls.append(FieldDecl(fld.id, info.id, fld.name,
-                                       resolve(fld.declared_type, info),
-                                       visibilities[fld.visibility], info.src))
+                decls.append(fld._replace(declared_type=resolve(fld.declared_type, info)))
             signatures: set[tuple[str, tuple[str, ...]]] = set()
-            for method in info.methods + info.stubs:
-                params = tuple([resolve(p, info) for p, _ in method.params])
-                if (method.name, params) in signatures:
-                    raise _refusal(info, f"duplicate method {method.name}({','.join(params)})")
-                signatures.add((method.name, params))
+            for method in info.methods:
+                node = method.node
+                params = tuple([resolve(p.declared_type, info) for p in node.params])
+                if (node.name, params) in signatures:
+                    raise _refusal(info, f"duplicate method {node.name}({','.join(params)})")
+                signatures.add((node.name, params))
                 decls.append(MethodDecl(
-                    method.id, info.id, method.name, params,
-                    resolve(method.return_type, info), visibilities[method.visibility],
-                    method.is_static, method.is_abstract, method.is_constructor,
-                    tuple([resolve(t, info) for t in method.throws]), method.body_stmt_count,
-                    tuple(dict.fromkeys(method.raises)), method.is_external, info.src,
+                    method.id, info.id, node.name, params,
+                    resolve(node.return_type, info), visibilities[node.visibility],
+                    node.is_static, node.is_abstract, node.is_constructor,
+                    tuple([resolve(t, info) for t in node.throws]), method.body_stmt_count,
+                    tuple(dict.fromkeys(method.raises)), src=info.src,
                 ))
+            decls.extend(info.stubs)
         decls.extend(self.calls)
         return decls
 
@@ -431,7 +392,7 @@ class _BodyWalker:
         self.ordinal = 0
 
     def walk(self):
-        self.walk_block(self.method.body)
+        self.walk_block(self.method.node.body)
         self.method.body_stmt_count = self.ordinal
 
     def walk_block(self, stmts: list[Stmt]):
@@ -464,9 +425,9 @@ class _BodyWalker:
     # -- expressions, post-order --------------------------------------------
 
     def walk_expr(self, expr, ordinal: int) -> str | None:
-        """Emit call records inside ``expr``; returns its static type name."""
-        if expr is None:
-            return None
+        """Emit call records inside ``expr``.  Returns the static type name of
+        a ``new`` or ``==`` expression, the only receivers whose type a call
+        reads from here."""
         if isinstance(expr, BinaryExpr):
             self.walk_expr(expr.left, ordinal)
             self.walk_expr(expr.right, ordinal)
@@ -478,7 +439,7 @@ class _BodyWalker:
             if expr.body is not None:
                 anon = self.ex.anon_info[id(expr.body)]
                 for method in anon.methods:
-                    if method.body is not None:
+                    if method.node.body is not None:
                         _BodyWalker(self.ex, anon, method, self).walk()
                 return anon.qualified_name
             return expr.type_name
@@ -490,15 +451,6 @@ class _BodyWalker:
             type_name = None
             for call in reversed(chain):
                 type_name = self.emit_call(call, ordinal, type_name)
-            return type_name
-        if isinstance(expr, Name):
-            kind, _, type_name = self.classify_name(expr.value)
-            return type_name if kind != "unknown" else None
-        if isinstance(expr, This):
-            return self.owner.qualified_name
-        if isinstance(expr, Super):
-            sup = self.owner.supertypes[0] if self.owner.supertypes else None
-            return sup.qualified_name if sup else None
         return None
 
     def type_or_external(self, type_name: str | None, context: _TypeInfo | None = None):
@@ -508,108 +460,86 @@ class _BodyWalker:
         info = self.ex.resolve_type_name(type_name, context or self.owner)
         return info if info is not None else self.ex.external_type(type_name)
 
-    def classify_name(self, name: str):
-        """Classify an identifier: parameter, local, field, type, or unknown.
+    def name_receiver(self, name: str) -> tuple[Receiver, _TypeInfo | None] | None:
+        """What ``name`` denotes as a call receiver: the receiver and the type
+        its method lookup starts from, or None when nothing of that name is in
+        scope.  A parameter comes first, then a local, a field of this type,
+        its supertypes or an enclosing type, and last a type.
 
-        Returns (kind, payload, type name); a field's payload is (declaring
-        type, field).  An anonymous class's body looks in its own fields and those of its
+        An anonymous class's body looks in its own fields and those of its
         supertypes, then sees what the enclosing method sees.  A parameter of
         that method is a ``local`` here: a ``param`` index would point into
         this method's parameters.
         """
-        for index, (ptype, pname) in enumerate(self.method.params):
-            if pname == name:
-                return "param", index, ptype
+        for index, param in enumerate(self.method.node.params):
+            if param.name == name:
+                return (Receiver(ReceiverKind.PARAM, index=index),
+                        self.type_or_external(param.declared_type))
         if name in self.locals:
-            return "local", None, self.locals[name]
-        if self.outer is not None:
+            return _RECEIVERS["local"], self.type_or_external(self.locals[name])
+        if self.outer is None:
+            cursor, found = self.owner, None
+            while found is None and cursor is not None:
+                found = self.ex.find_field(cursor, name)
+                cursor = cursor.encl
+        else:
             found = self.ex.find_field(self.owner, name)
-            if found is not None:
-                return "field", found, found[1].declared_type
-            kind, payload, type_name = self.outer.classify_name(name)
-            return ("local", None, type_name) if kind == "param" else (kind, payload, type_name)
-        cursor: _TypeInfo | None = self.owner
-        while cursor is not None:
-            found = self.ex.find_field(cursor, name)
-            if found is not None:
-                return "field", found, found[1].declared_type
-            cursor = cursor.encl
+        if found is not None:
+            declarer, fld = found
+            return (Receiver(ReceiverKind.FIELD, field=fld.id),
+                    self.type_or_external(fld.declared_type, context=declarer))
+        if self.outer is not None:
+            denoted = self.outer.name_receiver(name)
+            if denoted is not None and denoted[0].kind is ReceiverKind.PARAM:
+                return _RECEIVERS["local"], denoted[1]
+            return denoted
         info = self.ex.resolve_type_name(name, self.owner)
-        if info is not None:
-            return "type", info, info.qualified_name
-        return "unknown", None, None
+        return (_RECEIVERS["other"], info) if info is not None else None
 
     def emit_ctor_call(self, expr: NewExpr, ordinal: int):
         target_type = self.ex.resolve_type_name(expr.type_name, self.owner)
         if target_type is None:
             self.ex.external_type(expr.type_name)
             return
-        ctor = None
         for method in target_type.methods:
-            if method.is_constructor and method.arity == len(expr.args):
-                ctor = method
-                break
-        if ctor is None:
-            return
-        self.append_call(expr, ctor, _RECEIVERS["other"], ordinal)
+            if method.node.is_constructor and len(method.node.params) == len(expr.args):
+                self.append_call(expr, method, _RECEIVERS["other"], ordinal)
+                return
 
-    def emit_call(self, expr: CallExpr, ordinal: int, recv_type: str | None) -> str | None:
-        """Emit one call; ``recv_type`` is the type of a call receiver already walked."""
+    def emit_call(self, expr: CallExpr, ordinal: int, recv_type: str | None) -> str:
+        """Emit one call; ``recv_type`` is the type of a call receiver already
+        walked.  Returns the return type of the target."""
         recv = expr.receiver
         receiver: Receiver
         lookup_start: _TypeInfo | None
-        lexical_fallback = False
-
-        if recv is None:
-            receiver = _RECEIVERS["this"]
-            lookup_start = self.owner
-            lexical_fallback = True
-        elif isinstance(recv, This):
-            receiver = _RECEIVERS["this"]
-            lookup_start = self.owner
+        if recv is None or isinstance(recv, This):
+            receiver, lookup_start = _RECEIVERS["this"], self.owner
         elif isinstance(recv, Super):
-            receiver = _RECEIVERS["super"]
-            lookup_start = None  # search starts at supertypes
+            receiver, lookup_start = _RECEIVERS["super"], None  # search starts at supertypes
         elif isinstance(recv, Name):
-            kind, payload, type_name = self.classify_name(recv.value)
-            if kind == "param":
-                receiver = Receiver(ReceiverKind.PARAM, index=payload)
-                lookup_start = self.type_or_external(type_name)
-            elif kind == "local":
-                receiver = _RECEIVERS["local"]
-                lookup_start = self.type_or_external(type_name)
-            elif kind == "field":
-                declarer, fld = payload
-                receiver = Receiver(ReceiverKind.FIELD, field=fld.id)
-                lookup_start = self.type_or_external(type_name, context=declarer)
-            elif kind == "type":
-                receiver = _RECEIVERS["other"]
-                lookup_start = payload
-            else:
-                receiver = _RECEIVERS["other"]
-                lookup_start = None
+            denoted = self.name_receiver(recv.value)
+            if denoted is None:
                 self.ex.warn(expr.pos, f"unknown receiver {recv.value!r}")
+                denoted = _RECEIVERS["other"], None
+            receiver, lookup_start = denoted
         else:
             # The chain loop walked a call receiver; any other is walked here.
             if not isinstance(recv, CallExpr):
                 recv_type = self.walk_expr(recv, ordinal)
-            receiver = _RECEIVERS["other"]
-            lookup_start = self.type_or_external(recv_type)
+            receiver, lookup_start = _RECEIVERS["other"], self.type_or_external(recv_type)
 
         for arg in expr.args:
             self.walk_expr(arg, ordinal)
 
-        target = self.resolve_target(expr, lookup_start, recv, lexical_fallback)
+        target = self.resolve_target(expr, lookup_start, recv)
         self.append_call(expr, target, receiver, ordinal)
         return target.return_type
 
-    def resolve_target(
-        self,
-        expr: CallExpr,
-        lookup_start: _TypeInfo | None,
-        recv,
-        lexical_fallback: bool,
-    ) -> _MethodInfo:
+    def resolve_target(self, expr: CallExpr, lookup_start: _TypeInfo | None,
+                       recv) -> _MethodInfo | MethodDecl:
+        """The method a call binds to.  A bare call that its lookup type does
+        not declare looks in the enclosing types; an unresolved call binds
+        to an external stub."""
         arity = len(expr.args)
         if isinstance(recv, Super):
             for sup in self.owner.supertypes:
@@ -620,7 +550,7 @@ class _BodyWalker:
             found = self.ex.find_method(lookup_start, expr.name, arity)
             if found is not None:
                 return found
-            if lexical_fallback:
+            if recv is None:
                 cursor = self.owner.encl
                 while cursor is not None:
                     found = self.ex.find_method(cursor, expr.name, arity)
@@ -641,12 +571,13 @@ class _BodyWalker:
         )
         return self.ex.external_stub(stub_owner, expr.name, arity)
 
-    def append_call(self, expr, target: _MethodInfo, receiver: Receiver, ordinal: int):
+    def append_call(self, expr, target: _MethodInfo | MethodDecl, receiver: Receiver,
+                    ordinal: int):
         passes = []
         for arg_index, arg in enumerate(expr.args):
             if isinstance(arg, Name):
-                for param_index, (_, pname) in enumerate(self.method.params):
-                    if pname == arg.value:
+                for param_index, param in enumerate(self.method.node.params):
+                    if param.name == arg.value:
                         passes.append((arg_index, param_index))
                         break
         self.ex.calls.append(CallSite(self.ex.fresh("C"), self.method.id, target.id, receiver,

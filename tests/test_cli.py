@@ -266,6 +266,37 @@ def test_model_lifecycle(tmp_path, facts_file):
     assert code == 1
 
 
+def test_model_run_json_reports_each_instance_its_result_or_its_error(tmp_path, capsys,
+                                                                      facts_file):
+    model_file = str(tmp_path / "concerns.json")
+    run_cli("model", "init", model_file)
+    run_cli("model", "add-group", model_file, "g")
+    run_cli("model", "add-instance", model_file, "g/bad", "--sort", "CB",
+            "--param", "target=Nope.nothing")
+    run_cli("model", "add-instance", model_file, "g/good", "--sort", "CB",
+            "--param", "target=DrawingView.checkDamage", "--param", "scope=Command")
+    query = run_cli("query", "cb", str(facts_file), "--target", "DrawingView.checkDamage",
+                    "--scope", "Command", "--json")
+    assert query[0] == 0
+    capsys.readouterr()
+    for commit in (False, True):
+        code, out = run_cli("model", "run", model_file, str(facts_file), "--json",
+                            *(["--commit"] if commit else []))
+        assert (code, capsys.readouterr().err) == (1, "error: 1 of 2 instances failed: g/bad\n")
+        bad, good = json.loads(out)
+        assert bad == {"path": "g/bad", "error": "unknown type: 'Nope'"}
+        assert list(good) == ["drift", "path", "result"]  # keys sorted
+        assert good["path"] == "g/good"
+        assert good["result"] == json.loads(query[1])
+        keys = [f"{hit['caller']} -> DrawingView.checkDamage() @{hit['ordinal']}"
+                for hit in good["result"]["hits"]]
+        assert len(keys) == 19
+        # Drift is measured against the snapshot stored before this run.
+        assert good["drift"] == {"added": sorted(keys), "removed": [], "unchanged": 0}
+    code, out = run_cli("model", "run", model_file, str(facts_file), "--json")
+    assert json.loads(out)[1]["drift"] == {"added": [], "removed": [], "unchanged": 19}
+
+
 def test_model_duplicate_group_is_user_error(tmp_path):
     model_file = tmp_path / "concerns.json"
     run_cli("model", "init", str(model_file))
@@ -602,6 +633,27 @@ def test_query_scope_defaults_to_everything(facts_file):
     code, out = run_cli(*args)
     assert code == 0
     assert run_cli(*args, "--scope", "*") == (0, out)
+
+
+def test_query_prefix_scope_selects_the_types_under_a_dotted_name(tmp_path):
+    source = tmp_path / "pkg.mini"
+    source.write_text(
+        "class A { public void act() { } }\n"
+        "class Pkg { public void f(A a) { a.act(); }\n"
+        "  class U1 { public void f(A a) { a.act(); } }\n"
+        "  class U2 { public void f(A a) { a.act(); }\n"
+        "    class V { public void g(A a) { a.act(); } } }\n"
+        "}\n"
+        "class PkgX { public void f(A a) { a.act(); } }\n", encoding="utf-8")
+    facts = tmp_path / "facts.jsonl"
+    assert run_cli("extract", str(source), "-o", str(facts)) == (0, "")
+    code, out = run_cli("query", "cb", str(facts), "--target", "A.act", "--scope", "Pkg.",
+                        "--json")
+    assert code == 0
+    result = json.loads(out)
+    assert result["binding"] == {"sort": "CB", "params": {"target": "A.act()", "scope": "Pkg."}}
+    assert [hit["caller"] for hit in result["hits"]] == [
+        "Pkg.U1.f(A)", "Pkg.U2.f(A)", "Pkg.U2.V.g(A)"]
 
 
 @pytest.mark.parametrize("line, usage", [

@@ -195,11 +195,36 @@ def test_passthrough_indices_validated():
             "recv": {"kind": "this"}, "ord": 1, "pass": [[1, 0]]}
     with pytest.raises(FactError, match="pass-through argument"):
         load_facts(lines(TYPE, METHOD, callee, call))
+    with pytest.raises(FactError) as err:  # the caller M1 takes no parameter
+        load_facts(lines(TYPE, METHOD, callee, {**call, "pass": [[0, 0]]}))
+    assert str(err.value) == (
+        "line 4: call C1: pass-through parameter index 0 outside caller arity 0")
+    assert err.value.line == 4
 
 
 def test_anonymous_type_requires_enclosing():
     with pytest.raises(FactError, match="anonymous"):
         load_facts(lines(dict(TYPE, anon=True)))
+
+
+@pytest.mark.parametrize("records, error", [
+    ([dict(TYPE, encl="T1")], "line 1: type T1: cyclic enclosing-type chain"),
+    ([TYPE, dict(TYPE, id="T2", name="B", encl="T3"), dict(TYPE, id="T3", name="C", encl="T2")],
+     "line 2: type T2: cyclic enclosing-type chain"),
+], ids=["self", "two-types"])
+def test_cyclic_enclosing_type_chain_rejected(records, error):
+    with pytest.raises(FactError) as err:
+        load_facts(lines(*records))
+    assert str(err.value) == error
+
+
+def test_duplicate_field_name_in_a_type_rejected():
+    field = {"k": "field", "id": "F1", "owner": "T1", "name": "x", "type": "int",
+             "vis": "private"}
+    with pytest.raises(FactError) as err:
+        load_facts(lines(TYPE, field, dict(field, id="F2", type="String")))
+    assert str(err.value) == "line 3: field F2: duplicate field name 'x' in type T1"
+    assert err.value.line == 3
 
 
 def test_dangling_receiver_field_rejected():
@@ -695,7 +720,15 @@ _DECODE_CASES = {
     "not-utf-8": [_type_line(1), _type_line(2)[:-1] + b', "x": "\xff"}'],
     "nan": [_type_line(1)[:-1] + b', "x": NaN}', _type_line(2)[:-1] + b', "src": NaN}'],
     "huge-int": [_type_line(1)[:-1] + b', "x": ' + b"1" * 5000 + b"}"],
+    # As a chunk's last line, the chunk's array closes after its first
+    # object and one object is read per line: only the check that the scan
+    # reached the end of the text refuses it.
+    "array-ends-inside-a-line": [_type_line(1) + b'],[{"b": 2}'],
 }
+
+#: The error each start line gives for the cases the per-line reader refuses
+#: on their first line, by case.
+_DECODE_ERRORS = {"array-ends-inside-a-line": "invalid JSON: Extra data"}
 
 
 def _nested_line(depth: int) -> bytes:
@@ -734,6 +767,8 @@ def test_load_facts_decodes_a_chunk_as_the_per_line_reader_does(case):
             stream = records[:start - 1] + [line + b"\n" for line in lines] + records[start - 1:]
             got, want = _outcomes(stream)
             assert got == want, start
+            if case in _DECODE_ERRORS:
+                assert got == f"line {start}: {_DECODE_ERRORS[case]}"
 
 
 @pytest.fixture(params=[1, 3, None], ids=["chunk-1", "chunk-3", "default"])

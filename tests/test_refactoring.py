@@ -27,6 +27,17 @@ from sortweaver.refactoring import (
     plan_for,
     render_doc,
 )
+from sortweaver.refactoring.aspect_text import (
+    Advice,
+    AndExpr,
+    AspectDoc,
+    Execution,
+    NotExpr,
+    OrExpr,
+    PointcutDef,
+    PointcutRef,
+    Within,
+)
 
 
 def fixed_point(plan):
@@ -364,6 +375,33 @@ def test_parse_aspect_rejects_malformed_text():
                 "public aspect  {\n}", "public aspect a b {\n}", "public aspect 9Lives {\n}"):
         with pytest.raises(AspectSyntaxError):
             parse_aspect(bad)
+
+
+def test_renderer_parenthesises_a_disjunction_under_not_and_and():
+    either = OrExpr((Within("A"), Within("B")))
+    run = Execution("void", "C", "run")
+    doc = AspectDoc("Parens", (
+        PointcutDef("neither", (), NotExpr(either)),
+        PointcutDef("runEither", (), AndExpr((run, either))),
+        Advice("before", None, (), AndExpr((PointcutRef("neither"), either)), ("// body",)),
+    ))
+    text = render_doc(doc)
+    assert text == (
+        "public aspect Parens {\n"
+        "\n"
+        "    pointcut neither() : !(within(A) || within(B));\n"
+        "\n"
+        "    pointcut runEither() :\n"
+        "        execution(void C.run())\n"
+        "        && (within(A) || within(B));\n"
+        "\n"
+        "    before() : neither() && (within(A) || within(B)) {\n"
+        "        // body\n"
+        "    }\n"
+        "}\n"
+    )
+    assert parse_aspect(text) == doc
+    assert render_doc(parse_aspect(text)) == text
 
 
 def test_rendering_same_plan_twice_is_identical(command_model):
