@@ -203,13 +203,16 @@ class _Extractor:
             src=self.units[unit].source,
             unit=unit,
         )
+        # A repeated name refers to its first declaration, whether written
+        # qualified or as a nested name inside the enclosing type.
         if qname in self.by_qname:
-            self.warn(node.pos, f"duplicate type name {qname!r}; later declaration shadows")
+            self.warn(node.pos, f"duplicate type name {qname!r}; "
+                                "references resolve to the first declaration")
         else:
             self.by_qname[qname] = info
         self.by_simple.setdefault(simple_name(qname), []).append(info)
         if encl is not None and not anonymous:
-            self.nested[(encl.id, node.name)] = info
+            self.nested.setdefault((encl.id, node.name), info)
         self.types.append(info)
 
         for fld in node.fields:

@@ -162,7 +162,7 @@ def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConf
             continue
         group = frozenset(method_ids[i] for i in closed)
         supporters = frozenset(callers[t] for t in occurrences)
-        ancestor = common_ancestor(model, supporters)
+        ancestor = model.common_ancestor(model.methods[mid].owner for mid in supporters)
         if ancestor is None:
             continue
         seeds.append(
@@ -188,19 +188,6 @@ def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConf
     seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"],
                               [natural_key(m) for m in s.evidence["group"]]))
     return seeds
-
-
-def common_ancestor(model: SourceModel, method_ids: frozenset[str]) -> str | None:
-    """Most specific type whose subtree contains every method's owner."""
-    owners = [model.methods[mid].owner for mid in method_ids]
-    shared = None
-    for owner in owners:
-        ups = model.ancestors(owner)
-        shared = ups if shared is None else shared & ups
-    if not shared:
-        return None
-    return min(shared, key=lambda tid: (len(model.subtree(tid)),
-                                        model.types[tid].qualified_name))
 
 
 def forwarding_calls(model: SourceModel, method: MethodDecl) -> list[CallSite]:

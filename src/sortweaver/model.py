@@ -12,12 +12,13 @@ Derived relations.  Built at construction:
   detects supertype cycles),
 * a (owner type, signature) -> method index.
 
+The closure is kept in one direction only: no type's subtypes are ever
+listed, ``is_subtype`` answers each question about them, and this module
+alone ranks types by them (``common_ancestor``).
+
 Built on first use, so a command pays only for what it reads:
 
-* the override relation, per method and in each direction
-  (``overrides_all``, ``overridden_by``; the latter reads a signature
-  index, so it does not invert the subtype closure),
-* the reflexive-transitive subtypes of every type (``subtree``),
+* the number of subtypes of each type, which ``common_ancestor`` ranks by,
 * the name indexes behind ``type_by_name`` and ``resolve_method``,
 * the call relation lifted along the override chain under a
   :class:`DispatchPolicy`, indexed by callee.  The policy is fixed per
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
@@ -189,10 +190,11 @@ class SourceModel:
     """Immutable fact database plus derived relations.
 
     Construction validates referential integrity and structural invariants
-    and computes the subtype closure; the other relations are derived and
-    memoised on first read, and the instance is safe to share across
-    concurrent readers.  ``lines`` maps entity ids to the record line
-    numbers that errors should name; it is read during construction only.
+    and computes the subtype closure; the override relation is derived on
+    each read and the indexes on first read, and the instance is safe to
+    share across concurrent readers.  ``lines`` maps entity ids to the
+    record line numbers that errors should name; it is read during
+    construction only.
     """
 
     def __init__(
@@ -228,8 +230,6 @@ class SourceModel:
         self._validate_structure(lines)
 
         self._ancestors = self._compute_ancestors()
-        self._overrides_all: dict[str, frozenset[str]] = {}
-        self._overridden_by: dict[str, frozenset[str]] = {}
         self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
 
     # -- basic access ------------------------------------------------------
@@ -325,50 +325,44 @@ class SourceModel:
         """Reflexive-transitive supertypes of a type (subtype_of*)."""
         return self._ancestors[type_id]
 
-    @cached_property
-    def _descendants(self) -> dict[str, frozenset[str]]:
-        down: dict[str, set[str]] = {}
-        for tid, ups in self._ancestors.items():
-            for up in ups:
-                down.setdefault(up, set()).add(tid)
-        return {k: frozenset(v) for k, v in down.items()}
-
-    def subtree(self, type_id: str) -> frozenset[str]:
-        """Reflexive-transitive subtypes of a type."""
-        return self._descendants.get(type_id, frozenset((type_id,)))
-
     def is_subtype(self, type_id: str, ancestor_id: str) -> bool:
         return ancestor_id in self._ancestors[type_id]
 
-    # The override relation in both directions, memoised per method: the
-    # methods with the same signature in the owner's proper supertypes
-    # (or subtypes).
+    @cached_property
+    def _subtype_counts(self) -> Counter:
+        """Type id -> the number of its reflexive-transitive subtypes."""
+        return Counter(chain.from_iterable(self._ancestors.values()))
+
+    def common_ancestor(self, type_ids: Iterable[str]) -> str | None:
+        """The most specific type that every given type is a subtype of: of
+        their shared ancestors, the one with the fewest subtypes, then the
+        least qualified name."""
+        ups = map(self._ancestors.__getitem__, type_ids)
+        shared = next(ups, frozenset()).intersection(*ups)
+        if not shared:
+            return None
+        return min(shared, key=lambda tid: (self._subtype_counts[tid],
+                                            self._types[tid].qualified_name))
+
+    # The override relation in both directions: the methods with the same
+    # signature in the owner's proper supertypes (or subtypes).
 
     def overrides_all(self, method_id: str) -> frozenset[str]:
         """Every method the given one overrides, directly or transitively."""
-        found = self._overrides_all.get(method_id)
-        if found is None:
-            m = self._methods[method_id]
-            above = (self.declared_method(t, m.signature)
-                     for t in self._ancestors[m.owner] if t != m.owner)
-            found = self._overrides_all[method_id] = frozenset(
-                mid for mid in above if mid is not None)
-        return found
+        m = self._methods[method_id]
+        above = (self.declared_method(t, m.signature)
+                 for t in self._ancestors[m.owner] if t != m.owner)
+        return frozenset(mid for mid in above if mid is not None)
 
     def overridden_by(self, method_id: str) -> frozenset[str]:
         """Every method that overrides the given one, directly or transitively.
 
         Read from the methods that share its signature, keeping those whose
-        owner has the given one's owner as a proper ancestor, so the
-        subtype closure is never inverted.
+        owner has the given one's owner as a proper ancestor.
         """
-        found = self._overridden_by.get(method_id)
-        if found is None:
-            m = self._methods[method_id]
-            found = self._overridden_by[method_id] = frozenset(
-                o.id for o in self._methods_by_signature[m.signature]
-                if o.owner != m.owner and m.owner in self._ancestors[o.owner])
-        return found
+        m = self._methods[method_id]
+        return frozenset(o.id for o in self._methods_by_signature[m.signature]
+                         if o.owner != m.owner and m.owner in self._ancestors[o.owner])
 
     @cached_property
     def _methods_by_signature(self) -> dict[tuple, tuple[MethodDecl, ...]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from ._util import natural_key
 from .mining import Seed, forwarding_calls
@@ -217,27 +218,21 @@ def _result(model, sort, binding, hits) -> QueryResult:
 # -- scopes --------------------------------------------------------------------
 
 
-def scope_type_ids(model: SourceModel, scope: str) -> frozenset[str] | None:
-    """Type ids selected by a scope expression.
+def scope_test(model: SourceModel, scope: str) -> Callable[[str], bool]:
+    """The test on a type id that a scope expression makes.
 
-    ``*`` selects the whole model (returned as None); a type name selects
-    the type's subtree under subtype-of*; a trailing-dot string selects
-    types by qualified-name prefix.
+    ``*`` (or ``""``) matches every type; a trailing-dot string matches types
+    by qualified-name prefix; a type name matches that type and its
+    subtypes under subtype-of*.
     """
     if scope == "*" or scope == "":
-        return None
+        return model.types.__contains__
     if scope.endswith("."):
-        return frozenset(
-            tid for tid, t in model.types.items() if t.qualified_name.startswith(scope)
-        )
+        return lambda tid: model.types[tid].qualified_name.startswith(scope)
     scoped = model.type_by_name(scope)
     if scoped is None:
         raise FactError(f"unknown scope: {scope!r}")
-    return model.subtree(scoped.id)
-
-
-def _in_scope(owner: str, scope_ids: frozenset[str] | None) -> bool:
-    return scope_ids is None or owner in scope_ids
+    return lambda tid: model.is_subtype(tid, scoped.id)
 
 
 # -- the six queries -------------------------------------------------------------
@@ -246,13 +241,13 @@ def _in_scope(owner: str, scope_ids: frozenset[str] | None) -> bool:
 def query_cb(model: SourceModel, target: str, scope: str = "*") -> QueryResult:
     """Call sites whose lifted callee is ``target`` with callers in scope."""
     target_decl = model.resolve_method(target)
-    scope_ids = scope_type_ids(model, scope)
+    in_scope = scope_test(model, scope)
     binding = QueryBinding.make(SortKind.CB, target=model.method_sig(target_decl.id), scope=scope)
     hits = [
         CbHit(call.id, call.caller, target_decl.id, call.ordinal)
         for call in model.calls_to(target_decl.id)
         if call.caller != target_decl.id  # self-call
-        and _in_scope(model.methods[call.caller].owner, scope_ids)
+        and in_scope(model.methods[call.caller].owner)
     ]
     return _result(model, SortKind.CB, binding, hits)
 
@@ -397,14 +392,14 @@ def _maximal_chains(succ, stop_at=frozenset()):
 
 def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryResult:
     """Maximal pass-through chains of a context-typed parameter."""
-    scope_ids = scope_type_ids(model, scope)
+    in_scope = scope_test(model, scope)
     binding = QueryBinding.make(SortKind.EC, context=context_type, scope=scope)
 
     # Context-parameter indices of each in-scope method that has one.
     context_params = {
         mid: frozenset(i for i, p in enumerate(m.param_types) if p == context_type)
         for mid, m in model.methods.items()
-        if context_type in m.param_types and _in_scope(m.owner, scope_ids)
+        if context_type in m.param_types and in_scope(m.owner)
     }
 
     succ: dict[str, list] = {}
@@ -468,13 +463,13 @@ def query_ep(model: SourceModel, exception: str, root: str | None = None) -> Que
 def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
     """Types carrying a secondary role, and their role-realizing members."""
     role_decl = model.require_type(role)
-    scope_ids = scope_type_ids(model, scope)
+    in_scope = scope_test(model, scope)
     binding = QueryBinding.make(SortKind.RSI, role=role_decl.qualified_name, scope=scope)
     hits = []
     for tid in model.types:
-        if tid == role_decl.id or not _in_scope(tid, scope_ids):
+        if tid == role_decl.id or not in_scope(tid):
             continue
-        if role_decl.id not in model.ancestors(tid):
+        if not model.is_subtype(tid, role_decl.id):
             continue
         hits.append(RsiHit(tid, role_decl.id, "declares_role"))
         for method in model.methods_of(tid):
@@ -487,7 +482,7 @@ def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
 
 def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> QueryResult:
     """(enclosing, nested) pairs, optionally filtered by the nested role."""
-    scope_ids = scope_type_ids(model, scope)
+    in_scope = scope_test(model, scope)
     role_decl = model.require_type(role) if role else None
     binding = QueryBinding.make(
         SortKind.SC, scope=scope, role=role_decl.qualified_name if role_decl else None
@@ -496,9 +491,9 @@ def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> Q
     for tid, t in model.types.items():
         if t.enclosing_type is None:
             continue
-        if not _in_scope(t.enclosing_type, scope_ids):
+        if not in_scope(t.enclosing_type):
             continue
-        if role_decl is not None and role_decl.id not in model.ancestors(tid):
+        if role_decl is not None and not model.is_subtype(tid, role_decl.id):
             continue
         hits.append(ScHit(t.enclosing_type, tid))
     return _result(model, SortKind.SC, binding, hits)
@@ -618,14 +613,15 @@ def expand_seed(model: SourceModel, seed: Seed) -> list[BindingSuggestion]:
 
 def _expand_fanin(model, seed):
     target = seed.evidence["method"]
-    callers = list(seed.evidence["callers"])
+    callers = seed.evidence["callers"]
     total = len(callers)
-    covered_by: dict[str, frozenset[str]] = {}
-    for tid in model.types:
-        subtree = model.subtree(tid)
-        covered = frozenset(c for c in callers if model.methods[c].owner in subtree)
-        if covered and 2 * len(covered) >= total:
-            covered_by[tid] = covered
+    # Each caller covers every ancestor of its owner.
+    under: dict[str, set[str]] = {}
+    for caller in callers:
+        for tid in model.ancestors(model.methods[caller].owner):
+            under.setdefault(tid, set()).add(caller)
+    covered_by = {tid: under[tid] for tid in model.types
+                  if tid in under and 2 * len(under[tid]) >= total}
     # Drop an ancestor when a proper subtype covers the same caller set.
     keep = {}
     for tid, covered in covered_by.items():

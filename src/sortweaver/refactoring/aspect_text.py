@@ -96,18 +96,18 @@ class NotExpr:
         return f"!{inner}"
 
 
+def _conjunct(term: "PointcutExpr") -> str:
+    """A term's text under ``&&``: a disjunction goes in parentheses."""
+    text = term.render()
+    return f"({text})" if isinstance(term, OrExpr) else text
+
+
 @dataclass(frozen=True)
 class AndExpr:
     terms: tuple["PointcutExpr", ...]
 
     def render(self) -> str:
-        parts = []
-        for term in self.terms:
-            text = term.render()
-            if isinstance(term, OrExpr):
-                text = f"({text})"
-            parts.append(text)
-        return " && ".join(parts)
+        return " && ".join(map(_conjunct, self.terms))
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,8 @@ class PointcutDef:
         params = ", ".join(f"{t} {v}" for t, v in self.params)
         head = f"pointcut {self.name}({params}) :"
         if isinstance(self.expr, AndExpr) and len(self.expr.terms) > 1:
-            lines = [head]
-            terms = list(self.expr.terms)
-            lines.append(f"    {terms[0].render()}")
-            for term in terms[1:]:
-                text = term.render()
-                if isinstance(term, OrExpr):
-                    text = f"({text})"
-                lines.append(f"    && {text}")
+            first, *rest = map(_conjunct, self.expr.terms)
+            lines = [head, f"    {first}", *(f"    && {text}" for text in rest)]
             lines[-1] += ";"
             return lines
         return [f"{head} {self.expr.render()};"]

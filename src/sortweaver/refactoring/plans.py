@@ -316,7 +316,7 @@ def _plan_cb(
         ref = PointcutRef(pointcut_name, (var,))
         matching = [
             m.id
-            for tid in model.subtree(scope_type.id)
+            for tid in model.types if model.is_subtype(tid, scope_type.id)
             for m in model.methods_of(tid)
             if (m.name, m.param_types, m.return_type) == shared
         ]

@@ -143,6 +143,42 @@ def scope_ids(model: SourceModel, scope: str) -> set[str] | None:
     return {a for a, b in pairs if b == anchor}
 
 
+def common_ancestor(model: SourceModel, type_ids, pairs=None) -> str | None:
+    """The most specific type above every given type: of the shared
+    ancestors, the one with the fewest subtypes, then the least qualified
+    name; ``None`` when they share none or none are given."""
+    pairs = subtype_pairs(model) if pairs is None else pairs
+    type_ids = set(type_ids)
+    shared = [b for b in model.types if all((a, b) in pairs for a in type_ids)]
+    if not type_ids or not shared:
+        return None
+    return min(shared, key=lambda b: (sum((a, b) in pairs for a in model.types),
+                                      model.types[b].qualified_name))
+
+
+def fanin_suggestions(model: SourceModel, seed) -> list[tuple]:
+    """(scope, target, coverage, covered, total) of each CB binding that
+    expanding a fan-in seed suggests: every type above at least half of the
+    callers' owners, less those with a proper subtype above the same
+    callers, plus ``*``; most coverage first, then by scope."""
+    pairs = subtype_pairs(model)
+    target = model.methods[seed.evidence["method"]]
+    sig = f"{model.types[target.owner].qualified_name}.{target.name}({','.join(target.param_types)})"
+    callers = seed.evidence["callers"]
+    total = len(callers)
+    covered = {}
+    for tid in model.types:
+        under = frozenset(c for c in callers if (model.methods[c].owner, tid) in pairs)
+        if under and 2 * len(under) >= total:
+            covered[tid] = under
+    out = [(model.types[tid].qualified_name, sig, len(under) / total, len(under), total)
+           for tid, under in covered.items()
+           if not any(other != tid and (other, tid) in pairs and covered[other] == under
+                      for other in covered)]
+    out.append(("*", sig, 1.0, total, total))
+    return sorted(out, key=lambda s: (-s[2], s[0]))
+
+
 def cb_hits(model: SourceModel, target_id: str, scope: str, policy) -> set[str]:
     ids = scope_ids(model, scope)
     full = overrides_full(model)
@@ -389,11 +425,14 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
     Closes the transactions under intersection by meeting every new set with
     every set found so far (quadratic in the closed sets), then scans every
     transaction for each group's supporters.  Unlike the rest of this module
-    it reads the library's lifted edges, filters and ``common_ancestor``, so
-    it checks the closed-set search alone, at sizes ``grouped`` cannot reach.
+    it reads the library's lifted edges and filters, so it checks the
+    closed-set search and the choice of ancestor, at sizes ``grouped``
+    cannot reach.
     """
     from sortweaver._util import natural_key
-    from sortweaver.mining import Seed, _kept, common_ancestor
+    from sortweaver.mining import Seed, _kept
+
+    pairs = subtype_pairs(model)
 
     transactions: dict[str, frozenset[str]] = {}
     for caller, callee in sorted(model.lifted_edges()):
@@ -426,7 +465,7 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
         meet = frozenset.intersection(*(transactions[c] for c in supporters))
         if meet != group:
             continue  # a superset has the same supporters
-        ancestor = common_ancestor(model, supporters)
+        ancestor = common_ancestor(model, {model.methods[c].owner for c in supporters}, pairs)
         if ancestor is None:
             continue
         seeds.append(

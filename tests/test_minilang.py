@@ -263,6 +263,40 @@ def test_unknown_call_target_becomes_external_stub_with_warning():
     assert model.calls_of(caller.id)[0].static_target == stub[0].id
 
 
+def test_duplicate_type_names_resolve_to_the_first_declaration():
+    text = """
+    class A { static void first() { } }
+    class B { void go() { A.second(); A.first(); } }
+    class A { static void second() { } }
+    class Outer {
+        class X { void a() { } }
+        class X { void b() { } }
+        void near(X x) { x.a(); x.b(); }
+    }
+    """
+    extraction = extract(text)
+    assert [w.message for w in extraction.warnings] == [
+        "duplicate type name 'A'; references resolve to the first declaration",
+        "duplicate type name 'Outer.X'; references resolve to the first declaration",
+        "cannot resolve method second/0 on A; recording an external stub",
+        "cannot resolve method b/0 on Outer.X; recording an external stub",
+    ]
+    model = load_records(records_of(extraction.records))
+    first_a, _ = (t.id for t in model.types.values() if t.qualified_name == "A")
+    first_x, _ = (t.id for t in model.types.values() if t.qualified_name == "Outer.X")
+
+    def targets(caller):
+        return [model.methods[c.static_target] for c in model.calls_of(caller.id)]
+
+    second, first = targets(model.resolve_method("B.go"))
+    assert second.is_external and first.owner == first_a
+    # The nested name and the qualified name written for it agree.
+    near = model.resolve_method("Outer.near")
+    assert model.type_by_name(near.param_types[0]).id == first_x
+    a, b = targets(near)
+    assert a.owner == first_x and b.is_external
+
+
 def test_receiver_classification():
     text = """
     class Helper { public void go() { } }

@@ -26,6 +26,7 @@ from sortweaver.model import (
     load_records,
     records_of,
 )
+from sortweaver.queries import scope_test
 
 
 def lines(*records):
@@ -102,7 +103,9 @@ def test_deep_hierarchy_declared_child_first_closes_without_recursion():
              for i in range(depth)]
     model = load_records(types)
     assert len(model.ancestors("T0")) == depth
-    assert model.subtree(f"T{depth - 1}") == frozenset(model.types)
+    in_root = scope_test(model, f"L{depth - 1}")
+    assert [tid for tid in model.types if in_root(tid)] == list(model.types)
+    assert model.common_ancestor(["T0", "T600", "T900"]) == "T900"
     assert model.ancestors("T600") == {f"T{i}" for i in range(600, depth)}
 
 
@@ -288,9 +291,20 @@ def test_lazy_relations_match_oracles_in_either_read_order(first):
             assert got["overridden_by"][mid] == {a for a, b in full if b == mid}
         pairs = oracles.subtype_pairs(model)
         for tid in model.types:
-            assert model.subtree(tid) == {a for a, b in pairs if b == tid}
+            in_scope = scope_test(model, tid)
+            assert model.type_by_name(tid).id == tid
+            assert {t for t in model.types if in_scope(t)} == {a for a, b in pairs if b == tid}
+        for group in combinations(model.types, 2):
+            assert model.common_ancestor(group) == oracles.common_ancestor(model, group, pairs)
         transitive += any(len(above) > 1 for above in got["overrides_all"].values())
     assert transitive > 30
+
+
+def _one_closure(model) -> bool:
+    """The model keeps the ancestor closure only: no inverted copy of it and
+    no per-method table of the override relation."""
+    return not any(hasattr(model, name) for name in
+                   ("subtree", "_descendants", "_overrides_all", "_overridden_by"))
 
 
 def test_overridden_by_matches_oracle_without_inverting_the_closure():
@@ -303,7 +317,7 @@ def test_overridden_by_matches_oracle_without_inverting_the_closure():
             for mid in model.methods:
                 assert model.overridden_by(mid) == {a for a, b in full if b == mid}
             model.lifted_edges()
-            assert "_descendants" not in model.__dict__
+            assert _one_closure(model)
     # T0 extends T1 extends ... T1199, with f() declared on every third
     # level and an overload f(int) on every fifth.  The fixpoint oracle is
     # too slow at this depth; on a chain its pairs are (f at i, f at j) for
@@ -319,7 +333,7 @@ def test_overridden_by_matches_oracle_without_inverting_the_closure():
         assert model.overridden_by(f"M{i}") == {f"M{j}" for j in range(0, i, 3)}
     for i in (0, 5, 1195):
         assert model.overridden_by(f"N{i}") == {f"N{j}" for j in range(0, i, 5)}
-    assert "_descendants" not in model.__dict__
+    assert _one_closure(model)
 
 
 def test_overrides_irreflexive_and_acyclic():

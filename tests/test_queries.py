@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +13,7 @@ from randmodels import dense_hierarchy, random_model
 from sortweaver.mining import MiningConfig, fan_in_analysis, find_redirectors, \
     grouped_calls_analysis
 from sortweaver.cli import main
-from sortweaver.model import FactError, load_records
+from sortweaver.model import DispatchPolicy, FactError, load_records
 from sortweaver.queries import (
     QueryBinding,
     SortKind,
@@ -385,6 +387,34 @@ def test_expand_grouped_seed_one_cb_binding_per_callee(undo_model):
     assert all(s.binding.param("scope") == "AbstractCommand" for s in suggestions)
 
 
+# -- deep hierarchies ------------------------------------------------------------------------------
+
+
+def test_scoped_queries_on_a_deep_hierarchy_keep_to_the_load_peak():
+    # L0 extends L1 extends ... L999, declared child first.  Scoping a query
+    # to the root reads each type's ancestors and lists no type's subtypes,
+    # so the queries hold little beyond the model itself.
+    depth = 1000
+    records = [{"k": "type", "id": f"T{i}", "name": f"L{i}", "kind": "class",
+                "abstract": False, "anon": False, "encl": None,
+                "super": [f"T{i + 1}"] if i + 1 < depth else []} for i in range(depth)]
+    root = f"L{depth - 1}"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = load_records(records)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sc = query_sc(model, root)
+        rsi = query_rsi(model, root, root)
+        query_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sc.hits) == 0
+    assert len(rsi.hits) == depth - 1
+    assert query_peak < 1.5 * load_peak, (query_peak, load_peak)
+
+
 # -- binding execution and determinism ----------------------------------------------------------
 
 
@@ -468,6 +498,21 @@ def test_queries_match_relational_oracles_on_random_models():
         got = {(h.enclosing, h.nested) for h in query_sc(model, "*").hits}
         assert got == oracles.sc_hits(model, "*", None)
     assert mismatches == 0
+
+
+def test_expand_fanin_matches_brute_force_on_random_models():
+    # Every fan-in seed's suggestions, scopes, coverage and order, against
+    # candidate scopes found from the fixpoint subtype pairs.
+    rng = random.Random(9090)
+    scoped = 0
+    for i in range(150):
+        model = random_model(rng, max_types=10, policy=list(DispatchPolicy)[i % 3])
+        for seed in fan_in_analysis(model, MiningConfig(fanin_threshold=2)):
+            got = [(s.binding.param("scope"), s.binding.param("target"), s.coverage,
+                    s.covered, s.total) for s in expand_seed(model, seed)]
+            assert got == oracles.fanin_suggestions(model, seed)
+            scoped += len(got) > 1
+    assert scoped > 400
 
 
 def test_rsi_matches_oracle_on_dense_hierarchies():

@@ -383,6 +383,8 @@ def test_renderer_parenthesises_a_disjunction_under_not_and_and():
     doc = AspectDoc("Parens", (
         PointcutDef("neither", (), NotExpr(either)),
         PointcutDef("runEither", (), AndExpr((run, either))),
+        PointcutDef("p", (), AndExpr((OrExpr((Within("A"), Within("B"))),
+                                      Execution("void", "C", "run")))),
         Advice("before", None, (), AndExpr((PointcutRef("neither"), either)), ("// body",)),
     ))
     text = render_doc(doc)
@@ -394,6 +396,10 @@ def test_renderer_parenthesises_a_disjunction_under_not_and_and():
         "    pointcut runEither() :\n"
         "        execution(void C.run())\n"
         "        && (within(A) || within(B));\n"
+        "\n"
+        "    pointcut p() :\n"
+        "        (within(A) || within(B))\n"
+        "        && execution(void C.run());\n"
         "\n"
         "    before() : neither() && (within(A) || within(B)) {\n"
         "        // body\n"
