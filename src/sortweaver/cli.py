@@ -2,13 +2,15 @@
 
 Every subcommand prints deterministic output (no timestamps, key-sorted
 JSON) so identical inputs always produce byte-identical results.  Exit
-codes: 0 success, 1 user error, 2 internal error.
+codes: 0 success, 1 user error (or an output pipe closed by its reader,
+which prints nothing), 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -76,7 +78,17 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
 
     try:
         args.run(args, stdin, stdout)
+        stdout.flush()  # a reader gone before the last write is the same case
         return 0
+    except BrokenPipeError:
+        # The reader is gone, so there is no one to tell.  Output still
+        # buffered for the process's own stdout goes to the null device, or
+        # the interpreter's flush at exit would fail on the pipe again.
+        if stdout is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+        return 1
     except (CliError, FactError, ConcernModelError, PlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

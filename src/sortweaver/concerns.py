@@ -156,7 +156,7 @@ def load_model(path: str | Path) -> Group:
     except RecursionError:
         raise ConcernModelError(f"{path}: model nests too deeply") from None
     if not isinstance(root, Group):
-        raise ConcernModelError("concern-model root must be a group")
+        raise ConcernModelError(f"{path}: concern-model root must be a group")
     return root
 
 

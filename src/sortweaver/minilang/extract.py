@@ -30,7 +30,8 @@ Conventions:
 * A call whose target cannot be resolved is recorded against a synthesized
   external method stub (owned by the receiver's type when that type is
   itself external, else by the external ``$unresolved`` type) and reported
-  as a warning.
+  as a warning.  A stub's parameter and return types are the literal
+  ``Object``, not resolved like declared type names.
 * Sources the model would refuse raise :class:`ExtractError`: a supertype
   cycle, two fields of one name in a type, or two methods of one type
   whose signatures are equal once their parameter types are resolved.
@@ -299,14 +300,14 @@ class _Extractor:
         return self.externals[name]
 
     def external_stub(self, owner: _TypeInfo, name: str, arity: int) -> MethodDecl:
-        """The stub ``name/arity`` of the external type ``owner``, typed
-        ``Object`` throughout; like any declared type name, ``Object`` is
-        stored qualified when it resolves."""
+        """The stub ``name/arity`` of the external type ``owner``, typed as
+        the literal ``Object`` throughout: nothing is known of its types, so
+        no user type named ``Object`` (a nested one, say) stands for them."""
         for stub in owner.stubs:
             if stub.name == name and stub.arity == arity:
                 return stub
-        obj = self.resolve_type_text("Object", owner)
-        stub = MethodDecl(self.fresh("XM"), owner.id, name, (obj,) * arity, obj, is_external=True)
+        stub = MethodDecl(self.fresh("XM"), owner.id, name, ("Object",) * arity, "Object",
+                          is_external=True)
         owner.stubs.append(stub)
         return stub
 

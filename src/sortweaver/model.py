@@ -312,13 +312,6 @@ class SourceModel:
         owner = self._types[m.owner].qualified_name
         return f"{owner}.{m.name}({','.join(m.param_types)})"
 
-    def entity_src(self, entity_id: str) -> str:
-        for table in (self._types, self._methods, self._fields, self._calls):
-            entity = table.get(entity_id)
-            if entity is not None:
-                return entity.src
-        return ""
-
     # -- derived relations -------------------------------------------------
 
     def ancestors(self, type_id: str) -> frozenset[str]:

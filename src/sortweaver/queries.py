@@ -77,7 +77,7 @@ class CbHit:
         return f"{model.method_sig(self.caller)} -> {model.method_sig(self.target)} @{self.ordinal}"
 
     def order_key(self, model):
-        return (model.entity_src(self.call), natural_key(self.call))
+        return (model.calls[self.call].src, natural_key(self.call))
 
     def to_json(self, model):
         return {
@@ -101,7 +101,7 @@ class RlHit:
         )
 
     def order_key(self, model):
-        return (model.entity_src(self.call), natural_key(self.call))
+        return (model.calls[self.call].src, natural_key(self.call))
 
     def to_json(self, model):
         return {
@@ -124,8 +124,7 @@ class ChainHit:
         return " -> ".join(model.method_sig(m) for m in self.methods)
 
     def order_key(self, model):
-        head = self.methods[0]
-        return (model.entity_src(head), tuple(natural_key(m) for m in self.methods))
+        return (model.methods[self.methods[0]].src, tuple(natural_key(m) for m in self.methods))
 
     def to_json(self, model):
         out = {
@@ -155,7 +154,7 @@ class RsiHit:
 
     def order_key(self, model):
         return (
-            model.entity_src(self.type_id),
+            model.types[self.type_id].src,
             natural_key(self.type_id),
             self.kind,
             natural_key(self.member),
@@ -182,7 +181,7 @@ class ScHit:
         )
 
     def order_key(self, model):
-        return (model.entity_src(self.nested), natural_key(self.nested))
+        return (model.types[self.nested].src, natural_key(self.nested))
 
     def to_json(self, model):
         return {
@@ -272,22 +271,15 @@ def query_rl(model: SourceModel, redirector: str, receiver: str) -> QueryResult:
     return _result(model, SortKind.RL, binding, hits)
 
 
-def _canonical_edges(raw: dict[str, list]) -> dict[str, list]:
-    """One edge per (node, neighbor) pair: the smallest linking call id wins."""
-    out: dict[str, list] = {}
-    for node, pairs in raw.items():
-        best: dict[str, tuple] = {}
-        for neighbor, edge in pairs:
-            edge_id = edge[0] if isinstance(edge, tuple) else edge
-            current = best.get(neighbor)
-            current_id = current[0] if isinstance(current, tuple) else current
-            if current is None or natural_key(edge_id) < natural_key(current_id):
-                best[neighbor] = edge
-        out[node] = [
-            (neighbor, best[neighbor])
-            for neighbor in sorted(best, key=natural_key)
-        ]
-    return out
+def _chain_graph(model: SourceModel, links: Callable, nodes=()) -> dict[str, dict[str, str]]:
+    """Caller -> {callee: linking call id} over the calls that ``links``
+    accepts, read once in id order, so each pair keeps its smallest call;
+    ``nodes`` join the graph without edges."""
+    graph: dict[str, dict[str, str]] = {node: {} for node in nodes}
+    for call in model.calls.values():
+        if links(call):
+            graph.setdefault(call.caller, {}).setdefault(call.static_target, call.id)
+    return graph
 
 
 def _components(nodes, succ) -> dict:
@@ -330,15 +322,15 @@ def _components(nodes, succ) -> dict:
     return component
 
 
-def _maximal_chains(succ, stop_at=frozenset()):
-    """Maximal simple paths over an edge relation, in natural id order.
+def _maximal_chains(graph, stop_at=frozenset()):
+    """Maximal simple paths over a chain graph, in natural id order.
 
-    ``succ`` maps node -> list of (neighbor, edge payload); the nodes are its
-    keys and every neighbor.  Stop nodes terminate chains (a stop tail is a
-    valid end of any length, and a stop node never extends a chain
-    leftward); otherwise a path is reported when it has at least two
-    nodes, cannot grow right (no unvisited successor) and cannot grow left
-    (no unvisited non-stop predecessor).
+    ``graph`` maps node -> {neighbor: linking call id}, as ``_chain_graph``
+    builds it; the nodes are its keys and every neighbor.  Stop nodes
+    terminate chains (a stop tail is a valid end of any length, and a stop
+    node never extends a chain leftward); otherwise a path is reported when
+    it has at least two nodes, cannot grow right (no unvisited successor)
+    and cannot grow left (no unvisited non-stop predecessor).
 
     A chain's non-stop predecessors of its head must all lie on it, so they
     share the head's strongly connected component over the edges leaving
@@ -346,15 +338,16 @@ def _maximal_chains(succ, stop_at=frozenset()):
     search walks one shared path with a stack of successor iterators, so on
     acyclic inputs the cost is about V + E plus the length of the output.
     """
-    succ = _canonical_edges(succ)
-    preds: dict = {node: [] for node in succ}
-    for node, pairs in succ.items():
-        for neighbor, _ in pairs:
+    # Each node's (neighbor, call) pairs, sorted once for every search.
+    succ = {node: sorted(callees.items(), key=lambda pair: natural_key(pair[0]))
+            for node, callees in graph.items()}
+    preds: dict = {node: [] for node in graph}
+    for node, callees in graph.items():
+        for neighbor in callees:
             preds.setdefault(neighbor, []).append(node)
     nodes = sorted(preds, key=natural_key)
     component = _components(nodes, {
-        node: [neighbor for neighbor, _ in pairs]
-        for node, pairs in succ.items() if node not in stop_at
+        node: callees for node, callees in graph.items() if node not in stop_at
     })
 
     def successors(node):
@@ -365,17 +358,17 @@ def _maximal_chains(succ, stop_at=frozenset()):
         blockers = [p for p in preds[start] if p not in stop_at]
         if any(component[p] != component[start] for p in blockers):
             continue
-        path, edges, seen = [start], [], {start}
+        path, calls, seen = [start], [], {start}
         # One frame per path node: its successor iterator, and whether the
         # path has grown past it.
         frames = [[successors(start), False]]
         while frames:
             frame = frames[-1]
-            for neighbor, edge in frame[0]:
+            for neighbor, call in frame[0]:
                 if neighbor not in seen:
                     frame[1] = True
                     path.append(neighbor)
-                    edges.append(edge)
+                    calls.append(call)
                     seen.add(neighbor)
                     frames.append([successors(neighbor), False])
                     break
@@ -383,10 +376,10 @@ def _maximal_chains(succ, stop_at=frozenset()):
                 frames.pop()
                 if not frame[1] and (len(path) >= 2 or path[-1] in stop_at) \
                         and all(p in seen for p in blockers):
-                    chains.append((tuple(path), tuple(edges)))
+                    chains.append((tuple(path), tuple(calls)))
                 seen.discard(path.pop())
-                if edges:
-                    edges.pop()
+                if calls:
+                    calls.pop()
     return chains
 
 
@@ -402,28 +395,29 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
         if context_type in m.param_types and in_scope(m.owner)
     }
 
-    succ: dict[str, list] = {}
-    for call in model.calls.values():
+    # The one EC rule: a call links its caller to its callee by its first
+    # pass-through of a context parameter to a context argument; that
+    # (parameter, argument) pair is kept by call id for the chain's indices.
+    passes: dict[str, tuple[int, int]] = {}
+
+    def links(call):
         src_params = context_params.get(call.caller)
         dst_params = context_params.get(call.static_target)
-        if src_params is None or dst_params is None:
-            continue
-        for arg_index, param_index in call.arg_passthrough:
-            if param_index in src_params and arg_index in dst_params:
-                edge = (call.id, param_index, arg_index)
-                succ.setdefault(call.caller, []).append((call.static_target, edge))
-                break
+        if src_params is not None and dst_params is not None:
+            for arg_index, param_index in call.arg_passthrough:
+                if param_index in src_params and arg_index in dst_params:
+                    passes[call.id] = (param_index, arg_index)
+                    return True
+        return False
 
-    hits = []
-    for path, edges in _maximal_chains(succ):
-        indices = [edges[0][1]] + [e[2] for e in edges]
-        hits.append(
-            ChainHit(
-                methods=path,
-                calls=tuple(e[0] for e in edges),
-                param_indices=tuple(indices),
-            )
+    hits = [
+        ChainHit(
+            methods=path,
+            calls=calls,
+            param_indices=(passes[calls[0]][0], *(passes[call][1] for call in calls)),
         )
+        for path, calls in _maximal_chains(_chain_graph(model, links))
+    ]
     return _result(model, SortKind.EC, binding, hits)
 
 
@@ -437,26 +431,24 @@ def query_ep(model: SourceModel, exception: str, root: str | None = None) -> Que
     of declarers can only appear mid-chain, never alone.
     """
     binding = QueryBinding.make(SortKind.EP, exception=exception, root=root)
+    root_id = model.resolve_method(root).id if root is not None else None
     declarers = {
         mid for mid, m in model.methods.items() if exception in m.declared_throws
     }
     raisers = frozenset(
         mid for mid in declarers if exception in model.methods[mid].direct_throws
     )
-    succ: dict[str, list] = {}
-    for call in model.calls.values():
-        if call.caller in declarers and call.static_target in declarers \
-                and call.caller != call.static_target:
-            succ.setdefault(call.caller, []).append((call.static_target, call.id))
-    for mid in raisers:
-        succ.setdefault(mid, [])
-
-    hits = []
-    for path, edges in _maximal_chains(succ, stop_at=raisers):
-        hits.append(ChainHit(methods=path, calls=edges, root_raises=path[-1] in raisers))
-    if root is not None:
-        root_decl = model.resolve_method(root)
-        hits = [h for h in hits if root_decl.id in h.methods]
+    graph = _chain_graph(
+        model,
+        lambda call: call.caller in declarers and call.static_target in declarers
+        and call.caller != call.static_target,
+        nodes=raisers,
+    )
+    hits = [
+        ChainHit(methods=path, calls=calls, root_raises=path[-1] in raisers)
+        for path, calls in _maximal_chains(graph, stop_at=raisers)
+        if root_id is None or root_id in path
+    ]
     return _result(model, SortKind.EP, binding, hits)
 
 

@@ -27,7 +27,6 @@ from sortweaver.model import (
     TypeDecl,
     TypeKind,
     Visibility,
-    _decode,
 )
 
 _KEYWORDS = {"if", "catch", "while", "for", "return", "throw", "new", "else", "try"}
@@ -262,26 +261,36 @@ def maximal_chains_recursive(succ, pred, stop_at=None, min_len=2):
     """Maximal simple paths by the recursive search the chain queries used.
 
     It starts a walk at every node and copies the path and the visited set
-    at every step; kept to check ``queries._maximal_chains`` on graphs with
-    edge payloads.  ``succ``/``pred`` map node -> list of (neighbor, edge
-    payload); returns sorted, distinct (path, edges) pairs.
+    at every step; kept to check ``queries._maximal_chains`` on graphs whose
+    edges carry call ids.  ``succ``/``pred`` map node -> list of (neighbor,
+    call id), several calls per node pair allowed: the smallest call id of
+    a pair links it.  Returns sorted, distinct (path, calls) pairs.
     """
-    from sortweaver._util import natural_key
-    from sortweaver.queries import _canonical_edges
-
     stop_at = stop_at or frozenset()
-    succ = _canonical_edges(succ)
-    pred = _canonical_edges(pred)
+
+    def smallest_calls(relation):
+        out = {}
+        for node, pairs in relation.items():
+            best = {}
+            for neighbor, call in pairs:
+                if neighbor not in best \
+                        or natural_key_chunks(call) < natural_key_chunks(best[neighbor]):
+                    best[neighbor] = call
+            out[node] = sorted(best.items(), key=lambda pair: natural_key_chunks(pair[0]))
+        return out
+
+    succ = smallest_calls(succ)
+    pred = smallest_calls(pred)
     chains = []
 
-    def extend(path, edges, seen):
+    def extend(path, calls, seen):
         tail = path[-1]
         nxt = [] if tail in stop_at else [
-            (n, e) for n, e in succ.get(tail, ()) if n not in seen
+            (n, c) for n, c in succ.get(tail, ()) if n not in seen
         ]
         if nxt:
-            for n, e in nxt:
-                extend(path + [n], edges + [e], seen | {n})
+            for n, c in nxt:
+                extend(path + [n], calls + [c], seen | {n})
             return
         if len(path) < min_len and tail not in stop_at:
             return
@@ -290,14 +299,28 @@ def maximal_chains_recursive(succ, pred, stop_at=None, min_len=2):
             n not in seen and n not in stop_at for n, _ in pred.get(head, ())
         )
         if not grows_left:
-            chains.append((tuple(path), tuple(edges)))
+            chains.append((tuple(path), tuple(calls)))
 
-    for node in sorted(succ.keys() | pred.keys(), key=natural_key):
+    for node in sorted(succ.keys() | pred.keys(), key=natural_key_chunks):
         extend([node], [], {node})
-    return sorted(set(chains), key=lambda c: tuple(natural_key(m) for m in c[0]))
+    return sorted(set(chains), key=lambda c: tuple(natural_key_chunks(m) for m in c[0]))
 
 
-def ec_chains(model: SourceModel, context: str, scope: str) -> set[tuple[str, ...]]:
+def _smallest_links(links) -> dict[tuple[str, str], tuple]:
+    """(caller, callee) -> the (call id, ...) of its smallest call, from
+    (caller, callee, call id, ...) tuples in any order."""
+    out: dict[tuple[str, str], tuple] = {}
+    for caller, callee, *link in links:
+        best = out.get((caller, callee))
+        if best is None or natural_key_chunks(link[0]) < natural_key_chunks(best[0]):
+            out[caller, callee] = tuple(link)
+    return out
+
+
+def _ec_links(model: SourceModel, context: str, scope: str):
+    """The methods with a context parameter in scope, and (caller, callee) ->
+    (call id, caller parameter, callee argument) of the smallest call that
+    passes a context parameter on, by its first such pass."""
     ids = scope_ids(model, scope)
 
     def ctx_params(mid):
@@ -307,30 +330,59 @@ def ec_chains(model: SourceModel, context: str, scope: str) -> set[tuple[str, ..
         return [i for i, p in enumerate(decl.param_types) if p == context]
 
     nodes = {mid for mid in model.methods if ctx_params(mid)}
-    edges = set()
+    links = []
     for call in model.calls.values():
         if call.caller in nodes and call.static_target in nodes \
                 and call.caller != call.static_target:
-            for arg_index, param_index in call.arg_passthrough:
-                if param_index in ctx_params(call.caller) \
-                        and arg_index in ctx_params(call.static_target):
-                    edges.add((call.caller, call.static_target))
-    return _all_chains(nodes, edges, min_len=2)
+            passes = [(param_index, arg_index) for arg_index, param_index in call.arg_passthrough
+                      if param_index in ctx_params(call.caller)
+                      and arg_index in ctx_params(call.static_target)]
+            if passes:
+                links.append((call.caller, call.static_target, call.id, *passes[0]))
+    return nodes, _smallest_links(links)
 
 
-def ep_chains(model: SourceModel, exception: str) -> set[tuple[str, ...]]:
+def ec_chains(model: SourceModel, context: str, scope: str) -> set[tuple[str, ...]]:
+    nodes, links = _ec_links(model, context, scope)
+    return _all_chains(nodes, set(links), min_len=2)
+
+
+def ec_hits(model: SourceModel, context: str, scope: str) -> set[tuple]:
+    """(methods, calls, param_indices) of each EC chain."""
+    _, links = _ec_links(model, context, scope)
+    out = set()
+    for path in ec_chains(model, context, scope):
+        hops = [links[pair] for pair in zip(path, path[1:])]
+        out.add((path, tuple(h[0] for h in hops), (hops[0][1], *(h[2] for h in hops))))
+    return out
+
+
+def _ep_links(model: SourceModel, exception: str):
+    """The declarers, the direct raisers among them and (caller, callee) ->
+    (call id,) of the smallest call between two declarers."""
     nodes = {
         mid for mid, decl in model.methods.items() if exception in decl.declared_throws
     }
     raisers = frozenset(
         mid for mid in nodes if exception in model.methods[mid].direct_throws
     )
-    edges = set()
-    for call in model.calls.values():
-        if call.caller in nodes and call.static_target in nodes \
-                and call.caller != call.static_target:
-            edges.add((call.caller, call.static_target))
-    return _all_chains(nodes, edges, stop_at=raisers, min_len=2)
+    links = _smallest_links(
+        (call.caller, call.static_target, call.id) for call in model.calls.values()
+        if call.caller in nodes and call.static_target in nodes
+        and call.caller != call.static_target)
+    return nodes, raisers, links
+
+
+def ep_chains(model: SourceModel, exception: str) -> set[tuple[str, ...]]:
+    nodes, raisers, links = _ep_links(model, exception)
+    return _all_chains(nodes, set(links), stop_at=raisers, min_len=2)
+
+
+def ep_hits(model: SourceModel, exception: str) -> set[tuple]:
+    """(methods, calls, root_raises) of each EP chain."""
+    _, raisers, links = _ep_links(model, exception)
+    return {(path, tuple(links[pair][0] for pair in zip(path, path[1:])), path[-1] in raisers)
+            for path in ep_chains(model, exception)}
 
 
 def rsi_hits(model: SourceModel, role_id: str, scope: str) -> set[tuple[str, str, str]]:
@@ -368,19 +420,21 @@ def sc_hits(model: SourceModel, scope: str, role_id: str | None) -> set[tuple[st
     return out
 
 
-def grouped(model: SourceModel, config, policy) -> set[tuple[frozenset, frozenset]]:
-    """Exponential enumeration of every callee subset; desk scale only."""
+def filtered_out(model: SourceModel, callee: str, config) -> bool:
+    """Whether the accessor or utility filter drops a callee from mining."""
     from sortweaver.mining import is_accessor, matches_utility
 
+    decl = model.methods[callee]
+    return (config.accessor_filter and is_accessor(decl)) \
+        or matches_utility(model, decl, config.utility_names)
+
+
+def grouped(model: SourceModel, config, policy) -> set[tuple[frozenset, frozenset]]:
+    """Exponential enumeration of every callee subset; desk scale only."""
     edges = lifted(model, policy)
     transactions: dict[str, set[str]] = {}
     for caller, callee in edges:
-        if caller == callee:
-            continue
-        decl = model.methods[callee]
-        if config.accessor_filter and is_accessor(decl):
-            continue
-        if matches_utility(model, decl, config.utility_names):
+        if caller == callee or filtered_out(model, callee, config):
             continue
         transactions.setdefault(caller, set()).add(callee)
 
@@ -429,16 +483,13 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
     closed-set search and the choice of ancestor, at sizes ``grouped``
     cannot reach.
     """
-    from sortweaver._util import natural_key
-    from sortweaver.mining import Seed, _kept
+    from sortweaver.mining import Seed
 
     pairs = subtype_pairs(model)
 
     transactions: dict[str, frozenset[str]] = {}
     for caller, callee in sorted(model.lifted_edges()):
-        if caller == callee:
-            continue
-        if not _kept(model, model.methods[callee], config):
+        if caller == callee or filtered_out(model, callee, config):
             continue
         transactions.setdefault(caller, frozenset())
         transactions[caller] |= {callee}
@@ -474,9 +525,9 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
                 elements=group | supporters,
                 score=len(supporters),
                 evidence={
-                    "group": sorted(group, key=natural_key),
+                    "group": sorted(group, key=natural_key_chunks),
                     "group_sigs": sorted(model.method_sig(m) for m in group),
-                    "callers": sorted(supporters, key=natural_key),
+                    "callers": sorted(supporters, key=natural_key_chunks),
                     "ancestor": ancestor,
                     "ancestor_name": model.types[ancestor].qualified_name,
                     "definition": "closed-itemset grouped calls",
@@ -486,7 +537,7 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
             )
         )
     seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"],
-                              [natural_key(m) for m in s.evidence["group"]]))
+                              [natural_key_chunks(m) for m in s.evidence["group"]]))
     return [s.to_json() for s in seeds]
 
 
@@ -496,7 +547,9 @@ def grouped_pairwise(model: SourceModel, config) -> list[dict]:
 # differ from ``sortweaver.model`` in three places, on purpose: ``src`` is
 # passed through ``str`` and ``ext`` through ``bool`` whatever their type,
 # and a ``param`` receiver accepts a bool as its index.  A list or an object
-# as the receiver kind raises TypeError here.
+# as the receiver kind raises TypeError here.  ``refused_by_the_tables``
+# names those cases, and ``decode_record_as_tables`` refuses them as the
+# model's decoder does.
 
 _VIS_VALUES = {v.value for v in Visibility}
 _KIND_VALUES = {k.value for k in TypeKind}
@@ -514,6 +567,37 @@ def decode_record(rec: dict, line: int | None):
     if kind == "call":
         return _call_from_record(rec, line)
     raise FactError(f"unknown record kind {kind!r}", line)
+
+
+def refused_by_the_tables(rec):
+    """(case, error) where the table decoder refuses a record that
+    ``decode_record`` accepts or crashes on, else (None, None)."""
+    recv = rec.get("recv")
+    if rec.get("k") in ("type", "method") and "ext" in rec and not isinstance(rec["ext"], bool):
+        return "ext", f"bad value for 'ext': {rec['ext']!r}"
+    if "src" in rec and not isinstance(rec["src"], str):
+        return "src", f"bad value for 'src': {rec['src']!r}"
+    if isinstance(recv, dict) and isinstance(recv.get("kind"), (list, dict)):
+        return "receiver kind", f"bad receiver kind {recv['kind']!r}"
+    if isinstance(recv, dict) and recv.get("kind") == "param" \
+            and isinstance(recv.get("index"), bool):
+        return "index", "param receiver without a parameter index"
+    return None, None
+
+
+def decode_record_as_tables(rec: dict, line: int | None):
+    """``decode_record``, but a record that only the table decoder refuses
+    raises that decoder's error; a fault ``decode_record`` finds comes
+    first."""
+    case, error = refused_by_the_tables(rec)
+    try:
+        decl = decode_record(rec, line)
+    except TypeError:
+        if case is None:
+            raise
+    if case is not None:
+        raise FactError(error, line)
+    return decl
 
 
 def _need(rec: dict, key: str, types_: tuple, line: int | None, allow_none: bool = False):
@@ -645,7 +729,7 @@ def natural_key_chunks(text: str) -> tuple:
 
 # -- the fact loader before the column checks ---------------------------------------
 #
-# ``json.loads`` per line and ``sortweaver.model._decode`` per record, as the
+# ``json.loads`` per line and ``decode_record_as_tables`` per record, as the
 # loader had them.  ``sortweaver.model.load_facts`` and ``load_records`` must
 # give the same model, or the same error text and line, for every input.
 
@@ -680,7 +764,7 @@ def load_records_per_record(records, policy=DEFAULT_POLICY) -> SourceModel:
     seen_ids: dict[str, int | None] = {}
     for item in records:
         line, rec = item if isinstance(item, tuple) else (None, item)
-        decl = _decode(rec, line)
+        decl = decode_record_as_tables(rec, line)
         if decl.id in seen_ids:
             raise FactError(f"duplicate id {decl.id!r}", line)
         seen_ids[decl.id] = line

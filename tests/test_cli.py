@@ -2,11 +2,14 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CORPUS, CORPUS_FILES, young_objects
+from conftest import CORPUS, CORPUS_FILES, REPO, young_objects
 
 from sortweaver import cli, minilang
 from sortweaver.cli import build_parser, main
@@ -376,6 +379,47 @@ def test_model_add_instance_refuses_a_repeated_param_key(tmp_path, capsys):
     assert model_file.read_bytes() == before
 
 
+def test_model_add_group_refuses_an_empty_path(tmp_path, capsys):
+    model_file = tmp_path / "concerns.json"
+    run_cli("model", "init", str(model_file))
+    before = model_file.read_bytes()
+    capsys.readouterr()
+    assert run_cli("model", "add-group", str(model_file), "/") == (1, "")
+    assert capsys.readouterr().err == "error: empty concern path\n"
+    assert model_file.read_bytes() == before
+
+
+def test_load_model_refuses_an_instance_as_the_root(tmp_path, capsys, facts_file):
+    model_file = tmp_path / "concerns.json"
+    model_file.write_text(json.dumps(_INSTANCE), encoding="utf-8")
+    assert run_cli("model", "run", str(model_file), str(facts_file)) == (1, "")
+    assert capsys.readouterr().err == f"error: {model_file}: concern-model root must be a group\n"
+
+
+def test_plan_enumerate_refuses_a_target_called_from_anonymous_classes_only(tmp_path, capsys):
+    source = tmp_path / "anon.mini"
+    source.write_text("""
+    class Target { public void hit() { } }
+    class Job { public void run() { } }
+    class Holder {
+        private Target fTarget;
+        public void start() {
+            Job one = new Job() { public void run() { fTarget.hit(); } };
+            Job two = new Job() { public void run() { fTarget.hit(); } };
+        }
+    }
+    """, encoding="utf-8")
+    facts, model_file = tmp_path / "anon.jsonl", tmp_path / "concerns.json"
+    assert run_cli("extract", str(source), "-o", str(facts))[0] == 0
+    run_cli("model", "init", str(model_file))
+    run_cli("model", "add-instance", str(model_file), "hits", "--sort", "CB",
+            "--param", "target=Target.hit")
+    capsys.readouterr()
+    assert run_cli("query", "cb", str(facts), "--target", "Target.hit")[1].startswith("2 hits")
+    assert run_cli("plan", str(model_file), "hits", str(facts), "--enumerate") == (1, "")
+    assert capsys.readouterr().err == "error: no named callers to enumerate\n"
+
+
 def test_plan_instance_writes_aspect_and_edits(tmp_path, undo_facts):
     aspect = tmp_path / "undo.aj"
     edits = tmp_path / "edits.json"
@@ -725,6 +769,52 @@ def test_mistyped_key_is_an_error(tmp_path, capsys, records, message):
 ], ids=["deep-nesting", "invalid-utf8", "huge-int"])
 def test_hostile_facts_line_is_an_error(tmp_path, capsys, line2, message):
     _fails_naming_line(tmp_path, capsys, _json(_TYPE) + [line2], message)
+
+
+def _rsi_facts(path, implementors: int):
+    types = [dict(_TYPE, id="T0", name="pkg.Role", kind="interface")]
+    types += [dict(_TYPE, id=f"T{i}", name=f"some.deep.package.name.Implementor{i}",
+                   super=["T0"]) for i in range(1, implementors + 1)]
+    path.write_bytes(b"".join(line + b"\n" for line in _json(*types)))
+    return [sys.executable, "-m", "sortweaver", "query", "rsi", str(path), "--role", "pkg.Role"]
+
+
+#: The child's stdout is block-buffered, as by default, so that output can
+#: still be buffered when the pipe closes.
+_CHILD_ENV = {**{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
+              "PYTHONPATH": str(REPO / "src")}
+
+
+def test_a_reader_that_closes_after_one_line_ends_the_command_quietly(tmp_path):
+    """A closed pipe is no user error: the command prints nothing more, on
+    stderr either, and exits 1.  The output is larger than a pipe buffer, so
+    a write meets the closed pipe."""
+    argv = _rsi_facts(tmp_path / "facts.jsonl", 20_000)
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_CHILD_ENV)
+    first = child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (first, err, child.returncode) == (b"20000 hits\n", b"", 1)
+
+
+def test_a_reader_gone_before_the_output_is_flushed_ends_the_command_quietly(tmp_path):
+    """Output small enough to stay buffered meets the closed pipe when it is
+    flushed; the flush at interpreter exit then finds nothing to report."""
+    argv = _rsi_facts(tmp_path / "facts.jsonl", 3)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=_CHILD_ENV,
+                               timeout=120)
+    finally:
+        os.close(write_end)
+    assert (child.stderr, child.returncode) == (b"", 1)
+
+
+def test_anonymous_type_without_enclosing_type_is_an_error(tmp_path, capsys):
+    _fails_naming_line(tmp_path, capsys, _json(dict(_TYPE, anon=True, encl=None)),
+                       "line 1: type T1: anonymous type without enclosing type")
 
 
 def test_list_as_receiver_kind_is_an_error(tmp_path, capsys):

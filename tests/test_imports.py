@@ -1,6 +1,7 @@
 """Every name that a module of the package imports is used in it, every
-module-level private name is used somewhere in the package, and every
-function reads each of its parameters."""
+module-level private name is used somewhere in the package, every function
+reads each of its parameters, and the test oracles import nothing private
+from the package."""
 
 from __future__ import annotations
 
@@ -213,3 +214,43 @@ def test_the_check_finds_a_record_literal():
         'd = dict(k="field")\n'
     )
     assert _record_literals(ast.parse(source)) == [1, 3]
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """``line N: dotted.name`` for each import from a ``sortweaver`` module
+    of a name, or through a module, that starts with ``_``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module.split(".")
+            imported = [(module + [alias.name], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported = [(alias.name.split("."), node.lineno) for alias in node.names]
+        else:
+            continue
+        found += [f"line {line}: {'.'.join(parts)}" for parts, line in imported
+                  if parts[0] == "sortweaver" and any(p.startswith("_") for p in parts)]
+    return found
+
+
+def test_the_oracles_import_nothing_private():
+    """An oracle that calls the library's own helpers checks nothing about
+    them."""
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    assert _private_imports(tree) == []
+
+
+def test_the_check_finds_a_private_import():
+    source = (
+        "from sortweaver.model import SourceModel, _decode\n"
+        "from sortweaver._util import natural_key\n"
+        "import sortweaver._util, sortweaver.model\n"
+        "from sortweavers import _other\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from sortweaver.queries import _maximal_chains\n"
+    )
+    assert _private_imports(ast.parse(source)) == [
+        "line 1: sortweaver.model._decode", "line 2: sortweaver._util.natural_key",
+        "line 3: sortweaver._util", "line 7: sortweaver.queries._maximal_chains",
+    ]

@@ -263,6 +263,17 @@ def test_unknown_call_target_becomes_external_stub_with_warning():
     assert model.calls_of(caller.id)[0].static_target == stub[0].id
 
 
+def test_external_stubs_are_typed_object_whatever_user_type_shares_the_name():
+    text = """
+    class Outer { class Object { } void run(Helper h) { h.help(); } }
+    class Other { void go(Helper h) { h.assist(1); } }
+    """
+    records = list(records_of(extract(text).records))
+    stubs = {r["name"]: (r["params"], r["ret"]) for r in records
+             if r["k"] == "method" and r.get("ext")}
+    assert stubs == {"help": ([], "Object"), "assist": (["Object"], "Object")}
+
+
 def test_duplicate_type_names_resolve_to_the_first_declaration():
     text = """
     class A { static void first() { } }

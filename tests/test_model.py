@@ -540,24 +540,6 @@ def _mutants(rec):
             yield dict(rec, **{"pass": pairs})
 
 
-def _rejected_only_by_the_tables(rec):
-    """(case, error) where the table decoder rejects a record that the
-    reference decoder accepted or crashed on: the reference stored any
-    ``src`` as a string and any ``ext`` as a bool, accepted a bool as a
-    parameter index and crashed on a list or object receiver kind."""
-    recv = rec.get("recv")
-    if rec.get("k") in ("type", "method") and "ext" in rec and not isinstance(rec["ext"], bool):
-        return "ext", f"bad value for 'ext': {rec['ext']!r}"
-    if "src" in rec and not isinstance(rec["src"], str):
-        return "src", f"bad value for 'src': {rec['src']!r}"
-    if isinstance(recv, dict) and isinstance(recv.get("kind"), (list, dict)):
-        return "receiver kind", f"bad receiver kind {recv['kind']!r}"
-    if isinstance(recv, dict) and recv.get("kind") == "param" \
-            and isinstance(recv.get("index"), bool):
-        return "index", "param receiver without a parameter index"
-    return None, None
-
-
 def test_decoder_matches_the_reference_decoder_under_mutation():
     records = _corpus_records()
     rng = random.Random(31)
@@ -577,7 +559,7 @@ def test_decoder_matches_the_reference_decoder_under_mutation():
                 want = str(exc)
             except TypeError:
                 want = None
-            case, added = _rejected_only_by_the_tables(mutant)
+            case, added = oracles.refused_by_the_tables(mutant)
             if case is not None and not isinstance(want, str):
                 assert got == f"line 7: {added}", mutant
                 divergent.add(case)

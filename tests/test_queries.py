@@ -146,6 +146,22 @@ def test_ec_requires_forwarding():
     ]
 
 
+def test_ec_pair_keeps_its_smallest_call_and_that_calls_first_pass():
+    text = """
+    class Ctx { }
+    class A {
+        public void top(Ctx a, Ctx b) { mid(b, a); mid(a, b); }
+        public void mid(Ctx x, Ctx y) { }
+    }
+    """
+    model = model_from_source(text)
+    first, second = model.calls_of(model.resolve_method("A.top").id)
+    assert (first.ordinal, second.ordinal) == (1, 2)
+    (chain,) = query_ec(model, "Ctx").hits
+    # ``b`` (parameter 1) reaches ``x`` (argument 0) first in the first call.
+    assert (chain.calls, chain.param_indices) == ((first.id,), (1, 0))
+
+
 def test_ec_diamond_yields_two_maximal_chains():
     text = """
     class Monitor { }
@@ -261,37 +277,39 @@ def test_ep_chain_longer_than_the_recursion_limit(tmp_path):
 
 
 def _random_chain_graph(rng):
-    """succ and pred relations with cycles, self-loops, several edges per
-    node pair (EP call ids or EC (call, param, arg) payloads) and isolated
-    nodes, plus a random set of stop nodes."""
+    """succ and pred relations with cycles, self-loops, several calls per
+    node pair and isolated nodes, plus a random set of stop nodes; and the
+    chain graph of the same calls, as ``_chain_graph`` builds it.  Calls
+    are drawn in id order, so the first call of a pair is its smallest."""
     nodes = [f"N{i}" for i in range(rng.randint(1, 8))]
     succ: dict = {}
     pred: dict = {}
-    tupled = rng.random() < 0.5
+    graph: dict = {}
     for k in range(rng.randint(0, 3 * len(nodes))):
         a, b = rng.choice(nodes), rng.choice(nodes)
         if a == b and rng.random() < 0.7:
             continue
-        edge = f"C{k}" if not tupled else (f"C{k}", rng.randint(0, 2), rng.randint(0, 2))
-        succ.setdefault(a, []).append((b, edge))
-        pred.setdefault(b, []).append((a, edge))
+        succ.setdefault(a, []).append((b, f"C{k}"))
+        pred.setdefault(b, []).append((a, f"C{k}"))
+        graph.setdefault(a, {}).setdefault(b, f"C{k}")
     stop = frozenset(n for n in nodes if rng.random() < 0.25)
     for n in stop:  # a stop node is a node even without edges, as in query_ep
         succ.setdefault(n, [])
-    return succ, pred, stop
+        graph.setdefault(n, {})
+    return succ, pred, graph, stop
 
 
 def test_chain_search_matches_recursive_search_on_random_graphs():
     rng = random.Random(4242)
     seen_cyclic = seen_nonempty = 0
     for _ in range(2500):
-        succ, pred, stop = _random_chain_graph(rng)
+        succ, pred, graph, stop = _random_chain_graph(rng)
         expected = oracles.maximal_chains_recursive(succ, pred, stop)
-        assert _maximal_chains(succ, stop) == expected
+        assert _maximal_chains(graph, stop) == expected
         seen_nonempty += bool(expected)
         # a self-loop or a two-node cycle
-        seen_cyclic += any(a == b or a in dict(succ.get(b, ()))
-                           for a, pairs in succ.items() for b, _ in pairs)
+        seen_cyclic += any(a == b or a in graph.get(b, {})
+                           for a, callees in graph.items() for b in callees)
     assert seen_nonempty > 1000 and seen_cyclic > 500
 
 
@@ -449,7 +467,7 @@ def test_hits_order_by_source_file_then_id():
     ]
     model = load_records(records_of(extract_facts(units).records))
     hits = query_cb(model, "Target.hit", "*").hits
-    files = [model.entity_src(h.call) for h in hits]
+    files = [model.calls[h.call].src for h in hits]
     assert files == sorted(files)
     assert files[0] == "aa_early.mini"
 
@@ -484,11 +502,12 @@ def test_queries_match_relational_oracles_on_random_models():
                 }
                 assert got == oracles.rl_triples(model, red, rec)
         for context in ("Ctx", "int"):
-            got = {h.methods for h in query_ec(model, context, "*").hits}
-            assert got == oracles.ec_chains(model, context, "*")
+            got = {(h.methods, h.calls, h.param_indices)
+                   for h in query_ec(model, context, "*").hits}
+            assert got == oracles.ec_hits(model, context, "*")
         for exception in ("IOErr", "NetErr"):
-            got = {h.methods for h in query_ep(model, exception).hits}
-            assert got == oracles.ep_chains(model, exception)
+            got = {(h.methods, h.calls, h.root_raises) for h in query_ep(model, exception).hits}
+            assert got == oracles.ep_hits(model, exception)
         for role in types[:3]:
             got = {
                 (h.type_id, h.member, h.kind)
