@@ -31,7 +31,8 @@ Conventions:
   external method stub (owned by the receiver's type when that type is
   itself external, else by the external ``$unresolved`` type) and reported
   as a warning.  A stub's parameter and return types are the literal
-  ``Object``, not resolved like declared type names.
+  ``Object``, not resolved like declared type names, so a call on a stub's
+  result looks up from the external ``Object``.
 * Sources the model would refuse raise :class:`ExtractError`: a supertype
   cycle, two fields of one name in a type, or two methods of one type
   whose signatures are equal once their parameter types are resolved.
@@ -452,9 +453,9 @@ class _BodyWalker:
             chain = [expr]
             while isinstance(chain[-1].receiver, CallExpr):
                 chain.append(chain[-1].receiver)
-            type_name = None
+            target = None
             for call in reversed(chain):
-                type_name = self.emit_call(call, ordinal, type_name)
+                target = self.emit_call(call, ordinal, target)
         return None
 
     def type_or_external(self, type_name: str | None, context: _TypeInfo | None = None):
@@ -510,9 +511,10 @@ class _BodyWalker:
                 self.append_call(expr, method, _RECEIVERS["other"], ordinal)
                 return
 
-    def emit_call(self, expr: CallExpr, ordinal: int, recv_type: str | None) -> str:
-        """Emit one call; ``recv_type`` is the type of a call receiver already
-        walked.  Returns the return type of the target."""
+    def emit_call(self, expr: CallExpr, ordinal: int,
+                  inner: _MethodInfo | MethodDecl | None) -> _MethodInfo | MethodDecl:
+        """Emit one call; ``inner`` is the target of a call receiver already
+        walked.  Returns the target."""
         recv = expr.receiver
         receiver: Receiver
         lookup_start: _TypeInfo | None
@@ -528,16 +530,26 @@ class _BodyWalker:
             receiver, lookup_start = denoted
         else:
             # The chain loop walked a call receiver; any other is walked here.
-            if not isinstance(recv, CallExpr):
-                recv_type = self.walk_expr(recv, ordinal)
-            receiver, lookup_start = _RECEIVERS["other"], self.type_or_external(recv_type)
+            if isinstance(recv, CallExpr):
+                lookup_start = self.result_type(inner)
+            else:
+                lookup_start = self.type_or_external(self.walk_expr(recv, ordinal))
+            receiver = _RECEIVERS["other"]
 
         for arg in expr.args:
             self.walk_expr(arg, ordinal)
 
         target = self.resolve_target(expr, lookup_start, recv)
         self.append_call(expr, target, receiver, ordinal)
-        return target.return_type
+        return target
+
+    def result_type(self, target: _MethodInfo | MethodDecl) -> _TypeInfo | None:
+        """The type a call on a call's result looks up from: the target's
+        return type as written, resolved where the call is, or for a stub the
+        external ``Object``, which no user type stands for."""
+        if isinstance(target, MethodDecl):
+            return self.ex.external_type(target.return_type)
+        return self.type_or_external(target.return_type)
 
     def resolve_target(self, expr: CallExpr, lookup_start: _TypeInfo | None,
                        recv) -> _MethodInfo | MethodDecl:

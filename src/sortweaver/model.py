@@ -50,8 +50,11 @@ accepted only for ``encl``, and a bool is never an integer.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
+import stat
 from collections import Counter, deque
 from enum import Enum
 from functools import cached_property, partial
@@ -535,8 +538,8 @@ class SourceModel:
 _CHUNK = 1024
 
 
-def load_facts(lines: Iterable[str | bytes], *,
-               policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
+def load_facts(lines: Iterable[str | bytes], *, policy: DispatchPolicy = DEFAULT_POLICY,
+               columns: list | None = None) -> SourceModel:
     """Parse a facts.jsonl stream and build a fully linked model.
 
     Lines may be text or UTF-8 bytes.  Raises :class:`FactError` with the
@@ -554,9 +557,11 @@ def load_facts(lines: Iterable[str | bytes], *,
     with ``extract``): decoding and linking make no reference cycles, so its
     passes over the young records would free nothing, and the model it
     returns starts in the oldest generation.
+
+    ``columns`` is passed to ``load_records``.
     """
     with collector_paused():
-        return load_records(_json_records(lines), policy=policy)
+        return load_records(_json_records(lines), policy=policy, columns=columns)
 
 
 def _json_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
@@ -658,15 +663,126 @@ _scan_once = make_scanner(json.JSONDecoder())
 def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
     """Load a facts.jsonl file.  Lines end at ``\\n``, as in JSON Lines, and
     are read as bytes and decoded by ``load_facts``, so an encoding error
-    names its line."""
+    names its line.
+
+    A regular file's lines are decoded once.  That load writes the columns
+    it checked to a sidecar, ``.<name>.swcache`` next to the file, keyed by
+    the SHA-256 of the bytes it decoded; a later load of the same bytes
+    builds the model from those columns (``_load_sidecar``), through every
+    check a load of the lines runs.  Any fault of the sidecar sends the load
+    to the lines, so the file's own result or error is what it reports, and
+    a sidecar that cannot be written is left out.  Any other path (a pipe,
+    a symbolic link such as ``/dev/stdin``) is read as a stream and gets no
+    sidecar.
+    """
+    path = Path(path)
     with open(path, "rb") as handle:
-        return load_facts(handle, policy=policy)
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return load_facts(handle, policy=policy)
+        sidecar = _sidecar_path(path)
+        try:
+            with collector_paused():
+                return _load_sidecar(sidecar, handle, policy)
+        except (OSError, ValueError, RecursionError):  # a miss: the lines decide
+            handle.seek(0)
+        digest = hashlib.sha256()
+        columns: list[str | None] = []
+        model = load_facts(_hashed_lines(handle, digest), policy=policy, columns=columns)
+    _write_sidecar(sidecar, _sidecar_header(digest.hexdigest()), columns)
+    return model
+
+
+def _sidecar_path(path: Path) -> Path:
+    """Where the sidecar of a facts file lives: a hidden file next to it,
+    whose name ends in none of the tool's own suffixes (``.jsonl``,
+    ``.json``, ``.aj``)."""
+    return path.with_name(f".{path.name}.swcache")
+
+
+#: Bytes of a facts file read, and hashed, at a time when its sidecar is
+#: checked or written.
+_HASH_BLOCK = 1 << 16
+
+
+def _hashed_lines(handle, digest) -> Iterator[bytes]:
+    """The lines of a binary file without their ``\\n``, read ``_HASH_BLOCK``
+    bytes at a time, each block added to ``digest`` as it is read."""
+    head: list[bytes] = []  # the start of a line that spans blocks
+    while block := handle.read(_HASH_BLOCK):
+        digest.update(block)
+        *lines, tail = block.split(b"\n")
+        if lines:
+            lines[0] = b"".join([*head, lines[0]])
+            head = []
+            yield from lines
+        head.append(tail)
+    if any(head):
+        yield b"".join(head)
+
+
+def _sidecar_header(sha256: str) -> str:
+    """A sidecar's first line: the schema and the digest of its facts."""
+    return _encode_compact({"schema": SCHEMA_VERSION, "sha256": sha256}) + "\n"
+
+
+def _load_sidecar(sidecar: Path, facts, policy: DispatchPolicy) -> SourceModel:
+    """The model of the open facts file from its sidecar.  Raises
+    ``OSError``, ``ValueError`` (a :class:`FactError` among them) or
+    ``RecursionError`` unless the sidecar is a regular file whose header
+    names the facts' bytes and the schema, and whose columns pass
+    ``_check_columns``, hold no id twice and link into a model.
+
+    After the header, each line is one chunk's columns as ``load_records``
+    wrote them: record kind -> key name -> the key's values in record order.
+    """
+    if not stat.S_ISREG(os.stat(sidecar).st_mode):  # a pipe there would block
+        raise OSError(f"{sidecar}: not a regular file")
+    with open(sidecar, "rb") as cache:
+        header = cache.readline()
+        digest = hashlib.sha256()
+        while block := facts.read(_HASH_BLOCK):
+            digest.update(block)
+        if header != _sidecar_header(digest.hexdigest()).encode():
+            raise ValueError(f"{sidecar}: written for other facts or another schema")
+        decls: dict[str, list] = {kind: [] for kind in _RECORDS}
+        for line in cache:
+            chunk = json.loads(line)
+            if type(chunk) is not dict or chunk.keys() - _RECORDS.keys():
+                raise ValueError(f"{sidecar}: a chunk is not columns by record kind")
+            for kind, columns in chunk.items():
+                group = _check_columns(kind, columns)
+                if group is None:
+                    raise ValueError(f"{sidecar}: {kind} columns fail their checks")
+                decls[kind].extend(group)
+    ids = [decl.id for decl in chain.from_iterable(decls.values())]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{sidecar}: an id repeats")
+    return _link(decls, policy, {})
+
+
+def _write_sidecar(sidecar: Path, header: str, columns: list[str | None]):
+    """Write the sidecar through a temporary file and ``os.replace``; no
+    sidecar if a chunk has no columns or any ``OSError`` is raised."""
+    if None in columns:
+        return
+    temp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "x", encoding="ascii") as out:
+            out.write(header)
+            out.writelines(columns)
+        os.replace(temp, sidecar)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
 
 
 def load_records(
     records: Iterable[dict] | Iterable[tuple[int, dict]],
     *,
     policy: DispatchPolicy = DEFAULT_POLICY,
+    columns: list | None = None,
 ) -> SourceModel:
     """Build a model from already-parsed records.
 
@@ -679,6 +795,10 @@ def load_records(
     before that fault is raised, so an error raised by the input itself (a
     later line that is not JSON, for ``load_facts``) is reported first, as
     when every line is decoded before any record.
+
+    When ``columns`` is a list, one line of JSON per chunk is appended to
+    it: the chunk's columns, which ``_check_columns`` turns into the same
+    declarations, or ``None`` for a chunk decoded one record at a time.
     """
     decls: dict[str, list] = {kind: [] for kind in _RECORDS}
     seen_ids: dict[str, int | None] = {}
@@ -692,13 +812,22 @@ def load_records(
             except FactError:
                 deque(items, maxlen=0)  # the input's own errors come first
                 raise
+            if columns is not None:
+                columns.append(None)
         else:
             for kind, group in found[0].items():
                 decls[kind].extend(group)
             seen_ids.update(found[1])
+            if columns is not None:
+                columns.append(_encode_compact(found[2]) + "\n")
         del chunk  # before the next chunk is read
+    return _link(decls, policy, seen_ids)
 
-    # Supertype references that do not resolve become external opaque types.
+
+def _link(decls: dict[str, list], policy: DispatchPolicy,
+          lines: Mapping[str, int | None]) -> SourceModel:
+    """The model of checked declarations by kind.  Supertype references
+    that do not resolve become external opaque types."""
     types = decls["type"]
     known = {t.id for t in types}
     for decl in tuple(types):
@@ -710,7 +839,7 @@ def load_records(
                 known.add(sup)
 
     return SourceModel(
-        types, decls["method"], decls["field"], decls["call"], policy, seen_ids
+        types, decls["method"], decls["field"], decls["call"], policy, lines
     )
 
 
@@ -721,8 +850,8 @@ def load_records(
 # that order.  ``records_of`` writes the same keys, and a test holds the two
 # to agree.
 # ``_decode_columns`` runs the same checks over whole columns, as C-level
-# builtins, and words no error: a column that fails sends the load to
-# ``_decode``.
+# builtins (``_check_columns``, which also checks a sidecar's columns), and
+# words no error: a column that fails sends the load to ``_decode``.
 
 
 def _is(value, type_: type) -> bool:
@@ -924,8 +1053,8 @@ def _decode_each(pairs: list[tuple[int | None, dict]], decls: dict[str, list],
 
 def _decode_columns(pairs: list[tuple[int | None, dict]]):
     """The declarations by kind and id -> line that ``_decode_each`` would
-    fill, checked a column at a time; ``None`` unless every record passes
-    every check and no id repeats."""
+    fill, checked a column at a time, and the columns by kind; ``None``
+    unless every record passes every check and no id repeats."""
     if set(map(len, pairs)) - {2}:
         return None
     recs = list(map(itemgetter(1), pairs))
@@ -937,35 +1066,50 @@ def _decode_columns(pairs: list[tuple[int | None, dict]]):
     groups: dict[str, list[dict]] = {kind: [] for kind in _RECORDS}
     for kind, rec in zip(kinds, recs):
         groups[kind].append(rec)
-    decls = {}
+    decls, columns = {}, {}
     for kind, group in groups.items():
-        decls[kind] = _decode_kind(kind, group)
-        if decls[kind] is None:
-            return None
+        if group:
+            columns[kind] = _columns(kind, group)
+            decls[kind] = _check_columns(kind, columns[kind])  # refuses None too
+            if decls[kind] is None:
+                return None
     seen_ids = dict(zip(map(itemgetter("id"), recs), map(itemgetter(0), pairs)))
     if len(seen_ids) != len(recs):
         return None
-    return decls, seen_ids
+    return decls, seen_ids, columns
 
 
-def _decode_kind(kind: str, recs: list[dict]) -> list | None:
-    """The declarations of records of one kind, one key column at a time."""
-    decl_class, keys = _RECORDS[kind]
-    if not recs:
-        return []
-    required = [key for key in keys if not key.optional]
-    try:  # one pass over the records reads every required key
-        rows = list(map(itemgetter(*[key.name for key in required]), recs))
+def _columns(kind: str, recs: list[dict]) -> dict[str, list | tuple] | None:
+    """Key name -> the values of records of one kind, read in one pass;
+    ``None`` if a required key is missing.  An absent optional key reads as
+    its type's empty value, which decodes to the declaration's default."""
+    keys = _RECORDS[kind][1]
+    required = [key.name for key in keys if not key.optional]
+    try:
+        rows = list(map(itemgetter(*required), recs))
     except KeyError:
         return None
-    columns = dict(zip([key.attr for key in required], zip(*rows)))
+    columns = dict(zip(required, zip(*rows)))
+    for key in keys:
+        if key.optional:
+            columns[key.name] = list(map(dict.get, recs, repeat(key.name),
+                                         repeat(key.accepts())))
+    return columns
+
+
+def _check_columns(kind: str, columns: dict[str, list | tuple] | None) -> list | None:
+    """The declarations that the columns of one kind describe, each key's
+    column checked at once; ``None`` unless the columns are one list (or
+    tuple) per key of the kind, all of one length, and every value passes
+    its key's check."""
+    decl_class, keys = _RECORDS[kind]
+    if (type(columns) is not dict or columns.keys() != {key.name for key in keys}
+            or set(map(type, columns.values())) - {list, tuple}
+            or len(set(map(len, columns.values()))) != 1):
+        return None
+    values = {}
     for name, attr, accepts, items, check, nullable, optional in keys:
-        if optional:
-            # An absent key reads as its type's empty value, which decodes
-            # to the declaration's default.
-            column = list(map(dict.get, recs, repeat(name), repeat(accepts())))
-        else:
-            column = columns[attr]
+        column = columns[name]
         allowed = {accepts, type(None)} if nullable else {accepts}
         if set(map(type, column)) - allowed:
             return None
@@ -977,9 +1121,9 @@ def _decode_kind(kind: str, recs: list[dict]) -> list | None:
             column = check.column(column)
             if column is None:
                 return None
-        columns[attr] = column
+        values[attr] = column
     return list(map(partial(tuple.__new__, decl_class),
-                    zip(*map(columns.__getitem__, decl_class._fields))))
+                    zip(*map(values.__getitem__, decl_class._fields))))
 
 
 #: A declaration of any kind: what a front end builds and ``records_of`` writes.
@@ -1034,6 +1178,9 @@ def dumps_facts(records: Iterable[dict]) -> str:
 
 #: ``json.dumps(rec, sort_keys=True)`` without building an encoder per record.
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+#: The sidecar's JSON: no spaces, and no walk for cycles a column cannot hold.
+_encode_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _group(items, key) -> dict:

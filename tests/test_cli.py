@@ -672,6 +672,14 @@ def test_flag_error_is_reported_before_the_facts_load(tmp_path, capsys, argv, me
     assert not missing.exists()
 
 
+def test_a_missing_facts_file_is_a_user_error_and_leaves_no_sidecar(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert run_cli("query", "sc", str(missing), "--scope", "X") == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_query_scope_defaults_to_everything(facts_file):
     args = ("query", "cb", str(facts_file), "--target", "DrawingView.checkDamage", "--json")
     code, out = run_cli(*args)

@@ -274,6 +274,24 @@ def test_external_stubs_are_typed_object_whatever_user_type_shares_the_name():
     assert stubs == {"help": ([], "Object"), "assist": (["Object"], "Object")}
 
 
+def test_a_call_on_a_stub_result_looks_up_from_the_external_object():
+    """A stub returns the literal ``Object``: the next call in the chain
+    binds to a stub on the external ``Object``, not to a user type of that
+    name where the call is."""
+    text = """
+    class Outer { class Object { void x() { } } void run(Helper h) { h.help().x(); } }
+    class Other { void go(Helper h) { h.help().x(); } }
+    """
+    model = load_records(records_of(extract(text).records))
+    for caller in ("Outer.run", "Other.go"):
+        help_call, x_call = model.calls_of(model.resolve_method(caller).id)
+        target = model.methods[x_call.static_target]
+        owner = model.types[target.owner]
+        assert (target.name, target.is_external) == ("x", True)
+        assert (owner.qualified_name, owner.is_external) == ("Object", True)
+    assert model.calls_to(model.resolve_method("Outer.Object.x").id) == ()
+
+
 def test_duplicate_type_names_resolve_to_the_first_declaration():
     text = """
     class A { static void first() { } }

@@ -1,7 +1,11 @@
 import gc
+import hashlib
 import json
+import os
 import random
+import re
 import sys
+import threading
 import tracemalloc
 from itertools import combinations
 from json.scanner import c_make_scanner, py_make_scanner
@@ -20,6 +24,7 @@ from sortweaver.model import (
     ReceiverKind,
     _decode,
     _decode_columns,
+    _sidecar_path,
     dumps_facts,
     load_facts,
     load_facts_path,
@@ -840,6 +845,239 @@ def test_a_load_peaks_at_no_more_than_twice_the_model_it_returns(tmp_path):
         tracemalloc.stop()
     assert len(model.types) + len(model.methods) + len(model.fields) + len(model.calls) == 12_000
     assert peak <= 2 * retained, (peak, retained)
+
+
+# -- the column sidecar ----------------------------------------------------------------
+
+
+def _cold(path, policy=DispatchPolicy.LIFT_TO_ANCESTORS):
+    """The outcome of loading the file's lines, with no sidecar."""
+    with open(path, "rb") as handle:
+        try:
+            model = load_facts(handle, policy=policy)
+        except FactError as exc:
+            return str(exc)
+    return model.to_records(), model.policy
+
+
+def _cold_text(text: str):
+    model = load_facts(text.splitlines())
+    return model.to_records(), model.policy
+
+
+def _loaded(path, policy=DispatchPolicy.LIFT_TO_ANCESTORS):
+    try:
+        model = load_facts_path(path, policy=policy)
+    except FactError as exc:
+        return str(exc)
+    return model.to_records(), model.policy
+
+
+def _no_cold_loads(monkeypatch):
+    """Make a load of the lines fail the test: a sidecar hit makes none."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lines were decoded")
+    monkeypatch.setattr(model_module, "load_records", refuse)
+
+
+def test_a_sidecar_hit_equals_the_cold_load(tmp_path):
+    """On the corpus extracts and on random models under each policy, the
+    first load writes the sidecar and the second builds the same model from
+    it without decoding a line."""
+    rng = random.Random(61)
+    cases = [(name, _unit_records(name), DispatchPolicy.LIFT_TO_ANCESTORS)
+             for name in CORPUS_FILES]
+    cases += [(f"random{i}-{policy.value}", random_model(rng, policy=policy).to_records(), policy)
+              for policy in DispatchPolicy for i in range(4)]
+    paths = []
+    for name, records, policy in cases:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(dumps_facts(records))
+        assert not _sidecar_path(path).exists()
+        assert _loaded(path, policy) == _cold(path, policy)
+        assert _sidecar_path(path).is_file()
+        paths.append((path, policy, _cold(path, policy)))
+    with pytest.MonkeyPatch.context() as patch:
+        _no_cold_loads(patch)
+        for path, policy, want in paths:
+            assert _loaded(path, policy) == want, path.name
+
+
+def test_a_rewrite_of_the_same_size_and_mtime_is_decoded_again(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    text = dumps_facts(_unit_records("command.mini"))
+    path.write_text(text)
+    load_facts_path(path)
+    stamp = path.stat()
+    renamed = text.replace('"name": "execute"', '"name": "exekute"')
+    assert renamed != text and len(renamed) == len(text)
+    path.write_text(renamed)
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert path.stat().st_size == stamp.st_size
+    assert path.stat().st_mtime_ns == stamp.st_mtime_ns
+    got = _loaded(path)
+    assert got == _cold(path) != _cold_text(text)
+    assert any(rec.get("name") == "exekute" for rec in got[0])
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+@pytest.mark.parametrize("end", [b"", b"\n", b"\n\n", b"\r\n \n"])
+def test_a_miss_reads_hashes_and_splits_the_file_a_block_at_a_time(tmp_path, block, end):
+    """The sidecar names the digest of the bytes the miss decoded, lines that
+    span blocks are read whole, and a last line without ``\\n`` counts."""
+    path = tmp_path / "facts.jsonl"
+    path.write_bytes(b"\n".join(json.dumps(rec).encode()
+                                for rec in _unit_records("decorator.mini")) + end)
+    want = _cold(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_HASH_BLOCK", block)
+        assert _loaded(path) == want
+    header = model_module._sidecar_header(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert _sidecar_path(path).read_text().startswith(header)
+    with pytest.MonkeyPatch.context() as patch:
+        _no_cold_loads(patch)
+        assert _loaded(path) == want
+
+
+def _sidecar_text(header: str, chunks: list[dict]) -> str:
+    return header + "".join(json.dumps(chunk) + "\n" for chunk in chunks)
+
+
+def _changed(change):
+    """A sidecar fault that changes the first chunk's columns."""
+    def fault(header: str, chunks: list[dict]) -> str:
+        change(chunks[0])
+        return _sidecar_text(header, chunks)
+    return fault
+
+
+def _renamed_method(chunk):
+    chunk["method"]["name"][0] += "x"
+    return chunk
+
+
+#: Ways to break a sidecar: each takes the header that names the facts next
+#: to it and its chunks' columns, and gives the sidecar's text.
+_SIDECAR_FAULTS = {
+    "truncated": lambda header, chunks: _sidecar_text(header, chunks)[:1000],
+    "not-json": lambda header, chunks: header + "{nope\n",
+    "empty": lambda header, chunks: "",
+    # Columns that would load, for other bytes.
+    "other-digest": lambda header, chunks: _sidecar_text(
+        model_module._sidecar_header("0" * 64), [_renamed_method(chunks[0]), *chunks[1:]]),
+    "unequal-lengths": _changed(lambda chunk: chunk["method"]["id"].pop()),
+    "repeated-id": _changed(lambda chunk: chunk["field"]["id"].__setitem__(
+        0, chunk["method"]["id"][0])),
+    "bad-enum": _changed(lambda chunk: chunk["method"]["vis"].__setitem__(0, "publik")),
+    "dangling-reference": _changed(lambda chunk: chunk["call"]["target"].__setitem__(
+        0, "M999999")),
+    "extra-key": _changed(lambda chunk: chunk["type"].__setitem__(
+        "colour", ["red"] * len(chunk["type"]["id"]))),
+    "column-not-a-list": _changed(lambda chunk: chunk["type"].__setitem__(
+        "name", "x" * len(chunk["type"]["name"]))),
+    "unknown-kind": _changed(lambda chunk: chunk.__setitem__("struct", {})),
+    "chunk-not-an-object": lambda header, chunks: _sidecar_text(header, [[], *chunks]),
+}
+
+
+@pytest.mark.parametrize("facts", ["good", "bad"])
+@pytest.mark.parametrize("fault", list(_SIDECAR_FAULTS))
+def test_a_broken_sidecar_gives_the_cold_result(tmp_path, fault, facts):
+    """A sidecar that names the facts' bytes but is broken, or that names
+    other bytes, is not used: the load is the cold one, its model or its
+    error and line, and a good file's sidecar is then written anew."""
+    path = tmp_path / "facts.jsonl"
+    lines = dumps_facts(_unit_records("undo.mini")).splitlines(keepends=True)
+    path.write_text("".join(lines))
+    load_facts_path(path)
+    chunks = [json.loads(line) for line in _sidecar_path(path).read_text().splitlines()[1:]]
+    assert {"type", "method", "field", "call"} <= chunks[0].keys()
+    if facts == "bad":
+        bad = next(i for i, line in enumerate(lines) if re.search(r'"stmts": [1-9]', line))
+        lines[bad] = lines[bad].replace('"stmts": ', '"stmts": -')
+        path.write_text("".join(lines))
+    header = model_module._sidecar_header(hashlib.sha256(path.read_bytes()).hexdigest())
+    _sidecar_path(path).write_text(_SIDECAR_FAULTS[fault](header, chunks))
+    want = _cold(path)
+    if facts == "bad":
+        assert want.startswith(f"line {bad + 1}: negative statement count ")
+    assert _loaded(path) == want
+    if facts == "good":
+        assert _sidecar_path(path).read_text().startswith(header)
+        with pytest.MonkeyPatch.context() as patch:
+            _no_cold_loads(patch)
+            assert _loaded(path) == want
+
+
+def test_check_columns_refuses_columns_that_do_not_line_up():
+    columns = model_module._columns("method", [dict(METHOD, id=f"M{i}") for i in range(3)])
+    assert len(model_module._check_columns("method", columns)) == 3
+    for key in columns:
+        assert model_module._check_columns("method", {**columns, key: columns[key][:2]}) is None
+    assert model_module._check_columns("method", {**columns, "x": [1, 2, 3]}) is None
+    del columns["src"]
+    assert model_module._check_columns("method", columns) is None
+
+
+def test_no_sidecar_is_written_unless_every_chunk_was_checked_by_columns(tmp_path,
+                                                                         monkeypatch):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(dumps_facts(_unit_records("undo.mini")))
+    monkeypatch.setattr(model_module, "_decode_columns", lambda pairs: None)
+    assert _loaded(path) == _cold(path)
+    assert not _sidecar_path(path).exists()
+
+
+def test_a_pipe_is_streamed_and_gets_no_sidecar(tmp_path):
+    path = tmp_path / "facts.fifo"
+    text = dumps_facts(_unit_records("command.mini"))
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,))
+    writer.start()
+    try:
+        model = load_facts_path(path)
+    finally:
+        writer.join()
+    assert (model.to_records(), model.policy) == _cold_text(text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.fifo"]
+
+
+def test_a_directory_at_the_sidecar_path_leaves_the_load_and_stderr_alone(tmp_path, capsys):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(dumps_facts(_unit_records("command.mini")))
+    _sidecar_path(path).mkdir()
+    for _ in range(2):
+        assert _loaded(path) == _cold(path)
+    assert capsys.readouterr() == ("", "")
+    assert _sidecar_path(path).is_dir() and not any(_sidecar_path(path).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar_path(path).name, "facts.jsonl"]
+
+
+def test_a_pipe_at_the_sidecar_path_is_not_read_and_is_replaced(tmp_path):
+    """Opening a pipe with no writer would block the load for good."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text(dumps_facts(_unit_records("command.mini")))
+    os.mkfifo(_sidecar_path(path))
+    outcome = []
+    loader = threading.Thread(target=lambda: outcome.append(_loaded(path)), daemon=True)
+    loader.start()
+    loader.join(timeout=30)
+    assert not loader.is_alive()
+    assert outcome == [_cold(path)]
+    assert _sidecar_path(path).is_file()
+
+
+@pytest.mark.parametrize("name", ["facts.jsonl", "chains.jsonl", "facts.json", "facts.aj",
+                                  "facts"])
+def test_the_sidecar_name_never_ends_as_facts_json_or_aspect_text_do(tmp_path, name):
+    """The bench globs a work directory for ``*.jsonl`` and digests each
+    file ending in ``.json``, ``.jsonl`` or ``.aj``."""
+    path = tmp_path / name
+    path.write_text(dumps_facts(_unit_records("decorator.mini")))
+    load_facts_path(path)
+    assert set(tmp_path.iterdir()) == {path, _sidecar_path(path)}
+    assert not _sidecar_path(path).name.endswith((".json", ".jsonl", ".aj"))
+    assert _sidecar_path(path).suffix not in (".json", ".jsonl", ".aj")
 
 
 # -- the natural sort key --------------------------------------------------------------
