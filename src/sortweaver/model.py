@@ -53,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import stat
 from collections import Counter, deque
 from enum import Enum
@@ -548,10 +547,10 @@ def load_facts(lines: Iterable[str | bytes], *, policy: DispatchPolicy = DEFAULT
     undeclared ids are retained as external opaque types rather than
     rejected, since real fact extracts are routinely partial.
 
-    Lines are decoded a chunk at a time, when ``load_records`` reads them
-    into its next chunk, so a load holds the model plus about one chunk of
-    decoded lines, and the error reported, with its message and line, is
-    the one a load that decodes every line first would report.
+    Lines are decoded as ``load_records`` reads them into its next chunk,
+    so a load holds the model plus about one chunk of decoded lines, and
+    the error reported, with its message and line, is the one a load that
+    decodes every line first would report.
 
     The cycle collector is paused meanwhile (``collector_paused``, shared
     with ``extract``): decoding and linking make no reference cycles, so its
@@ -565,83 +564,30 @@ def load_facts(lines: Iterable[str | bytes], *, policy: DispatchPolicy = DEFAULT
 
 
 def _json_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line, read ``_CHUNK`` lines
-    at a time.
+    """(line number, object) for each non-blank line.
 
-    Each chunk is decoded by one scanner call (``_scan_lines``).  A chunk it
-    refuses is decoded here one line at a time: the JSON scanner decodes each
-    stripped line, and a line it does not consume whole goes to
-    ``json.loads``, which words the error.  That loop runs in this frame,
-    not in a call below it, so a line nested near the recursion limit is
-    refused at the same depth whether or not its chunk was scanned first.
+    The JSON scanner decodes each stripped line, and a line it does not
+    consume whole goes to ``json.loads``, which words the error.
     """
     scan = _scan_once
-    numbered = enumerate(lines, start=1)
-    while chunk := list(islice(numbered, _CHUNK)):
-        pairs = _scan_lines(chunk)
-        if pairs is not None:
-            yield from pairs
-            del chunk, pairs  # before the next chunk is decoded
-            continue
-        for lineno, raw in chunk:
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise FactError(f"not valid UTF-8 ({exc.reason})", lineno) from None
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                rec, end = scan(text, 0)
-            except (StopIteration, ValueError, RecursionError):  # no value, or bad JSON
-                end = None
-            if end != len(text):
-                rec = _loads(text, lineno)
-            if not isinstance(rec, dict):
-                raise FactError("record is not a JSON object", lineno)
-            yield lineno, rec
-
-
-#: Where one object may end and the next begin in a JSON array.  Every
-#: separator between two objects of an array lies inside one such match.
-_OBJECT_JOIN = re.compile(r"\}\s*,\s*\{")
-
-
-def _scan_lines(chunk: list[tuple[int, str | bytes]]) -> Iterator[tuple[int, dict]] | None:
-    """The chunk's (line number, object) pairs, or ``None`` unless each
-    non-blank line is exactly one JSON object.
-
-    The stripped lines, each ``{...}``, are joined into one array and
-    scanned once (the scanner forgets its key strings after every call, so
-    this shares them across the chunk).  The joins are the only matches of
-    ``_OBJECT_JOIN`` in the text only if no line holds a match of its own;
-    then every separator the scanner found is a join, and each line is one
-    object, as the line-by-line decoding would read it.
-    """
-    numbers, texts = [], []
-    for lineno, raw in chunk:
+    for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
+            except UnicodeDecodeError as exc:
+                raise FactError(f"not valid UTF-8 ({exc.reason})", lineno) from None
         text = raw.strip()
-        if text:
-            if text[0] != "{" or text[-1] != "}":
-                return None
-            numbers.append(lineno)
-            texts.append(text)
-    joined = "[" + ",".join(texts) + "]"
-    if len(_OBJECT_JOIN.findall(joined)) != len(texts) - 1:
-        return None
-    try:
-        recs, end = _scan_once(joined, 0)
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    if end != len(joined) or len(recs) != len(texts) or set(map(type, recs)) - {dict}:
-        return None
-    return zip(numbers, recs)
+        if not text:
+            continue
+        try:
+            rec, end = scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # no value, or bad JSON
+            end = None
+        if end != len(text):
+            rec = _loads(text, lineno)
+        if not isinstance(rec, dict):
+            raise FactError("record is not a JSON object", lineno)
+        yield lineno, rec
 
 
 def _loads(text: str, lineno: int):
@@ -686,7 +632,7 @@ def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY
         except (OSError, ValueError, RecursionError):  # a miss: the lines decide
             handle.seek(0)
         digest = hashlib.sha256()
-        columns: list[str | None] = []
+        columns: list[str] = []
         model = load_facts(_hashed_lines(handle, digest), policy=policy, columns=columns)
     _write_sidecar(sidecar, _sidecar_header(digest.hexdigest()), columns)
     return model
@@ -727,7 +673,7 @@ def _sidecar_header(sha256: str) -> str:
 
 def _load_sidecar(sidecar: Path, facts, policy: DispatchPolicy) -> SourceModel:
     """The model of the open facts file from its sidecar.  Raises
-    ``OSError``, ``ValueError`` (a :class:`FactError` among them) or
+    ``OSError``, ``ValueError`` (the checks' errors among them) or
     ``RecursionError`` unless the sidecar is a regular file whose header
     names the facts' bytes and the schema, and whose columns pass
     ``_check_columns``, hold no id twice and link into a model.
@@ -750,21 +696,16 @@ def _load_sidecar(sidecar: Path, facts, policy: DispatchPolicy) -> SourceModel:
             if type(chunk) is not dict or chunk.keys() - _RECORDS.keys():
                 raise ValueError(f"{sidecar}: a chunk is not columns by record kind")
             for kind, columns in chunk.items():
-                group = _check_columns(kind, columns)
-                if group is None:
-                    raise ValueError(f"{sidecar}: {kind} columns fail their checks")
-                decls[kind].extend(group)
+                decls[kind].extend(_check_columns(kind, columns))
     ids = [decl.id for decl in chain.from_iterable(decls.values())]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{sidecar}: an id repeats")
     return _link(decls, policy, {})
 
 
-def _write_sidecar(sidecar: Path, header: str, columns: list[str | None]):
+def _write_sidecar(sidecar: Path, header: str, columns: list[str]):
     """Write the sidecar through a temporary file and ``os.replace``; no
-    sidecar if a chunk has no columns or any ``OSError`` is raised."""
-    if None in columns:
-        return
+    sidecar if any ``OSError`` is raised."""
     temp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "x", encoding="ascii") as out:
@@ -789,37 +730,31 @@ def load_records(
     Accepts plain dicts or (line number, dict) pairs; line numbers feed the
     error messages when present.  The records are read ``_CHUNK`` at a time,
     so a load holds the declarations plus one chunk of records.  Each chunk
-    is checked a column at a time; if any check fails, or an id repeats one
-    already seen, that chunk is decoded one record at a time instead, which
-    reports the first fault in record order.  The rest of the input is read
-    before that fault is raised, so an error raised by the input itself (a
-    later line that is not JSON, for ``load_facts``) is reported first, as
-    when every line is decoded before any record.
+    is checked a column at a time (``_decode_chunk``), which raises the
+    first fault in record order.  The rest of the input is read before that
+    fault is raised, so an error raised by the input itself (a later line
+    that is not JSON, for ``load_facts``) is reported first, as when every
+    line is decoded before any record.
 
     When ``columns`` is a list, one line of JSON per chunk is appended to
     it: the chunk's columns, which ``_check_columns`` turns into the same
-    declarations, or ``None`` for a chunk decoded one record at a time.
+    declarations.
     """
     decls: dict[str, list] = {kind: [] for kind in _RECORDS}
     seen_ids: dict[str, int | None] = {}
     items = iter(records)
     while chunk := [item if isinstance(item, tuple) else (None, item)
                     for item in islice(items, _CHUNK)]:
-        found = _decode_columns(chunk)
-        if found is None or not seen_ids.keys().isdisjoint(found[1]):
-            try:
-                _decode_each(chunk, decls, seen_ids)
-            except FactError:
-                deque(items, maxlen=0)  # the input's own errors come first
-                raise
-            if columns is not None:
-                columns.append(None)
-        else:
-            for kind, group in found[0].items():
-                decls[kind].extend(group)
-            seen_ids.update(found[1])
-            if columns is not None:
-                columns.append(_encode_compact(found[2]) + "\n")
+        try:
+            found, ids, checked = _decode_chunk(chunk, seen_ids)
+        except FactError:
+            deque(items, maxlen=0)  # the input's own errors come first
+            raise
+        for kind, group in found.items():
+            decls[kind].extend(group)
+        seen_ids.update(ids)
+        if columns is not None:
+            columns.append(_encode_compact(checked) + "\n")
         del chunk  # before the next chunk is read
     return _link(decls, policy, seen_ids)
 
@@ -845,13 +780,12 @@ def _link(decls: dict[str, list], policy: DispatchPolicy,
 
 # -- the record schema ------------------------------------------------------
 #
-# One table per record kind drives loading: ``_decode`` checks each key in
-# table order, so a record with several faults reports the first one in
-# that order.  ``records_of`` writes the same keys, and a test holds the two
-# to agree.
-# ``_decode_columns`` runs the same checks over whole columns, as C-level
-# builtins (``_check_columns``, which also checks a sidecar's columns), and
-# words no error: a column that fails sends the load to ``_decode``.
+# One table per record kind drives loading, and ``records_of`` writes the
+# same keys; a test holds the two to agree.  A chunk's records are checked a
+# column per key (``_check_columns``, which also checks a sidecar's
+# columns): a C-level test accepts the whole column, and only a column it
+# refuses is searched for its first refused row, which words the error.  A
+# record with several faults reports the first key in table order.
 
 
 def _is(value, type_: type) -> bool:
@@ -859,92 +793,80 @@ def _is(value, type_: type) -> bool:
     return isinstance(value, type_) and (type_ is bool or not isinstance(value, bool))
 
 
-class _Check(NamedTuple):
-    """A key's check beyond its type, on one value and on a column."""
+class _Refused(ValueError):
+    """The first row of a column that fails its key's check, and its error."""
 
-    #: (value, line) -> the attribute value, or raises :class:`FactError`.
-    one: Callable
-    #: list of values -> list of attribute values, or ``None`` if any fails.
-    column: Callable
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
-def _enum(enum: type[Enum], what: str) -> _Check:
+def _first(values, refused: Callable) -> int | None:
+    """The index of the first value that ``refused`` holds for, if any."""
+    return next((row for row, value in enumerate(values) if refused(value)), None)
+
+
+def _enum(enum: type[Enum], what: str) -> Callable:
     members = {member.value: member for member in enum}
 
-    def one(value, line: int | None):
-        if not isinstance(value, str) or value not in members:
-            raise FactError(f"bad {what} {value!r}", line)
-        return members[value]
-
-    def column(values: list[str]) -> list | None:
+    def check(values: list[str]) -> list:
         if set(values) - members.keys():
-            return None
+            row = _first(values, lambda value: value not in members)
+            raise _Refused(row, f"bad {what} {values[row]!r}")
         return list(map(members.__getitem__, values))
-    return _Check(one, column)
+    return check
 
 
-def _count(value: int, line: int | None) -> int:
-    if value < 0:
-        raise FactError(f"negative statement count {value}", line)
-    return value
+def _counts(values: list[int]) -> list[int]:
+    if min(values, default=0) < 0:
+        row = _first(values, lambda value: value < 0)
+        raise _Refused(row, f"negative statement count {values[row]}")
+    return values
 
 
-def _counts(values: list[int]) -> list[int] | None:
-    return values if min(values, default=0) >= 0 else None
+#: Kind value -> the one receiver that every call site of a kind without a
+#: sub-key shares; ``None`` for ``field`` and ``param``, whose receivers are
+#: built per call site.
+_RECEIVERS = {kind.value: None if kind in (ReceiverKind.FIELD, ReceiverKind.PARAM)
+              else Receiver(kind) for kind in ReceiverKind}
 
 
-_RECEIVER_KIND = _enum(ReceiverKind, "receiver kind")
-#: One shared receiver per kind without a sub-key, by kind value; ``field``
-#: and ``param`` receivers are built per call site.
-_RECEIVERS = {kind.value: Receiver(kind) for kind in ReceiverKind
-              if kind not in (ReceiverKind.FIELD, ReceiverKind.PARAM)}
-
-
-def _receiver(value: dict, line: int | None) -> Receiver:
-    """The ``recv`` object: a kind plus, for ``field`` and ``param``, the
-    sub-key that kind needs; other sub-keys are ignored."""
-    kind = _RECEIVER_KIND.one(value.get("kind"), line)
-    if kind is ReceiverKind.FIELD:
-        if not _is(value.get("field"), str):
-            raise FactError("field receiver without a field id", line)
-        return Receiver(kind, field=value["field"])
-    if kind is ReceiverKind.PARAM:
-        if not _is(value.get("index"), int):
-            raise FactError("param receiver without a parameter index", line)
-        return Receiver(kind, index=value["index"])
-    return _RECEIVERS[kind.value]
-
-
-def _receivers(values: list[dict]) -> list[Receiver] | None:
-    """The ``recv`` column: shared receivers where the kind has no sub-key."""
+def _receivers(values: list[dict]) -> list[Receiver]:
+    """The ``recv`` column: a kind plus, for ``field`` and ``param``, the
+    sub-key that kind needs; other sub-keys are ignored.  Kinds without a
+    sub-key share one receiver."""
     kinds = list(map(dict.get, values, repeat("kind")))
     if set(map(type, kinds)) - {str}:
-        return None
-    receivers = list(map(_RECEIVERS.get, kinds))
-    for i, receiver in enumerate(receivers):
-        if receiver is None:
-            value, kind = values[i], kinds[i]
-            if kind == "field" and type(value.get("field")) is str:
-                receivers[i] = Receiver(ReceiverKind.FIELD, field=value["field"])
-            elif kind == "param" and type(value.get("index")) is int:
-                receivers[i] = Receiver(ReceiverKind.PARAM, index=value["index"])
-            else:
-                return None
+        receivers = [None] * len(kinds)
+    else:
+        receivers = list(map(_RECEIVERS.get, kinds))
+    for row, receiver in enumerate(receivers):
+        if receiver is not None:
+            continue
+        value, kind = values[row], kinds[row]
+        if not isinstance(kind, str) or kind not in _RECEIVERS:
+            raise _Refused(row, f"bad receiver kind {kind!r}")
+        if kind == "field":
+            if not _is(value.get("field"), str):
+                raise _Refused(row, "field receiver without a field id")
+            receivers[row] = Receiver(ReceiverKind.FIELD, field=value["field"])
+        elif kind == "param":
+            if not _is(value.get("index"), int):
+                raise _Refused(row, "param receiver without a parameter index")
+            receivers[row] = Receiver(ReceiverKind.PARAM, index=value["index"])
+        else:
+            receivers[row] = _RECEIVERS[kind]
     return receivers
 
 
-def _pairs(value: list, line: int | None) -> tuple[tuple[int, int], ...]:
-    for pair in value:
-        if not (_is(pair, list) and len(pair) == 2 and all(_is(x, int) for x in pair)):
-            raise FactError(f"bad pass-through pair {pair!r}", line)
-    return tuple((arg, param) for arg, param in value)
-
-
-def _pair_lists(values: list[list]) -> list[tuple[tuple[int, int], ...]] | None:
+def _pair_lists(values: list[list]) -> list[tuple[tuple[int, int], ...]]:
     pairs = list(chain.from_iterable(values))
     if pairs and (set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}
                   or set(map(type, chain.from_iterable(pairs))) - {int}):
-        return None
+        for row, value in enumerate(values):
+            for pair in value:
+                if not (_is(pair, list) and len(pair) == 2 and all(_is(x, int) for x in pair)):
+                    raise _Refused(row, f"bad pass-through pair {pair!r}")
     return [tuple(map(tuple, value)) if value else () for value in values]
 
 
@@ -956,8 +878,8 @@ class _Key(NamedTuple):
     accepts: type
     #: The element type of a list; the attribute holds a tuple.
     items: type | None = None
-    #: Checks the typed value and gives the attribute value.
-    check: _Check | None = None
+    #: The typed column -> the attribute values, or raises ``_Refused``.
+    check: Callable | None = None
     #: ``null`` is accepted and leaves the attribute ``None``.
     nullable: bool = False
     #: Absent means the declaration's default; written only when truthy.
@@ -981,7 +903,7 @@ _RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
     )),
     "method": (MethodDecl, (
         _Key("vis", "visibility", str, check=_VISIBILITY),
-        _Key("stmts", "body_stmt_count", int, check=_Check(_count, _counts)),
+        _Key("stmts", "body_stmt_count", int, check=_counts),
         _Key("raises", "direct_throws", list, items=str, optional=True),
         _Key("id", "id", str),
         _Key("owner", "owner", str),
@@ -1004,9 +926,9 @@ _RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
         _Key("src", "src", str, optional=True),
     )),
     "call": (CallSite, (
-        _Key("recv", "receiver", dict, check=_Check(_receiver, _receivers)),
+        _Key("recv", "receiver", dict, check=_receivers),
         _Key("ord", "ordinal", int),
-        _Key("pass", "arg_passthrough", list, check=_Check(_pairs, _pair_lists)),
+        _Key("pass", "arg_passthrough", list, check=_pair_lists),
         _Key("id", "id", str),
         _Key("caller", "caller", str),
         _Key("target", "static_target", str),
@@ -1015,113 +937,105 @@ _RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
 }
 
 
-def _decode(rec: dict, line: int | None):
-    """The declaration a record describes, checked against its kind's keys."""
-    kind = rec.get("k")
-    if not isinstance(kind, str) or kind not in _RECORDS:
-        raise FactError(f"unknown record kind {kind!r}", line)
-    decl_class, keys = _RECORDS[kind]
-    values = {}
-    for name, attr, accepts, items, check, nullable, optional in keys:
-        if name not in rec:
-            if optional:
-                continue
-            raise FactError(f"missing key {name!r} in {kind} record", line)
-        value = rec[name]
-        if value is None and nullable:
-            continue
-        # The JSON decoder makes exact types; ``_is`` decides the rest.
-        if (type(value) is not accepts and not _is(value, accepts)) or (
-                items is not None and not all(isinstance(v, items) for v in value)):
-            raise FactError(f"bad value for {name!r}: {value!r}", line)
-        if items is not None:
-            value = tuple(value)
-        values[attr] = value if check is None else check.one(value, line)
-    return decl_class(**values)
-
-
-def _decode_each(pairs: list[tuple[int | None, dict]], decls: dict[str, list],
-                 seen_ids: dict[str, int | None]):
-    """Decode record by record into declarations by kind and id -> line."""
-    for line, rec in pairs:
-        decl = _decode(rec, line)
-        if decl.id in seen_ids:
-            raise FactError(f"duplicate id {decl.id!r}", line)
-        seen_ids[decl.id] = line
-        decls[rec["k"]].append(decl)
-
-
-def _decode_columns(pairs: list[tuple[int | None, dict]]):
-    """The declarations by kind and id -> line that ``_decode_each`` would
-    fill, checked a column at a time, and the columns by kind; ``None``
-    unless every record passes every check and no id repeats."""
-    if set(map(len, pairs)) - {2}:
-        return None
-    recs = list(map(itemgetter(1), pairs))
+def _decode_chunk(chunk: list[tuple[int | None, dict]], seen_ids: Mapping[str, int | None]):
+    """The declarations by kind, id -> line and columns by kind of a chunk
+    of (line, record) pairs, each kind's records checked a column at a time.
+    Raises the :class:`FactError` that decoding record by record would
+    raise first: that of the earliest faulty record, unless a record before
+    it repeats an id, of this chunk or of ``seen_ids``."""
+    lines, recs = zip(*chunk)
+    end, error = len(recs), None  # the first faulty record and its error
     if set(map(type, recs)) - {dict}:
-        return None
-    kinds = list(map(dict.get, recs, repeat("k")))
+        row = _first(recs, lambda rec: not isinstance(rec, dict))
+        if row is not None:
+            end, error = row, "record is not a JSON object"
+    kinds = list(map(dict.get, recs[:end], repeat("k")))
     if set(map(type, kinds)) - {str} or set(kinds) - _RECORDS.keys():
-        return None
-    groups: dict[str, list[dict]] = {kind: [] for kind in _RECORDS}
-    for kind, rec in zip(kinds, recs):
-        groups[kind].append(rec)
+        row = _first(kinds, lambda kind: not isinstance(kind, str) or kind not in _RECORDS)
+        if row is not None:
+            end, error = row, f"unknown record kind {kinds[row]!r}"
+            del kinds[row:]
+    positions: dict[str, list[int]] = {kind: [] for kind in _RECORDS}
+    for position, kind in enumerate(kinds):
+        positions[kind].append(position)
     decls, columns = {}, {}
-    for kind, group in groups.items():
+    for kind, group in positions.items():
         if group:
-            columns[kind] = _columns(kind, group)
-            decls[kind] = _check_columns(kind, columns[kind])  # refuses None too
-            if decls[kind] is None:
-                return None
-    seen_ids = dict(zip(map(itemgetter("id"), recs), map(itemgetter(0), pairs)))
-    if len(seen_ids) != len(recs):
-        return None
-    return decls, seen_ids, columns
+            columns[kind] = _columns(kind, list(map(recs.__getitem__, group)))
+            try:
+                decls[kind] = _check_columns(kind, columns[kind])
+            except _Refused as refused:
+                if group[refused.row] < end:
+                    end, error = group[refused.row], str(refused)
+    ids = list(map(itemgetter("id"), recs[:end]))
+    fresh = dict(zip(ids, lines))
+    if len(fresh) != len(ids) or not seen_ids.keys().isdisjoint(fresh):
+        earlier = set()
+        for position, id_ in enumerate(ids):
+            if id_ in seen_ids or id_ in earlier:
+                raise FactError(f"duplicate id {id_!r}", lines[position])
+            earlier.add(id_)
+    if error is not None:
+        raise FactError(error, lines[end])
+    return decls, fresh, columns
 
 
-def _columns(kind: str, recs: list[dict]) -> dict[str, list | tuple] | None:
-    """Key name -> the values of records of one kind, read in one pass;
-    ``None`` if a required key is missing.  An absent optional key reads as
-    its type's empty value, which decodes to the declaration's default."""
-    keys = _RECORDS[kind][1]
-    required = [key.name for key in keys if not key.optional]
-    try:
-        rows = list(map(itemgetter(*required), recs))
-    except KeyError:
-        return None
-    columns = dict(zip(required, zip(*rows)))
-    for key in keys:
-        if key.optional:
-            columns[key.name] = list(map(dict.get, recs, repeat(key.name),
-                                         repeat(key.accepts())))
-    return columns
+#: The value a column holds for a record without a required key.
+_MISSING = object()
 
 
-def _check_columns(kind: str, columns: dict[str, list | tuple] | None) -> list | None:
+def _columns(kind: str, recs: list[dict]) -> dict[str, list]:
+    """Key name -> the values of records of one kind.  A missing required
+    key reads as ``_MISSING``, which fails its type; an absent optional key
+    as its type's empty value, which decodes to the declaration's default."""
+    return {key.name: list(map(dict.get, recs, repeat(key.name),
+                               repeat(key.accepts() if key.optional else _MISSING)))
+            for key in _RECORDS[kind][1]}
+
+
+def _typed(kind: str, key: _Key, column: list) -> list:
+    """The column of one key, each value of the key's type (a list as a
+    tuple); raises ``_Refused`` for the first value that is not."""
+    items = key.items
+    if (set(map(type, column)) - ({key.accepts, type(None)} if key.nullable else {key.accepts})
+            or items is not None and set(map(type, chain.from_iterable(column))) - {items}):
+        # The test above takes exact types; ``_is`` decides the rest.
+        for row, value in enumerate(column):
+            if value is _MISSING:
+                raise _Refused(row, f"missing key {key.name!r} in {kind} record")
+            if not (value is None and key.nullable) and (not _is(value, key.accepts) or (
+                    items is not None and not all(isinstance(v, items) for v in value))):
+                raise _Refused(row, f"bad value for {key.name!r}: {value!r}")
+    return column if items is None else list(map(tuple, column))
+
+
+def _check_columns(kind: str, columns: dict[str, list | tuple]) -> list:
     """The declarations that the columns of one kind describe, each key's
-    column checked at once; ``None`` unless the columns are one list (or
-    tuple) per key of the kind, all of one length, and every value passes
-    its key's check."""
+    column checked at once.  Raises ``ValueError`` unless the columns are
+    one list (or tuple) per key of the kind, all of one length, and
+    ``_Refused`` for the earliest row that fails a check, with the first
+    key in table order that it fails."""
     decl_class, keys = _RECORDS[kind]
     if (type(columns) is not dict or columns.keys() != {key.name for key in keys}
             or set(map(type, columns.values())) - {list, tuple}
             or len(set(map(len, columns.values()))) != 1):
-        return None
+        raise ValueError(f"{kind} columns are not one list per key, all of one length")
+    refused = None  # the earliest fault so far; later keys are checked before its row
     values = {}
-    for name, attr, accepts, items, check, nullable, optional in keys:
-        column = columns[name]
-        allowed = {accepts, type(None)} if nullable else {accepts}
-        if set(map(type, column)) - allowed:
-            return None
-        if items is not None:
-            if set(map(type, chain.from_iterable(column))) - {items}:
-                return None
-            column = list(map(tuple, column))
-        if check is not None:
-            column = check.column(column)
-            if column is None:
-                return None
-        values[attr] = column
+    for key in keys:
+        column = columns[key.name] if refused is None else columns[key.name][:refused.row]
+        try:
+            column = _typed(kind, key, column)
+        except _Refused as fault:
+            refused, column = fault, column[:fault.row]
+        if key.check is not None:
+            try:
+                column = key.check(column)
+            except _Refused as fault:
+                refused = fault
+        values[key.attr] = column
+    if refused is not None:
+        raise refused
     return list(map(partial(tuple.__new__, decl_class),
                     zip(*map(values.__getitem__, decl_class._fields))))
 

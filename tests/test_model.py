@@ -7,7 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 from json.scanner import c_make_scanner, py_make_scanner
 
 import pytest
@@ -22,8 +22,8 @@ from sortweaver.model import (
     DispatchPolicy,
     FactError,
     ReceiverKind,
-    _decode,
-    _decode_columns,
+    TypeKind,
+    Visibility,
     _sidecar_path,
     dumps_facts,
     load_facts,
@@ -545,6 +545,13 @@ def _mutants(rec):
             yield dict(rec, **{"pass": pairs})
 
 
+def _decoded(rec, line):
+    """The declaration of one record, as ``load_records`` checks a chunk."""
+    decls, _, _ = model_module._decode_chunk([(line, rec)], {})
+    (decl,) = chain.from_iterable(decls.values())
+    return decl
+
+
 def test_decoder_matches_the_reference_decoder_under_mutation():
     records = _corpus_records()
     rng = random.Random(31)
@@ -555,7 +562,7 @@ def test_decoder_matches_the_reference_decoder_under_mutation():
         kinds.add(rec["k"] if rec["k"] != "call" else f"call/{rec['recv']['kind']}")
         for mutant in _mutants(rec):
             try:
-                got = _decode(mutant, 7)
+                got = _decoded(mutant, 7)
             except FactError as exc:
                 got = str(exc)
             try:
@@ -605,7 +612,7 @@ def test_load_records_matches_the_per_record_loader_under_mutation():
     bases += [random_model(rng).to_records() for _ in range(6)]
     shapes, cases, errors = set(), 0, set()
     for base in bases:
-        assert _decode_columns([(None, rec) for rec in base]) is not None
+        load_records(base)
         for index, rec in enumerate(base):
             if _shape(rec) in shapes:
                 continue
@@ -700,9 +707,10 @@ def _split(line: bytes, after: bytes) -> list[bytes]:
     return [line[:cut], line[cut:]]
 
 
-#: Lines that a chunk scan could misread: objects that span lines, lines
-#: that hold more or less than one object, padding, and lines that the
-#: scanner refuses.  Each case's lines take the place of no record.
+#: Lines that a decoder reading more than one line at a time could misread:
+#: objects that span lines, lines that hold more or less than one object,
+#: padding, and lines that the scanner refuses.  Each case's lines take the
+#: place of no record.
 _DECODE_CASES = {
     "spans-at-[": _split(_type_line(1, super=["T1"]), b'"super": ['),
     "spans-at-[-between-objects": _split(_type_line(1, x=[{}, {}]), b"[{}, "),
@@ -721,9 +729,8 @@ _DECODE_CASES = {
     "not-utf-8": [_type_line(1), _type_line(2)[:-1] + b', "x": "\xff"}'],
     "nan": [_type_line(1)[:-1] + b', "x": NaN}', _type_line(2)[:-1] + b', "src": NaN}'],
     "huge-int": [_type_line(1)[:-1] + b', "x": ' + b"1" * 5000 + b"}"],
-    # As a chunk's last line, the chunk's array closes after its first
-    # object and one object is read per line: only the check that the scan
-    # reached the end of the text refuses it.
+    # Joined into one array with other lines, it would close that array
+    # after its first object.
     "array-ends-inside-a-line": [_type_line(1) + b'],[{"b": 2}'],
 }
 
@@ -737,13 +744,8 @@ def _nested_line(depth: int) -> bytes:
 
 
 def _outcomes(stream) -> tuple:
-    """The outcome of ``load_facts``, then its outcome with every chunk
-    refused by the chunk scan, so that each line is decoded alone; both
-    from the same depth of the call stack."""
-    got = _outcome(load_facts, stream)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_module, "_scan_lines", lambda chunk: None)
-        return got, _outcome(load_facts, stream)
+    """The outcome of ``load_facts``, then that of the per-line reader."""
+    return _outcome(load_facts, stream), _outcome(oracles.load_facts_per_record, stream)
 
 
 @pytest.mark.parametrize("case", [*_DECODE_CASES, "nesting-at-the-limit"])
@@ -753,8 +755,8 @@ def test_load_facts_decodes_a_chunk_as_the_per_line_reader_does(case):
     decoding each line alone gives."""
     records = [json.dumps(rec).encode() + b"\n" for rec in _types(1100)]
     if case == "nesting-at-the-limit":
-        # The deepest line the per-line reader takes; nested once more in
-        # the chunk's array, it is too deep for the chunk scan.
+        # The deepest line the per-line reader takes, one level less and
+        # one more.
         low, high = 1, sys.getrecursionlimit()
         while low < high:
             mid = (low + high + 1) // 2
@@ -810,6 +812,100 @@ def test_load_records_reads_a_plain_list_of_dicts_across_chunks(chunk):
         load_records(records)
     assert str(err.value) == _outcome(oracles.load_records_per_record, records)
     assert err.value.line is None
+
+
+def _faulty(records: list[dict], *faults: tuple[int, dict]) -> list[tuple[int, dict]]:
+    """The records with each (index, record) fault in that place, numbered
+    from line 1."""
+    records = list(records)
+    for index, rec in faults:
+        records[index] = rec
+    return list(enumerate(records, start=1))
+
+
+def test_load_records_reports_the_first_of_several_faults(chunk):
+    """Hand-made inputs with more than one fault, then 2-4 ``_mutants``
+    cases and a repeat of a valid record's id at random positions in one
+    base; the model, or the error and its line, is the reference loader's."""
+    # Lines 1-6 are types, 7-12 methods and 13 a call.
+    base = [*_types(6), *(dict(METHOD, id=f"M{i}", owner=f"T{i}") for i in range(1, 7)),
+            {"k": "call", "id": "C1", "caller": "M1", "target": "M2",
+             "recv": {"kind": "this"}, "ord": 1, "pass": []}]
+
+    def fault(index: int, **change) -> tuple[int, dict]:
+        return index, dict(base[index], **change)
+
+    cases = {
+        # A later record whose failing key comes earlier in table order.
+        "line 8: bad value for 'owner': 1": _faulty(
+            base, fault(7, owner=1), fault(9, vis="publik")),
+        "line 8: bad visibility 'publik'": _faulty(
+            base, fault(7, vis="publik"), fault(9, owner=1)),
+        # Faults in two kinds, each one first.
+        "line 2: bad type kind 'struct'": _faulty(base, fault(1, kind="struct"), fault(7, owner=1)),
+        "line 8: negative statement count -1": _faulty(
+            base, fault(12, ord=True), fault(7, stmts=-1)),
+        "line 4: bad value for 'ord': True": _faulty(
+            base, (3, dict(base[12], ord=True)), fault(7, stmts=-1)),
+        # A duplicate id before a bad key, and after one.
+        "line 4: duplicate id 'T1'": _faulty(base, (3, base[0]), fault(5, kind="struct")),
+        "line 4: bad value for 'name': 1": _faulty(base, fault(3, name=1), (5, base[0])),
+        "line 5: missing key 'stmts' in method record": _faulty(
+            base, (4, {k: v for k, v in base[7].items() if k != "stmts"}), (9, base[0])),
+    }
+    for want, records in cases.items():
+        assert _outcome(load_records, records) == want
+        assert _outcome(oracles.load_records_per_record, records) == want
+
+    rng = random.Random(53)
+    bases = [_unit_records(name) for name in CORPUS_FILES]
+    bases += [random_model(rng).to_records() for _ in range(6)]
+    mutants: dict[str, list[dict]] = {}
+    for rec in chain.from_iterable(bases):
+        if _shape(rec) not in mutants:
+            mutants[_shape(rec)] = list(_mutants(rec))
+    shapes = sorted(mutants)
+    errors = set()
+    for case in range(1500):
+        records = list(rng.choice(bases))
+        faults = [rng.choice(mutants[rng.choice(shapes)]) for _ in range(rng.randint(2, 4))]
+        faults.append(dict(rng.choice(records)))
+        for fault in faults:
+            records.insert(rng.randrange(len(records) + 1), fault)
+        if case % 2:
+            records = list(enumerate(records, start=1))
+        got = _outcome(load_records, records)
+        assert got == _outcome(oracles.load_records_per_record, records), case
+        errors.add(got.split(": ", 1)[1] if case % 2 else got)
+    assert len(errors) > 150
+
+
+def test_a_record_that_is_not_a_dict_is_refused_and_a_str_subclass_loads(chunk):
+    """``load_facts`` words the error for a line that is not an object.
+    An ``str`` subclass passes a key whose type is ``str``."""
+    for item in ([1, 2], (3, "x"), None, "{}"):
+        with pytest.raises(FactError) as err:
+            load_records([item])
+        line = item[0] if isinstance(item, tuple) else None
+        assert (str(err.value), err.value.line) == (
+            str(FactError("record is not a JSON object", line)), line)
+        # After the records of another chunk, and before a later fault.
+        records = [*_types(chunk + 1), item, dict(TYPE, kind="struct")]
+        with pytest.raises(FactError) as err:
+            load_records(enumerate(records, start=1))
+        assert str(err.value) == f"line {chunk + 2}: record is not a JSON object"
+
+    records = [dict(TYPE, kind=TypeKind.CLASS), dict(METHOD, vis=Visibility.PUBLIC),
+               {"k": "field", "id": "F1", "owner": "T1", "name": "f", "type": "A",
+                "vis": Visibility.PRIVATE},
+               {"k": "call", "id": "C1", "caller": "M1", "target": "M1",
+                "recv": {"kind": ReceiverKind.FIELD, "field": "F1"}, "ord": 1, "pass": []},
+               {"k": "call", "id": "C2", "caller": "M1", "target": "M1",
+                "recv": {"kind": ReceiverKind.THIS}, "ord": 2, "pass": []}]
+    model = load_records(records)
+    assert model.types["T1"].kind is TypeKind.CLASS
+    assert model.methods["M1"].visibility is Visibility.PUBLIC
+    assert model.to_records() == oracles.load_records_per_record(records).to_records()
 
 
 def _synthetic_records(types: int) -> list[dict]:
@@ -1012,20 +1108,24 @@ def test_a_broken_sidecar_gives_the_cold_result(tmp_path, fault, facts):
 def test_check_columns_refuses_columns_that_do_not_line_up():
     columns = model_module._columns("method", [dict(METHOD, id=f"M{i}") for i in range(3)])
     assert len(model_module._check_columns("method", columns)) == 3
-    for key in columns:
-        assert model_module._check_columns("method", {**columns, key: columns[key][:2]}) is None
-    assert model_module._check_columns("method", {**columns, "x": [1, 2, 3]}) is None
-    del columns["src"]
-    assert model_module._check_columns("method", columns) is None
+    refused = [{**columns, key: columns[key][:2]} for key in columns]
+    refused += [{**columns, "x": [1, 2, 3]}, {k: v for k, v in columns.items() if k != "src"},
+                {**columns, "id": "M0M1M2"}, [columns], None]
+    for bad in refused:
+        with pytest.raises(ValueError, match="^method columns are not one list per key"):
+            model_module._check_columns("method", bad)
 
 
-def test_no_sidecar_is_written_unless_every_chunk_was_checked_by_columns(tmp_path,
-                                                                         monkeypatch):
+def test_a_failed_cold_load_leaves_no_sidecar(tmp_path, chunk):
+    """The bad record is the last, after every earlier chunk passed its
+    checks."""
     path = tmp_path / "facts.jsonl"
-    path.write_text(dumps_facts(_unit_records("undo.mini")))
-    monkeypatch.setattr(model_module, "_decode_columns", lambda pairs: None)
-    assert _loaded(path) == _cold(path)
-    assert not _sidecar_path(path).exists()
+    records = _synthetic_records(100)
+    assert len(records) > 2 * chunk
+    records[-1] = dict(records[-1], ord="1")
+    path.write_text(dumps_facts(records))
+    assert _loaded(path) == _cold(path) == f"line {len(records)}: bad value for 'ord': '1'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.jsonl"]
 
 
 def test_a_pipe_is_streamed_and_gets_no_sidecar(tmp_path):
