@@ -19,7 +19,8 @@ alone ranks types by them (``common_ancestor``).
 Built on first use, so a command pays only for what it reads:
 
 * the number of subtypes of each type, which ``common_ancestor`` ranks by,
-* the name indexes behind ``type_by_name`` and ``resolve_method``,
+* the members of each type, the calls of each method, and the name
+  indexes behind ``type_by_name`` and ``resolve_method``,
 * the call relation lifted along the override chain under a
   :class:`DispatchPolicy`, indexed by callee.  The policy is fixed per
   model; ``calls_to``, ``callers_of`` and ``lifted_edges`` alone accept
@@ -54,12 +55,12 @@ import hashlib
 import json
 import os
 import stat
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from json.scanner import make_scanner
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter, le, or_
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -188,6 +189,40 @@ class CallSite(NamedTuple):
     src: str = ""
 
 
+def _index(table: str, attr: str) -> cached_property:
+    """A ``SourceModel`` index built on first read by one pass over a table
+    (``"_methods"``, say): attribute value -> its rows, in id order."""
+    def build(model: SourceModel) -> dict:
+        grouped: defaultdict[str, list] = defaultdict(list)
+        rows = getattr(model, table).values()
+        for key, row in zip(map(attrgetter(attr), rows), rows):
+            grouped[key].append(row)
+        return {key: tuple(group) for key, group in grouped.items()}
+    return cached_property(build)
+
+
+def _by_id(decls: Iterable, decl_class: type) -> tuple[dict, tuple]:
+    """Id -> declaration in natural id order (a stable sort), and the table's
+    columns: a ``decl_class`` whose attributes hold all rows' values.  Ids of
+    one alphabetic head then ASCII digits with no leading zero are in that
+    order when in (length, id) order: only a table whose id column fails, or
+    repeats an id, is sorted."""
+    decls = list(decls)
+    columns = tuple(zip(*decls)) or ((),) * len(decl_class._fields)
+    table = dict(zip(columns[0], decls))
+    ids = list(table)
+    head = ids[0].rstrip("0123456789") if ids else "_"
+    text = "\n%s\n" % "\n".join(ids)
+    if len(ids) < len(decls) or not (head.isalpha() and text.count("\n" + head) == len(ids)
+            and text.translate(str.maketrans("", "", "0123456789"))
+            == "\n" + (head + "\n") * len(ids)
+            and "\n" + head + "0" not in text and ids == sorted(sorted(ids), key=len)):
+        decls.sort(key=lambda decl: natural_key(decl.id))
+        table = dict(zip(map(itemgetter(0), decls), decls))
+        columns = tuple(zip(*table.values())) or columns
+    return table, decl_class._make(columns)
+
+
 class SourceModel:
     """Immutable fact database plus derived relations.
 
@@ -208,10 +243,8 @@ class SourceModel:
         policy: DispatchPolicy = DEFAULT_POLICY,
         lines: Mapping[str, int | None] = MappingProxyType({}),
     ):
-        self._types = {t.id: t for t in sorted(types, key=lambda t: natural_key(t.id))}
-        self._methods = {m.id: m for m in sorted(methods, key=lambda m: natural_key(m.id))}
-        self._fields = {f.id: f for f in sorted(fields, key=lambda f: natural_key(f.id))}
-        self._calls = {c.id: c for c in sorted(calls, key=lambda c: natural_key(c.id))}
+        (self._types, t), (self._methods, m), (self._fields, f), (self._calls, c) = map(
+            _by_id, (types, methods, fields, calls), (TypeDecl, MethodDecl, FieldDecl, CallSite))
         # Read-only views of the four tables, by id in natural order.
         self.types = MappingProxyType(self._types)
         self.methods = MappingProxyType(self._methods)
@@ -219,22 +252,41 @@ class SourceModel:
         self.calls = MappingProxyType(self._calls)
         self.policy = DispatchPolicy(policy)
 
-        self._validate_references(lines)
-        self._methods_by_owner: dict[str, tuple[MethodDecl, ...]] = _group(
-            self._methods.values(), lambda m: m.owner
-        )
-        self._fields_by_owner: dict[str, tuple[FieldDecl, ...]] = _group(
-            self._fields.values(), lambda f: f.owner
-        )
-        self._calls_by_caller: dict[str, tuple[CallSite, ...]] = _group(
-            self._calls.values(), lambda c: c.caller
-        )
-        self._validate_structure(lines)
+        # The tests below read whole columns.  If one refuses, the per-row
+        # walk of every check runs, which words the first fault in its order.
+        kinds = list(map(itemgetter(0), c.receiver))
+        self._method_by_owner_sig = dict(zip(zip(m.owner, zip(m.name, m.param_types)), m.id))
+        # The ordinal test also refuses a caller that is not a method, whose
+        # body it reads as -1 statements.
+        if (self._types.keys() >= {*chain.from_iterable(t.supertypes), *m.owner, *f.owner,
+                                   *set(t.enclosing_type) - {None}}
+                and self._methods.keys() >= set(c.static_target)
+                and self._fields.keys() >= set(map(itemgetter(1), compress(
+                    c.receiver, map(is_, kinds, repeat(ReceiverKind.FIELD)))))
+                and not any(compress(m.body_stmt_count, m.is_abstract))
+                and len(self._method_by_owner_sig) == len(m.id)
+                and len(set(zip(f.owner, f.name))) == len(f.id)
+                and min(c.ordinal, default=1) >= 1
+                and all(map(le, c.ordinal, map(dict(zip(m.id, m.body_stmt_count)).get,
+                                               c.caller, repeat(-1))))):
+            self._validate_types(lines)
+            # Only calls that forward a parameter or receive one can fail the rest.
+            rows = c.arg_passthrough
+            if ReceiverKind.PARAM in kinds:
+                rows = map(or_, map(bool, rows), map(is_, kinds, repeat(ReceiverKind.PARAM)))
+            self._validate_calls(compress(self._calls.values(), rows), lines)
+        else:
+            self._validate_references(lines)
+            self._validate_structure(lines)
 
         self._ancestors = self._compute_ancestors()
         self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
 
     # -- basic access ------------------------------------------------------
+
+    _methods_by_owner = _index("_methods", "owner")
+    _fields_by_owner = _index("_fields", "owner")
+    _calls_by_caller = _index("_calls", "caller")
 
     def methods_of(self, type_id: str) -> tuple[MethodDecl, ...]:
         return self._methods_by_owner.get(type_id, ())
@@ -254,13 +306,8 @@ class SourceModel:
         """Qualified name -> the first type in id order that has it."""
         return {t.qualified_name: t for t in reversed(self._types.values())}
 
-    @cached_property
-    def _types_by_simple_name(self) -> dict[str, tuple[TypeDecl, ...]]:
-        return _group(self._types.values(), lambda t: t.simple_name)
-
-    @cached_property
-    def _methods_by_name(self) -> dict[str, tuple[MethodDecl, ...]]:
-        return _group(self._methods.values(), lambda m: m.name)
+    _types_by_simple_name = _index("_types", "simple_name")
+    _methods_by_name = _index("_methods", "name")
 
     def type_by_name(self, name: str) -> TypeDecl | None:
         """Resolve a type by qualified name (the first in id order), unique
@@ -359,9 +406,7 @@ class SourceModel:
         return frozenset(o.id for o in self._methods_by_signature[m.signature]
                          if o.owner != m.owner and m.owner in self._ancestors[o.owner])
 
-    @cached_property
-    def _methods_by_signature(self) -> dict[tuple, tuple[MethodDecl, ...]]:
-        return _group(self._methods.values(), attrgetter("signature"))
+    _methods_by_signature = _index("_methods", "signature")
 
     def declared_method(self, type_id: str, signature: tuple[str, tuple[str, ...]]) -> str | None:
         """The id of the method with this signature that the type declares."""
@@ -447,9 +492,8 @@ class SourceModel:
                 raise FactError(f"call {c.id}: unknown receiver field id {c.receiver.field!r}",
                                 lines.get(c.id))
 
-    def _validate_structure(self, lines: Mapping[str, int | None]):
-        """Check the structural invariants, and index each method by
-        (owner, signature) in the same pass over the owners."""
+    def _validate_types(self, lines: Mapping[str, int | None]):
+        """Check the structural invariants of types."""
         for t in self._types.values():
             if t.is_anonymous and t.enclosing_type is None:
                 raise FactError(f"type {t.id}: anonymous type without enclosing type",
@@ -461,8 +505,11 @@ class SourceModel:
                     raise FactError(f"type {t.id}: cyclic enclosing-type chain", lines.get(t.id))
                 seen.add(cursor)
                 cursor = self._types[cursor].enclosing_type
+
+    def _validate_structure(self, lines: Mapping[str, int | None]):
+        """Check the structural invariants."""
+        self._validate_types(lines)
         by_sig: dict[tuple[str, tuple], str] = {}
-        self._method_by_owner_sig = by_sig
         for owner, methods in self._methods_by_owner.items():
             for m in methods:
                 if m.is_abstract and m.body_stmt_count != 0:
@@ -486,7 +533,10 @@ class SourceModel:
                         lines.get(f.id),
                     )
                 names[f.name] = f.id
-        for c in self._calls.values():
+        self._validate_calls(self._calls.values(), lines)
+
+    def _validate_calls(self, calls: Iterable[CallSite], lines: Mapping[str, int | None]):
+        for c in calls:
             caller = self._methods[c.caller]
             target = self._methods[c.static_target]
             if not 1 <= c.ordinal <= caller.body_stmt_count:
@@ -509,16 +559,20 @@ class SourceModel:
 
     def _compute_ancestors(self) -> dict[str, frozenset[str]]:
         resolved: dict[str, frozenset[str]] = {}
-        for start in self._types:
+        for start, decl in self._types.items():
+            if all(map(resolved.__contains__, decl.supertypes)):  # the supertypes came first
+                resolved[start] = frozenset({start}.union(*map(resolved.__getitem__,
+                                                               decl.supertypes)))
+                continue
             # Depth-first with an explicit path (type -> iterator over its
             # supertypes), so hierarchy depth is not bounded by recursion.
-            path = {} if start in resolved else {start: iter(self._types[start].supertypes)}
+            path = {start: iter(decl.supertypes)}
             while path:
                 tid, pending = next(reversed(path.items()))
-                sup = next((s for s in pending if s not in resolved), None)
+                sup = next(filterfalse(resolved.__contains__, pending), None)
                 if sup is None:
                     path.popitem()
-                    ups = (resolved[s] for s in self._types[tid].supertypes)
+                    ups = map(resolved.__getitem__, self._types[tid].supertypes)
                     resolved[tid] = frozenset({tid}.union(*ups))
                 elif sup in path:
                     keys = list(path)
@@ -697,7 +751,7 @@ def _load_sidecar(sidecar: Path, facts, policy: DispatchPolicy) -> SourceModel:
                 raise ValueError(f"{sidecar}: a chunk is not columns by record kind")
             for kind, columns in chunk.items():
                 decls[kind].extend(_check_columns(kind, columns))
-    ids = [decl.id for decl in chain.from_iterable(decls.values())]
+    ids = list(map(itemgetter(0), chain.from_iterable(decls.values())))
     if len(set(ids)) != len(ids):
         raise ValueError(f"{sidecar}: an id repeats")
     return _link(decls, policy, {})
@@ -764,18 +818,11 @@ def _link(decls: dict[str, list], policy: DispatchPolicy,
     """The model of checked declarations by kind.  Supertype references
     that do not resolve become external opaque types."""
     types = decls["type"]
-    known = {t.id for t in types}
-    for decl in tuple(types):
-        for sup in decl.supertypes:
-            if sup not in known:
-                types.append(TypeDecl(
-                    id=sup, qualified_name=sup, kind=TypeKind.CLASS, is_external=True
-                ))
-                known.add(sup)
-
-    return SourceModel(
-        types, decls["method"], decls["field"], decls["call"], policy, lines
-    )
+    known = set(map(itemgetter(0), types))
+    external = dict.fromkeys(filterfalse(known.__contains__, chain.from_iterable(
+        map(attrgetter("supertypes"), types))))
+    types.extend(TypeDecl(sup, sup, TypeKind.CLASS, is_external=True) for sup in external)
+    return SourceModel(types, decls["method"], decls["field"], decls["call"], policy, lines)
 
 
 # -- the record schema ------------------------------------------------------
@@ -1095,10 +1142,3 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 #: The sidecar's JSON: no spaces, and no walk for cycles a column cannot hold.
 _encode_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-
-
-def _group(items, key) -> dict:
-    grouped: dict[str, list] = {}
-    for item in items:
-        grouped.setdefault(key(item), []).append(item)
-    return {k: tuple(v) for k, v in grouped.items()}

@@ -727,6 +727,147 @@ def natural_key_chunks(text: str) -> tuple:
                   for chunk in _CHUNKS.split(text) if chunk != ""])
 
 
+# -- the model's checks before they read whole columns ------------------------------
+#
+# ``SourceModel``'s per-row loops as they stood before its checks tested whole
+# columns, copied unchanged: each table in natural id order, the members
+# grouped by owner, then the references, the structure and the supertype
+# closure checked one row at a time.  ``SourceModel(...)`` must raise the
+# same error, text and line, for every fact set, and none where these raise
+# none.
+
+
+class ModelChecks:
+    """The per-row checks of four tables of declarations."""
+
+    def __init__(self, types, methods, fields, calls):
+        self._types = {t.id: t for t in sorted(types, key=lambda t: natural_key_chunks(t.id))}
+        self._methods = {m.id: m for m in sorted(methods, key=lambda m: natural_key_chunks(m.id))}
+        self._fields = {f.id: f for f in sorted(fields, key=lambda f: natural_key_chunks(f.id))}
+        self._calls = {c.id: c for c in sorted(calls, key=lambda c: natural_key_chunks(c.id))}
+        self._methods_by_owner = _by_owner(self._methods.values())
+        self._fields_by_owner = _by_owner(self._fields.values())
+
+    def check(self, lines) -> None:
+        """Raise the first fault, as ``SourceModel`` did."""
+        self._validate_references(lines)
+        self._validate_structure(lines)
+        self._compute_ancestors()
+
+    def _validate_references(self, lines: Mapping[str, int | None]):
+        for t in self._types.values():
+            if t.enclosing_type is not None and t.enclosing_type not in self._types:
+                raise FactError(f"type {t.id}: unknown enclosing type id {t.enclosing_type!r}",
+                                lines.get(t.id))
+            for sup in t.supertypes:
+                if sup not in self._types:
+                    raise FactError(f"type {t.id}: unknown supertype id {sup!r}", lines.get(t.id))
+        for m in self._methods.values():
+            if m.owner not in self._types:
+                raise FactError(f"method {m.id}: unknown owner id {m.owner!r}", lines.get(m.id))
+        for f in self._fields.values():
+            if f.owner not in self._types:
+                raise FactError(f"field {f.id}: unknown owner id {f.owner!r}", lines.get(f.id))
+        for c in self._calls.values():
+            if c.caller not in self._methods:
+                raise FactError(f"call {c.id}: unknown caller id {c.caller!r}", lines.get(c.id))
+            if c.static_target not in self._methods:
+                raise FactError(f"call {c.id}: unknown target id {c.static_target!r}",
+                                lines.get(c.id))
+            if c.receiver.kind is ReceiverKind.FIELD and c.receiver.field not in self._fields:
+                raise FactError(f"call {c.id}: unknown receiver field id {c.receiver.field!r}",
+                                lines.get(c.id))
+
+    def _validate_structure(self, lines: Mapping[str, int | None]):
+        """Check the structural invariants, and index each method by
+        (owner, signature) in the same pass over the owners."""
+        for t in self._types.values():
+            if t.is_anonymous and t.enclosing_type is None:
+                raise FactError(f"type {t.id}: anonymous type without enclosing type",
+                                lines.get(t.id))
+            seen = {t.id}
+            cursor = t.enclosing_type
+            while cursor is not None:
+                if cursor in seen:
+                    raise FactError(f"type {t.id}: cyclic enclosing-type chain", lines.get(t.id))
+                seen.add(cursor)
+                cursor = self._types[cursor].enclosing_type
+        by_sig: dict[tuple[str, tuple], str] = {}
+        self._method_by_owner_sig = by_sig
+        for owner, methods in self._methods_by_owner.items():
+            for m in methods:
+                if m.is_abstract and m.body_stmt_count != 0:
+                    raise FactError(f"method {m.id}: abstract method with a body",
+                                    lines.get(m.id))
+                key = (owner, m.signature)
+                if key in by_sig:
+                    raise FactError(
+                        f"method {m.id}: duplicate signature "
+                        f"{m.name}({','.join(m.param_types)}) in type {owner} "
+                        f"(already declared by {by_sig[key]})",
+                        lines.get(m.id),
+                    )
+                by_sig[key] = m.id
+        for owner, fields in self._fields_by_owner.items():
+            names: dict[str, str] = {}
+            for f in fields:
+                if f.name in names:
+                    raise FactError(
+                        f"field {f.id}: duplicate field name {f.name!r} in type {owner}",
+                        lines.get(f.id),
+                    )
+                names[f.name] = f.id
+        for c in self._calls.values():
+            caller = self._methods[c.caller]
+            target = self._methods[c.static_target]
+            if not 1 <= c.ordinal <= caller.body_stmt_count:
+                raise FactError(
+                    f"call {c.id}: ordinal {c.ordinal} outside caller body "
+                    f"(1..{caller.body_stmt_count})",
+                    lines.get(c.id),
+                )
+            for arg_index, param_index in c.arg_passthrough:
+                if not 0 <= arg_index < target.arity:
+                    raise FactError(f"call {c.id}: pass-through argument index {arg_index} "
+                                    f"outside callee arity {target.arity}", lines.get(c.id))
+                if not 0 <= param_index < caller.arity:
+                    raise FactError(f"call {c.id}: pass-through parameter index {param_index} "
+                                    f"outside caller arity {caller.arity}", lines.get(c.id))
+            if c.receiver.kind is ReceiverKind.PARAM and not (
+                c.receiver.index is not None and 0 <= c.receiver.index < caller.arity
+            ):
+                raise FactError(f"call {c.id}: parameter receiver index out of range", lines.get(c.id))
+
+    def _compute_ancestors(self) -> dict[str, frozenset[str]]:
+        resolved: dict[str, frozenset[str]] = {}
+        for start in self._types:
+            # Depth-first with an explicit path (type -> iterator over its
+            # supertypes), so hierarchy depth is not bounded by recursion.
+            path = {} if start in resolved else {start: iter(self._types[start].supertypes)}
+            while path:
+                tid, pending = next(reversed(path.items()))
+                sup = next((s for s in pending if s not in resolved), None)
+                if sup is None:
+                    path.popitem()
+                    ups = (resolved[s] for s in self._types[tid].supertypes)
+                    resolved[tid] = frozenset({tid}.union(*ups))
+                elif sup in path:
+                    keys = list(path)
+                    names = " -> ".join(self._types[x].qualified_name
+                                        for x in keys[keys.index(sup):] + [sup])
+                    raise FactError(f"cycle in supertype hierarchy: {names}")
+                else:
+                    path[sup] = iter(self._types[sup].supertypes)
+        return resolved
+
+
+def _by_owner(members) -> dict[str, tuple]:
+    grouped: dict[str, list] = {}
+    for member in members:
+        grouped.setdefault(member.owner, []).append(member)
+    return {owner: tuple(group) for owner, group in grouped.items()}
+
+
 # -- the fact loader before the column checks ---------------------------------------
 #
 # ``json.loads`` per line and ``decode_record_as_tables`` per record, as the

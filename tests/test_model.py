@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -13,15 +14,20 @@ from json.scanner import c_make_scanner, py_make_scanner
 import pytest
 
 import oracles
-from conftest import CORPUS, CORPUS_FILES, young_objects
+from conftest import CORPUS, CORPUS_FILES, REPO, corpus_model, young_objects
 from randmodels import dense_hierarchy, random_model
 from sortweaver import model as model_module
 from sortweaver._util import _split_key, natural_key
 from sortweaver.minilang import extract_facts, parse
 from sortweaver.model import (
+    CallSite,
     DispatchPolicy,
     FactError,
+    MethodDecl,
+    Receiver,
     ReceiverKind,
+    SourceModel,
+    TypeDecl,
     TypeKind,
     Visibility,
     _sidecar_path,
@@ -385,13 +391,22 @@ def test_policy_monotonicity_on_random_models():
             } == want
 
 
-def test_record_order_does_not_change_the_model(command_model):
+def test_record_order_does_not_change_the_model(command_model, tmp_path):
     records = command_model.to_records()
     shuffled = list(records)
     random.Random(5).shuffle(shuffled)
     reloaded = load_records(shuffled)
     assert reloaded.to_records() == records
     assert reloaded.lifted_edges() == command_model.lifted_edges()
+    # The same from a file of those records, decoded and then from its sidecar.
+    path = tmp_path / "shuffled.jsonl"
+    path.write_text(dumps_facts(shuffled))
+    assert load_facts_path(path).to_records() == records
+    with pytest.MonkeyPatch.context() as patch:
+        _no_cold_loads(patch)
+        hit = load_facts_path(path)
+    assert hit.to_records() == records
+    assert hit.lifted_edges() == command_model.lifted_edges()
 
 
 def _corpus_records() -> list[dict]:
@@ -1220,3 +1235,257 @@ def test_natural_key_orders_ids_the_chunk_key_rejected():
     assert sorted(ids, key=natural_key) == [
         "C2", long_runs[2], "C5", "C9" * 3000, long_runs[0], long_runs[1], long_runs[3],
         "x\u00b2", "\u00b2"]
+
+
+# -- table order -------------------------------------------------------------------------
+
+
+def _method_table(ids: list[str]) -> tuple[list, list]:
+    """The method table of a model of one type with a method of each id,
+    and the methods as given."""
+    methods = [MethodDecl(id_, "T1", f"m{i}") for i, id_ in enumerate(ids)]
+    model = SourceModel([TypeDecl("T1", "A", TypeKind.CLASS)], methods, [], [])
+    return list(model.methods.values()), methods
+
+
+_LONG_RUN = "M" + "9" * 5000
+
+
+@pytest.mark.parametrize("ids", [
+    [f"M{i}" for i in range(1, 300)],
+    ["M1", "M01", "M2", "M001", "M10", "M010"],
+    ["M", "Ma", "Mab", "Mb", "MA"],
+    ["M2", "C1", "M10", "C3", "M1x", "x"],
+    ["M\u0661", "M\u0662\u0660", "M3", "M\u0665", "\u0663", "M\u00e9"],
+    ["M0", "M00", "M1", "M0009", "M2", "M01"],
+    ["M1", "M2", "1M2"],
+    ["M1", "M10", "M1x2", "M1x", "M2"],
+    ["M1", "M2", "M1", "M3", "M2"],
+], ids=["plain", "leading-zero-ties", "no-digits", "mixed-heads", "non-ascii-digits",
+        "zeros", "digits-first", "digits-inside", "repeated"])
+@pytest.mark.parametrize("arrangement", ["as-listed", "shuffled", "sorted", "reversed",
+                                         "by-length"])
+def test_each_table_comes_out_in_natural_id_order(ids, arrangement):
+    """Whether or not a table arrives in order, it comes out as a stable sort
+    by the chunk key would leave it; ids that key equal keep their order,
+    and a repeated id keeps its first place and its last declaration."""
+    ids = list(ids)
+    if arrangement == "shuffled":
+        random.Random(len(ids)).shuffle(ids)
+    elif arrangement == "sorted":
+        ids.sort(key=oracles.natural_key_chunks)
+    elif arrangement == "reversed":
+        ids.reverse()
+    elif arrangement == "by-length":  # natural order only where the ids have one shape
+        ids.sort(key=lambda id_: (len(id_), id_))
+    got, methods = _method_table(ids)
+    ordered = sorted(methods, key=lambda m: oracles.natural_key_chunks(m.id))
+    assert got == list({m.id: m for m in ordered}.values())
+
+
+@pytest.mark.parametrize("ids", [
+    ["M2", _LONG_RUN, "M1" + "0" * 5000],
+    ["M1" + "0" * 5000, "M2", _LONG_RUN],
+], ids=["in-order", "out-of-order"])
+def test_a_digit_run_longer_than_int_converts_orders_by_its_value(ids):
+    got, _ = _method_table(ids)
+    assert [m.id for m in got] == ["M2", _LONG_RUN, "M1" + "0" * 5000]
+
+
+def test_a_table_already_in_order_is_not_sorted(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"natural_key({text!r}) was called")
+    monkeypatch.setattr(model_module, "natural_key", refuse)
+    ids = ["M", *(f"M{i}" for i in range(1, 2000)), "M" + "1" * 5000]
+    got, methods = _method_table(ids)
+    assert got == methods
+    with pytest.raises(AssertionError, match="natural_key"):
+        _method_table(["M2", "M1"])
+
+
+def test_external_supertypes_take_their_place_in_the_type_table():
+    records = [dict(TYPE, id="T2", name="B", super=["java.lang.Object", "T1"]),
+               dict(TYPE, super=["Base"]), dict(TYPE, id="T10", name="C", super=["T2"])]
+    got = list(load_records(records).types)
+    assert got == ["Base", "T1", "T2", "T10", "java.lang.Object"]
+    assert got == sorted(got, key=oracles.natural_key_chunks)
+
+
+def _frontend_chains_facts() -> str:
+    """The facts that ``extract`` writes in the frontend-chains benchmark
+    workload, seed 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # where its dataclasses look their module up
+    try:
+        spec.loader.exec_module(gen)
+        files, script = gen.frontend_chains_inputs(0, CORPUS)
+    finally:
+        del sys.modules[spec.name]
+    ((_, argv),) = [step for step in script if step[0] == "extract"]
+    names = [name for name in argv[1:] if name.endswith(".mini")]
+    return extract_facts([parse(files[name], name) for name in names]).to_jsonl()
+
+
+def test_a_hit_of_facts_whose_method_table_is_out_of_order_equals_the_cold_load(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(_frontend_chains_facts())
+    method_ids = [json.loads(line)["id"] for line in path.read_text().splitlines()
+                  if '"k": "method"' in line]
+    assert method_ids != sorted(method_ids, key=oracles.natural_key_chunks)
+    cold = _cold(path)
+    assert _loaded(path) == cold
+    with pytest.MonkeyPatch.context() as patch:
+        _no_cold_loads(patch)
+        assert _loaded(path) == cold
+    assert [rec["id"] for rec in cold[0] if rec["k"] == "method"] \
+        == sorted(method_ids, key=oracles.natural_key_chunks)
+
+
+# -- the model's own checks against the per-row oracle ----------------------------------
+
+
+def test_a_repeated_call_id_hides_no_fault_of_a_later_call():
+    """The tables reach the model's checks without the repeated rows: here a
+    call's row would otherwise stand where the faulty C3 stands."""
+    method = MethodDecl("M1", "T1", "f", body_stmt_count=2)
+    calls = [CallSite(id_, "M1", "M1", Receiver(ReceiverKind.THIS), 1)
+             for id_ in ("C1", "C2", "C1")]
+    calls.append(CallSite("C3", "M1", "M1", Receiver(ReceiverKind.THIS), 1, ((0, 0),)))
+    tables = ([TypeDecl("T1", "A", TypeKind.CLASS)], [method], [], calls)
+    want = "call C3: pass-through argument index 0 outside callee arity 0"
+    assert _check_outcome(lambda: oracles.ModelChecks(*tables).check({})) == (want, None)
+    assert _check_outcome(lambda: SourceModel(*tables)) == (want, None)
+
+
+def _edit(kind: str, change):
+    """A fault that changes one random row of a table, unless ``change``
+    gives ``None`` for it."""
+    def fault(rng, tables):
+        rows = tables[kind]
+        if not rows:
+            return False
+        row = rng.randrange(len(rows))
+        changed = change(rng, rows[row], tables)
+        if changed is not None:
+            rows[row] = changed
+        return changed is not None
+    return fault
+
+
+def _copy(kind: str):
+    """A fault that adds a copy of a random row under a fresh id."""
+    def fault(rng, tables):
+        rows = tables[kind]
+        if not rows:
+            return False
+        taken = {decl.id for table in tables.values() for decl in table}
+        fresh = rows[0].id
+        while fresh in taken:
+            fresh = f"{kind[0].upper()}{rng.randrange(1, 10_000)}"
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows)._replace(id=fresh))
+        return True
+    return fault
+
+
+def _two_types(attr: str):
+    """A fault that makes two random types (maybe one) refer to each other."""
+    def fault(rng, tables):
+        rows = tables["type"]
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if attr == "supertypes":
+            rows[i] = rows[i]._replace(supertypes=rows[i].supertypes + (rows[j].id,))
+            rows[j] = rows[j]._replace(supertypes=rows[j].supertypes + (rows[i].id,))
+        else:
+            rows[i] = rows[i]._replace(enclosing_type=rows[j].id)
+            rows[j] = rows[j]._replace(enclosing_type=rows[i].id)
+        return True
+    return fault
+
+
+def _arity(tables, method_id: str) -> int:
+    return next((len(m.param_types) for m in tables["method"] if m.id == method_id), 0)
+
+
+#: Fault name -> a change to the tables, which says whether it applied.
+_MODEL_FAULTS = {
+    "dangling method owner": _edit("method", lambda rng, decl, tables: decl._replace(
+        owner="T9999")),
+    "dangling field owner": _edit("field", lambda rng, decl, tables: decl._replace(owner="T9999")),
+    "dangling target": _edit("call", lambda rng, decl, tables: decl._replace(
+        static_target="M9999")),
+    "dangling caller": _edit("call", lambda rng, decl, tables: decl._replace(caller="M9999")),
+    "dangling field": _edit("call", lambda rng, decl, tables: decl._replace(
+        receiver=Receiver(ReceiverKind.FIELD, field="F9999"))),
+    "dangling enclosing type": _edit("type", lambda rng, decl, tables: decl._replace(
+        enclosing_type="T9999")),
+    "dangling supertype": _edit("type", lambda rng, decl, tables: decl._replace(
+        supertypes=decl.supertypes + ("T9999",))),
+    "supertype cycle": _two_types("supertypes"),
+    "enclosing cycle": _two_types("enclosing_type"),
+    "anonymous without enclosing type": _edit("type", lambda rng, decl, tables: decl._replace(
+        is_anonymous=True, enclosing_type=None)),
+    "duplicate signature": _copy("method"),
+    "duplicate field name": _copy("field"),
+    "abstract method with a body": _edit("method", lambda rng, decl, tables: decl._replace(
+        is_abstract=True, body_stmt_count=max(1, decl.body_stmt_count))),
+    "ordinal out of range": _edit("call", lambda rng, decl, tables: decl._replace(
+        ordinal=rng.choice([0, -1, 10_000]))),
+    "pass-through argument outside arity": _edit("call", lambda rng, decl, tables: decl._replace(
+        arg_passthrough=decl.arg_passthrough + (rng.choice([
+            (_arity(tables, decl.static_target), 0), (-1, 0)]),))),
+    "pass-through parameter outside arity": _edit("call", lambda rng, decl, tables: _arity(
+        tables, decl.static_target) and decl._replace(arg_passthrough=decl.arg_passthrough + (
+            (0, rng.choice([-1, _arity(tables, decl.caller)])),)) or None),
+    "param receiver out of range": _edit("call", lambda rng, decl, tables: decl._replace(
+        receiver=Receiver(ReceiverKind.PARAM, index=rng.choice(
+            [None, -1, _arity(tables, decl.caller)])))),
+}
+
+
+#: A phrase of each error the faults above can make the first reported.
+_MODEL_ERRORS = (
+    "unknown enclosing type id", "unknown supertype id", "unknown owner id",
+    "unknown target id", "unknown caller id", "unknown receiver field id",
+    "cycle in supertype hierarchy", "cyclic enclosing-type chain",
+    "anonymous type without enclosing type", "duplicate signature", "duplicate field name",
+    "abstract method with a body", "outside caller body", "pass-through argument index",
+    "pass-through parameter index", "parameter receiver index out of range",
+)
+
+
+def _check_outcome(check):
+    try:
+        check()
+    except FactError as exc:
+        return str(exc), exc.line
+    return None
+
+
+def test_the_model_checks_match_the_per_row_oracle_under_injected_faults():
+    """Each case takes the tables of a random model or a corpus extract,
+    injects one to three faults, passes each table in order or shuffled,
+    and names a line for most ids; ``SourceModel`` raises the error, text
+    and line, that the per-row checks raise first, or none when they raise
+    none."""
+    rng = random.Random(83)
+    bases = [corpus_model(name.removesuffix(".mini")) for name in CORPUS_FILES]
+    reported = set()
+    for case in range(600):
+        base = rng.choice(bases) if case % 4 == 0 else random_model(rng, max_types=6)
+        tables = {"type": list(base.types.values()), "method": list(base.methods.values()),
+                  "field": list(base.fields.values()), "call": list(base.calls.values())}
+        faults = rng.sample(sorted(_MODEL_FAULTS), rng.randint(1, 3))
+        for fault in faults:
+            _MODEL_FAULTS[fault](rng, tables)
+        for rows in tables.values():
+            if rng.random() < 0.5:
+                rng.shuffle(rows)
+        decls = [decl for rows in tables.values() for decl in rows]
+        lines = {decl.id: number for number, decl in enumerate(decls, start=1)
+                 if rng.random() < 0.9}
+        want = _check_outcome(lambda: oracles.ModelChecks(*tables.values()).check(lines))
+        got = _check_outcome(lambda: SourceModel(*tables.values(), lines=lines))
+        assert got == want, (case, faults)
+        reported.update(phrase for phrase in _MODEL_ERRORS if want and phrase in want[0])
+    assert reported == set(_MODEL_ERRORS)
