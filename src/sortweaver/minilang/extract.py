@@ -269,8 +269,6 @@ class _Extractor:
             return self.by_qname[name]
         cursor = context
         while cursor is not None:
-            if simple_name(cursor.qualified_name) == name:
-                return cursor
             nested = self.nested.get((cursor.id, name))
             if nested is not None:
                 return nested

@@ -493,18 +493,22 @@ class SourceModel:
                                 lines.get(c.id))
 
     def _validate_types(self, lines: Mapping[str, int | None]):
-        """Check the structural invariants of types."""
+        """Check the structural invariants of types.  Each enclosing walk
+        stops at a type whose chain is already known to end, so the check is
+        linear in the number of types."""
+        ends: set[str] = set()
         for t in self._types.values():
             if t.is_anonymous and t.enclosing_type is None:
                 raise FactError(f"type {t.id}: anonymous type without enclosing type",
                                 lines.get(t.id))
             seen = {t.id}
             cursor = t.enclosing_type
-            while cursor is not None:
+            while cursor is not None and cursor not in ends:
                 if cursor in seen:
                     raise FactError(f"type {t.id}: cyclic enclosing-type chain", lines.get(t.id))
                 seen.add(cursor)
                 cursor = self._types[cursor].enclosing_type
+            ends |= seen
 
     def _validate_structure(self, lines: Mapping[str, int | None]):
         """Check the structural invariants."""
@@ -784,8 +788,9 @@ def load_records(
     Accepts plain dicts or (line number, dict) pairs; line numbers feed the
     error messages when present.  The records are read ``_CHUNK`` at a time,
     so a load holds the declarations plus one chunk of records.  Each chunk
-    is checked a column at a time (``_decode_chunk``), which raises the
-    first fault in record order.  The rest of the input is read before that
+    is checked a column at a time, and one that a check refuses is walked
+    record by record (``_decode_chunk``), which raises its first fault in
+    record order.  The rest of the input is read before that
     fault is raised, so an error raised by the input itself (a later line
     that is not JSON, for ``load_facts``) is reported first, as when every
     line is decoded before any record.
@@ -831,8 +836,10 @@ def _link(decls: dict[str, list], policy: DispatchPolicy,
 # same keys; a test holds the two to agree.  A chunk's records are checked a
 # column per key (``_check_columns``, which also checks a sidecar's
 # columns): a C-level test accepts the whole column, and only a column it
-# refuses is searched for its first refused row, which words the error.  A
-# record with several faults reports the first key in table order.
+# refuses is searched for the value that words the error.  A chunk that any
+# check refuses is walked in record order through the same checks, one
+# record at a time, so its first faulty record is reported, with that
+# record's first refused key in table order.
 
 
 def _is(value, type_: type) -> bool:
@@ -841,16 +848,8 @@ def _is(value, type_: type) -> bool:
 
 
 class _Refused(ValueError):
-    """The first row of a column that fails its key's check, and its error."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def _first(values, refused: Callable) -> int | None:
-    """The index of the first value that ``refused`` holds for, if any."""
-    return next((row for row, value in enumerate(values) if refused(value)), None)
+    """A column that fails its key's check; the error words its first
+    refused value."""
 
 
 def _enum(enum: type[Enum], what: str) -> Callable:
@@ -858,16 +857,15 @@ def _enum(enum: type[Enum], what: str) -> Callable:
 
     def check(values: list[str]) -> list:
         if set(values) - members.keys():
-            row = _first(values, lambda value: value not in members)
-            raise _Refused(row, f"bad {what} {values[row]!r}")
+            bad = next(value for value in values if value not in members)
+            raise _Refused(f"bad {what} {bad!r}")
         return list(map(members.__getitem__, values))
     return check
 
 
 def _counts(values: list[int]) -> list[int]:
     if min(values, default=0) < 0:
-        row = _first(values, lambda value: value < 0)
-        raise _Refused(row, f"negative statement count {values[row]}")
+        raise _Refused(f"negative statement count {next(v for v in values if v < 0)}")
     return values
 
 
@@ -892,14 +890,14 @@ def _receivers(values: list[dict]) -> list[Receiver]:
             continue
         value, kind = values[row], kinds[row]
         if not isinstance(kind, str) or kind not in _RECEIVERS:
-            raise _Refused(row, f"bad receiver kind {kind!r}")
+            raise _Refused(f"bad receiver kind {kind!r}")
         if kind == "field":
             if not _is(value.get("field"), str):
-                raise _Refused(row, "field receiver without a field id")
+                raise _Refused("field receiver without a field id")
             receivers[row] = Receiver(ReceiverKind.FIELD, field=value["field"])
         elif kind == "param":
             if not _is(value.get("index"), int):
-                raise _Refused(row, "param receiver without a parameter index")
+                raise _Refused("param receiver without a parameter index")
             receivers[row] = Receiver(ReceiverKind.PARAM, index=value["index"])
         else:
             receivers[row] = _RECEIVERS[kind]
@@ -910,10 +908,9 @@ def _pair_lists(values: list[list]) -> list[tuple[tuple[int, int], ...]]:
     pairs = list(chain.from_iterable(values))
     if pairs and (set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}
                   or set(map(type, chain.from_iterable(pairs))) - {int}):
-        for row, value in enumerate(values):
-            for pair in value:
-                if not (_is(pair, list) and len(pair) == 2 and all(_is(x, int) for x in pair)):
-                    raise _Refused(row, f"bad pass-through pair {pair!r}")
+        for pair in pairs:
+            if not (_is(pair, list) and len(pair) == 2 and all(_is(x, int) for x in pair)):
+                raise _Refused(f"bad pass-through pair {pair!r}")
     return [tuple(map(tuple, value)) if value else () for value in values]
 
 
@@ -987,44 +984,40 @@ _RECORDS: dict[str, tuple[type, tuple[_Key, ...]]] = {
 def _decode_chunk(chunk: list[tuple[int | None, dict]], seen_ids: Mapping[str, int | None]):
     """The declarations by kind, id -> line and columns by kind of a chunk
     of (line, record) pairs, each kind's records checked a column at a time.
-    Raises the :class:`FactError` that decoding record by record would
-    raise first: that of the earliest faulty record, unless a record before
-    it repeats an id, of this chunk or of ``seen_ids``."""
+    If a check refuses, the records are walked in order through the same
+    checks, and the first fault met is raised as a :class:`FactError`: a
+    record that is not an object, an unknown kind, the record's first
+    refused key, or an id of an earlier record or of ``seen_ids``."""
     lines, recs = zip(*chunk)
-    end, error = len(recs), None  # the first faulty record and its error
-    if set(map(type, recs)) - {dict}:
-        row = _first(recs, lambda rec: not isinstance(rec, dict))
-        if row is not None:
-            end, error = row, "record is not a JSON object"
-    kinds = list(map(dict.get, recs[:end], repeat("k")))
-    if set(map(type, kinds)) - {str} or set(kinds) - _RECORDS.keys():
-        row = _first(kinds, lambda kind: not isinstance(kind, str) or kind not in _RECORDS)
-        if row is not None:
-            end, error = row, f"unknown record kind {kinds[row]!r}"
-            del kinds[row:]
-    positions: dict[str, list[int]] = {kind: [] for kind in _RECORDS}
-    for position, kind in enumerate(kinds):
-        positions[kind].append(position)
-    decls, columns = {}, {}
-    for kind, group in positions.items():
-        if group:
-            columns[kind] = _columns(kind, list(map(recs.__getitem__, group)))
+    if all(map(isinstance, recs, repeat(dict))):
+        kinds = list(map(dict.get, recs, repeat("k")))
+        if all(map(isinstance, kinds, repeat(str))) and _RECORDS.keys() >= set(kinds):
+            groups: dict[str, list[dict]] = {kind: [] for kind in _RECORDS}
+            for kind, rec in zip(kinds, recs):
+                groups[kind].append(rec)
+            columns = {kind: _columns(kind, group) for kind, group in groups.items() if group}
             try:
-                decls[kind] = _check_columns(kind, columns[kind])
-            except _Refused as refused:
-                if group[refused.row] < end:
-                    end, error = group[refused.row], str(refused)
-    ids = list(map(itemgetter("id"), recs[:end]))
-    fresh = dict(zip(ids, lines))
-    if len(fresh) != len(ids) or not seen_ids.keys().isdisjoint(fresh):
-        earlier = set()
-        for position, id_ in enumerate(ids):
-            if id_ in seen_ids or id_ in earlier:
-                raise FactError(f"duplicate id {id_!r}", lines[position])
-            earlier.add(id_)
-    if error is not None:
-        raise FactError(error, lines[end])
-    return decls, fresh, columns
+                decls = {kind: _check_columns(kind, cols) for kind, cols in columns.items()}
+            except _Refused:
+                pass
+            else:
+                fresh = dict(zip(map(itemgetter("id"), recs), lines))
+                if len(fresh) == len(recs) and seen_ids.keys().isdisjoint(fresh):
+                    return decls, fresh, columns
+    earlier = set()  # a check refused, so the walk meets a fault
+    for line, rec in chunk:
+        if not isinstance(rec, dict):
+            raise FactError("record is not a JSON object", line)
+        kind = dict.get(rec, "k")
+        if not isinstance(kind, str) or kind not in _RECORDS:
+            raise FactError(f"unknown record kind {kind!r}", line)
+        try:
+            _check_columns(kind, _columns(kind, [rec]))
+        except _Refused as refused:
+            raise FactError(str(refused), line) from None
+        if rec["id"] in seen_ids or rec["id"] in earlier:
+            raise FactError(f"duplicate id {rec['id']!r}", line)
+        earlier.add(rec["id"])
 
 
 #: The value a column holds for a record without a required key.
@@ -1047,12 +1040,12 @@ def _typed(kind: str, key: _Key, column: list) -> list:
     if (set(map(type, column)) - ({key.accepts, type(None)} if key.nullable else {key.accepts})
             or items is not None and set(map(type, chain.from_iterable(column))) - {items}):
         # The test above takes exact types; ``_is`` decides the rest.
-        for row, value in enumerate(column):
+        for value in column:
             if value is _MISSING:
-                raise _Refused(row, f"missing key {key.name!r} in {kind} record")
+                raise _Refused(f"missing key {key.name!r} in {kind} record")
             if not (value is None and key.nullable) and (not _is(value, key.accepts) or (
                     items is not None and not all(isinstance(v, items) for v in value))):
-                raise _Refused(row, f"bad value for {key.name!r}: {value!r}")
+                raise _Refused(f"bad value for {key.name!r}: {value!r}")
     return column if items is None else list(map(tuple, column))
 
 
@@ -1060,29 +1053,17 @@ def _check_columns(kind: str, columns: dict[str, list | tuple]) -> list:
     """The declarations that the columns of one kind describe, each key's
     column checked at once.  Raises ``ValueError`` unless the columns are
     one list (or tuple) per key of the kind, all of one length, and
-    ``_Refused`` for the earliest row that fails a check, with the first
-    key in table order that it fails."""
+    ``_Refused`` for the first key in table order whose column a check
+    refuses, the key's type test before its value check."""
     decl_class, keys = _RECORDS[kind]
     if (type(columns) is not dict or columns.keys() != {key.name for key in keys}
             or set(map(type, columns.values())) - {list, tuple}
             or len(set(map(len, columns.values()))) != 1):
         raise ValueError(f"{kind} columns are not one list per key, all of one length")
-    refused = None  # the earliest fault so far; later keys are checked before its row
     values = {}
     for key in keys:
-        column = columns[key.name] if refused is None else columns[key.name][:refused.row]
-        try:
-            column = _typed(kind, key, column)
-        except _Refused as fault:
-            refused, column = fault, column[:fault.row]
-        if key.check is not None:
-            try:
-                column = key.check(column)
-            except _Refused as fault:
-                refused = fault
-        values[key.attr] = column
-    if refused is not None:
-        raise refused
+        column = _typed(kind, key, columns[key.name])
+        values[key.attr] = column if key.check is None else key.check(column)
     return list(map(partial(tuple.__new__, decl_class),
                     zip(*map(values.__getitem__, decl_class._fields))))
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 
@@ -545,6 +546,58 @@ def test_repl_session(facts_file):
     assert "unknown command 'bogus'" in out
 
 
+class _Terminal(io.StringIO):
+    """Standard input as a terminal, so the REPL writes its prompt."""
+
+    def isatty(self):
+        return True
+
+
+def test_repl_prompts_a_terminal_and_words_each_refusal(facts_file):
+    script = ["members AbstractCommand", "", "mine redirect", "seedexpand S1", 'cb "unclosed',
+              "quit"]
+    out = io.StringIO()
+    code = main(["repl", str(facts_file)], stdin=_Terminal("\n".join(script) + "\n"),
+                stdout=out)
+    assert code == 0
+    assert out.getvalue().split("sortweaver> ")[1:] == [
+        "  method AbstractCommand.view()\n  method AbstractCommand.execute()\n"
+        "  field DrawingView fView\n",
+        "",  # a blank line runs nothing
+        "no seeds\n",
+        "error: no such seed S1; run mine first\n",
+        "error: No closing quotation\n",
+        "",
+    ]
+
+
+def test_mine_text_names_grouped_and_redirect_seeds(tmp_path):
+    for name in ("command", "decorator"):
+        assert run_cli("extract", str(CORPUS / f"{name}.mini"), "-o",
+                       str(tmp_path / f"{name}.jsonl"))[0] == 0
+    code, out = run_cli("mine", "grouped", str(tmp_path / "command.jsonl"))
+    assert code == 0
+    assert out.splitlines()[0] == "  1        20  CB  {AbstractCommand.execute(), Command.execute()}"
+    assert run_cli("mine", "redirect", str(tmp_path / "decorator.jsonl")) == (
+        0, "  1         1  RL  BorderDecorator -> Figure\n")
+
+
+def test_model_and_plan_refusals_name_the_fault(tmp_path, capsys, facts_file):
+    model_file = tmp_path / "concerns.json"
+    assert run_cli("model", "init", str(model_file))[0] == 0
+    before = model_file.read_text()
+    capsys.readouterr()
+    for argv, error in (
+        (("model", "init", str(model_file)), f"{model_file} already exists"),
+        (("model", "add-instance", str(model_file), "x", "--sort", "CB", "--param", "target"),
+         "bad --param 'target'; expected KEY=VALUE"),
+        (("plan", str(model_file), "/", str(facts_file)), "group '' contains no instances"),
+    ):
+        assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr().err == f"error: {error}\n"
+    assert model_file.read_text() == before
+
+
 def test_repl_eof_terminates(facts_file):
     code, out = run_cli("repl", str(facts_file), stdin_text="")
     assert code == 0
@@ -715,6 +768,10 @@ def test_query_prefix_scope_selects_the_types_under_a_dotted_name(tmp_path):
     ("rsi", "rsi <role> [scope]"),
     ("sc", "sc <scope> [role]"),
     ("ep a b c", "ep <exception> [root]"),
+    ("callers", "callers <method>"),
+    ("ancestors a b", "ancestors <type>"),
+    ("members", "members <type>"),
+    ("mine bogus", "mine fanin|grouped|redirect"),
 ])
 def test_repl_query_usage_errors(facts_file, line, usage):
     code, out = run_cli("repl", str(facts_file), stdin_text=f"{line}\nhelp\n")
@@ -818,6 +875,39 @@ def test_a_reader_gone_before_the_output_is_flushed_ends_the_command_quietly(tmp
     finally:
         os.close(write_end)
     assert (child.stderr, child.returncode) == (b"", 1)
+
+
+def test_a_closed_pipe_on_the_process_stdout_is_sent_to_the_null_device(monkeypatch, capsys,
+                                                                        facts_file):
+    """In process: the flush meets the closed pipe, and the file descriptor
+    under ``sys.stdout`` then writes to the null device, so a later flush,
+    as the one at exit, has nothing to report."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["query", "cb", str(facts_file), "--target", "DrawingView.checkDamage"]) == 1
+        closed.write("after the redirect\n")
+        closed.flush()
+    assert capsys.readouterr().err == ""
+
+
+def test_an_unexpected_error_exits_two_naming_it(capsys, facts_file):
+    class Failing(io.StringIO):
+        def readline(self, *args):
+            raise RuntimeError("stdin went away")
+
+    code = main(["repl", str(facts_file)], stdin=Failing(), stdout=io.StringIO())
+    assert (code, capsys.readouterr().err) == (2, "internal error: RuntimeError: stdin went away\n")
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.delitem(sys.modules, "sortweaver.__main__", raising=False)
+    monkeypatch.setattr(sys, "argv", ["sortweaver", "--version"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sortweaver", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("sortweaver 0.1.0")
 
 
 def test_anonymous_type_without_enclosing_type_is_an_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from sortweaver.concerns import (
     dumps_model,
     iter_instances,
     load_model,
+    node_at,
     remove,
     rename,
     run_all,
@@ -170,6 +171,16 @@ def test_malformed_model_file_rejected(tmp_path):
         load_model(bad)
 
 
+def test_paths_through_an_instance_or_to_no_node_are_refused():
+    root = Group("concerns")
+    add_instance(root, "notify", notify_binding())
+    with pytest.raises(ConcernModelError, match="^no such concern path: 'notify/x'$"):
+        node_at(root, "notify/x")
+    with pytest.raises(ConcernModelError, match="^no such concern path: 'other'$"):
+        rename(root, "other", "x")
+    assert [node.name for node in root.children] == ["notify"]
+
+
 MALFORMED_INSTANCES = {
     "unknown param key": {"sort": "CB", "params": {"tgt": "DrawingView.checkDamage"}},
     "missing required key": {"sort": "RL", "params": {"redirector": "BorderDecorator"}},
@@ -231,7 +242,13 @@ def _nested_model(depth: int) -> str:
     (_nested_model(600).encode(), True, "{path}: model nests too deeply"),
     (_nested_model(5000).encode(), False, "{path}: model nests too deeply"),
     (b'{"name": "\xff", "children": []}', False, "{path}: not valid UTF-8 (invalid start byte)"),
-], ids=["600-groups", "5000-groups", "invalid-utf8"])
+    (b'{"name": "g", "children": []', False,
+     "{path}: invalid JSON: Expecting ',' delimiter: line 1 column 29 (char 28)"),
+    (b'{"name": "g", "children": [{"name": "h", "children": [7]}]}', False,
+     "bad concern-model node in 'h': 7"),
+    (b'{"name": "g", "children": {"name": "h"}}', False, "children of '/' must be a list"),
+], ids=["600-groups", "5000-groups", "invalid-utf8", "not-json", "child-not-an-object",
+        "children-not-a-list"])
 def test_hostile_model_file_exits_one_naming_the_file(tmp_path, capsys, content, may_pass,
                                                      message):
     from sortweaver.cli import main

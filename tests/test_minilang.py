@@ -292,6 +292,31 @@ def test_a_call_on_a_stub_result_looks_up_from_the_external_object():
     assert model.calls_to(model.resolve_method("Outer.Object.x").id) == ()
 
 
+def test_names_resolve_by_unique_simple_name_and_bare_calls_through_enclosers():
+    """A nested type named by its simple name from another type, a bare call
+    bound two enclosing types out, and a call on a literal, which resolves
+    to nothing and becomes an external stub."""
+    text = """
+    class Outer {
+        void top() { }
+        class Inner { void f() { } }
+        class Middle { class Deep { void g() { top(); } } }
+    }
+    class User { void use(Inner x) { x.f(); "text".size(); } }
+    """
+    extraction = extract(text)
+    assert [w.message for w in extraction.warnings] == [
+        "cannot resolve method size/0 on <unknown>; recording an external stub"]
+    model = load_records(records_of(extraction.records))
+    use = model.resolve_method("User.use")
+    assert use.param_types == ("Outer.Inner",)
+    f_call, size_call = model.calls_of(use.id)
+    assert f_call.static_target == model.resolve_method("Outer.Inner.f").id
+    assert model.methods[size_call.static_target].is_external
+    (top_call,) = model.calls_of(model.resolve_method("Outer.Middle.Deep.g").id)
+    assert top_call.static_target == model.resolve_method("Outer.top").id
+
+
 def test_duplicate_type_names_resolve_to_the_first_declaration():
     text = """
     class A { static void first() { } }
@@ -299,7 +324,7 @@ def test_duplicate_type_names_resolve_to_the_first_declaration():
     class A { static void second() { } }
     class Outer {
         class X { void a() { } }
-        class X { void b() { } }
+        class X { X other; void b() { other.a(); } }
         void near(X x) { x.a(); x.b(); }
     }
     """
@@ -324,6 +349,10 @@ def test_duplicate_type_names_resolve_to_the_first_declaration():
     assert model.type_by_name(near.param_types[0]).id == first_x
     a, b = targets(near)
     assert a.owner == first_x and b.is_external
+    # Inside the second Outer.X, its own name also means the first.
+    (other_a,) = targets(model.methods[next(
+        m.id for m in model.methods.values() if m.name == "b" and not m.is_external)])
+    assert other_a == a
 
 
 def test_receiver_classification():

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import chain, combinations
 from json.scanner import c_make_scanner, py_make_scanner
@@ -118,6 +119,19 @@ def test_deep_hierarchy_declared_child_first_closes_without_recursion():
     assert [tid for tid in model.types if in_root(tid)] == list(model.types)
     assert model.common_ancestor(["T0", "T600", "T900"]) == "T900"
     assert model.ancestors("T600") == {f"T{i}" for i in range(600, depth)}
+
+
+def test_a_deep_enclosing_chain_is_checked_in_linear_time():
+    """T1 encloses T2 encloses ... T20000: each type's enclosing walk stops
+    at a type already known to reach the top, where walking each whole
+    chain would take minutes."""
+    depth = 20_000
+    types = [TypeDecl(f"T{i}", f"L{i}", TypeKind.CLASS, enclosing_type=f"T{i - 1}" if i > 1
+                      else None) for i in range(1, depth + 1)]
+    started = time.process_time()
+    model = SourceModel(types, [], [], [])
+    assert time.process_time() - started < 1.0
+    assert len(model.types) == depth
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
@@ -922,6 +936,19 @@ def test_a_record_that_is_not_a_dict_is_refused_and_a_str_subclass_loads(chunk):
     assert model.methods["M1"].visibility is Visibility.PUBLIC
     assert model.to_records() == oracles.load_records_per_record(records).to_records()
 
+    # A record of a ``dict`` subclass whose kind is a ``str`` subclass passes
+    # the column checks, as it passes the walk that words a later fault.
+    class Record(dict):
+        pass
+
+    class Kind(str):
+        pass
+
+    records = [Record(rec, k=Kind(rec["k"])) for rec in records]
+    assert load_records(records).to_records() == model.to_records()
+    with pytest.raises(FactError, match=f"^line {len(records) + 1}: duplicate id 'T1'$"):
+        load_records(enumerate([*records, Record(TYPE)], start=1))
+
 
 def _synthetic_records(types: int) -> list[dict]:
     """24 records per type: the type, 2 fields, 8 methods and 13 calls."""
@@ -1168,6 +1195,18 @@ def test_a_directory_at_the_sidecar_path_leaves_the_load_and_stderr_alone(tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar_path(path).name, "facts.jsonl"]
 
 
+def test_a_name_with_no_room_for_the_sidecar_temporary_file_loads_without_one(tmp_path,
+                                                                              capsys):
+    """The sidecar's name just fits the file system's name limit, so its
+    temporary file cannot be made, nor then unlinked."""
+    path = tmp_path / ("f" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len("..swcache")))
+    path.write_text(dumps_facts(_unit_records("command.mini")))
+    for _ in range(2):
+        assert _loaded(path) == _cold(path)
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_a_pipe_at_the_sidecar_path_is_not_read_and_is_replaced(tmp_path):
     """Opening a pipe with no writer would block the load for good."""
     path = tmp_path / "facts.jsonl"
@@ -1235,6 +1274,8 @@ def test_natural_key_orders_ids_the_chunk_key_rejected():
     assert sorted(ids, key=natural_key) == [
         "C2", long_runs[2], "C5", "C9" * 3000, long_runs[0], long_runs[1], long_runs[3],
         "x\u00b2", "\u00b2"]
+    # Runs that differ only in leading zeros give equal keys, which hash alike.
+    assert len({*map(natural_key, long_runs), natural_key("C0" + "9" * 5000)}) == len(long_runs)
 
 
 # -- table order -------------------------------------------------------------------------
@@ -1403,6 +1444,17 @@ def _two_types(attr: str):
     return fault
 
 
+def _enclosing_cycle(rng, tables):
+    """A fault that links three to eight random types (fewer if the table is
+    smaller) into one enclosing cycle, so that types enclosed by any of them
+    reach it only through a deep chain."""
+    rows = tables["type"]
+    ring = rng.sample(range(len(rows)), min(len(rows), rng.randint(3, 8)))
+    for here, there in zip(ring, ring[1:] + ring[:1]):
+        rows[here] = rows[here]._replace(enclosing_type=rows[there].id)
+    return True
+
+
 def _arity(tables, method_id: str) -> int:
     return next((len(m.param_types) for m in tables["method"] if m.id == method_id), 0)
 
@@ -1423,6 +1475,7 @@ _MODEL_FAULTS = {
         supertypes=decl.supertypes + ("T9999",))),
     "supertype cycle": _two_types("supertypes"),
     "enclosing cycle": _two_types("enclosing_type"),
+    "deep enclosing cycle": _enclosing_cycle,
     "anonymous without enclosing type": _edit("type", lambda rng, decl, tables: decl._replace(
         is_anonymous=True, enclosing_type=None)),
     "duplicate signature": _copy("method"),

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -378,6 +379,12 @@ def test_expand_redirector_seed_copies_binding(decorator_model):
     assert suggestion.binding.sort is SortKind.RL
     assert suggestion.binding.param("redirector") == "BorderDecorator"
     assert suggestion.binding.param("receiver") == "Figure"
+
+
+def test_expand_seed_refuses_an_unknown_technique(decorator_model):
+    seed = replace(find_redirectors(decorator_model)[0], technique="hunch")
+    with pytest.raises(FactError, match="^cannot expand seeds of technique 'hunch'$"):
+        expand_seed(decorator_model, seed)
 
 
 def test_expand_seed_with_unrelated_callers_only_star():

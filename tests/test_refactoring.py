@@ -21,6 +21,7 @@ from sortweaver.queries import (
 )
 from sortweaver.refactoring import (
     PlanError,
+    SourceEdit,
     apply_edits,
     check_precedence,
     combine_plans,
@@ -102,6 +103,18 @@ def test_empty_cb_result_is_an_error(command_model):
     empty = query_cb(command_model, "DrawingView.checkDamage", "DrawingView")
     with pytest.raises(PlanError, match="^cannot plan an empty CB result$"):
         plan_for(command_model, empty)
+
+
+def test_library_refusals_name_the_fault(command_model):
+    result = query_cb(command_model, "DrawingView.checkDamage", "Command")
+    with pytest.raises(PlanError, match="^unknown advice kind 'sideways'$"):
+        plan_for(command_model, result, advice="sideways")
+    with pytest.raises(PlanError, match="^nothing to combine$"):
+        combine_plans("Empty", [])
+    with pytest.raises(PlanError, match="^unknown edit kind 'rewrite'$"):
+        SourceEdit("rewrite", "M1", "rewrite the body")
+    edit = SourceEdit("delete_throws_clause", "M1", "drop it", (("exception", "E1"),))
+    assert (edit.detail_value("exception"), edit.detail_value("reason")) == ("E1", None)
 
 
 def test_cb_closure_drives_query_to_empty(command_model):
