@@ -1,9 +1,9 @@
-"""Small shared helpers: deterministic ordering, canonical JSON, digests,
-and the cycle-collector pause."""
+"""Small shared helpers: natural id order (each digit run compared by its
+value, of any length, without ``int()``), canonical JSON, digests, and the
+cycle-collector pause."""
 
 from __future__ import annotations
 
-import functools
 import gc
 import hashlib
 import json
@@ -17,63 +17,34 @@ _CHUNKS = re.compile(r"(\d+)")
 def natural_key(text: str) -> tuple:
     """Sort key that orders embedded numbers numerically (C2 before C10).
 
-    The key alternates the text around the digit runs (as strings, maybe
-    empty at either end) with the runs' values, so each position holds
-    one kind of value in every key.  An id of letters then ASCII digits
-    (``C12``), as extractors write them, skips the regex: a letter is never
-    a ``\\d`` digit, so its split is the head, the digits and ``""``.
+    The key holds the text around the digit runs (as strings, maybe empty
+    at either end) and, for each run, its count of significant digits then
+    those digits in ASCII (``C0012`` gives ``("C", 2, "12", "")``), so each
+    position holds one kind of value in every key.  A run with more
+    significant digits has the larger value, so this is numeric order for
+    runs of any length, and no run goes through ``int()``.  An id of
+    letters then ASCII digits (``C12``), as extractors write them, skips
+    the regex: a letter is never a ``\\d`` digit, so its split is the
+    head, the digits and ``""``.
     """
     head = text.rstrip("0123456789")
     if len(head) < len(text) and head.isalpha():
-        try:
-            return (head, int(text[len(head):]), "")
-        except ValueError:  # a run longer than ``int()`` converts
-            pass
+        digits = text[len(head):].lstrip("0")
+        return (head, len(digits), digits, "")
     return _split_key(text)
 
 
 def _split_key(text: str) -> tuple:
     """``natural_key`` by splitting the text at every ``\\d`` run."""
     parts = _CHUNKS.split(text)
-    try:
-        if len(parts) == 3:  # one digit run, as most ids have
-            return (parts[0], int(parts[1]), parts[2])
-        parts[1::2] = map(int, parts[1::2])
-    except ValueError:  # a run longer than ``int()`` converts
-        parts[1::2] = map(_LongRun.value, parts[1::2])
-    return tuple(parts)
-
-
-@functools.total_ordering
-class _LongRun:
-    """The value of a digit run too long for ``int()``: its digits without
-    leading zeros, which order longer runs above shorter ones and runs of
-    one length by their digits.  Each is above every ``int`` that ``int()``
-    makes, having more significant digits."""
-
-    __slots__ = ("digits",)
-
-    def __init__(self, digits: str):
-        self.digits = digits
-
-    @classmethod
-    def value(cls, run: str):
-        digits = "".join(str(unicodedata.decimal(ch)) for ch in run).lstrip("0")
-        try:
-            return int(digits or "0")
-        except ValueError:
-            return cls(digits)
-
-    def __eq__(self, other):
-        return isinstance(other, _LongRun) and self.digits == other.digits
-
-    def __lt__(self, other):
-        if isinstance(other, _LongRun):
-            return (len(self.digits), self.digits) < (len(other.digits), other.digits)
-        return False
-
-    def __hash__(self):
-        return hash(self.digits)
+    key = [parts[0]]
+    for i in range(1, len(parts), 2):
+        run = parts[i]
+        if not run.isascii():  # other ``\d`` digits, such as Arabic-Indic
+            run = "".join(str(unicodedata.decimal(ch)) for ch in run)
+        digits = run.lstrip("0")
+        key += (len(digits), digits, parts[i + 1])
+    return tuple(key)
 
 
 #: The most digits a count typed by a user (an ``/arity`` suffix, a seed

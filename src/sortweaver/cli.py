@@ -485,7 +485,7 @@ commands:
   ancestors <type>            supertypes of a type
   members <type>              declared methods and fields
   mine fanin|grouped|redirect run a mining technique; seeds become S1, S2, ...
-  seedexpand <seed-id>        suggest query bindings for a mined seed
+  seedexpand S<n>             suggest query bindings for a mined seed
   cb <target> [scope]         consistent-behavior query
   rl <redirector> <receiver>  redirection-layer query
   ec <context> [scope]        expose-context query

@@ -182,29 +182,28 @@ def _split(path: str) -> list[str]:
     return parts
 
 
+def _walk(node, parts: list[str], path: str):
+    """The node that the segments ``parts`` name below ``node``; ``path``,
+    the whole concern path, words the error."""
+    for part in parts:
+        node = node.child(part) if isinstance(node, Group) else None
+        if node is None:
+            raise ConcernModelError(f"no such concern path: {path!r}")
+    return node
+
+
 def node_at(root: Group, path: str):
     """The node at a slash-separated concern path; "" or "/" is the root."""
-    node = root
-    for part in [p for p in path.split("/") if p]:
-        if not isinstance(node, Group):
-            raise ConcernModelError(f"no such concern path: {path!r}")
-        child = node.child(part)
-        if child is None:
-            raise ConcernModelError(f"no such concern path: {path!r}")
-        node = child
-    return node
+    return _walk(root, [p for p in path.split("/") if p], path)
 
 
 def _parent_of(root: Group, path: str) -> tuple[Group, str, str]:
     """The group that holds the node at ``path``, that group's concern path
     and the node's name."""
     parts = _split(path)
-    parent = root
-    for part in parts[:-1]:
-        child = parent.child(part) if isinstance(parent, Group) else None
-        if not isinstance(child, Group):
-            raise ConcernModelError(f"no such concern path: {path!r}")
-        parent = child
+    parent = _walk(root, parts[:-1], path)
+    if not isinstance(parent, Group):
+        raise ConcernModelError(f"no such concern path: {path!r}")
     return parent, "/".join(parts[:-1]), parts[-1]
 
 
@@ -227,18 +226,13 @@ def add_instance(root: Group, path: str, binding: QueryBinding, note: str = "") 
 
 def remove(root: Group, path: str):
     parent, _, name = _parent_of(root, path)
-    child = parent.child(name)
-    if child is None:
-        raise ConcernModelError(f"no such concern path: {path!r}")
-    parent.children.remove(child)
+    parent.children.remove(_walk(parent, [name], path))
 
 
 def rename(root: Group, path: str, new_name: str):
     """Rename the node at ``path``; its own name is not a sibling's."""
     parent, parent_path, name = _parent_of(root, path)
-    child = parent.child(name)
-    if child is None:
-        raise ConcernModelError(f"no such concern path: {path!r}")
+    child = _walk(parent, [name], path)
     _check_name(new_name, new_name != name and parent.child(new_name) is not None, parent_path)
     child.name = new_name
 

@@ -772,6 +772,7 @@ def test_query_prefix_scope_selects_the_types_under_a_dotted_name(tmp_path):
     ("ancestors a b", "ancestors <type>"),
     ("members", "members <type>"),
     ("mine bogus", "mine fanin|grouped|redirect"),
+    ("seedexpand", "seedexpand S<n>"),
 ])
 def test_repl_query_usage_errors(facts_file, line, usage):
     code, out = run_cli("repl", str(facts_file), stdin_text=f"{line}\nhelp\n")

@@ -179,6 +179,25 @@ def test_paths_through_an_instance_or_to_no_node_are_refused():
     with pytest.raises(ConcernModelError, match="^no such concern path: 'other'$"):
         rename(root, "other", "x")
     assert [node.name for node in root.children] == ["notify"]
+    # Every edit words a bad path alike, whichever segment it fails at.
+    add_group(root, "g")
+    add_instance(root, "g/notify", notify_binding())
+    for edit, needs_node in (
+        (add_group, False),
+        (lambda root, path: add_instance(root, path, notify_binding()), False),
+        (remove, True),
+        (lambda root, path: rename(root, path, "y"), True),
+    ):
+        for path in ["g/notify/x", "g/notify/x/y", "h/x", "/h//x/"] + ["g/x", "h"] * needs_node:
+            with pytest.raises(ConcernModelError) as refused:
+                edit(root, path)
+            assert str(refused.value) == f"no such concern path: {path!r}"
+        for path in ("", "/", "//"):
+            with pytest.raises(ConcernModelError, match="^empty concern path$"):
+                edit(root, path)
+    assert node_at(root, "") is root and node_at(root, "/") is root
+    assert [node.name for node in root.children] == ["notify", "g"]
+    assert [node.name for node in node_at(root, "g").children] == ["notify"]
 
 
 MALFORMED_INSTANCES = {

@@ -1278,6 +1278,35 @@ def test_natural_key_orders_ids_the_chunk_key_rejected():
     assert len({*map(natural_key, long_runs), natural_key("C0" + "9" * 5000)}) == len(long_runs)
 
 
+def test_natural_key_does_not_depend_on_the_int_limit():
+    """``int()`` refuses runs longer than the interpreter's limit and converts
+    any run when it is off, so a key built from ``int()`` would change with
+    the limit."""
+    long_runs = ["C" + "9" * 5000, "C1" + "0" * 5000, "C" + "0" * 5000 + "3", "C" + "8" * 5001,
+                 "C9" * 3000, "x\u0661" + "\u0662" * 5000]
+    keys = [natural_key(text) for text in long_runs]
+    limit = sys.get_int_max_str_digits()
+    try:
+        for other in (640, 0):
+            sys.set_int_max_str_digits(other)
+            assert [natural_key(text) for text in long_runs] == keys
+            test_natural_key_orders_ids_the_chunk_key_rejected()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_keying_a_million_digit_run_takes_under_a_second_with_the_int_limit_off():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        key = natural_key("C" + "7" * 1_000_000)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert key[:2] == ("C", 1_000_000) and elapsed < 1.0
+
+
 # -- table order -------------------------------------------------------------------------
 
 
