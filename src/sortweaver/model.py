@@ -564,6 +564,8 @@ class SourceModel:
     def _compute_ancestors(self) -> dict[str, frozenset[str]]:
         resolved: dict[str, frozenset[str]] = {}
         for start, decl in self._types.items():
+            if start in resolved:  # closed by an earlier walk
+                continue
             if all(map(resolved.__contains__, decl.supertypes)):  # the supertypes came first
                 resolved[start] = frozenset({start}.union(*map(resolved.__getitem__,
                                                                decl.supertypes)))
@@ -595,8 +597,8 @@ class SourceModel:
 _CHUNK = 1024
 
 
-def load_facts(lines: Iterable[str | bytes], *, policy: DispatchPolicy = DEFAULT_POLICY,
-               columns: list | None = None) -> SourceModel:
+def load_facts(lines: Iterable[str | bytes], *,
+               policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
     """Parse a facts.jsonl stream and build a fully linked model.
 
     Lines may be text or UTF-8 bytes.  Raises :class:`FactError` with the
@@ -614,11 +616,9 @@ def load_facts(lines: Iterable[str | bytes], *, policy: DispatchPolicy = DEFAULT
     with ``extract``): decoding and linking make no reference cycles, so its
     passes over the young records would free nothing, and the model it
     returns starts in the oldest generation.
-
-    ``columns`` is passed to ``load_records``.
     """
     with collector_paused():
-        return load_records(_json_records(lines), policy=policy, columns=columns)
+        return load_records(_json_records(lines), policy=policy)
 
 
 def _json_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
@@ -666,8 +666,9 @@ _scan_once = make_scanner(json.JSONDecoder())
 
 def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY) -> SourceModel:
     """Load a facts.jsonl file.  Lines end at ``\\n``, as in JSON Lines, and
-    are read as bytes and decoded by ``load_facts``, so an encoding error
-    names its line.
+    are read as bytes and decoded one at a time, as ``load_facts`` decodes
+    them, so an encoding error names its line.  The cycle collector is
+    paused once for the whole load (``collector_paused``).
 
     A regular file's lines are decoded once.  That load writes the columns
     it checked to a sidecar, ``.<name>.swcache`` next to the file, keyed by
@@ -680,18 +681,18 @@ def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY
     sidecar.
     """
     path = Path(path)
-    with open(path, "rb") as handle:
+    with open(path, "rb") as handle, collector_paused():
         if not stat.S_ISREG(os.lstat(path).st_mode):
             return load_facts(handle, policy=policy)
         sidecar = _sidecar_path(path)
         try:
-            with collector_paused():
-                return _load_sidecar(sidecar, handle, policy)
+            return _load_sidecar(sidecar, handle, policy)
         except (OSError, ValueError, RecursionError):  # a miss: the lines decide
             handle.seek(0)
         digest = hashlib.sha256()
         columns: list[str] = []
-        model = load_facts(_hashed_lines(handle, digest), policy=policy, columns=columns)
+        model = load_records(_json_records(_hashed_lines(handle, digest)), policy=policy,
+                             columns=columns)
     _write_sidecar(sidecar, _sidecar_header(digest.hexdigest()), columns)
     return model
 
@@ -703,25 +704,17 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.swcache")
 
 
-#: Bytes of a facts file read, and hashed, at a time when its sidecar is
-#: checked or written.
+#: Bytes of a facts file read, and hashed, at a time when a hit checks that
+#: its sidecar names them.
 _HASH_BLOCK = 1 << 16
 
 
 def _hashed_lines(handle, digest) -> Iterator[bytes]:
-    """The lines of a binary file without their ``\\n``, read ``_HASH_BLOCK``
-    bytes at a time, each block added to ``digest`` as it is read."""
-    head: list[bytes] = []  # the start of a line that spans blocks
-    while block := handle.read(_HASH_BLOCK):
-        digest.update(block)
-        *lines, tail = block.split(b"\n")
-        if lines:
-            lines[0] = b"".join([*head, lines[0]])
-            head = []
-            yield from lines
-        head.append(tail)
-    if any(head):
-        yield b"".join(head)
+    """The lines of a binary file, read as a stream reads them, each added
+    to ``digest`` as it is read."""
+    for line in handle:
+        digest.update(line)
+        yield line
 
 
 def _sidecar_header(sha256: str) -> str:

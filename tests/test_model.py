@@ -113,7 +113,12 @@ def test_deep_hierarchy_declared_child_first_closes_without_recursion():
     depth = 1200
     types = [dict(TYPE, id=f"T{i}", name=f"L{i}", super=[f"T{i + 1}"] if i + 1 < depth else [])
              for i in range(depth)]
-    model = load_records(types)
+    built = []
+    with pytest.MonkeyPatch.context() as patch:  # each closure is built once
+        patch.setattr(model_module, "frozenset", lambda *args: built.append(1) or frozenset(*args),
+                      raising=False)
+        model = load_records(types)
+    assert len(built) == depth
     assert len(model.ancestors("T0")) == depth
     in_root = scope_test(model, f"L{depth - 1}")
     assert [tid for tid in model.types if in_root(tid)] == list(model.types)
@@ -1060,19 +1065,19 @@ def test_a_rewrite_of_the_same_size_and_mtime_is_decoded_again(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 @pytest.mark.parametrize("end", [b"", b"\n", b"\n\n", b"\r\n \n"])
-def test_a_miss_reads_hashes_and_splits_the_file_a_block_at_a_time(tmp_path, block, end):
-    """The sidecar names the digest of the bytes the miss decoded, lines that
-    span blocks are read whole, and a last line without ``\\n`` counts."""
+def test_the_sidecar_names_the_digest_of_the_decoded_bytes(tmp_path, block, end):
+    """The sidecar's header holds the file's SHA-256: a last line without
+    ``\\n``, blank lines and ``\\r\\n`` endings count, and a hit that reads
+    ``block`` bytes at a time gives the cold result."""
     path = tmp_path / "facts.jsonl"
     path.write_bytes(b"\n".join(json.dumps(rec).encode()
                                 for rec in _unit_records("decorator.mini")) + end)
     want = _cold(path)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_module, "_HASH_BLOCK", block)
-        assert _loaded(path) == want
+    assert _loaded(path) == want
     header = model_module._sidecar_header(hashlib.sha256(path.read_bytes()).hexdigest())
     assert _sidecar_path(path).read_text().startswith(header)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_HASH_BLOCK", block)
         _no_cold_loads(patch)
         assert _loaded(path) == want
 
