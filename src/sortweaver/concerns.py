@@ -15,6 +15,7 @@ so they survive re-extraction of changed sources.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,11 +162,22 @@ def load_model(path: str | Path) -> Group:
 
 
 def save_model(root: Group, path: str | Path):
+    """Write the model through a temporary file next to the file that
+    ``path`` names (a symbolic link's target) and ``os.replace``, so a write
+    cut short leaves the previous model as it was and no temporary file."""
     try:
         text = dumps_model(root)
     except RecursionError:
         raise ConcernModelError(f"{path}: model nests too deeply") from None
-    Path(path).write_text(text, encoding="utf-8")
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8") as out:
+            out.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def dumps_model(root: Group) -> str:

@@ -9,12 +9,16 @@ text again.
 Derived relations.  Built at construction:
 
 * the reflexive-transitive subtype closure over declared supertypes (which
-  detects supertype cycles),
+  detects supertype cycles): per type, one ``int`` bitset of its ancestors,
+  whose bit *i* stands for the *i*-th type of ``types``, kept as a window
+  (the index of its lowest set bit, and the bits from there up), so a
+  type whose ancestors lie near it in the table costs a few bytes,
 * a (owner type, signature) -> method index.
 
 The closure is kept in one direction only: no type's subtypes are ever
-listed, ``is_subtype`` answers each question about them, and this module
-alone ranks types by them (``common_ancestor``).
+listed, ``is_subtype`` answers each question about them with one bit test,
+and this module alone ranks types by them (``common_ancestor``).  A set of
+ancestor ids is built only when ``ancestors`` is called.
 
 Built on first use, so a command pays only for what it reads:
 
@@ -55,12 +59,12 @@ import hashlib
 import json
 import os
 import stat
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from enum import Enum
-from functools import cached_property, partial
-from itertools import chain, compress, filterfalse, islice, repeat
+from functools import cached_property, partial, reduce
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from json.scanner import make_scanner
-from operator import attrgetter, is_, itemgetter, le, or_
+from operator import and_, attrgetter, is_, itemgetter, le, or_
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -279,6 +283,9 @@ class SourceModel:
             self._validate_references(lines)
             self._validate_structure(lines)
 
+        # Type id -> its bit in the ancestor windows, and bit -> type id.
+        self._type_ids = tuple(self._types)
+        self._bit = {tid: bit for bit, tid in enumerate(self._type_ids)}
         self._ancestors = self._compute_ancestors()
         self._calls_to: dict[DispatchPolicy, dict[str, tuple[CallSite, ...]]] = {}
 
@@ -365,36 +372,90 @@ class SourceModel:
 
     def ancestors(self, type_id: str) -> frozenset[str]:
         """Reflexive-transitive supertypes of a type (subtype_of*)."""
-        return self._ancestors[type_id]
+        return frozenset(self._members(*self._ancestors[type_id]))
 
     def is_subtype(self, type_id: str, ancestor_id: str) -> bool:
-        return ancestor_id in self._ancestors[type_id]
+        low, bits = self._ancestors[type_id]
+        bit = self._bit.get(ancestor_id, -1) - low  # an unknown id lies below every window
+        return bit >= 0 and bits >> bit & 1 == 1
+
+    def subtype_test(self, ancestor_id: str) -> Callable[[str], bool]:
+        """``is_subtype`` with the ancestor fixed: the test on a type id,
+        for a caller that tests many types against one ancestor."""
+        bit = self._bit.get(ancestor_id, -1)
+        windows = self._ancestors
+
+        def test(type_id: str) -> bool:
+            low, bits = windows[type_id]
+            return low <= bit and bits >> bit - low & 1 == 1
+        return test
+
+    def _members(self, low: int, bits: int) -> Iterable[str]:
+        """The ids of the types whose bits are set in a window, in natural
+        id order.  Few set bits, or few among many, are peeled off one at a
+        time; more are read from the window's binary digits, each of them."""
+        ones = bits.bit_count()
+        if ones < 8 or ones * 32 < bits.bit_length():
+            ids = []
+            while bits:
+                lowest = bits & -bits
+                ids.append(self._type_ids[low + lowest.bit_length() - 1])
+                bits ^= lowest
+            return ids
+        return map(self._type_ids.__getitem__,
+                   compress(count(low), bin(bits)[:1:-1].encode().translate(_BIT_VALUES)))
 
     @cached_property
-    def _subtype_counts(self) -> Counter:
-        """Type id -> the number of its reflexive-transitive subtypes."""
-        return Counter(chain.from_iterable(self._ancestors.values()))
+    def _subtype_counts(self) -> dict[str, int]:
+        """Type id -> the number of its reflexive-transitive subtypes: the
+        popcount of a window of its subtypes, which one pass from the last
+        type closed to the first pushes up into each supertype and drops."""
+        below: dict[str, tuple[int, int]] = {}
+        counts = {}
+        for tid in reversed(self._ancestors):  # every subtype closed later
+            own = (self._bit[tid], 1)
+            window = _union(below.pop(tid, own), own)
+            counts[tid] = window[1].bit_count()
+            for sup in self._types[tid].supertypes:
+                below[sup] = _union(below.get(sup, window), window)
+        return counts
 
     def common_ancestor(self, type_ids: Iterable[str]) -> str | None:
         """The most specific type that every given type is a subtype of: of
         their shared ancestors, the one with the fewest subtypes, then the
         least qualified name."""
-        ups = map(self._ancestors.__getitem__, type_ids)
-        shared = next(ups, frozenset()).intersection(*ups)
+        windows = list(map(self._ancestors.__getitem__, type_ids))
+        if not windows:
+            return None
+        low = max(map(itemgetter(0), windows))  # no bit below it is shared
+        shared = reduce(and_, (bits >> low - start for start, bits in windows))
         if not shared:
             return None
-        return min(shared, key=lambda tid: (self._subtype_counts[tid],
-                                            self._types[tid].qualified_name))
+        return min(self._members(low, shared), key=lambda tid: (
+            self._subtype_counts[tid], self._types[tid].qualified_name))
 
     # The override relation in both directions: the methods with the same
     # signature in the owner's proper supertypes (or subtypes).
 
     def overrides_all(self, method_id: str) -> frozenset[str]:
-        """Every method the given one overrides, directly or transitively."""
+        """Every method the given one overrides, directly or transitively.
+
+        Read from the owner's proper ancestors, or, when there are many,
+        from the methods that share its signature if they are fewer."""
         m = self._methods[method_id]
-        above = (self.declared_method(t, m.signature)
-                 for t in self._ancestors[m.owner] if t != m.owner)
-        return frozenset(mid for mid in above if mid is not None)
+        low, bits = self._ancestors[m.owner]
+        bits ^= 1 << self._bit[m.owner] - low  # the proper ancestors
+        above = bits.bit_count()
+        signature = m.signature
+        # A walk of a few ancestors is cheaper than the signature index
+        # that it would be weighed against, which is built by a pass over
+        # every method.
+        if above >= 32 and len(self._methods_by_signature[signature]) < above:
+            return frozenset(o.id for o in self._methods_by_signature[signature]
+                             if o.owner != m.owner and self.is_subtype(m.owner, o.owner))
+        declared = map(self._method_by_owner_sig.get,
+                       zip(self._members(low, bits), repeat(signature)))
+        return frozenset(mid for mid in declared if mid is not None)
 
     def overridden_by(self, method_id: str) -> frozenset[str]:
         """Every method that overrides the given one, directly or transitively.
@@ -403,8 +464,9 @@ class SourceModel:
         owner has the given one's owner as a proper ancestor.
         """
         m = self._methods[method_id]
+        below = self.subtype_test(m.owner)
         return frozenset(o.id for o in self._methods_by_signature[m.signature]
-                         if o.owner != m.owner and m.owner in self._ancestors[o.owner])
+                         if o.owner != m.owner and below(o.owner))
 
     _methods_by_signature = _index("_methods", "signature")
 
@@ -561,14 +623,15 @@ class SourceModel:
             ):
                 raise FactError(f"call {c.id}: parameter receiver index out of range", lines.get(c.id))
 
-    def _compute_ancestors(self) -> dict[str, frozenset[str]]:
-        resolved: dict[str, frozenset[str]] = {}
+    def _compute_ancestors(self) -> dict[str, tuple[int, int]]:
+        """Type id -> the window of its ancestor bits, in the order the
+        types were closed: each type once, after its supertypes."""
+        resolved: dict[str, tuple[int, int]] = {}
         for start, decl in self._types.items():
             if start in resolved:  # closed by an earlier walk
                 continue
             if all(map(resolved.__contains__, decl.supertypes)):  # the supertypes came first
-                resolved[start] = frozenset({start}.union(*map(resolved.__getitem__,
-                                                               decl.supertypes)))
+                resolved[start] = self._closed(start, resolved)
                 continue
             # Depth-first with an explicit path (type -> iterator over its
             # supertypes), so hierarchy depth is not bounded by recursion.
@@ -578,8 +641,7 @@ class SourceModel:
                 sup = next(filterfalse(resolved.__contains__, pending), None)
                 if sup is None:
                     path.popitem()
-                    ups = map(resolved.__getitem__, self._types[tid].supertypes)
-                    resolved[tid] = frozenset({tid}.union(*ups))
+                    resolved[tid] = self._closed(tid, resolved)
                 elif sup in path:
                     keys = list(path)
                     names = " -> ".join(self._types[x].qualified_name
@@ -588,6 +650,22 @@ class SourceModel:
                 else:
                     path[sup] = iter(self._types[sup].supertypes)
         return resolved
+
+    def _closed(self, tid: str, resolved: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+        """The ancestor window of a type whose supertypes are all closed:
+        its own bit OR-ed with theirs."""
+        return reduce(_union, map(resolved.__getitem__, self._types[tid].supertypes),
+                      (self._bit[tid], 1))
+
+
+def _union(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The window that holds the set bits of two windows."""
+    low = min(a[0], b[0])
+    return low, a[1] << a[0] - low | b[1] << b[0] - low
+
+
+#: ``bin`` digits as the 0 and 1 bytes that ``compress`` selects by.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # -- loading ----------------------------------------------------------------

@@ -231,7 +231,7 @@ def scope_test(model: SourceModel, scope: str) -> Callable[[str], bool]:
     scoped = model.type_by_name(scope)
     if scoped is None:
         raise FactError(f"unknown scope: {scope!r}")
-    return lambda tid: model.is_subtype(tid, scoped.id)
+    return model.subtype_test(scoped.id)
 
 
 # -- the six queries -------------------------------------------------------------
@@ -456,12 +456,13 @@ def query_rsi(model: SourceModel, role: str, scope: str = "*") -> QueryResult:
     """Types carrying a secondary role, and their role-realizing members."""
     role_decl = model.require_type(role)
     in_scope = scope_test(model, scope)
+    has_role = model.subtype_test(role_decl.id)
     binding = QueryBinding.make(SortKind.RSI, role=role_decl.qualified_name, scope=scope)
     hits = []
     for tid in model.types:
         if tid == role_decl.id or not in_scope(tid):
             continue
-        if not model.is_subtype(tid, role_decl.id):
+        if not has_role(tid):
             continue
         hits.append(RsiHit(tid, role_decl.id, "declares_role"))
         for method in model.methods_of(tid):

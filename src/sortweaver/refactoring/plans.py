@@ -562,7 +562,7 @@ def _plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
         owner = model.types[member.owner].qualified_name
         if member.visibility is not Visibility.PUBLIC:
             altered.append(member.id)
-        if any(model.methods[overridden].owner not in model.ancestors(role.id)
+        if any(not model.is_subtype(role.id, model.methods[overridden].owner)
                for overridden in model.overrides_all(member.id)):
             conflicts.append(member.id)
         stanzas.append(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import CORPUS, corpus_model, model_from_source
 
+from sortweaver import concerns as concerns_module
 from sortweaver.concerns import (
     ConcernModelError,
     Group,
@@ -73,6 +74,53 @@ def test_save_load_round_trip_is_byte_identical(tmp_path):
     first = path.read_text()
     save_model(load_model(path), path)
     assert path.read_text() == first
+
+
+def test_a_save_cut_short_leaves_the_previous_model_and_no_temporary_file(tmp_path, monkeypatch):
+    """A save whose write fails after half the text is written raises, and
+    leaves the model file's old bytes and nothing else in its directory."""
+    path = tmp_path / "model.json"
+    save_model(Group("concerns"), path)
+    before = path.read_bytes()
+    root = Group("concerns")
+    add_instance(root, "notify views", notify_binding(), note="demo")
+
+    class HalfWriter:
+        """``open`` whose file takes half of what is written, then fails."""
+
+        def __init__(self, file, mode, **kwargs):
+            self.real = open(file, mode, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.real.close()
+
+        def write(self, text):
+            self.real.write(text[: len(text) // 2])
+            self.real.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(concerns_module, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_model(root, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    save_model(root, path)
+    assert load_model(path).to_json() == root.to_json()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_save_through_a_symbolic_link_writes_its_target(tmp_path):
+    target = tmp_path / "model.json"
+    link = tmp_path / "link.json"
+    save_model(Group("old"), target)
+    link.symlink_to(target)
+    save_model(Group("concerns"), link)
+    assert link.is_symlink()
+    assert load_model(target).name == "concerns"
 
 
 def test_bundled_demo_models_are_canonical():

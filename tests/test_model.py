@@ -113,12 +113,13 @@ def test_deep_hierarchy_declared_child_first_closes_without_recursion():
     depth = 1200
     types = [dict(TYPE, id=f"T{i}", name=f"L{i}", super=[f"T{i + 1}"] if i + 1 < depth else [])
              for i in range(depth)]
-    built = []
-    with pytest.MonkeyPatch.context() as patch:  # each closure is built once
-        patch.setattr(model_module, "frozenset", lambda *args: built.append(1) or frozenset(*args),
-                      raising=False)
+    closed = []
+    close = SourceModel._closed
+    with pytest.MonkeyPatch.context() as patch:  # each type is closed once
+        patch.setattr(SourceModel, "_closed",
+                      lambda model, tid, resolved: closed.append(tid) or close(model, tid, resolved))
         model = load_records(types)
-    assert len(built) == depth
+    assert sorted(closed) == sorted(model.types)
     assert len(model.ancestors("T0")) == depth
     in_root = scope_test(model, f"L{depth - 1}")
     assert [tid for tid in model.types if in_root(tid)] == list(model.types)
@@ -373,6 +374,133 @@ def test_overrides_irreflexive_and_acyclic():
         full = {(a, b) for a in model.methods for b in model.overrides_all(a)}
         assert all(a != b for a, b in full)
         assert not any((b, a) in full for a, b in full)
+
+
+# -- the hierarchy relations against the oracles -------------------------------------
+
+
+def _relations_match_oracles(model):
+    """Assert that ``is_subtype``, ``subtype_test``, ``ancestors``,
+    ``overrides_all``, ``overridden_by`` and ``common_ancestor`` (of every
+    group of one to three types, and of none) equal the oracles'."""
+    pairs = oracles.subtype_pairs(model)
+    full = oracles.overrides_full(model)
+    unknown = model.subtype_test("no such type")
+    for a in model.types:
+        assert model.ancestors(a) == {b for x, b in pairs if x == a}
+        assert [model.is_subtype(a, b) for b in model.types] == [(a, b) in pairs
+                                                                 for b in model.types]
+        assert [model.subtype_test(b)(a) for b in model.types] == [(a, b) in pairs
+                                                                   for b in model.types]
+        assert not model.is_subtype(a, "no such type") and not unknown(a)
+    for mid in model.methods:
+        assert model.overrides_all(mid) == {b for a, b in full if a == mid}
+        assert model.overridden_by(mid) == {a for a, b in full if b == mid}
+    for size in (1, 2, 3):
+        for group in combinations(model.types, size):
+            assert model.common_ancestor(group) == oracles.common_ancestor(model, group, pairs)
+    assert model.common_ancestor([]) is None
+
+
+@pytest.mark.parametrize("policy", list(DispatchPolicy))
+def test_hierarchy_relations_match_oracles_on_random_models(policy):
+    """Random models (supertypes declared first) and dense hierarchies (ids
+    shuffled against hierarchy order), under each policy."""
+    rng = random.Random(2718)
+    for i in range(40):
+        if i % 2:
+            model = load_records(dense_hierarchy(rng), policy=policy)
+        else:
+            model = random_model(rng, policy=policy)
+        _relations_match_oracles(model)
+        assert model.lifted_edges() == oracles.lifted(model, policy.value)
+
+
+def _type(tid, name, *supers, kind="class"):
+    return dict(TYPE, id=tid, name=name, kind=kind, abstract=kind == "interface",
+                super=list(supers))
+
+
+def _method(mid, owner, name="f", params=()):
+    return dict(METHOD, id=mid, owner=owner, name=name, params=list(params))
+
+
+def test_hierarchy_relations_match_oracles_on_diamonds_and_multiple_interfaces():
+    """Interfaces I1 and I2 both extend I0; C1 implements both, C2 extends
+    C1 and implements I3 and I2 again, and D extends C2.  Ids put each
+    subtype before its supertypes, and nine unrelated types declare
+    ``h()`` too."""
+    records = [
+        _type("T1", "D", "T2"),
+        _type("T2", "C2", "T3", "T4", "T5"),
+        _type("T3", "C1", "T6", "T5"),
+        _type("T4", "I3", kind="interface"),
+        _type("T5", "I2", "T7", kind="interface"),
+        _type("T6", "I1", "T7", kind="interface"),
+        _type("T7", "I0", kind="interface"),
+        _method("M1", "T7"), _method("M2", "T7", "g"), _method("M3", "T6"),
+        _method("M4", "T5", params=["int"]), _method("M5", "T4", "h"),
+        _method("M6", "T3"), _method("M7", "T3", params=["int"]),
+        _method("M8", "T2", "g"), _method("M9", "T2", "h"),
+        _method("M10", "T1"), _method("M11", "T1", "g"), _method("M12", "T1", "h"),
+    ]
+    records += [_type(f"U{i}", f"other.U{i}") for i in range(9)]
+    records += [_method(f"N{i}", f"U{i}", "h") for i in range(9)]
+    model = load_records(records)
+    _relations_match_oracles(model)
+    assert model.overrides_all("M10") == {"M6", "M3", "M1"}
+    assert model.overrides_all("M12") == {"M9", "M5"}
+    assert model.common_ancestor(["T1", "T3"]) == "T3"
+    assert model.common_ancestor(["T4", "T5"]) is None
+    assert model.common_ancestor(["T5", "T6"]) == "T7"
+
+
+def test_hierarchy_relations_match_oracles_over_external_supertypes():
+    """Supertypes no record declares become external types, whose closure
+    and overrides are read as any other type's."""
+    records = [
+        _type("T1", "app.Shape", "lib.Base", "lib.Drawable"),
+        _type("T2", "app.Box", "T1", "lib.Drawable"),
+        _type("T3", "app.Other", "lib.Other"),
+        _method("M1", "T1", "draw"), _method("M2", "T2", "draw"), _method("M3", "T3", "draw"),
+    ]
+    model = load_records(records)
+    assert [tid for tid, t in model.types.items() if t.is_external] == [
+        "lib.Base", "lib.Drawable", "lib.Other"]
+    _relations_match_oracles(model)
+    assert model.ancestors("T2") == {"T2", "T1", "lib.Base", "lib.Drawable"}
+    assert model.is_subtype("T2", "lib.Base") and not model.is_subtype("lib.Base", "T2")
+    assert model.common_ancestor(["T2", "T1"]) == "T1"
+    assert model.common_ancestor(["T1", "T3"]) is None
+
+
+def test_hierarchy_relations_on_a_3000_level_chain_declared_child_first():
+    """T0 extends T1 extends ... T2999, with f() declared on every third
+    level and f(int) on every fifth.  The fixpoint oracles are too slow at
+    this depth; on a chain their subtype pairs are (Ti, Tj) for every
+    i <= j, their override pairs those of declaring levels i < j, and the
+    common ancestor of some levels is the highest of them."""
+    depth = 3000
+    types = [_type(f"T{i}", f"L{i}", *([f"T{i + 1}"] if i + 1 < depth else []))
+             for i in range(depth)]
+    methods = [_method(f"M{i}", f"T{i}") for i in range(0, depth, 3)]
+    overloads = [_method(f"N{i}", f"T{i}", params=["int"]) for i in range(0, depth, 5)]
+    model = load_records(types + methods + overloads)
+    sample = [*range(0, depth, 97), 1998, 1999, 2000, depth - 1]
+    for i in sample:
+        assert model.ancestors(f"T{i}") == {f"T{j}" for j in range(i, depth)}
+        assert [model.is_subtype(f"T{i}", f"T{j}") for j in sample] == [j >= i for j in sample]
+    for i in [i for i in sample if i % 3 == 0] + [0, 3, 1995, 1998, 2001, 2967, 2970, 2997]:
+        # 2999 - i proper ancestors: more than the 1,000 methods of f()
+        # below level 1999, fewer from there on, and fewer than 32 from
+        # level 2968 on
+        assert model.overrides_all(f"M{i}") == {f"M{j}" for j in range(i + 3, depth, 3)}
+        assert model.overridden_by(f"M{i}") == {f"M{j}" for j in range(0, i, 3)}
+    for i in (0, 5, 1995, 2000, 2995):
+        assert model.overrides_all(f"N{i}") == {f"N{j}" for j in range(i + 5, depth, 5)}
+        assert model.overridden_by(f"N{i}") == {f"N{j}" for j in range(0, i, 5)}
+    for group in ([0], [0, 600, 900], [2999, 5], [1, 2, 3], [depth - 1]):
+        assert model.common_ancestor(f"T{i}" for i in group) == f"T{max(group)}"
 
 
 # -- lifted calls ------------------------------------------------------------------
