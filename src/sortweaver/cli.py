@@ -426,7 +426,8 @@ def cmd_plan(args, stdin, stdout):
     path = "/".join(part for part in args.instance_path.split("/") if part)
     node = node_at(root, path)
 
-    # A single instance is planned as a group of one, under its own name.
+    # Every node is planned as a group, a single instance as a group of one
+    # that keeps its planner's aspect name unless --name gives another.
     single = isinstance(node, Instance)
     instances = [(path, node)] if single else list(iter_instances(node, path))
     if not instances:
@@ -440,20 +441,12 @@ def cmd_plan(args, stdin, stdout):
     if name is not None and not name.isidentifier():
         raise CliError(f"aspect name {name!r} is not an identifier; choose one with --name")
     model = _load_model(args)
-    plans = []
-    for sub_path, instance in instances:
-        result = execute_binding(model, instance.binding)
-        plans.append(
-            plan_for(
-                model,
-                result,
-                advice=args.advice or instance.binding.param("advice"),
-                enumerate_callers=args.enumerate_callers,
-                aspect_name=name if single else None,
-                instance_path=sub_path,
-            )
-        )
-    plan = plans[0] if single else combine_plans(name, plans, instance_path=path)
+    plans = [plan_for(model, execute_binding(model, inst.binding),
+                      advice=args.advice or inst.binding.param("advice"),
+                      enumerate_callers=args.enumerate_callers, instance_path=sub_path)
+             for sub_path, inst in instances]
+    plan = combine_plans(plans[0].aspect_name if name is None else name, plans,
+                         instance_path=path)
 
     text = plan.aspect_text
     if args.output:

@@ -333,11 +333,14 @@ class SourceModel:
         return t
 
     def resolve_method(self, ref: str) -> MethodDecl:
-        """Resolve ``name``, ``Type.name`` or ``Type.name/arity`` to a method.
+        """Resolve ``name``, ``Type.name``, ``Type.name/arity`` or
+        ``Type.name(T1,T2)`` to a method.
 
         A bare ``name`` must be unique across the model; ``Type.name`` must
         be unique within the type's declared methods unless an ``/arity``
-        suffix disambiguates overloads.
+        suffix or a parameter list disambiguates overloads.  A parameter
+        list, with or without the type, is matched exactly against the
+        method's parameter types as ``method_sig`` prints them.
         """
         if ref in self._methods:
             return self._methods[ref]
@@ -347,15 +350,20 @@ class SourceModel:
             arity = ascii_count(suffix)
             if arity is None:
                 raise FactError(f"bad arity suffix in method reference: {ref}/{suffix}")
-        if "." in ref:
-            type_name, method_name = ref.rsplit(".", 1)
+        head, params = ref, None
+        if ref.endswith(")") and "(" in ref:
+            head, params = ref[:-1].split("(", 1)
+        if "." in head:
+            type_name, method_name = head.rsplit(".", 1)
             owner = self.require_type(type_name)
             pool = [m for m in self.methods_of(owner.id) if m.name == method_name]
         else:
-            method_name = ref
+            method_name = head
             pool = self._methods_by_name.get(method_name, ())
         if arity is not None:
             pool = [m for m in pool if m.arity == arity]
+        if params is not None:
+            pool = [m for m in pool if ",".join(m.param_types) == params]
         if not pool:
             raise FactError(f"unknown method: {ref!r}")
         if len(pool) > 1:

@@ -383,7 +383,8 @@ def _shared_signature(model: SourceModel, callers) -> tuple | None:
 
 
 def _plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
-    """Around-advice per delegation pair; the redirector type is retired."""
+    """Around-advice per receiver method of the delegation pairs, however
+    many redirector methods reach it; the redirector type is retired."""
     hits = result.hits
     redirector = model.require_type(result.binding.param("redirector"))
     receiver = model.require_type(result.binding.param("receiver"))
@@ -393,13 +394,13 @@ def _plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
         key=lambda p: (natural_key(p[0]), natural_key(p[1])),
     )
     delegating = {r for r, _ in pairs}
-    receiver_methods = {r for _, r in pairs}
+    receiver_methods = dict.fromkeys(r for _, r in pairs)  # in order of first pair
 
     filtered = PointcutDef(
         "filteredCallers", (), NotExpr(Within(redirector.qualified_name))
     )
     stanzas: list = [filtered]
-    for _, receiver_mid in pairs:
+    for receiver_mid in receiver_methods:
         m = model.methods[receiver_mid]
         owner = model.types[m.owner].qualified_name
         stanzas.append(
@@ -667,6 +668,7 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
                 ),
             )
         )
+    stanzas = list(dict.fromkeys(stanzas))  # overloaded roots share one: `..` matches both
 
     catch_notes: list[str] = []
     heads = sorted({c.methods[0] for c in chains}, key=natural_key)
@@ -689,6 +691,7 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
                 f"no catch site found above {model.method_sig(head)}; the soft "
                 "exception surfaces to callers"
             )
+    catch_notes = list(dict.fromkeys(catch_notes))  # a catcher shared by heads is named once
     stanzas.append(CommentStanza(tuple(catch_notes)))
 
     edits = tuple(
@@ -724,35 +727,28 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 # -- composition, application, interference ------------------------------------------------
 
 
+_PLANNERS = {SortKind.CB: _plan_cb, SortKind.RL: _plan_rl, SortKind.EC: _plan_ec,
+             SortKind.RSI: _plan_rsi, SortKind.SC: _plan_sc, SortKind.EP: _plan_ep}
+
+
 def plan_for(
     model: SourceModel,
     result: QueryResult,
     *,
     advice: str | None = None,
     enumerate_callers: bool = False,
-    aspect_name: str | None = None,
     instance_path: str = "",
 ) -> RefactoringPlan:
     """The one planning entry: refuse an empty result, run the sort's
-    planner, then name the aspect (``aspect_name`` over the planner's
-    default) and place it.  ``advice`` and ``enumerate_callers`` apply to
-    CB results only."""
+    planner and place its plan at ``instance_path``.  The aspect keeps the
+    planner's name; ``combine_plans`` names the aspect a command prints.
+    ``advice`` and ``enumerate_callers`` apply to CB results only."""
     sort = result.sort
     if not result.hits:
         raise PlanError(f"cannot plan an empty {sort.value} result")
-    if sort is SortKind.CB:
-        plan = _plan_cb(model, result, advice=advice, enumerate_callers=enumerate_callers)
-    else:
-        builders = {
-            SortKind.RL: _plan_rl,
-            SortKind.EC: _plan_ec,
-            SortKind.RSI: _plan_rsi,
-            SortKind.SC: _plan_sc,
-            SortKind.EP: _plan_ep,
-        }
-        plan = builders[sort](model, result)
-    doc = AspectDoc(aspect_name, plan.doc.stanzas) if aspect_name else plan.doc
-    return replace(plan, doc=doc, instance_path=instance_path)
+    options = {"advice": advice, "enumerate_callers": enumerate_callers} \
+        if sort is SortKind.CB else {}
+    return replace(_PLANNERS[sort](model, result, **options), instance_path=instance_path)
 
 
 def combine_plans(

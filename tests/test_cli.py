@@ -476,6 +476,60 @@ def test_plan_names_and_places_a_single_instance(undo_facts):
     assert "after(PasteCommand pasteCommand)" in payload["aspect_text"]
 
 
+def _instances(node):
+    for child in node.get("children", ()):
+        yield from [child] if "sort" in child else _instances(child)
+
+
+def _plan_outputs(tmp_path, concerns, path, facts, *flags):
+    """The text, the --edits JSON and the --json payload of one plan."""
+    model_file, edits = tmp_path / "concerns.json", tmp_path / "edits.json"
+    model_file.write_text(json.dumps(concerns))
+    code, text = run_cli("plan", str(model_file), path, str(facts), "--edits", str(edits), *flags)
+    assert code == 0
+    code, payload = run_cli("plan", str(model_file), path, str(facts), "--json", *flags)
+    assert code == 0
+    return text, edits.read_text(), json.loads(payload)
+
+
+def test_a_single_instance_plans_as_a_group_of_one(tmp_path, facts_file, undo_facts):
+    facts = {"command": facts_file, "undo": undo_facts}
+    for name in ("decorator", "exceptions", "monitor"):
+        facts[name] = tmp_path / f"{name}.jsonl"
+        assert run_cli("extract", str(CORPUS / f"{name}.mini"), "-o", str(facts[name]))[0] == 0
+    facts["wrapper"] = tmp_path / "wrapper.jsonl"
+    (tmp_path / "wrapper.mini").write_text(
+        "class Target { void open(int x) { } void close() { } }"
+        " class Wrapper { private Target t; void open(int x) { t.open(x); }"
+        " void open(String s) { t.open(s); } void close() { t.close(); } }"
+    )
+    assert run_cli("extract", str(tmp_path / "wrapper.mini"), "-o", str(facts["wrapper"]))[0] == 0
+
+    def instance(sort, **params):
+        return {"name": "solo instance", "note": "", "params": params, "snapshot": None,
+                "sort": sort}
+
+    cases = [(facts[name], inst) for name in ("command", "undo")
+             for inst in _instances(json.loads((CORPUS / f"{name}-model.json").read_text()))]
+    cases += [
+        (facts["decorator"], instance("RL", redirector="BorderDecorator", receiver="Figure")),
+        (facts["wrapper"], instance("RL", redirector="Wrapper", receiver="Target")),
+        (facts["exceptions"], instance("EP", exception="IOErr")),
+        (facts["monitor"], instance("EC", context="ProgressMonitor")),
+    ]
+    assert {inst["sort"] for _, inst in cases} == {"CB", "RL", "EC", "RSI", "SC", "EP"}
+    for fact_file, inst in cases:
+        alone = _plan_outputs(tmp_path, {"name": "concerns", "children": [inst]},
+                              inst["name"], fact_file)
+        group = {"name": "concerns", "children": [{"name": "solo", "children": [inst]}]}
+        grouped = _plan_outputs(tmp_path, group, "solo", fact_file,
+                                "--name", alone[2]["aspect_name"])
+        assert grouped[:2] == alone[:2], inst
+        assert alone[2].pop("instance_path") == inst["name"]
+        assert grouped[2].pop("instance_path") == "solo"
+        assert grouped[2] == alone[2]
+
+
 @pytest.mark.parametrize("flag", [["--advice", "around"], ["--enumerate"]],
                          ids=["advice", "enumerate"])
 def test_plan_flag_for_cb_only_on_another_sort_is_user_error(undo_facts, capsys, flag):

@@ -611,6 +611,12 @@ def test_resolve_method_forms(command_model):
         command_model.resolve_method("execute")
     with pytest.raises(FactError, match="unknown method"):
         command_model.resolve_method("DrawingView.nope")
+    # The form a query binding, seedexpand and callers print.
+    assert command_model.resolve_method("DrawingView.checkDamage()").id == by_both.id
+    assert command_model.resolve_method("checkDamage()").id == by_both.id
+    ref = "DrawingView.checkDamage(int)"
+    with pytest.raises(FactError, match=re.escape(f"unknown method: {ref!r}")):
+        command_model.resolve_method(ref)
 
 
 def _scan_type(model, name):
@@ -631,15 +637,20 @@ def _scan_method(model, ref):
         if not suffix.isdigit():
             return f"bad arity suffix in method reference: {ref}/{suffix}"
         arity = int(suffix)
-    if "." in ref:
-        type_name, name = ref.rsplit(".", 1)
+    listed = re.fullmatch(r"([^(]*)\((.*)\)", ref)
+    head = listed[1] if listed else ref
+    if "." in head:
+        type_name, name = head.rsplit(".", 1)
         owner = _scan_type(model, type_name)
         if owner is None:
             return f"unknown type: {type_name!r}"
         pool = [m for m in model.methods.values() if m.owner == owner.id and m.name == name]
     else:
-        pool = [m for m in model.methods.values() if m.name == ref]
+        pool = [m for m in model.methods.values() if m.name == head]
     pool = [m for m in pool if arity is None or len(m.param_types) == arity]
+    if listed:
+        wanted = listed[2].split(",") if listed[2] else []
+        pool = [m for m in pool if list(m.param_types) == wanted]
     if not pool:
         return f"unknown method: {ref!r}"
     if len(pool) > 1:
@@ -665,8 +676,12 @@ def test_name_indexes_match_linear_scans_on_random_models():
         refs = set(model.methods) | {"nope", "run/x"}
         for m in model.methods.values():
             for type_name in (model.types[m.owner].qualified_name, m.owner, "nope"):
+                params = ",".join(m.param_types)
                 refs |= {m.name, f"{m.name}/{m.arity}", f"{type_name}.{m.name}",
-                         f"{type_name}.{m.name}/{m.arity}", f"{type_name}.{m.name}/9"}
+                         f"{type_name}.{m.name}/{m.arity}", f"{type_name}.{m.name}/9",
+                         f"{m.name}({params})", f"{type_name}.{m.name}({params})",
+                         f"{type_name}.{m.name}({params})/{m.arity}",
+                         f"{type_name}.{m.name}(nope)", f"{type_name}.{m.name}()"}
         for ref in sorted(refs):
             try:
                 got = model.resolve_method(ref).id

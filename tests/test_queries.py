@@ -8,11 +8,12 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from conftest import model_from_source
+from conftest import CORPUS_FILES, corpus_model, each_sort_result, model_from_source, \
+    sample_models
 from randmodels import dense_hierarchy, random_model
 
-from sortweaver.mining import MiningConfig, fan_in_analysis, find_redirectors, \
-    grouped_calls_analysis
+from sortweaver.mining import TECHNIQUES, MiningConfig, fan_in_analysis, find_redirectors, \
+    grouped_calls_analysis, mine
 from sortweaver.cli import main
 from sortweaver.model import DispatchPolicy, FactError, load_records
 from sortweaver.queries import (
@@ -449,6 +450,42 @@ def test_execute_binding_round_trip(command_model):
     )
     result = execute_binding(command_model, binding)
     assert len(result.hits) == 19
+
+
+def test_a_binding_names_an_overload_by_its_parameter_types():
+    model = model_from_source(
+        "class A { void f(int x) { } void f(String s) { } }"
+        " class B { private A a; void g() { a.f(1); } }"
+    )
+    (call,) = model.calls_of(model.resolve_method("B.g").id)
+    result = query_cb(model, call.static_target)
+    assert result.binding.param("target") == "A.f(int)"
+    assert execute_binding(model, result.binding) == result
+    with pytest.raises(FactError, match="ambiguous method reference 'A.f'"):
+        execute_binding(model, QueryBinding.make(SortKind.CB, target="A.f"))
+
+
+def test_every_result_runs_again_from_its_binding():
+    # A binding as a query prints it (a CB target, an EP root as
+    # Type.name(params)) is one a concern model can store and run again.
+    nonempty = dict.fromkeys(SortKind, 0)
+    for model in sample_models(seed=5150, count=40):
+        for result in each_sort_result(model):
+            assert execute_binding(model, result.binding) == result, result.binding
+            nonempty[result.sort] += bool(result.hits)
+    assert min(nonempty.values()) > 20, nonempty
+
+
+def test_every_seed_suggestion_runs_on_the_corpus():
+    ran = 0
+    for name in CORPUS_FILES:
+        model = corpus_model(name.removesuffix(".mini"))
+        for technique in TECHNIQUES:
+            for seed in mine(model, technique):
+                for suggestion in expand_seed(model, seed):
+                    execute_binding(model, suggestion.binding)
+                    ran += 1
+    assert ran > 10
 
 
 def test_query_results_are_deterministic(undo_model):

@@ -5,13 +5,14 @@ import pytest
 
 import warning_scenarios
 from aspect_parser import AspectSyntaxError, parse_aspect
-from conftest import CORPUS, model_from_source
+from conftest import CORPUS, each_sort_result, model_from_source, sample_models
 
 from sortweaver._util import pretty_json
 from sortweaver.cli import main
 from sortweaver.concerns import Group, load_model
 from sortweaver.model import DispatchPolicy
 from sortweaver.queries import (
+    SortKind,
     query_cb,
     query_ec,
     query_ep,
@@ -32,6 +33,7 @@ from sortweaver.refactoring.aspect_text import (
     Advice,
     AndExpr,
     AspectDoc,
+    CommentStanza,
     Execution,
     NotExpr,
     OrExpr,
@@ -356,6 +358,77 @@ def test_single_method_chain_plan_has_no_throws_edits():
     plan = plan_for(model, query_ep(model, "IOErr"))
     assert plan.edits == ()
     assert any("single-method chain" in note for note in plan.notes)
+
+
+# -- no repeats ----------------------------------------------------------------------------------
+
+
+def _repeats(plan) -> dict:
+    """What a plan states more than once: stanzas, edits, notes, comment lines."""
+    comment_lines = [line for stanza in plan.doc.stanzas if isinstance(stanza, CommentStanza)
+                     for line in stanza.lines]
+    return {what: [x for x in items if items.count(x) > 1]
+            for what, items in (("stanzas", list(plan.doc.stanzas)), ("edits", list(plan.edits)),
+                                ("notes", list(plan.notes)), ("comment lines", comment_lines))
+            if len(set(items)) < len(items)}
+
+
+def test_a_redirector_overload_pair_gets_one_around_advice():
+    model = model_from_source(
+        "class Target { void open(int x) { } void close() { } }"
+        " class Wrapper { private Target t; void open(int x) { t.open(x); }"
+        " void open(String s) { t.open(s); } void close() { t.close(); } }"
+    )
+    result = query_rl(model, "Wrapper", "Target")
+    assert len({h.redirector_method for h in result.hits}) == 3
+    plan = plan_for(model, result)
+    assert plan.aspect_text.count("around(") == 2
+    assert _repeats(plan) == {}
+
+
+def test_a_catcher_shared_by_two_chain_heads_is_named_once():
+    model = model_from_source("""
+    class E { }
+    class A {
+        void top() { try { h1(); h2(); } catch (E e) { } }
+        void h1() throws E { throw new E(); }
+        void h2() throws E { throw new E(); }
+    }
+    """)
+    plan = plan_for(model, query_ep(model, "E"))
+    note = "capture SoftException at the top of the call chain: rewrite the E catch in A.top()"
+    assert plan.notes.count(note) == 1
+    assert plan.aspect_text.count(note) == 1
+    assert _repeats(plan) == {}
+
+
+def test_overloaded_chain_roots_share_one_declare_soft():
+    model = model_from_source(
+        "class E { } class A { void f(int x) throws E { throw new E(); }"
+        " void f(String s) throws E { throw new E(); } }"
+    )
+    result = query_ep(model, "E")
+    assert len(result.hits) == 2
+    plan = plan_for(model, result)
+    assert plan.aspect_text.count("declare soft : E : (call(* A.f(..) throws E));") == 1
+    assert _repeats(plan) == {}
+
+
+def test_no_plan_repeats_a_stanza_an_edit_a_note_or_a_comment_line():
+    planned = dict.fromkeys(SortKind, 0)
+    for model in sample_models(seed=6160, count=30):
+        for result in each_sort_result(model):
+            if not result.hits:
+                continue
+            cb = result.sort is SortKind.CB
+            for options in ({}, {"enumerate_callers": True}) if cb else ({},):
+                try:
+                    plan = plan_for(model, result, **options)
+                except PlanError:  # an enumeration with no named caller
+                    continue
+                assert _repeats(plan) == {}, (result.binding, plan.aspect_text)
+                planned[result.sort] += 1
+    assert min(planned.values()) > 20, planned
 
 
 # -- composition, rendering, edits ---------------------------------------------------------------
