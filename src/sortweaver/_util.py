@@ -1,15 +1,18 @@
 """Small shared helpers: natural id order (each digit run compared by its
-value, of any length, without ``int()``), canonical JSON, digests, and the
-cycle-collector pause."""
+value, of any length, without ``int()``), canonical JSON, digests, the
+cycle-collector pause, and the one writer through a temporary file."""
 
 from __future__ import annotations
 
 import gc
 import hashlib
 import json
+import os
 import re
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from pathlib import Path
+from typing import Iterable
 
 _CHUNKS = re.compile(r"(\d+)")
 
@@ -109,3 +112,20 @@ def collector_paused():
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()
+
+
+def replace_file(path: Path, parts: Iterable[str]):
+    """Write the text ``parts`` to a temporary file next to ``path``, then
+    ``os.replace`` it there, so a write cut short leaves the file as it was
+    and no temporary file.  A symbolic link at ``path`` is replaced, not
+    written through.  Errors propagate."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8") as out:
+            for part in parts:
+                out.write(part)
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):  # a name too long to make is too long to unlink
+            temp.unlink(missing_ok=True)
+        raise

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._util import digest as _digest
-from ._util import pretty_json
+from ._util import pretty_json, replace_file
 from .model import FactError, SourceModel
 from .queries import QueryBinding, QueryResult, SortKind, check_params, execute_binding
 
@@ -162,22 +162,14 @@ def load_model(path: str | Path) -> Group:
 
 
 def save_model(root: Group, path: str | Path):
-    """Write the model through a temporary file next to the file that
-    ``path`` names (a symbolic link's target) and ``os.replace``, so a write
-    cut short leaves the previous model as it was and no temporary file."""
+    """Write the model to the file that ``path`` names (a symbolic link's
+    target) through ``replace_file``, so a write cut short leaves the
+    previous model as it was and no temporary file."""
     try:
         text = dumps_model(root)
     except RecursionError:
         raise ConcernModelError(f"{path}: model nests too deeply") from None
-    target = Path(os.path.realpath(path))
-    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "x", encoding="utf-8") as out:
-            out.write(text)
-        os.replace(temp, target)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    replace_file(Path(os.path.realpath(path)), (text,))
 
 
 def dumps_model(root: Group) -> str:

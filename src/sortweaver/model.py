@@ -60,6 +60,7 @@ import json
 import os
 import stat
 from collections import defaultdict, deque
+from contextlib import suppress
 from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, filterfalse, islice, repeat
@@ -69,7 +70,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from ._util import ascii_count, collector_paused, natural_key, simple_name
+from ._util import ascii_count, collector_paused, natural_key, replace_file, simple_name
 
 #: Version of the fact record schema accepted by this loader.
 SCHEMA_VERSION = "1"
@@ -230,8 +231,13 @@ def _by_id(decls: Iterable, decl_class: type) -> tuple[dict, tuple]:
 class SourceModel:
     """Immutable fact database plus derived relations.
 
-    Construction validates referential integrity and structural invariants
-    and computes the subtype closure; the override relation is derived on
+    Construction checks the tables in one ordered pass (``_check``) and
+    computes the subtype closure.  References come before structure, each
+    a kind at a time: types, methods, fields, calls.  Each check tests whole
+    columns, and only one whose test refuses walks its rows, which raises
+    the first fault a walk over every row of every check would meet.
+    Members are walked owner by owner, owners in the order of their first
+    member's id.  The override relation is derived on
     each read and the indexes on first read, and the instance is safe to
     share across concurrent readers.  ``lines`` maps entity ids to the
     record line numbers that errors should name; it is read during
@@ -256,32 +262,8 @@ class SourceModel:
         self.calls = MappingProxyType(self._calls)
         self.policy = DispatchPolicy(policy)
 
-        # The tests below read whole columns.  If one refuses, the per-row
-        # walk of every check runs, which words the first fault in its order.
-        kinds = list(map(itemgetter(0), c.receiver))
         self._method_by_owner_sig = dict(zip(zip(m.owner, zip(m.name, m.param_types)), m.id))
-        # The ordinal test also refuses a caller that is not a method, whose
-        # body it reads as -1 statements.
-        if (self._types.keys() >= {*chain.from_iterable(t.supertypes), *m.owner, *f.owner,
-                                   *set(t.enclosing_type) - {None}}
-                and self._methods.keys() >= set(c.static_target)
-                and self._fields.keys() >= set(map(itemgetter(1), compress(
-                    c.receiver, map(is_, kinds, repeat(ReceiverKind.FIELD)))))
-                and not any(compress(m.body_stmt_count, m.is_abstract))
-                and len(self._method_by_owner_sig) == len(m.id)
-                and len(set(zip(f.owner, f.name))) == len(f.id)
-                and min(c.ordinal, default=1) >= 1
-                and all(map(le, c.ordinal, map(dict(zip(m.id, m.body_stmt_count)).get,
-                                               c.caller, repeat(-1))))):
-            self._validate_types(lines)
-            # Only calls that forward a parameter or receive one can fail the rest.
-            rows = c.arg_passthrough
-            if ReceiverKind.PARAM in kinds:
-                rows = map(or_, map(bool, rows), map(is_, kinds, repeat(ReceiverKind.PARAM)))
-            self._validate_calls(compress(self._calls.values(), rows), lines)
-        else:
-            self._validate_references(lines)
-            self._validate_structure(lines)
+        self._check(t, m, f, c, lines)
 
         # Type id -> its bit in the ancestor windows, and bit -> type id.
         self._type_ids = tuple(self._types)
@@ -538,29 +520,90 @@ class SourceModel:
 
     # -- validation and derivation ----------------------------------------
 
-    def _validate_references(self, lines: Mapping[str, int | None]):
-        for t in self._types.values():
-            if t.enclosing_type is not None and t.enclosing_type not in self._types:
-                raise FactError(f"type {t.id}: unknown enclosing type id {t.enclosing_type!r}",
-                                lines.get(t.id))
-            for sup in t.supertypes:
-                if sup not in self._types:
-                    raise FactError(f"type {t.id}: unknown supertype id {sup!r}", lines.get(t.id))
-        for m in self._methods.values():
-            if m.owner not in self._types:
-                raise FactError(f"method {m.id}: unknown owner id {m.owner!r}", lines.get(m.id))
-        for f in self._fields.values():
-            if f.owner not in self._types:
-                raise FactError(f"field {f.id}: unknown owner id {f.owner!r}", lines.get(f.id))
-        for c in self._calls.values():
-            if c.caller not in self._methods:
-                raise FactError(f"call {c.id}: unknown caller id {c.caller!r}", lines.get(c.id))
-            if c.static_target not in self._methods:
-                raise FactError(f"call {c.id}: unknown target id {c.static_target!r}",
-                                lines.get(c.id))
-            if c.receiver.kind is ReceiverKind.FIELD and c.receiver.field not in self._fields:
-                raise FactError(f"call {c.id}: unknown receiver field id {c.receiver.field!r}",
-                                lines.get(c.id))
+    def _check(self, t: TypeDecl, m: MethodDecl, f: FieldDecl, c: CallSite,
+               lines: Mapping[str, int | None]):
+        """Check the tables in one ordered pass: references before structure,
+        each a kind at a time (types, methods, fields, calls).  ``t``, ``m``,
+        ``f`` and ``c`` hold the tables' columns.  Each check tests whole
+        columns, and only a check whose test refuses walks its rows, which
+        raises its first fault: every earlier check has passed, so that is
+        the first fault of a walk over every row of every check."""
+        types, methods = self._types.keys(), self._methods.keys()
+        if not types >= {*chain.from_iterable(t.supertypes), *set(t.enclosing_type) - {None}}:
+            for decl in self._types.values():
+                if decl.enclosing_type is not None and decl.enclosing_type not in types:
+                    raise FactError(f"type {decl.id}: unknown enclosing type id "
+                                    f"{decl.enclosing_type!r}", lines.get(decl.id))
+                for sup in decl.supertypes:
+                    if sup not in types:
+                        raise FactError(f"type {decl.id}: unknown supertype id {sup!r}",
+                                        lines.get(decl.id))
+        for kind, table, owners in (("method", self._methods, m.owner),
+                                    ("field", self._fields, f.owner)):
+            if not types >= set(owners):
+                decl = next(decl for decl in table.values() if decl.owner not in types)
+                raise FactError(f"{kind} {decl.id}: unknown owner id {decl.owner!r}",
+                                lines.get(decl.id))
+        kinds = list(map(itemgetter(0), c.receiver))
+        if not (methods >= {*c.caller, *c.static_target} and self._fields.keys() >= set(map(
+                itemgetter(1), compress(c.receiver, map(is_, kinds, repeat(ReceiverKind.FIELD)))))):
+            for call in self._calls.values():
+                for ref, what in ((call.caller, "caller"), (call.static_target, "target")):
+                    if ref not in methods:
+                        raise FactError(f"call {call.id}: unknown {what} id {ref!r}",
+                                        lines.get(call.id))
+                field = call.receiver.field
+                if call.receiver.kind is ReceiverKind.FIELD and field not in self._fields:
+                    raise FactError(f"call {call.id}: unknown receiver field id {field!r}",
+                                    lines.get(call.id))
+        self._validate_types(lines)
+        # Members are walked owner by owner, owners in the order of their
+        # first member's id.
+        if (any(compress(m.body_stmt_count, m.is_abstract))
+                or len(self._method_by_owner_sig) < len(m.id)):
+            by_sig: dict[tuple[str, tuple], str] = {}
+            for owner, owned in self._methods_by_owner.items():
+                for decl in owned:
+                    if decl.is_abstract and decl.body_stmt_count != 0:
+                        raise FactError(f"method {decl.id}: abstract method with a body",
+                                        lines.get(decl.id))
+                    key = (owner, decl.signature)
+                    if key in by_sig:
+                        raise FactError(
+                            f"method {decl.id}: duplicate signature "
+                            f"{decl.name}({','.join(decl.param_types)}) in type {owner} "
+                            f"(already declared by {by_sig[key]})", lines.get(decl.id))
+                    by_sig[key] = decl.id
+        if len(set(zip(f.owner, f.name))) < len(f.id):
+            for owner, owned in self._fields_by_owner.items():
+                names: set[str] = set()
+                for decl in owned:
+                    if decl.name in names:
+                        raise FactError(f"field {decl.id}: duplicate field name {decl.name!r} "
+                                        f"in type {owner}", lines.get(decl.id))
+                    names.add(decl.name)
+        # While every ordinal fits its caller's body, only a call that
+        # forwards a parameter or receives one can fail the rest.
+        rows = map(or_, map(bool, c.arg_passthrough), map(is_, kinds, repeat(ReceiverKind.PARAM)))
+        if min(c.ordinal, default=1) < 1 or not all(map(
+                le, c.ordinal, map(dict(zip(m.id, m.body_stmt_count)).__getitem__, c.caller))):
+            rows = repeat(True)
+        for call in compress(self._calls.values(), rows):
+            caller, target = self._methods[call.caller], self._methods[call.static_target]
+            if not 1 <= call.ordinal <= caller.body_stmt_count:
+                raise FactError(f"call {call.id}: ordinal {call.ordinal} outside caller body "
+                                f"(1..{caller.body_stmt_count})", lines.get(call.id))
+            for arg_index, param_index in call.arg_passthrough:
+                if not 0 <= arg_index < target.arity:
+                    raise FactError(f"call {call.id}: pass-through argument index {arg_index} "
+                                    f"outside callee arity {target.arity}", lines.get(call.id))
+                if not 0 <= param_index < caller.arity:
+                    raise FactError(f"call {call.id}: pass-through parameter index {param_index} "
+                                    f"outside caller arity {caller.arity}", lines.get(call.id))
+            if call.receiver.kind is ReceiverKind.PARAM and not (
+                    call.receiver.index is not None and 0 <= call.receiver.index < caller.arity):
+                raise FactError(f"call {call.id}: parameter receiver index out of range",
+                                lines.get(call.id))
 
     def _validate_types(self, lines: Mapping[str, int | None]):
         """Check the structural invariants of types.  Each enclosing walk
@@ -579,57 +622,6 @@ class SourceModel:
                 seen.add(cursor)
                 cursor = self._types[cursor].enclosing_type
             ends |= seen
-
-    def _validate_structure(self, lines: Mapping[str, int | None]):
-        """Check the structural invariants."""
-        self._validate_types(lines)
-        by_sig: dict[tuple[str, tuple], str] = {}
-        for owner, methods in self._methods_by_owner.items():
-            for m in methods:
-                if m.is_abstract and m.body_stmt_count != 0:
-                    raise FactError(f"method {m.id}: abstract method with a body",
-                                    lines.get(m.id))
-                key = (owner, m.signature)
-                if key in by_sig:
-                    raise FactError(
-                        f"method {m.id}: duplicate signature "
-                        f"{m.name}({','.join(m.param_types)}) in type {owner} "
-                        f"(already declared by {by_sig[key]})",
-                        lines.get(m.id),
-                    )
-                by_sig[key] = m.id
-        for owner, fields in self._fields_by_owner.items():
-            names: dict[str, str] = {}
-            for f in fields:
-                if f.name in names:
-                    raise FactError(
-                        f"field {f.id}: duplicate field name {f.name!r} in type {owner}",
-                        lines.get(f.id),
-                    )
-                names[f.name] = f.id
-        self._validate_calls(self._calls.values(), lines)
-
-    def _validate_calls(self, calls: Iterable[CallSite], lines: Mapping[str, int | None]):
-        for c in calls:
-            caller = self._methods[c.caller]
-            target = self._methods[c.static_target]
-            if not 1 <= c.ordinal <= caller.body_stmt_count:
-                raise FactError(
-                    f"call {c.id}: ordinal {c.ordinal} outside caller body "
-                    f"(1..{caller.body_stmt_count})",
-                    lines.get(c.id),
-                )
-            for arg_index, param_index in c.arg_passthrough:
-                if not 0 <= arg_index < target.arity:
-                    raise FactError(f"call {c.id}: pass-through argument index {arg_index} "
-                                    f"outside callee arity {target.arity}", lines.get(c.id))
-                if not 0 <= param_index < caller.arity:
-                    raise FactError(f"call {c.id}: pass-through parameter index {param_index} "
-                                    f"outside caller arity {caller.arity}", lines.get(c.id))
-            if c.receiver.kind is ReceiverKind.PARAM and not (
-                c.receiver.index is not None and 0 <= c.receiver.index < caller.arity
-            ):
-                raise FactError(f"call {c.id}: parameter receiver index out of range", lines.get(c.id))
 
     def _compute_ancestors(self) -> dict[str, tuple[int, int]]:
         """Type id -> the window of its ancestor bits, in the order the
@@ -779,7 +771,8 @@ def load_facts_path(path: str | Path, *, policy: DispatchPolicy = DEFAULT_POLICY
         columns: list[str] = []
         model = load_records(_json_records(_hashed_lines(handle, digest)), policy=policy,
                              columns=columns)
-    _write_sidecar(sidecar, _sidecar_header(digest.hexdigest()), columns)
+    with suppress(OSError):  # a sidecar that cannot be written is left out
+        replace_file(sidecar, chain((_sidecar_header(digest.hexdigest()),), columns))
     return model
 
 
@@ -838,22 +831,6 @@ def _load_sidecar(sidecar: Path, facts, policy: DispatchPolicy) -> SourceModel:
     if len(set(ids)) != len(ids):
         raise ValueError(f"{sidecar}: an id repeats")
     return _link(decls, policy, {})
-
-
-def _write_sidecar(sidecar: Path, header: str, columns: list[str]):
-    """Write the sidecar through a temporary file and ``os.replace``; no
-    sidecar if any ``OSError`` is raised."""
-    temp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "x", encoding="ascii") as out:
-            out.write(header)
-            out.writelines(columns)
-        os.replace(temp, sidecar)
-    except OSError:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
 
 
 def load_records(

@@ -586,7 +586,8 @@ def _plan_rsi(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 
     return RefactoringPlan(
         sort="RSI",
-        doc=AspectDoc(f"{role.simple_name}Role", tuple(stanzas)),
+        # Implementors or members that share a qualified name share a stanza.
+        doc=AspectDoc(f"{role.simple_name}Role", tuple(dict.fromkeys(stanzas))),
         edits=tuple(edits),
         warnings=_warnings({"VISIBILITY_CHANGE": altered, "INTRO_CONFLICT": conflicts}),
     )

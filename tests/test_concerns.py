@@ -5,7 +5,7 @@ import pytest
 
 from conftest import CORPUS, corpus_model, model_from_source
 
-from sortweaver import concerns as concerns_module
+from sortweaver import _util as util_module
 from sortweaver.concerns import (
     ConcernModelError,
     Group,
@@ -102,7 +102,7 @@ def test_a_save_cut_short_leaves_the_previous_model_and_no_temporary_file(tmp_pa
             self.real.flush()
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(concerns_module, "open", HalfWriter, raising=False)
+    monkeypatch.setattr(util_module, "open", HalfWriter, raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_model(root, path)
     monkeypatch.undo()
@@ -111,6 +111,19 @@ def test_a_save_cut_short_leaves_the_previous_model_and_no_temporary_file(tmp_pa
     save_model(root, path)
     assert load_model(path).to_json() == root.to_json()
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_model_too_deep_to_write_is_refused_and_writes_no_file(tmp_path):
+    """5,000 nested groups are too deep to write on every supported version
+    (a model file that deep fails to load before any save is reached)."""
+    root = node = Group("concerns")
+    for depth in range(5000):
+        node.children.append(Group(f"g{depth}"))
+        node = node.children[0]
+    path = tmp_path / "model.json"
+    with pytest.raises(ConcernModelError, match="model nests too deeply"):
+        save_model(root, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_save_through_a_symbolic_link_writes_its_target(tmp_path):

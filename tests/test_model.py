@@ -24,6 +24,7 @@ from sortweaver.model import (
     CallSite,
     DispatchPolicy,
     FactError,
+    FieldDecl,
     MethodDecl,
     Receiver,
     ReceiverKind,
@@ -206,6 +207,38 @@ def test_first_duplicate_signature_in_owner_order_is_reported():
     assert str(info.value) == (
         "line 4: method M10: duplicate signature f() in type T1 (already declared by M9)"
     )
+
+
+_A, _B = TypeDecl("T1", "A", TypeKind.CLASS), TypeDecl("T2", "B", TypeKind.CLASS)
+_F = MethodDecl("M1", "T1", "f", body_stmt_count=1)
+
+
+def _this_call(target: str, ordinal: int = 1) -> CallSite:
+    return CallSite("C1", "M1", target, Receiver(ReceiverKind.THIS), ordinal)
+
+
+@pytest.mark.parametrize("decls, line, error", [
+    # Fields are walked owner by owner, owners in the order of their first
+    # field: T1's F5 repeats F1's name before T2's F3 repeats F2's.
+    ([_A, _B, FieldDecl("F1", "T1", "x", "int"), FieldDecl("F2", "T2", "y", "int"),
+      FieldDecl("F3", "T2", "y", "int"), FieldDecl("F5", "T1", "x", "int")],
+     6, "field F5: duplicate field name 'x' in type T1"),
+    # References come before structure, whatever the ids.
+    ([_A, _F, MethodDecl("M9", "T9", "g"), _this_call("M1", ordinal=0)],
+     3, "method M9: unknown owner id 'T9'"),
+    ([_A._replace(is_anonymous=True), _F, _this_call("M7")],
+     3, "call C1: unknown target id 'M7'"),
+], ids=["field-names-by-owner", "owner-before-ordinal", "target-before-anonymous"])
+def test_the_first_fault_follows_the_check_order(decls, line, error):
+    """The same fault, built as tables and loaded as numbered records."""
+    tables = [[decl for decl in decls if type(decl) is kind]
+              for kind in (TypeDecl, MethodDecl, FieldDecl, CallSite)]
+    with pytest.raises(FactError) as built:
+        SourceModel(*tables)
+    assert str(built.value) == error
+    with pytest.raises(FactError) as loaded:
+        load_records(enumerate(records_of(decls), start=1))
+    assert (str(loaded.value), loaded.value.line) == (f"line {line}: {error}", line)
 
 
 def test_call_ordinal_must_fit_caller_body():
@@ -1367,6 +1400,18 @@ def test_a_pipe_at_the_sidecar_path_is_not_read_and_is_replaced(tmp_path):
     assert not loader.is_alive()
     assert outcome == [_cold(path)]
     assert _sidecar_path(path).is_file()
+
+
+def test_a_link_at_the_sidecar_path_is_replaced_not_written_through(tmp_path):
+    path, victim = tmp_path / "facts.jsonl", tmp_path / "victim.txt"
+    path.write_text(dumps_facts(_unit_records("command.mini")))
+    victim.write_text("keep")
+    _sidecar_path(path).symlink_to(victim)
+    assert _loaded(path) == _cold(path)
+    assert victim.read_text() == "keep"
+    assert _sidecar_path(path).is_file() and not _sidecar_path(path).is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [_sidecar_path(path).name, "facts.jsonl", "victim.txt"])
 
 
 @pytest.mark.parametrize("name", ["facts.jsonl", "chains.jsonl", "facts.json", "facts.aj",

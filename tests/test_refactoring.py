@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ from conftest import CORPUS, each_sort_result, model_from_source, sample_models
 from sortweaver._util import pretty_json
 from sortweaver.cli import main
 from sortweaver.concerns import Group, load_model
-from sortweaver.model import DispatchPolicy
+from sortweaver.minilang import extract_facts, parse
+from sortweaver.model import DispatchPolicy, FactError, load_records, records_of
 from sortweaver.queries import (
     SortKind,
     query_cb,
@@ -414,20 +416,58 @@ def test_overloaded_chain_roots_share_one_declare_soft():
     assert _repeats(plan) == {}
 
 
+def test_implementors_that_share_a_qualified_name_get_one_rsi_stanza_each():
+    units = [parse("interface Role { void run(); } class Impl implements Role"
+                   " { public void run() { } }", "a.mini"),
+             parse("class Impl implements Role { public void run() { } }", "b.mini")]
+    model = load_records(records_of(extract_facts(units).records))
+    plan = plan_for(model, query_rsi(model, "Role"))
+    assert [type(stanza).__name__ for stanza in plan.doc.stanzas] == [
+        "DeclareParents", "IntroMethod"]
+    assert [edit.target for edit in plan.edits] == ["M2", "M3"]
+    assert _repeats(plan) == {}
+
+
+def _names_collide(model, rng):
+    """A copy of the model whose types share qualified and simple names with
+    one another."""
+    records = model.to_records()
+    types = [rec for rec in records if rec["k"] == "type"]
+    for rec in types:
+        if rng.random() < 0.3:
+            other = rng.choice(types)["name"]
+            rec["name"] = rng.choice([other, "z." + other.rsplit(".", 1)[-1]])
+    return load_records(records, policy=model.policy)
+
+
+def _until_unbound(results):
+    """The results until a binding fails to bind: a printed signature names
+    its type by a qualified name that an earlier type may share.  Only the
+    EP bindings rooted at a printed signature, drawn last, can fail so."""
+    try:
+        yield from results
+    except FactError:
+        return
+
+
 def test_no_plan_repeats_a_stanza_an_edit_a_note_or_a_comment_line():
     planned = dict.fromkeys(SortKind, 0)
-    for model in sample_models(seed=6160, count=30):
-        for result in each_sort_result(model):
-            if not result.hits:
-                continue
-            cb = result.sort is SortKind.CB
-            for options in ({}, {"enumerate_callers": True}) if cb else ({},):
-                try:
-                    plan = plan_for(model, result, **options)
-                except PlanError:  # an enumeration with no named caller
+    rng = random.Random(6161)
+    for base in sample_models(seed=6160, count=30):
+        collided = _names_collide(base, rng)
+        for model, results in ((base, each_sort_result(base)),
+                               (collided, _until_unbound(each_sort_result(collided)))):
+            for result in results:
+                if not result.hits:
                     continue
-                assert _repeats(plan) == {}, (result.binding, plan.aspect_text)
-                planned[result.sort] += 1
+                cb = result.sort is SortKind.CB
+                for options in ({}, {"enumerate_callers": True}) if cb else ({},):
+                    try:
+                        plan = plan_for(model, result, **options)
+                    except PlanError:  # an enumeration with no named caller
+                        continue
+                    assert _repeats(plan) == {}, (result.binding, plan.aspect_text)
+                    planned[result.sort] += 1
     assert min(planned.values()) > 20, planned
 
 
