@@ -1,6 +1,7 @@
 """Small shared helpers: natural id order (each digit run compared by its
 value, of any length, without ``int()``), canonical JSON, digests, the
-cycle-collector pause, and the one writer through a temporary file."""
+record classes' equality, the cycle-collector pause, and the one writer
+through a temporary file."""
 
 from __future__ import annotations
 
@@ -89,6 +90,50 @@ def upper_first(name: str) -> str:
 
 def lower_first(name: str) -> str:
     return name[:1].lower() + name[1:]
+
+
+# -- records ---------------------------------------------------------------------
+#
+# A record is a ``typing.NamedTuple`` whose body assigns ``__eq__, __ne__,
+# __hash__ = TYPED_EQUALITY``, or, when a field is reassigned after
+# construction, a ``__slots__`` subclass of ``Record``.  Either way a record
+# equals only a record of its own class: a bare named tuple equals any tuple
+# of equal items, so ``AndExpr(terms) == OrExpr(terms)`` would hold and a
+# set or ``dict.fromkeys`` would keep one of the two.
+
+
+def _same_record(record, other) -> bool:
+    return record.__class__ is other.__class__ and tuple.__eq__(record, other)
+
+
+def _other_record(record, other) -> bool:
+    return not _same_record(record, other)
+
+
+#: ``__eq__``, ``__ne__`` and ``__hash__`` of a named-tuple record.  Equal
+#: records are of one class, so the tuple's hash of the fields serves.
+TYPED_EQUALITY = (_same_record, _other_record, tuple.__hash__)
+
+
+class Record:
+    """Base of the records that are reassigned after construction: a
+    subclass names its fields in ``__slots__`` and writes its ``__init__``.
+    A record equals one of its own class with equal fields, is not
+    hashable, takes weak references, and shows as ``Class(field=value,
+    ...)``."""
+
+    __slots__ = ("__weakref__",)
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self.__class__ is other.__class__ and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 @contextmanager

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from ._util import digest as _digest
-from ._util import pretty_json, replace_file
+from ._util import TYPED_EQUALITY, Record, pretty_json, replace_file
 from .model import FactError, SourceModel
 from .queries import QueryBinding, QueryResult, SortKind, check_params, execute_binding
 
@@ -32,11 +32,11 @@ class ConcernModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     digest: str
     hits: int
     items: tuple[str, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     @staticmethod
     def of(model: SourceModel, result: QueryResult) -> "Snapshot":
@@ -47,12 +47,15 @@ class Snapshot:
         return {"digest": self.digest, "hits": self.hits, "items": list(self.items)}
 
 
-@dataclass
-class Instance:
-    name: str
-    binding: QueryBinding
-    snapshot: Snapshot | None = None
-    note: str = ""
+class Instance(Record):
+    __slots__ = ("name", "binding", "snapshot", "note")
+
+    def __init__(self, name: str, binding: QueryBinding, snapshot: Snapshot | None = None,
+                 note: str = ""):
+        self.name = name
+        self.binding = binding
+        self.snapshot = snapshot
+        self.note = note
 
     def to_json(self) -> dict:
         return {
@@ -64,10 +67,12 @@ class Instance:
         }
 
 
-@dataclass
-class Group:
-    name: str
-    children: list = field(default_factory=list)
+class Group(Record):
+    __slots__ = ("name", "children")
+
+    def __init__(self, name: str, children: list | None = None):
+        self.name = name
+        self.children = [] if children is None else children
 
     def to_json(self) -> dict:
         return {"name": self.name, "children": [c.to_json() for c in self.children]}
@@ -121,10 +126,8 @@ def _node_from_json(obj: dict, parent: str | None = None, siblings: set[str] | N
     if "children" in obj:
         if not isinstance(obj["children"], list):
             raise ConcernModelError(f"children of {_shown(path)} must be a list")
-        group = Group(obj["name"])
         names: set[str] = set()
-        group.children = [_node_from_json(c, path, names) for c in obj["children"]]
-        return group
+        return Group(obj["name"], [_node_from_json(c, path, names) for c in obj["children"]])
     if "sort" not in obj or "params" not in obj:
         raise ConcernModelError(f"instance node missing sort/params: {_shown(path)}")
     snapshot = None
@@ -257,11 +260,11 @@ def iter_instances(root: Group, prefix: str = ""):
 # -- execution and drift -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     added: tuple[str, ...]
     removed: tuple[str, ...]
     unchanged: int
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def to_json(self) -> dict:
         return {
@@ -281,12 +284,12 @@ def drift_between(snapshot: Snapshot | None, keys: tuple[str, ...]) -> DriftRepo
     )
 
 
-@dataclass
-class InstanceRun:
+class InstanceRun(NamedTuple):
     path: str
     result: QueryResult | None = None
     drift: DriftReport | None = None
     error: str | None = None
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def to_json(self, model: SourceModel) -> dict:
         out: dict = {"path": self.path}
@@ -308,16 +311,12 @@ def run_all(root: Group, model: SourceModel, *, commit: bool = False) -> list[In
     """
     runs = []
     for path, instance in iter_instances(root):
-        run = InstanceRun(path)
         try:
             result = execute_binding(model, instance.binding)
         except FactError as exc:
-            run.error = str(exc)
-            runs.append(run)
+            runs.append(InstanceRun(path, error=str(exc)))
             continue
-        run.result = result
-        run.drift = drift_between(instance.snapshot, result.keys(model))
+        runs.append(InstanceRun(path, result, drift_between(instance.snapshot, result.keys(model))))
         if commit:
             instance.snapshot = Snapshot.of(model, result)
-        runs.append(run)
     return runs

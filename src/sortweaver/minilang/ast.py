@@ -10,23 +10,25 @@ carry their source position, for the warnings that name them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from .._util import TYPED_EQUALITY, Record
 
 
 class Position(NamedTuple):
     line: int
     col: int
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     pos: Position
     message: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.pos}: {self.message}"
@@ -42,145 +44,158 @@ class MiniLangSyntaxError(Exception):
 
 
 # -- expressions -------------------------------------------------------------
+#
+# A node that has no field is a ``Record``, as an empty tuple would be false.
 
 
-class Expr:
-    """Base of the expression nodes."""
-
-
-@dataclass
-class Name(Expr):
+class Name(NamedTuple):
     value: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class This(Expr):
-    pass
+class This(Record):
+    __slots__ = ()
 
 
-@dataclass
-class Super(Expr):
-    pass
+class Super(Record):
+    __slots__ = ()
 
 
-@dataclass
-class Literal(Expr):
-    pass
+class Literal(Record):
+    __slots__ = ()
 
 
-@dataclass
-class CallExpr(Expr):
+class CallExpr(NamedTuple):
     pos: Position
     receiver: Expr | None  # None for a bare call
     name: str
-    args: list[Expr] = field(default_factory=list)
+    args: list[Expr]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class NewExpr(Expr):
+class NewExpr(NamedTuple):
     type_name: str
-    args: list[Expr] = field(default_factory=list)
-    body: "TypeNode | None" = None  # the anonymous class, when present
+    args: list[Expr]
+    body: TypeNode | None  # the anonymous class, when present
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class BinaryExpr(Expr):  # == or !=
+class BinaryExpr(NamedTuple):  # == or !=
     left: Expr
     right: Expr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
+
+
+Expr = Name | This | Super | Literal | CallExpr | NewExpr | BinaryExpr
 
 
 # -- statements ---------------------------------------------------------------
 
 
-class Stmt:
-    """Base of the statement nodes."""
-
-
-@dataclass
-class ExprStmt(Stmt):
+class ExprStmt(NamedTuple):
     expr: Expr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class LocalDecl(Stmt):
+class LocalDecl(NamedTuple):
     declared_type: str
     name: str
     init: Expr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class Assign(Stmt):
+class Assign(NamedTuple):
     value: Expr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class ReturnStmt(Stmt):
+class ReturnStmt(NamedTuple):
     value: Expr | None
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class ThrowStmt(Stmt):
+class ThrowStmt(NamedTuple):
     value: Expr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class IfStmt(Stmt):
+class IfStmt(NamedTuple):
     cond: Expr
-    then_body: list[Stmt] = field(default_factory=list)
-    else_body: list[Stmt] | None = None
+    then_body: list[Stmt]
+    else_body: list[Stmt] | None
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class TryStmt(Stmt):
-    body: list[Stmt] = field(default_factory=list)
-    exc_type: str = ""
-    exc_name: str = ""
-    handler: list[Stmt] = field(default_factory=list)
+class TryStmt(NamedTuple):
+    body: list[Stmt]
+    exc_type: str
+    exc_name: str
+    handler: list[Stmt]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
+
+
+Stmt = ExprStmt | LocalDecl | Assign | ReturnStmt | ThrowStmt | IfStmt | TryStmt
 
 
 # -- declarations --------------------------------------------------------------
+#
+# The parser fills a unit, a type and a method in as it reads them, so they
+# are ``Record``s.
 
 
-@dataclass
-class Param:
+class Param(NamedTuple):
     declared_type: str
     name: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class FieldNode:
+class FieldNode(NamedTuple):
     visibility: str
     declared_type: str
     name: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
-@dataclass
-class MethodNode:
-    visibility: str
-    return_type: str
-    name: str
-    params: list[Param] = field(default_factory=list)
-    throws: list[str] = field(default_factory=list)
-    body: list[Stmt] | None = None  # None for abstract methods and signatures
-    is_static: bool = False
-    is_abstract: bool = False
-    is_constructor: bool = False
-    # Anonymous classes in the body, in the order their bodies close.
-    anonymous: tuple["TypeNode", ...] = ()
+class MethodNode(Record):
+    __slots__ = ("visibility", "return_type", "name", "params", "throws", "body",
+                 "is_static", "is_abstract", "is_constructor", "anonymous")
+
+    def __init__(self, visibility: str, return_type: str, name: str,
+                 params: list[Param] | None = None, throws: list[str] | None = None,
+                 body: list[Stmt] | None = None, is_static: bool = False,
+                 is_abstract: bool = False, is_constructor: bool = False,
+                 anonymous: tuple[TypeNode, ...] = ()):
+        self.visibility = visibility
+        self.return_type = return_type
+        self.name = name
+        self.params = [] if params is None else params
+        self.throws = [] if throws is None else throws
+        self.body = body  # None for abstract methods and signatures
+        self.is_static = is_static
+        self.is_abstract = is_abstract
+        self.is_constructor = is_constructor
+        # Anonymous classes in the body, in the order their bodies close.
+        self.anonymous = anonymous
 
 
-@dataclass
-class TypeNode:
-    pos: Position
-    name: str
-    kind: str  # "class" | "interface"
-    supertypes: list[str] = field(default_factory=list)  # as written, extends first
-    fields: list[FieldNode] = field(default_factory=list)
-    methods: list[MethodNode] = field(default_factory=list)
-    nested: list["TypeNode"] = field(default_factory=list)
+class TypeNode(Record):
+    __slots__ = ("pos", "name", "kind", "supertypes", "fields", "methods", "nested")
+
+    def __init__(self, pos: Position, name: str, kind: str,
+                 supertypes: list[str] | None = None, fields: list[FieldNode] | None = None,
+                 methods: list[MethodNode] | None = None, nested: list[TypeNode] | None = None):
+        self.pos = pos
+        self.name = name
+        self.kind = kind  # "class" | "interface"
+        self.supertypes = [] if supertypes is None else supertypes  # as written, extends first
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
+        self.nested = [] if nested is None else nested
 
 
-@dataclass
-class CompilationUnit:
-    types: list[TypeNode] = field(default_factory=list)
-    source: str = ""  # file name the unit was parsed from
+class CompilationUnit(Record):
+    __slots__ = ("types", "source")
+
+    def __init__(self, types: list[TypeNode] | None = None, source: str = ""):
+        self.types = [] if types is None else types
+        self.source = source  # file name the unit was parsed from

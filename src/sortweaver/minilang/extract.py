@@ -40,7 +40,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     Assign,
@@ -63,7 +63,7 @@ from .ast import (
     TryStmt,
     TypeNode,
 )
-from .._util import simple_name
+from .._util import TYPED_EQUALITY, Record, simple_name
 from ..model import (
     _RECEIVERS,
     CallSite,
@@ -80,22 +80,28 @@ from ..model import (
 )
 
 
-@dataclass
-class _TypeInfo:
-    id: str
-    qualified_name: str
-    kind: str
-    is_anonymous: bool
-    encl: "_TypeInfo | None"
-    supertype_names: list[str]
-    src: str
-    unit: int  # the index of the declaring unit; -1 for an external type
-    supertypes: list["_TypeInfo"] = field(default_factory=list)
-    fields: list[FieldDecl] = field(default_factory=list)  # types as written until ``emit``
-    methods: list["_MethodInfo"] = field(default_factory=list)
-    stubs: list[MethodDecl] = field(default_factory=list)  # of an external type
-    is_external: bool = False
-    anon_counter: int = 0
+class _TypeInfo(Record):
+    __slots__ = ("id", "qualified_name", "kind", "is_anonymous", "encl", "supertype_names",
+                 "src", "unit", "supertypes", "fields", "methods", "stubs", "is_external",
+                 "anon_counter")
+
+    def __init__(self, id: str, qualified_name: str, kind: str, is_anonymous: bool,
+                 encl: _TypeInfo | None, supertype_names: list[str], src: str, unit: int,
+                 is_external: bool = False):
+        self.id = id
+        self.qualified_name = qualified_name
+        self.kind = kind
+        self.is_anonymous = is_anonymous
+        self.encl = encl
+        self.supertype_names = supertype_names
+        self.src = src
+        self.unit = unit  # the index of the declaring unit; -1 for an external type
+        self.supertypes: list[_TypeInfo] = []
+        self.fields: list[FieldDecl] = []  # types as written until ``emit``
+        self.methods: list[_MethodInfo] = []
+        self.stubs: list[MethodDecl] = []  # of an external type
+        self.is_external = is_external
+        self.anon_counter = 0
 
     @property
     def is_abstract(self) -> bool:
@@ -104,12 +110,14 @@ class _TypeInfo:
         return any(m.node.is_abstract for m in self.methods)
 
 
-@dataclass
-class _MethodInfo:
-    id: str
-    node: MethodNode
-    body_stmt_count: int = 0  # the walker's last statement ordinal
-    raises: list[str] = field(default_factory=list)
+class _MethodInfo(Record):
+    __slots__ = ("id", "node", "body_stmt_count", "raises")
+
+    def __init__(self, id: str, node: MethodNode):
+        self.id = id
+        self.node = node
+        self.body_stmt_count = 0  # the walker's last statement ordinal
+        self.raises: list[str] = []
 
     @property
     def return_type(self) -> str:
@@ -118,11 +126,11 @@ class _MethodInfo:
         return self.node.return_type
 
 
-@dataclass
-class ExtractResult:
+class ExtractResult(NamedTuple):
     #: One declaration per fact record, in record order.
     records: list[Decl]
     warnings: list[Diagnostic]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def to_jsonl(self) -> str:
         return dumps_facts(records_of(self.records))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from .._util import TYPED_EQUALITY
 from .ast import MiniLangSyntaxError, Position
 
 KEYWORDS = {
@@ -35,6 +36,7 @@ class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "int" | "string" | "punct" | "op" | "eof"
     value: str
     pos: Position
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 def tokenize(text: str) -> list[Token]:

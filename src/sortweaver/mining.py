@@ -16,17 +16,16 @@ technique follows the model's dispatch policy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from typing import NamedTuple
 
-from ._util import natural_key
+from ._util import TYPED_EQUALITY, natural_key
 from .model import CallSite, DispatchPolicy, MethodDecl, ReceiverKind, SourceModel
 
 _ACCESSOR_NAME = re.compile(r"^(get|set|is)([A-Z_].*)?$")
 
 
-@dataclass(frozen=True)
-class MiningConfig:
+class _MiningFields(NamedTuple):
     fanin_threshold: int = 10
     accessor_filter: bool = True
     utility_names: tuple[str, ...] = ()
@@ -34,17 +33,26 @@ class MiningConfig:
     grouped_min_group: int = 2
     redirect_coverage: float = 0.5
     redirect_min_methods: int = 2
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
-    def __post_init__(self):
-        if self.fanin_threshold < 1 or self.grouped_min_callers < 1 \
-                or self.grouped_min_group < 1 or self.redirect_min_methods < 1:
+
+class MiningConfig(_MiningFields):
+    """The mining thresholds; building one refuses a threshold below 1 and
+    a redirect coverage outside (0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MiningConfig:
+        config = super().__new__(cls, *args, **kwargs)
+        if config.fanin_threshold < 1 or config.grouped_min_callers < 1 \
+                or config.grouped_min_group < 1 or config.redirect_min_methods < 1:
             raise ValueError("mining thresholds must be >= 1")
-        if not 0 < self.redirect_coverage <= 1:
+        if not 0 < config.redirect_coverage <= 1:
             raise ValueError("redirect_coverage must be in (0, 1]")
+        return config
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     """A scored set of program elements suspected to form one concern."""
 
     sort_hint: str  # CB | RL | EC | RSI | SC | EP
@@ -53,6 +61,7 @@ class Seed:
     evidence: dict
     technique: str
     policy: DispatchPolicy
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def to_json(self) -> dict:
         return {

@@ -70,7 +70,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from ._util import ascii_count, collector_paused, natural_key, replace_file, simple_name
+from ._util import (
+    TYPED_EQUALITY,
+    ascii_count,
+    collector_paused,
+    natural_key,
+    replace_file,
+    simple_name,
+)
 
 #: Version of the fact record schema accepted by this loader.
 SCHEMA_VERSION = "1"
@@ -136,6 +143,7 @@ class TypeDecl(NamedTuple):
     supertypes: tuple[str, ...] = ()
     is_external: bool = False
     src: str = ""
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     @property
     def simple_name(self) -> str:
@@ -157,6 +165,7 @@ class MethodDecl(NamedTuple):
     direct_throws: tuple[str, ...] = ()
     is_external: bool = False
     src: str = ""
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     @property
     def arity(self) -> int:
@@ -174,12 +183,14 @@ class FieldDecl(NamedTuple):
     declared_type: str
     visibility: Visibility = Visibility.PRIVATE
     src: str = ""
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 class Receiver(NamedTuple):
     kind: ReceiverKind
     field: str | None = None  # FieldDecl id, for kind == FIELD
     index: int | None = None  # parameter index, for kind == PARAM
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 class CallSite(NamedTuple):
@@ -192,6 +203,7 @@ class CallSite(NamedTuple):
     #: for arguments that forward a caller parameter verbatim.
     arg_passthrough: tuple[tuple[int, int], ...] = ()
     src: str = ""
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 def _index(table: str, attr: str) -> cached_property:
@@ -984,6 +996,7 @@ class _Key(NamedTuple):
     nullable: bool = False
     #: Absent means the declaration's default; written only when truthy.
     optional: bool = False
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 _VISIBILITY = _enum(Visibility, "visibility")

@@ -16,11 +16,10 @@ deterministic: (source file of the primary entity, natural id order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from ._util import natural_key
+from ._util import TYPED_EQUALITY, natural_key
 from .mining import Seed, forwarding_calls
 from .model import DispatchPolicy, FactError, SourceModel
 
@@ -34,8 +33,7 @@ class SortKind(str, Enum):
     EP = "EP"
 
 
-@dataclass(frozen=True)
-class QueryBinding:
+class QueryBinding(NamedTuple):
     """A sort query parameterized for one concrete concern.
 
     Params are stored by name (qualified type and method names), so a
@@ -44,6 +42,7 @@ class QueryBinding:
 
     sort: SortKind
     params: tuple[tuple[str, str], ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     @staticmethod
     def make(sort: SortKind | str, **params: str) -> "QueryBinding":
@@ -66,12 +65,12 @@ class QueryBinding:
 # ``to_json``.
 
 
-@dataclass(frozen=True)
-class CbHit:
+class CbHit(NamedTuple):
     call: str
     caller: str
     target: str
     ordinal: int
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def key(self, model):
         return f"{model.method_sig(self.caller)} -> {model.method_sig(self.target)} @{self.ordinal}"
@@ -88,11 +87,11 @@ class CbHit:
         }
 
 
-@dataclass(frozen=True)
-class RlHit:
+class RlHit(NamedTuple):
     redirector_method: str
     receiver_method: str
     call: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def key(self, model):
         return (
@@ -111,14 +110,14 @@ class RlHit:
         }
 
 
-@dataclass(frozen=True)
-class ChainHit:
+class ChainHit(NamedTuple):
     """A maximal chain of methods (used by EC and EP)."""
 
     methods: tuple[str, ...]
     calls: tuple[str, ...]  # linking call sites, len(methods) - 1
     param_indices: tuple[int, ...] = ()  # EC: context parameter per method
     root_raises: bool = False  # EP: chain ends at a direct thrower
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def key(self, model):
         return " -> ".join(model.method_sig(m) for m in self.methods)
@@ -138,11 +137,11 @@ class ChainHit:
         return out
 
 
-@dataclass(frozen=True)
-class RsiHit:
+class RsiHit(NamedTuple):
     type_id: str
     member: str  # role type id for "declares_role", method id for "role_member"
     kind: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def key(self, model):
         if self.kind == "declares_role":
@@ -169,10 +168,10 @@ class RsiHit:
         return out
 
 
-@dataclass(frozen=True)
-class ScHit:
+class ScHit(NamedTuple):
     enclosing: str
     nested: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def key(self, model):
         return (
@@ -190,12 +189,12 @@ class ScHit:
         }
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     sort: SortKind
     binding: QueryBinding
     policy: DispatchPolicy
     hits: tuple[CbHit | RlHit | ChainHit | RsiHit | ScHit, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def keys(self, model: SourceModel) -> tuple[str, ...]:
         return tuple(h.key(model) for h in self.hits)
@@ -495,8 +494,7 @@ def query_sc(model: SourceModel, scope: str = "*", role: str | None = None) -> Q
 # -- binding execution ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One named parameter of a sort's binding."""
 
     name: str
@@ -505,6 +503,7 @@ class Param:
     choices: tuple[str, ...] = ()
     #: Read by the planner only; not an argument of the query.
     plan_only: bool = False
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 #: Advice kinds a CB binding (or ``plan --advice``) may ask for.
@@ -563,12 +562,12 @@ def execute_binding(model: SourceModel, binding: QueryBinding) -> QueryResult:
 # -- seed expansion -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BindingSuggestion:
+class BindingSuggestion(NamedTuple):
     binding: QueryBinding
     coverage: float
     covered: int
     total: int
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
 
 def expand_seed(model: SourceModel, seed: Seed) -> list[BindingSuggestion]:

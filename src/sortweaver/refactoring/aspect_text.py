@@ -10,32 +10,34 @@ is an opaque list of comment lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .._util import TYPED_EQUALITY
 
 
 # -- pointcut expressions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     ret: str
     type_pattern: str
     name: str
     params: str = ""
     subtypes: bool = False
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         plus = "+" if self.subtypes else ""
         return f"execution({self.ret} {self.type_pattern}{plus}.{self.name}({self.params}))"
 
 
-@dataclass(frozen=True)
-class CallPattern:
+class CallPattern(NamedTuple):
     ret: str
     type_pattern: str
     name: str
     params: str = ".."
     throws: str | None = None
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         text = f"{self.ret} {self.type_pattern}.{self.name}({self.params})"
@@ -44,50 +46,50 @@ class CallPattern:
         return f"call({text})"
 
 
-@dataclass(frozen=True)
-class ThisBinding:
+class ThisBinding(NamedTuple):
     var: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return f"this({self.var})"
 
 
-@dataclass(frozen=True)
-class Within:
+class Within(NamedTuple):
     pattern: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return f"within({self.pattern})"
 
 
-@dataclass(frozen=True)
-class Args:
+class Args(NamedTuple):
     pattern: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return f"args({self.pattern})"
 
 
-@dataclass(frozen=True)
-class Cflow:
+class Cflow(NamedTuple):
     inner: "PointcutExpr"
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return f"cflow({self.inner.render()})"
 
 
-@dataclass(frozen=True)
-class PointcutRef:
+class PointcutRef(NamedTuple):
     name: str
     args: tuple[str, ...] = ()
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return f"{self.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class NotExpr:
+class NotExpr(NamedTuple):
     term: "PointcutExpr"
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         inner = self.term.render()
@@ -102,17 +104,17 @@ def _conjunct(term: "PointcutExpr") -> str:
     return f"({text})" if isinstance(term, OrExpr) else text
 
 
-@dataclass(frozen=True)
-class AndExpr:
+class AndExpr(NamedTuple):
     terms: tuple["PointcutExpr", ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return " && ".join(map(_conjunct, self.terms))
 
 
-@dataclass(frozen=True)
-class OrExpr:
+class OrExpr(NamedTuple):
     terms: tuple["PointcutExpr", ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         return " || ".join(t.render() for t in self.terms)
@@ -127,11 +129,11 @@ PointcutExpr = (
 # -- stanzas --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MovedClass:
+class MovedClass(NamedTuple):
     name: str
     extends: str | None
     body: tuple[str, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         heritage = f" extends {self.extends}" if self.extends else ""
@@ -141,23 +143,23 @@ class MovedClass:
         return lines
 
 
-@dataclass(frozen=True)
-class DeclareParents:
+class DeclareParents(NamedTuple):
     type_name: str
     role: str
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         return [f"declare parents : {self.type_name} implements {self.role};"]
 
 
-@dataclass(frozen=True)
-class IntroMethod:
+class IntroMethod(NamedTuple):
     visibility: str
     ret: str
     owner: str
     name: str
     params: str
     body: tuple[str, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         lines = [f"{self.visibility} {self.ret} {self.owner}.{self.name}({self.params}) {{"]
@@ -166,20 +168,20 @@ class IntroMethod:
         return lines
 
 
-@dataclass(frozen=True)
-class DeclareSoft:
+class DeclareSoft(NamedTuple):
     exception: str
     pointcut: PointcutExpr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         return [f"declare soft : {self.exception} : ({self.pointcut.render()});"]
 
 
-@dataclass(frozen=True)
-class PointcutDef:
+class PointcutDef(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]  # (type, var)
     expr: PointcutExpr
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         params = ", ".join(f"{t} {v}" for t, v in self.params)
@@ -192,13 +194,13 @@ class PointcutDef:
         return [f"{head} {self.expr.render()};"]
 
 
-@dataclass(frozen=True)
-class Advice:
+class Advice(NamedTuple):
     kind: str  # before | after | around
     ret: str | None  # present for around only
     params: tuple[tuple[str, str], ...]
     pointcut: PointcutExpr
     body: tuple[str, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         params = ", ".join(f"{t} {v}" for t, v in self.params)
@@ -209,9 +211,9 @@ class Advice:
         return lines
 
 
-@dataclass(frozen=True)
-class CommentStanza:
+class CommentStanza(NamedTuple):
     lines: tuple[str, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> list[str]:
         return [f"// {line}" if line else "//" for line in self.lines]
@@ -223,10 +225,10 @@ Stanza = (
 )
 
 
-@dataclass(frozen=True)
-class AspectDoc:
+class AspectDoc(NamedTuple):
     name: str
     stanzas: tuple[Stanza, ...]
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def render(self) -> str:
         lines = [f"public aspect {self.name} {{"]

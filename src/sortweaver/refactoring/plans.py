@@ -13,9 +13,9 @@ drives its originating query to empty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .._util import lower_first, natural_key, upper_first
+from .._util import TYPED_EQUALITY, lower_first, natural_key, upper_first
 from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility
 from ..queries import ADVICE_KINDS, CbHit, QueryResult, SortKind
 from .aspect_text import (
@@ -136,12 +136,12 @@ EDIT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class RiskWarning:
+class RiskWarning(NamedTuple):
     code: str
     severity: str
     message: str
     evidence: tuple[str, ...] = ()
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     def to_json(self) -> dict:
         return {
@@ -157,16 +157,25 @@ def warn(code: str, evidence=()) -> RiskWarning:
     return RiskWarning(code, severity, message, tuple(sorted(evidence, key=natural_key)))
 
 
-@dataclass(frozen=True)
-class SourceEdit:
+class _SourceEditFields(NamedTuple):
     kind: str
     target: str
     description: str
     detail: tuple[tuple[str, str], ...] = ()
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
-    def __post_init__(self):
-        if self.kind not in EDIT_KINDS:
-            raise PlanError(f"unknown edit kind {self.kind!r}")
+
+class SourceEdit(_SourceEditFields):
+    """One edit of the source; building one refuses a kind that is not in
+    ``EDIT_KINDS``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SourceEdit:
+        edit = super().__new__(cls, *args, **kwargs)
+        if edit.kind not in EDIT_KINDS:
+            raise PlanError(f"unknown edit kind {edit.kind!r}")
+        return edit
 
     def detail_value(self, key: str) -> str | None:
         for k, v in self.detail:
@@ -183,8 +192,7 @@ class SourceEdit:
         }
 
 
-@dataclass(frozen=True)
-class RefactoringPlan:
+class RefactoringPlan(NamedTuple):
     sort: str
     doc: AspectDoc
     edits: tuple[SourceEdit, ...]
@@ -192,6 +200,7 @@ class RefactoringPlan:
     instance_path: str = ""
     notes: tuple[str, ...] = ()
     advised_methods: frozenset[str] = frozenset()
+    __eq__, __ne__, __hash__ = TYPED_EQUALITY
 
     @property
     def aspect_name(self) -> str:
@@ -749,7 +758,7 @@ def plan_for(
         raise PlanError(f"cannot plan an empty {sort.value} result")
     options = {"advice": advice, "enumerate_callers": enumerate_callers} \
         if sort is SortKind.CB else {}
-    return replace(_PLANNERS[sort](model, result, **options), instance_path=instance_path)
+    return _PLANNERS[sort](model, result, **options)._replace(instance_path=instance_path)
 
 
 def combine_plans(

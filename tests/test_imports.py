@@ -1,11 +1,15 @@
 """Every name that a module of the package imports is used in it, every
 module-level private name is used somewhere in the package, every function
-reads each of its parameters, and the test oracles import nothing private
-from the package."""
+reads each of its parameters, the test oracles import nothing private from
+the package, and importing the CLI loads neither ``dataclasses`` nor
+``inspect``."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -254,3 +258,14 @@ def test_the_check_finds_a_private_import():
         "line 1: sortweaver.model._decode", "line 2: sortweaver._util.natural_key",
         "line 3: sortweaver._util", "line 7: sortweaver.queries._maximal_chains",
     ]
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_no_inspect():
+    """Every command pays for its import: ``dataclasses`` generates code for
+    each class it decorates and pulls in ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, which nothing else of the package loads."""
+    script = ("import sys, sortweaver.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert child.stdout == "[]\n"

@@ -3,7 +3,6 @@ import io
 import json
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -383,7 +382,7 @@ def test_expand_redirector_seed_copies_binding(decorator_model):
 
 
 def test_expand_seed_refuses_an_unknown_technique(decorator_model):
-    seed = replace(find_redirectors(decorator_model)[0], technique="hunch")
+    seed = find_redirectors(decorator_model)[0]._replace(technique="hunch")
     with pytest.raises(FactError, match="^cannot expand seeds of technique 'hunch'$"):
         expand_seed(decorator_model, seed)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from conftest import REPO
@@ -47,7 +46,7 @@ def test_readme_sort_parameter_table_matches_sort_params():
 
 
 def test_readme_mining_table_matches_techniques():
-    defaults = {f.name: f.default for f in dataclasses.fields(MiningConfig)}
+    defaults = MiningConfig._field_defaults
     flags = {options["dest"]: flag for flag, options in _MINE_FLAGS.items()}
     rows = _table_rows("| Technique | `--threshold` sets | Other flags |")
     assert [_quoted(technique)[0] for technique, _, _ in rows] == list(TECHNIQUES)
