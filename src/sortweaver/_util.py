@@ -38,6 +38,14 @@ def natural_key(text: str) -> tuple:
     return _split_key(text)
 
 
+def id_order(text: str) -> tuple:
+    """Sort key of ids from several tables: ``natural_key``, then the id
+    text, so that ids natural order ties (``C1``, ``C01``) still sort one
+    way.  Ids of one table sort by their row in it (``SourceModel``'s
+    ranks)."""
+    return natural_key(text), text
+
+
 def _split_key(text: str) -> tuple:
     """``natural_key`` by splitting the text at every ``\\d`` run."""
     parts = _CHUNKS.split(text)

@@ -19,7 +19,7 @@ import re
 from fnmatch import fnmatchcase
 from typing import NamedTuple
 
-from ._util import TYPED_EQUALITY, natural_key
+from ._util import TYPED_EQUALITY, id_order
 from .model import CallSite, DispatchPolicy, MethodDecl, ReceiverKind, SourceModel
 
 _ACCESSOR_NAME = re.compile(r"^(get|set|is)([A-Z_].*)?$")
@@ -69,7 +69,7 @@ class Seed(NamedTuple):
             "technique": self.technique,
             "policy": self.policy.value,
             "score": self.score,
-            "elements": sorted(self.elements, key=natural_key),
+            "elements": sorted(self.elements, key=id_order),
             "evidence": self.evidence,
         }
 
@@ -114,7 +114,7 @@ def fan_in_analysis(model: SourceModel, config: MiningConfig = MiningConfig()) -
                     "method": mid,
                     "method_sig": model.method_sig(mid),
                     "fan_in": len(callers),
-                    "callers": sorted(callers, key=natural_key),
+                    "callers": sorted(callers, key=model.method_rank),
                 },
                 technique="fanin",
                 policy=model.policy,
@@ -169,20 +169,20 @@ def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConf
 
         if len(closed) < config.grouped_min_group:
             continue
-        group = frozenset(method_ids[i] for i in closed)
-        supporters = frozenset(callers[t] for t in occurrences)
+        group = [method_ids[i] for i in sorted(closed)]
+        supporters = sorted((callers[t] for t in occurrences), key=model.method_rank)
         ancestor = model.common_ancestor(model.methods[mid].owner for mid in supporters)
         if ancestor is None:
             continue
         seeds.append(
             Seed(
                 sort_hint="CB",
-                elements=group | supporters,
+                elements=frozenset(group + supporters),
                 score=len(supporters),
                 evidence={
-                    "group": sorted(group, key=natural_key),
+                    "group": group,
                     "group_sigs": sorted(model.method_sig(m) for m in group),
-                    "callers": sorted(supporters, key=natural_key),
+                    "callers": supporters,
                     "ancestor": ancestor,
                     "ancestor_name": model.types[ancestor].qualified_name,
                     # this technique is a concretization: closed shared-callee
@@ -195,7 +195,7 @@ def grouped_calls_analysis(model: SourceModel, config: MiningConfig = MiningConf
         )
     # Two groups can share signatures when types share a qualified name.
     seeds.sort(key=lambda s: (-s.score, s.evidence["group_sigs"],
-                              [natural_key(m) for m in s.evidence["group"]]))
+                              list(map(model.method_rank, s.evidence["group"]))))
     return seeds
 
 
@@ -233,9 +233,9 @@ def find_redirectors(model: SourceModel, config: MiningConfig = MiningConfig()) 
             continue
         field_id = max(
             by_field,
-            key=lambda f: (len({m for m, _, _ in by_field[f]}), natural_key(f)),
+            key=lambda f: (len({m for m, _, _ in by_field[f]}), model.field_rank(f)),
         )
-        pairs = sorted(set(by_field[field_id]), key=lambda p: natural_key(p[2]))
+        pairs = sorted(set(by_field[field_id]), key=lambda p: model.call_rank(p[2]))
         redirecting = {m for m, _, _ in pairs}
         coverage = len(redirecting) / len(candidates)
         if len(redirecting) < config.redirect_min_methods:

@@ -25,10 +25,21 @@ Built on first use, so a command pays only for what it reads:
 * the number of subtypes of each type, which ``common_ancestor`` ranks by,
 * the members of each type, the calls of each method, and the name
   indexes behind ``type_by_name`` and ``resolve_method``,
+* the methods that take each parameter type (``methods_taking``) and that
+  declare each exception (``methods_declaring``), through which the EC and
+  EP queries select their methods without a pass over every method,
+* the row of each method, field and call id in its table
+  (``method_rank``, ``field_rank``, ``call_rank``; ``type_rank`` reads the
+  types' ancestor bits): its rank in natural id order, by which hits and
+  evidence are sorted without building a ``natural_key`` per id,
 * the call relation lifted along the override chain under a
   :class:`DispatchPolicy`, indexed by callee.  The policy is fixed per
   model; ``calls_to``, ``callers_of`` and ``lifted_edges`` alone accept
   another.
+
+Every table is in natural id order, and ids that natural order ties keep
+their records' order, so a sort by rank is a total order that no hash seed
+moves.
 
 Record schema (``facts.jsonl``, field ``k`` discriminates)::
 
@@ -59,7 +70,7 @@ import hashlib
 import json
 import os
 import stat
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from contextlib import suppress
 from enum import Enum
 from functools import cached_property, partial, reduce
@@ -218,6 +229,31 @@ def _index(table: str, attr: str) -> cached_property:
     return cached_property(build)
 
 
+def _item_index(table: str, attr: str) -> cached_property:
+    """``_index`` of an attribute that holds a tuple: each item -> the rows
+    that hold it, each once, in id order.  Rows with an empty tuple are
+    skipped without a step of the loop."""
+    def build(model: SourceModel) -> dict:
+        grouped: defaultdict[str, list] = defaultdict(list)
+        rows = getattr(model, table).values()
+        column = list(map(attrgetter(attr), rows))
+        for items, row in zip(compress(column, column), compress(rows, column)):
+            for key in items:
+                group = grouped[key]
+                if not group or group[-1] is not row:  # an item the row repeats
+                    group.append(row)
+        return {key: tuple(group) for key, group in grouped.items()}
+    return cached_property(build)
+
+
+def _rank(table: str) -> cached_property:
+    """A ``SourceModel`` map built on first read: id -> its row in a table
+    (``"_methods"``, say), which is its rank in natural id order."""
+    def build(model: SourceModel) -> Callable[[str], int]:
+        return dict(zip(getattr(model, table), count())).__getitem__
+    return cached_property(build)
+
+
 def _by_id(decls: Iterable, decl_class: type) -> tuple[dict, tuple]:
     """Id -> declaration in natural id order (a stable sort), and the table's
     columns: a ``decl_class`` whose attributes hold all rows' values.  Ids of
@@ -297,6 +333,31 @@ class SourceModel:
 
     def calls_of(self, method_id: str) -> tuple[CallSite, ...]:
         return self._calls_by_caller.get(method_id, ())
+
+    _methods_by_param_type = _item_index("_methods", "param_types")
+    _methods_by_throws = _item_index("_methods", "declared_throws")
+
+    def methods_taking(self, type_name: str) -> tuple[MethodDecl, ...]:
+        """The methods with a parameter of this type, in id order."""
+        return self._methods_by_param_type.get(type_name, ())
+
+    def methods_declaring(self, exception: str) -> tuple[MethodDecl, ...]:
+        """The methods whose throws clause names this exception, in id order."""
+        return self._methods_by_throws.get(exception, ())
+
+    # -- natural order -----------------------------------------------------
+    #
+    # Each rank is a sort key: an id's row in its table, so ids that natural
+    # order ties keep their records' order.
+
+    method_rank = _rank("_methods")
+    field_rank = _rank("_fields")
+    call_rank = _rank("_calls")
+
+    @property
+    def type_rank(self) -> Callable[[str], int]:
+        """Type id -> its row in ``types``, which is its ancestor bit."""
+        return self._bit.__getitem__
 
     # -- name resolution ---------------------------------------------------
 
@@ -481,9 +542,9 @@ class SourceModel:
         target = call.static_target
         out = [target]
         if policy in (DispatchPolicy.LIFT_TO_ANCESTORS, DispatchPolicy.LIFT_BOTH):
-            out.extend(sorted(self.overrides_all(target), key=natural_key))
+            out.extend(sorted(self.overrides_all(target), key=self.method_rank))
         if policy is DispatchPolicy.LIFT_BOTH:
-            out.extend(sorted(self.overridden_by(target), key=natural_key))
+            out.extend(sorted(self.overridden_by(target), key=self.method_rank))
         return tuple(out)
 
     def calls_to(self, method_id: str, policy: DispatchPolicy | None = None) -> tuple[CallSite, ...]:
@@ -500,10 +561,16 @@ class SourceModel:
         if index is None:
             grouped: dict[str, list[CallSite]] = {}
             lifted: dict[str, tuple[str, ...]] = {}  # many calls share a target
+            # A target whose signature no other method declares lifts to
+            # itself only.
+            declared = Counter(map(itemgetter(1), self._method_by_owner_sig))
             for call in self._calls.values():
-                callees = lifted.get(call.static_target)
+                target = call.static_target
+                callees = lifted.get(target)
                 if callees is None:
-                    callees = lifted[call.static_target] = self.lifted_callees(call, policy)
+                    callees = lifted[target] = (
+                        self.lifted_callees(call, policy)
+                        if declared[self._methods[target].signature] > 1 else (target,))
                 for callee in callees:
                     grouped.setdefault(callee, []).append(call)
             index = self._calls_to[policy] = {m: tuple(cs) for m, cs in grouped.items()}

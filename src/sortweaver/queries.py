@@ -11,7 +11,10 @@ SC   support classes: nested classes realizing a role for their encloser
 EP   exception propagation: rethrow chains of one declared exception
 
 Results are deduplicated, chains are maximal at both ends, and hit order is
-deterministic: (source file of the primary entity, natural id order).
+deterministic: (source file of the primary entity, natural id order), each
+id ranked by its row in its table, so ids that natural order ties keep their
+records' order.  EC and EP select their methods, and the calls between
+them, through the model's indexes, so an instance reads its own rows only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from ._util import TYPED_EQUALITY, natural_key
+from ._util import TYPED_EQUALITY
 from .mining import Seed, forwarding_calls
 from .model import DispatchPolicy, FactError, SourceModel
 
@@ -76,7 +79,7 @@ class CbHit(NamedTuple):
         return f"{model.method_sig(self.caller)} -> {model.method_sig(self.target)} @{self.ordinal}"
 
     def order_key(self, model):
-        return (model.calls[self.call].src, natural_key(self.call))
+        return (model.calls[self.call].src, model.call_rank(self.call))
 
     def to_json(self, model):
         return {
@@ -100,7 +103,7 @@ class RlHit(NamedTuple):
         )
 
     def order_key(self, model):
-        return (model.calls[self.call].src, natural_key(self.call))
+        return (model.calls[self.call].src, model.call_rank(self.call))
 
     def to_json(self, model):
         return {
@@ -123,7 +126,7 @@ class ChainHit(NamedTuple):
         return " -> ".join(model.method_sig(m) for m in self.methods)
 
     def order_key(self, model):
-        return (model.methods[self.methods[0]].src, tuple(natural_key(m) for m in self.methods))
+        return (model.methods[self.methods[0]].src, tuple(map(model.method_rank, self.methods)))
 
     def to_json(self, model):
         out = {
@@ -152,11 +155,12 @@ class RsiHit(NamedTuple):
         return f"{model.method_sig(self.member)} realizes role"
 
     def order_key(self, model):
+        member_rank = model.type_rank if self.kind == "declares_role" else model.method_rank
         return (
             model.types[self.type_id].src,
-            natural_key(self.type_id),
+            model.type_rank(self.type_id),
             self.kind,
-            natural_key(self.member),
+            member_rank(self.member),
         )
 
     def to_json(self, model):
@@ -180,7 +184,7 @@ class ScHit(NamedTuple):
         )
 
     def order_key(self, model):
-        return (model.types[self.nested].src, natural_key(self.nested))
+        return (model.types[self.nested].src, model.type_rank(self.nested))
 
     def to_json(self, model):
         return {
@@ -270,14 +274,17 @@ def query_rl(model: SourceModel, redirector: str, receiver: str) -> QueryResult:
     return _result(model, SortKind.RL, binding, hits)
 
 
-def _chain_graph(model: SourceModel, links: Callable, nodes=()) -> dict[str, dict[str, str]]:
-    """Caller -> {callee: linking call id} over the calls that ``links``
-    accepts, read once in id order, so each pair keeps its smallest call;
-    ``nodes`` join the graph without edges."""
+def _chain_graph(model: SourceModel, callers, links: Callable,
+                 nodes=()) -> dict[str, dict[str, str]]:
+    """Caller -> {callee: linking call id} over the calls of ``callers``
+    that ``links`` accepts.  Each caller's calls are read in id order, so
+    each pair keeps its smallest call; ``nodes`` join the graph without
+    edges."""
     graph: dict[str, dict[str, str]] = {node: {} for node in nodes}
-    for call in model.calls.values():
-        if links(call):
-            graph.setdefault(call.caller, {}).setdefault(call.static_target, call.id)
+    for caller in callers:
+        for call in model.calls_of(caller):
+            if links(call):
+                graph.setdefault(caller, {}).setdefault(call.static_target, call.id)
     return graph
 
 
@@ -321,15 +328,16 @@ def _components(nodes, succ) -> dict:
     return component
 
 
-def _maximal_chains(graph, stop_at=frozenset()):
-    """Maximal simple paths over a chain graph, in natural id order.
+def _maximal_chains(graph, stop_at, rank: Callable):
+    """Maximal simple paths over a chain graph, in ``rank`` order.
 
     ``graph`` maps node -> {neighbor: linking call id}, as ``_chain_graph``
-    builds it; the nodes are its keys and every neighbor.  Stop nodes
-    terminate chains (a stop tail is a valid end of any length, and a stop
-    node never extends a chain leftward); otherwise a path is reported when
-    it has at least two nodes, cannot grow right (no unvisited successor)
-    and cannot grow left (no unvisited non-stop predecessor).
+    builds it; the nodes are its keys and every neighbor, and ``rank`` maps
+    each node to its sort key.  Stop nodes terminate chains (a stop tail is
+    a valid end of any length, and a stop node never extends a chain
+    leftward); otherwise a path is reported when it has at least two nodes,
+    cannot grow right (no unvisited successor) and cannot grow left (no
+    unvisited non-stop predecessor).
 
     A chain's non-stop predecessors of its head must all lie on it, so they
     share the head's strongly connected component over the edges leaving
@@ -338,13 +346,13 @@ def _maximal_chains(graph, stop_at=frozenset()):
     acyclic inputs the cost is about V + E plus the length of the output.
     """
     # Each node's (neighbor, call) pairs, sorted once for every search.
-    succ = {node: sorted(callees.items(), key=lambda pair: natural_key(pair[0]))
+    succ = {node: sorted(callees.items(), key=lambda pair: rank(pair[0]))
             for node, callees in graph.items()}
     preds: dict = {node: [] for node in graph}
     for node, callees in graph.items():
         for neighbor in callees:
             preds.setdefault(neighbor, []).append(node)
-    nodes = sorted(preds, key=natural_key)
+    nodes = sorted(preds, key=rank)
     component = _components(nodes, {
         node: callees for node, callees in graph.items() if node not in stop_at
     })
@@ -389,9 +397,8 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
 
     # Context-parameter indices of each in-scope method that has one.
     context_params = {
-        mid: frozenset(i for i, p in enumerate(m.param_types) if p == context_type)
-        for mid, m in model.methods.items()
-        if context_type in m.param_types and in_scope(m.owner)
+        m.id: frozenset(i for i, p in enumerate(m.param_types) if p == context_type)
+        for m in model.methods_taking(context_type) if in_scope(m.owner)
     }
 
     # The one EC rule: a call links its caller to its callee by its first
@@ -399,10 +406,10 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
     # (parameter, argument) pair is kept by call id for the chain's indices.
     passes: dict[str, tuple[int, int]] = {}
 
-    def links(call):
-        src_params = context_params.get(call.caller)
+    def links(call):  # a call of a context method
+        src_params = context_params[call.caller]
         dst_params = context_params.get(call.static_target)
-        if src_params is not None and dst_params is not None:
+        if dst_params is not None:
             for arg_index, param_index in call.arg_passthrough:
                 if param_index in src_params and arg_index in dst_params:
                     passes[call.id] = (param_index, arg_index)
@@ -415,7 +422,8 @@ def query_ec(model: SourceModel, context_type: str, scope: str = "*") -> QueryRe
             calls=calls,
             param_indices=(passes[calls[0]][0], *(passes[call][1] for call in calls)),
         )
-        for path, calls in _maximal_chains(_chain_graph(model, links))
+        for path, calls in _maximal_chains(_chain_graph(model, context_params, links),
+                                           frozenset(), model.method_rank)
     ]
     return _result(model, SortKind.EC, binding, hits)
 
@@ -431,21 +439,17 @@ def query_ep(model: SourceModel, exception: str, root: str | None = None) -> Que
     """
     binding = QueryBinding.make(SortKind.EP, exception=exception, root=root)
     root_id = model.resolve_method(root).id if root is not None else None
-    declarers = {
-        mid for mid, m in model.methods.items() if exception in m.declared_throws
-    }
-    raisers = frozenset(
-        mid for mid in declarers if exception in model.methods[mid].direct_throws
-    )
+    declarers = {m.id: m for m in model.methods_declaring(exception)}
+    raisers = frozenset(mid for mid, m in declarers.items() if exception in m.direct_throws)
     graph = _chain_graph(
         model,
-        lambda call: call.caller in declarers and call.static_target in declarers
-        and call.caller != call.static_target,
+        declarers,
+        lambda call: call.static_target in declarers and call.caller != call.static_target,
         nodes=raisers,
     )
     hits = [
         ChainHit(methods=path, calls=calls, root_raises=path[-1] in raisers)
-        for path, calls in _maximal_chains(graph, stop_at=raisers)
+        for path, calls in _maximal_chains(graph, raisers, model.method_rank)
         if root_id is None or root_id in path
     ]
     return _result(model, SortKind.EP, binding, hits)

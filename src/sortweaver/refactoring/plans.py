@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .._util import TYPED_EQUALITY, lower_first, natural_key, upper_first
+from .._util import TYPED_EQUALITY, id_order, lower_first, upper_first
 from ..model import DispatchPolicy, ReceiverKind, SourceModel, Visibility
 from ..queries import ADVICE_KINDS, CbHit, QueryResult, SortKind
 from .aspect_text import (
@@ -154,7 +154,7 @@ class RiskWarning(NamedTuple):
 
 def warn(code: str, evidence=()) -> RiskWarning:
     severity, message = WARNING_CATALOG[code]
-    return RiskWarning(code, severity, message, tuple(sorted(evidence, key=natural_key)))
+    return RiskWarning(code, severity, message, tuple(sorted(evidence, key=id_order)))
 
 
 class _SourceEditFields(NamedTuple):
@@ -266,7 +266,7 @@ def _plan_cb(
     target = model.methods[hits[0].target]
     target_sig = model.method_sig(target.id)
     scope_name = result.binding.param("scope", "*")
-    callers = sorted({h.caller for h in hits}, key=natural_key)
+    callers = sorted({h.caller for h in hits}, key=model.method_rank)
     named = [c for c in callers if not model.types[model.methods[c].owner].is_anonymous]
     anonymous = [c for c in callers if model.types[model.methods[c].owner].is_anonymous]
 
@@ -400,7 +400,7 @@ def _plan_rl(model: SourceModel, result: QueryResult) -> RefactoringPlan:
 
     pairs = sorted(
         {(h.redirector_method, h.receiver_method) for h in hits},
-        key=lambda p: (natural_key(p[0]), natural_key(p[1])),
+        key=lambda p: (model.method_rank(p[0]), model.method_rank(p[1])),
     )
     delegating = {r for r, _ in pairs}
     receiver_methods = dict.fromkeys(r for _, r in pairs)  # in order of first pair
@@ -485,13 +485,13 @@ def _plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
         tails.append(chain.methods[-1])
 
     head_terms = []
-    for mid in sorted(heads, key=natural_key):
+    for mid in sorted(heads, key=model.method_rank):
         m = model.methods[mid]
         slots = ["*"] * m.arity
         slots[heads[mid]] = "ctx"
         head_terms.append(AndExpr((_execution(model, mid), Args(", ".join(slots)))))
     caller_space = PointcutDef("callerSpace", ((context, "ctx"),), _any_of(head_terms))
-    tail_terms = [_execution(model, mid) for mid in sorted(set(tails), key=natural_key)]
+    tail_terms = [_execution(model, mid) for mid in sorted(set(tails), key=model.method_rank)]
     callee_space = PointcutDef("calleeSpace", (), _any_of(tail_terms))
     advice = Advice(
         "around",
@@ -531,7 +531,7 @@ def _plan_ec(model: SourceModel, result: QueryResult) -> RefactoringPlan:
             f"drop the pass-through {context} parameter from {model.method_sig(mid)}",
             (("param_index", str(intermediates[mid])),),
         )
-        for mid in sorted(intermediates, key=natural_key)
+        for mid in sorted(intermediates, key=model.method_rank)
     ]
 
     return RefactoringPlan(
@@ -663,8 +663,8 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     chains = result.hits
     exception = result.binding.param("exception")
 
-    roots = sorted({c.methods[-1] for c in chains}, key=natural_key)
-    members = sorted({m for c in chains for m in c.methods}, key=natural_key)
+    roots = sorted({c.methods[-1] for c in chains}, key=model.method_rank)
+    members = sorted({m for c in chains for m in c.methods}, key=model.method_rank)
     non_roots = [m for m in members if m not in roots]
 
     stanzas: list = []
@@ -681,7 +681,7 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
     stanzas = list(dict.fromkeys(stanzas))  # overloaded roots share one: `..` matches both
 
     catch_notes: list[str] = []
-    heads = sorted({c.methods[0] for c in chains}, key=natural_key)
+    heads = sorted({c.methods[0] for c in chains}, key=model.method_rank)
     for head in heads:
         catchers = sorted(
             {
@@ -689,7 +689,7 @@ def _plan_ep(model: SourceModel, result: QueryResult) -> RefactoringPlan:
                 for call in model.calls_to(head, DispatchPolicy.STATIC_ONLY)
                 if exception not in model.methods[call.caller].declared_throws
             },
-            key=natural_key,
+            key=model.method_rank,
         )
         for catcher in catchers:
             catch_notes.append(
@@ -818,7 +818,7 @@ def check_precedence(plans: list[RefactoringPlan]) -> list[RiskWarning]:
                         WARNING_CATALOG["PRECEDENCE"][0],
                         f"aspects {first.aspect_name} and {second.aspect_name} advise "
                         "overlapping join points; advice precedence is unspecified",
-                        tuple(sorted(overlap, key=natural_key)),
+                        tuple(sorted(overlap, key=id_order)),
                     )
                 )
     return warnings

@@ -1206,3 +1206,43 @@ def test_extract_mutation_sweep_exits_zero_or_one_naming_the_file(tmp_path, caps
             load_records(map(json.loads, out.splitlines()))
         codes.append(code)
     assert 0 in codes and 1 in codes
+
+
+def test_ids_that_natural_order_ties_print_one_way_under_every_hash_seed(tmp_path):
+    # tests/ties.jsonl: calls C1, C01 and C001 from methods M2, M02 and M002
+    # all hit app.A.t, and app.W forwards through calls C2 and C02, so
+    # natural order ties hits, callers, pairs and edits.  They keep the
+    # records' order, whatever the hash seed.
+    (tmp_path / "ties.jsonl").write_bytes((REPO / "tests" / "ties.jsonl").read_bytes())
+    concerns = str(tmp_path / "concerns.json")
+    assert run_cli("model", "init", concerns)[0] == 0
+    assert run_cli("model", "add-instance", concerns, "t", "--sort", "CB",
+                   "--param", "target=app.A.t")[0] == 0
+    commands = [["query", "cb", "ties.jsonl", "--target", "app.A.t", "--json"],
+                ["mine", "fanin", "ties.jsonl", "--threshold", "3", "--json"],
+                ["mine", "redirect", "ties.jsonl", "--json"],
+                ["plan", "concerns.json", "t", "ties.jsonl", "--json"]]
+    script = ("import io, json, sys\n"
+              "from sortweaver.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    print(json.dumps([main(argv, stdin=io.StringIO(), stdout=out),"
+              " out.getvalue()]))\n")
+    outputs: list[set] = [set() for _ in commands]
+    for hash_seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(REPO / "src"))
+        child = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                               cwd=tmp_path, env=env, capture_output=True, text=True,
+                               check=True)
+        for seen, line in zip(outputs, child.stdout.splitlines(), strict=True):
+            seen.add(line)
+    assert [len(seen) for seen in outputs] == [1, 1, 1, 1]
+    (cb, fanin, redirect, plan) = (json.loads(seen.pop()) for seen in outputs)
+    assert [code for code, _ in (cb, fanin, redirect, plan)] == [0, 0, 0, 0]
+    assert [h["call"] for h in json.loads(cb[1])["hits"]] == ["C1", "C01", "C001", "C2"]
+    (seed,) = json.loads(fanin[1])
+    assert seed["evidence"]["callers"] == ["M2", "M02", "M002", "M3"]
+    assert seed["elements"] == ["M1", "M002", "M02", "M2", "M3"]  # by id text
+    (seed,) = json.loads(redirect[1])
+    assert [call for _, _, call in seed["evidence"]["pairs"]] == ["C2", "C02"]
+    assert [e["target"] for e in json.loads(plan[1])["edits"]] == ["C1", "C01", "C001", "C2"]

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 
@@ -306,12 +307,47 @@ def test_chain_search_matches_recursive_search_on_random_graphs():
     for _ in range(2500):
         succ, pred, graph, stop = _random_chain_graph(rng)
         expected = oracles.maximal_chains_recursive(succ, pred, stop)
-        assert _maximal_chains(graph, stop) == expected
+        assert _maximal_chains(graph, stop, oracles.natural_key_chunks) == expected
         seen_nonempty += bool(expected)
         # a self-loop or a two-node cycle
         seen_cyclic += any(a == b or a in graph.get(b, {})
                            for a, callees in graph.items() for b in callees)
     assert seen_nonempty > 1000 and seen_cyclic > 500
+
+
+class _Unlisted(dict):
+    """A table that answers lookups by id but refuses to be listed."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a query listed a whole table")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_ec_and_ep_read_no_whole_table():
+    # The first query of each builds the model's indexes; after that an EC
+    # or EP instance reads only the methods and calls it selects.
+    checked = 0
+    for name in CORPUS_FILES:
+        model = corpus_model(name.removesuffix(".mini"))
+        methods = list(model.methods.values())
+        contexts = sorted({p for m in methods for p in m.param_types})
+        exceptions = sorted({e for m in methods for e in m.declared_throws})
+        want = [query_ec(model, context) for context in contexts]
+        want += [query_ep(model, exception) for exception in exceptions]
+        want += [query_ep(model, e, model.method_sig(m.id))
+                 for m in methods for e in m.declared_throws]
+        model._methods, model._calls = _Unlisted(model._methods), _Unlisted(model._calls)
+        model.methods, model.calls = MappingProxyType(model._methods), MappingProxyType(model._calls)
+        with pytest.raises(AssertionError, match="listed a whole table"):
+            list(model.calls.values())
+        got = [query_ec(model, context) for context in contexts]
+        got += [query_ep(model, exception) for exception in exceptions]
+        got += [query_ep(model, e, model.method_sig(m.id))
+                for m in methods for e in m.declared_throws]
+        assert got == want
+        checked += sum(bool(result.hits) for result in got)
+    assert checked >= 5
 
 
 # -- role superimposition ----------------------------------------------------------------
@@ -519,20 +555,23 @@ def test_hits_order_by_source_file_then_id():
 
 
 def test_queries_match_relational_oracles_on_random_models():
+    # Under every policy: EC and EP follow static targets, so each policy
+    # must give the oracles' chains.
     rng = random.Random(2024)
     mismatches = 0
-    for _ in range(60):
-        model = random_model(rng)
+    for i in range(60):
+        model = random_model(rng, policy=list(DispatchPolicy)[i % 3])
+        policy = model.policy.value
         methods = sorted(model.methods)
         types = sorted(model.types)
         for target in methods[:3]:
             got = {h.call for h in query_cb(model, target, "*").hits}
-            assert got == oracles.cb_hits(model, target, "*", "lift_to_ancestors")
+            assert got == oracles.cb_hits(model, target, "*", policy)
         for tid in types[:2]:
             scope = model.types[tid].qualified_name
             for target in methods[:2]:
                 got = {h.call for h in query_cb(model, target, scope).hits}
-                assert got == oracles.cb_hits(model, target, scope, "lift_to_ancestors")
+                assert got == oracles.cb_hits(model, target, scope, policy)
         for red in types[:3]:
             for rec in types[:3]:
                 got = {
@@ -548,6 +587,7 @@ def test_queries_match_relational_oracles_on_random_models():
             got = {(h.methods, h.calls, h.param_indices)
                    for h in query_ec(model, context, "*").hits}
             assert got == oracles.ec_hits(model, context, "*")
+            assert {h[0] for h in got} == oracles.ec_chains(model, context, "*")
         for exception in ("IOErr", "NetErr"):
             got = {(h.methods, h.calls, h.root_raises) for h in query_ep(model, exception).hits}
             assert got == oracles.ep_hits(model, exception)
